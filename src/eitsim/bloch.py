@@ -3,7 +3,10 @@
 Builds the rotating-frame Hamiltonian from a set of classical drives, adds
 Bloch-form relaxation (population branching plus per-pair coherence decay,
 not a Lindblad dissipator), and solves the resulting linear master equation
-dvec(rho)/dt = L vec(rho) for steady states and transients.
+dvec(rho)/dt = L vec(rho) for steady states and transients.  Only the
+rotating-frame phases depend on a drive's detuning, so a detuning sweep is
+affine: L(delta) = L0 + delta * D with D diagonal, and its steady states are
+solved as stacked batches.
 
 The density matrix is vectorized row-major: element (m, k) of the n x n
 matrix sits at index m*n + k of the length-n^2 state vector.
@@ -19,7 +22,8 @@ from . import kernels
 from .errors import (ConfigError, InconsistentFrameError, IntegrationError,
                      InvalidArgumentError, SteadyStateError)
 from .materials import LevelSystem
-from .states import DensityMatrix, assert_density_matrix
+from .states import (DensityMatrix, assert_density_matrices,
+                     assert_density_matrix)
 
 # Residual gate for the steady-state solve, relative to the generator's
 # infinity norm.
@@ -27,6 +31,11 @@ STEADY_STATE_RTOL = 1e-9
 # Two independent pivot orderings must agree this closely or the nullspace
 # is treated as degenerate.
 DEGENERACY_TOL = 1e-8
+# Detuning points per stacked solve.  One chunk of pinned 36 x 36 complex
+# systems is ~0.33 MB; a 4,001-point sweep stacked at once needs ~270 MB.
+# Chunks of 16 to 64 solve a 4,001-point sweep equally fast; larger ones
+# only raise the peak memory.
+STEADY_STATE_CHUNK = 16
 
 EVOLVE_TOL_MIN = 1e-12
 EVOLVE_TOL_MAX = 1e-3
@@ -221,49 +230,112 @@ def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
     return Liouvillian(generator=gen, n_levels=n)
 
 
-def _solve_pinned(gen: np.ndarray, trace_row: np.ndarray, order: np.ndarray,
-                  pin_position: int) -> np.ndarray:
-    """Solve gen*vec = 0 with the unit-trace constraint substituted for one
-    row, under a caller-chosen row ordering (forces a distinct pivot path)."""
-    a = gen[order].copy()
-    a[pin_position, :] = trace_row
-    b = np.zeros(gen.shape[0], dtype=complex)
-    b[pin_position] = 1.0
-    return np.linalg.solve(a, b)
+def generator_drift(n_levels: int, slope_drives) -> np.ndarray:
+    """Diagonal of dL/d(delta), D, for a sweep parameter delta that moves
+    each drive's detuning by that drive's `detuning` per unit delta.
+
+    The frame phases are linear in the detunings and nothing else in the
+    generator depends on them, so L(delta) = L(0) + delta * diag(D) with
+    D[m*n + k] = -i (p_m - p_k), p the phases of slope_drives.
+    """
+    slopes = frame_phases(n_levels, slope_drives)
+    return (-1j * (slopes[:, None] - slopes[None, :])).reshape(-1)
+
+
+def _at(delta: float) -> str:
+    return f"at delta = {float(delta)!r} rad/s"
+
+
+def _first_singular(pinned: np.ndarray, first: np.ndarray) -> int:
+    """Index of the first stacked system that either pivot ordering finds
+    singular."""
+    for i, a in enumerate(pinned):
+        try:
+            np.linalg.solve(a, first)
+            np.linalg.solve(a[::-1], first[::-1])
+        except np.linalg.LinAlgError:
+            return i
+    return 0
+
+
+def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
+    """Stationary density matrices of L(delta) = L0 + delta * diag(drift)
+    for every delta, as a validated and repaired (k, n, n) stack.
+
+    Each point is a dense solve by elimination with partial pivoting, with
+    the trace constraint substituted for the first row, re-solved under the
+    reversed row ordering to detect degenerate (non-unique) nullspaces.
+    Points go in chunks of STEADY_STATE_CHUNK stacked systems, one
+    np.linalg.solve per ordering.  Every point must pass the residual gate
+    ||L v|| <= STEADY_STATE_RTOL * max(||L||, 1) (infinity norms) and the
+    DEGENERACY_TOL agreement gate, then the state validation; a failure
+    names its delta.
+    """
+    n = lv0.n_levels
+    dim = n * n
+    gen0 = lv0.generator
+    drift = np.asarray(drift, dtype=complex)
+    deltas = np.asarray(deltas, dtype=float).reshape(-1)
+    if drift.shape != (dim,):
+        raise ConfigError("drift dimension does not match generator")
+
+    diag = np.arange(dim)
+    diag0 = gen0[diag, diag]
+    off_diag_norm = np.abs(gen0 - np.diag(diag0)).sum(axis=1)
+    trace_row = np.zeros(dim, dtype=complex)
+    trace_row[:: n + 1] = 1.0
+    first = np.zeros(dim, dtype=complex)
+    first[0] = 1.0
+
+    states = np.empty((deltas.size, n, n), dtype=complex)
+    for start in range(0, deltas.size, STEADY_STATE_CHUNK):
+        chunk = deltas[start:start + STEADY_STATE_CHUNK]
+        diags = diag0 + chunk[:, None] * drift
+        pinned = np.repeat(gen0[np.newaxis], chunk.size, axis=0)
+        pinned[:, diag, diag] = diags
+        pinned[:, 0, :] = trace_row
+        # Right-hand sides as (k, dim, 1) stacks: numpy 1.x and 2.x read
+        # a 1-d b against stacked systems differently.
+        rhs = np.broadcast_to(first[:, np.newaxis], (chunk.size, dim, 1))
+        try:
+            vec = np.linalg.solve(pinned, rhs)[..., 0]
+            vec_alt = np.linalg.solve(pinned[:, ::-1], rhs[:, ::-1])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            bad = chunk[_first_singular(pinned, first)]
+            raise SteadyStateError(
+                f"{_at(bad)}: singular steady-state system: {exc}") from exc
+
+        # L(delta) v = L0 v + delta * (D o v), ||L(delta)|| from the
+        # off-diagonal row sums plus the shifted diagonal: no second stack.
+        residual = np.abs(vec @ gen0.T + chunk[:, None] * (drift * vec)
+                          ).max(axis=1)
+        gen_norm = (off_diag_norm + np.abs(diags)).max(axis=1)
+        disagreement = np.abs(vec - vec_alt).max(axis=1)
+        too_large = residual > STEADY_STATE_RTOL * np.maximum(gen_norm, 1.0)
+        not_unique = disagreement > DEGENERACY_TOL
+        if np.any(too_large | not_unique):
+            i = int(np.argmax(too_large | not_unique))
+            if too_large[i]:
+                raise SteadyStateError(
+                    f"{_at(chunk[i])}: steady-state residual "
+                    f"{residual[i]:.3e} exceeds {STEADY_STATE_RTOL:.1e} * "
+                    f"||L|| = {STEADY_STATE_RTOL * gen_norm[i]:.3e}"
+                )
+            raise SteadyStateError(
+                f"{_at(chunk[i])}: steady state is not unique: two pivot "
+                f"orderings disagree by {disagreement[i]:.3e} "
+                f"(residual {residual[i]:.3e})"
+            )
+        states[start:start + chunk.size] = assert_density_matrices(
+            vec.reshape(-1, n, n), label=lambda i: _at(chunk[i]))
+    return states
 
 
 def steady_state(lv: Liouvillian) -> DensityMatrix:
-    """Stationary density matrix of the generator.
-
-    Solves the dense linear system by elimination with partial pivoting,
-    with one row replaced by the trace constraint; re-solves under a second
-    pivot ordering to detect degenerate (non-unique) nullspaces.
-    """
-    n = lv.n_levels
-    dim = n * n
-    gen = np.asarray(lv.generator, dtype=complex)
-    trace_row = np.zeros(dim, dtype=complex)
-    trace_row[:: n + 1] = 1.0
-    try:
-        vec = _solve_pinned(gen, trace_row, np.arange(dim), 0)
-        vec_alt = _solve_pinned(gen, trace_row, np.arange(dim)[::-1], dim - 1)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(f"singular steady-state system: {exc}") from exc
-
-    gen_norm = float(np.max(np.abs(gen).sum(axis=1)))
-    residual = float(np.max(np.abs(gen @ vec)))
-    if residual > STEADY_STATE_RTOL * max(gen_norm, 1.0):
-        raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds "
-            f"{STEADY_STATE_RTOL:.1e} * ||L|| = {STEADY_STATE_RTOL * gen_norm:.3e}"
-        )
-    disagreement = float(np.max(np.abs(vec - vec_alt)))
-    if disagreement > DEGENERACY_TOL:
-        raise SteadyStateError(
-            f"steady state is not unique: two pivot orderings disagree by "
-            f"{disagreement:.3e} (residual {residual:.3e})"
-        )
-    return assert_density_matrix(vec.reshape(n, n))
+    """Stationary density matrix of the generator: the one-point call of
+    steady_states at delta = 0, so its errors name delta = 0.0."""
+    zero = np.zeros(lv.n_levels * lv.n_levels)
+    return DensityMatrix(steady_states(lv, zero, np.zeros(1))[0])
 
 
 def evolve(rho0, lv: Liouvillian, t_end: float, tol: float,
@@ -313,7 +385,7 @@ def evolve(rho0, lv: Liouvillian, t_end: float, tol: float,
     mats = raw.reshape(n_samples, n, n)
     trace_dev = np.abs(np.einsum("tii->t", mats) - 1.0)
     herm_dev = np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max(axis=(1, 2))
-    states = tuple(assert_density_matrix(m) for m in mats)
+    states = tuple(DensityMatrix(m) for m in assert_density_matrices(mats))
     return Trajectory(
         times=times, states=states, n_steps=n_steps,
         kernels_used=kernels.ACTIVE_KERNELS,

@@ -60,7 +60,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", choices=("analytic", "full"),
                         help="shortcut for --set backend=...")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="shortcut for --set jobs_count=N")
+                        help="shortcut for --set jobs_count=N; accepted "
+                             "(N >= 1) but has no effect, sweeps run as "
+                             "one batch")
 
     parser = argparse.ArgumentParser(
         prog="eitsim",

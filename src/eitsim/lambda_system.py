@@ -4,7 +4,7 @@ The six-level model reduces, for a weak probe on 5-2 and a coupling field on
 5-3 with the population held in level 2, to two coupled coherence equations
 whose stationary solution gives the probe susceptibility in closed form.
 All rates and frequencies are rad/s; delta is the probe detuning
-(omega_atom - omega_field).
+(omega_atom - omega_field), a float or an array of them.
 """
 
 from dataclasses import dataclass
@@ -17,10 +17,18 @@ from .materials import MaterialParams
 
 @dataclass(frozen=True)
 class Susceptibility:
-    """chi = chi_re + i*chi_im, dimensionless."""
+    """chi = chi_re + i*chi_im, dimensionless: floats at one detuning,
+    arrays shaped like the detunings on a grid."""
 
     chi_re: float
     chi_im: float
+
+    @classmethod
+    def of(cls, chi_re, chi_im) -> "Susceptibility":
+        """Floats for a 0-d result, arrays otherwise."""
+        if np.ndim(chi_re) == 0:
+            return cls(chi_re=float(chi_re), chi_im=float(chi_im))
+        return cls(chi_re=np.asarray(chi_re), chi_im=np.asarray(chi_im))
 
     @property
     def as_complex(self) -> complex:
@@ -85,8 +93,20 @@ def lambda_steady_state(p: LambdaParams, omega_p: complex,
     return rho52, rho32
 
 
-def chi_analytic(p: LambdaParams, delta: float) -> Susceptibility:
-    """Closed-form probe susceptibility chi(delta).
+def _check_regular(z, delta, what: str) -> None:
+    """Raise, naming the first detuning, where the denominator Z vanishes."""
+    zero = np.reshape(z == 0.0, -1)
+    if np.any(zero):
+        bad = float(np.reshape(delta, -1)[int(np.argmax(zero))])
+        raise SingularParametersError(
+            f"{what} is indeterminate at delta = {bad!r} rad/s: gamma32, "
+            "delta and omega_c all vanish"
+        )
+
+
+def chi_analytic(p: LambdaParams, delta) -> Susceptibility:
+    """Closed-form probe susceptibility chi(delta), elementwise over an
+    array of detunings.
 
     chi_re = A * delta * (delta^2 + gamma32^2 - omega_c^2/4) / Z
     chi_im = A * [gamma32*(gamma32*gamma52 + omega_c^2/4) + delta^2*gamma52] / Z
@@ -95,37 +115,36 @@ def chi_analytic(p: LambdaParams, delta: float) -> Susceptibility:
 
     Z > 0 except at the single degenerate point delta = gamma32 = omega_c = 0.
     """
+    delta = np.asarray(delta, dtype=float)
     c = p.gamma32 * p.gamma52 + 0.25 * p.omega_c ** 2
     d2 = delta * delta
-    z = (d2 - c) ** 2 + d2 * (p.gamma52 + p.gamma32) ** 2
-    if z == 0.0:
-        raise SingularParametersError(
-            "susceptibility is indeterminate when gamma32, delta and omega_c "
-            "all vanish"
-        )
+    # u * u, not u ** 2: numpy squares arrays exactly where the scalar pow
+    # can land one ulp off, and one detuning must give one value either way.
+    u = d2 - c
+    z = u * u + d2 * (p.gamma52 + p.gamma32) ** 2
+    _check_regular(z, delta, "susceptibility")
     a = p.coupling_a
     chi_re = a * delta * (d2 + p.gamma32 ** 2 - 0.25 * p.omega_c ** 2) / z
     chi_im = a * (p.gamma32 * c + d2 * p.gamma52) / z
-    return Susceptibility(chi_re=chi_re, chi_im=chi_im)
+    return Susceptibility.of(chi_re, chi_im)
 
 
-def dchi_prime_ddelta(p: LambdaParams, delta: float) -> float:
-    """Exact detuning derivative of chi_re (quotient rule on the closed form)."""
+def dchi_prime_ddelta(p: LambdaParams, delta):
+    """Exact detuning derivative of chi_re (quotient rule on the closed form);
+    a float for one detuning, an array for an array."""
+    delta = np.asarray(delta, dtype=float)
     b = p.gamma32 ** 2 - 0.25 * p.omega_c ** 2
     c = p.gamma32 * p.gamma52 + 0.25 * p.omega_c ** 2
     s = (p.gamma52 + p.gamma32) ** 2
     d2 = delta * delta
     u = d2 - c
     z = u * u + d2 * s
-    if z == 0.0:
-        raise SingularParametersError(
-            "derivative is indeterminate when gamma32, delta and omega_c "
-            "all vanish"
-        )
+    _check_regular(z, delta, "derivative")
     numer = delta * (d2 + b)
     dnumer = 3.0 * d2 + b
     dz = 2.0 * delta * (2.0 * u + s)
-    return p.coupling_a * (dnumer * z - numer * dz) / (z * z)
+    slope = p.coupling_a * (dnumer * z - numer * dz) / (z * z)
+    return float(slope) if slope.ndim == 0 else slope
 
 
 def suppression_ratio(p: LambdaParams) -> float:

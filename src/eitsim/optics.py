@@ -5,19 +5,20 @@ steady-state backend.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
 import numpy as np
 
-from .bloch import FieldDrive, build_hamiltonian, build_liouvillian, steady_state
+# steady_state stays importable here: the benchmark's traced pass
+# (perfbench/launcher.py) wraps it under this module's name.
+from .bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
+                    generator_drift, steady_state, steady_states)
 from .constants import C_LIGHT, TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
-                     EitsimError, InvalidArgumentError)
+                     InvalidArgumentError)
 from .lambda_system import Susceptibility, chi_analytic, lambda_from_material
 from .materials import MaterialParams
-from .states import coherence
 
 BACKEND_ANALYTIC = "analytic"
 BACKEND_FULL = "full"
@@ -135,35 +136,43 @@ class WindowReport:
     truncated: bool = False
 
 
-def rho_to_chi(rho52: complex, mat: MaterialParams,
+def rho_to_chi(rho52, mat: MaterialParams,
                omega_p: complex) -> Susceptibility:
-    """Susceptibility from the 5-2 coherence at probe Rabi frequency omega_p:
-    chi = 2 * A * rho52 / omega_p with A = N*mu^2/(eps0*hbar).
+    """Susceptibility from the 5-2 coherence (one value or an array) at
+    probe Rabi frequency omega_p: chi = 2 * A * rho52 / omega_p with
+    A = N*mu^2/(eps0*hbar).
 
     Raises ZeroDivisionError for omega_p = 0.
     """
-    chi = 2.0 * mat.coupling_strength * complex(rho52) / complex(omega_p)
-    return Susceptibility(chi_re=chi.real, chi_im=chi.imag)
+    omega_p = complex(omega_p)
+    if omega_p == 0:
+        raise ZeroDivisionError("probe rabi frequency is zero")
+    chi = 2.0 * mat.coupling_strength * np.asarray(rho52, dtype=complex) \
+        / omega_p
+    return Susceptibility.of(chi.real, chi.imag)
 
 
 def refractive_index(chi: Susceptibility) -> float:
     return 1.0 + 0.5 * chi.chi_re
 
 
-def absorption(chi: Susceptibility, wavelength: float) -> float:
-    """alpha = 0.5 * (2*pi/wavelength) * chi_im, in 1/m.
+def absorption(chi: Susceptibility, wavelength: float):
+    """alpha = 0.5 * (2*pi/wavelength) * chi_im, in 1/m; a float for one
+    chi_im, an array for an array.
 
     chi_im below -CHI_IM_SIGN_TOL breaks the sign convention; tiny negative
     values inside the tolerance are clamped to zero absorption.
     """
     if not wavelength > 0:
         raise InvalidArgumentError("wavelength must be positive")
-    if chi.chi_im < -CHI_IM_SIGN_TOL:
+    chi_im = np.asarray(chi.chi_im, dtype=float)
+    if np.any(chi_im < -CHI_IM_SIGN_TOL):
         raise ConventionError(
-            f"chi_im = {chi.chi_im!r} is negative beyond tolerance; "
+            f"chi_im = {float(chi_im.min())!r} is negative beyond tolerance; "
             "absorption must be non-negative"
         )
-    return max(0.5 * (TWO_PI / wavelength) * chi.chi_im, 0.0)
+    alpha = np.maximum(0.5 * (TWO_PI / wavelength) * chi_im, 0.0)
+    return float(alpha) if alpha.ndim == 0 else alpha
 
 
 def group_velocity(n_of_omega: Callable[[float], float], omega: float,
@@ -301,22 +310,35 @@ def _complex_digest(value: complex):
     return value.real if value.imag == 0.0 else [value.real, value.imag]
 
 
+# The probe detuning per unit sweep parameter of each standard drive: only
+# the probe moves.  generator_drift reads nothing but the detunings.
+_PROBE_SCAN = DriveSet(0.0, 0.0, 0.0).field_drives(1.0)
+
+
 def full_model_chi(mat: MaterialParams, drives: DriveSet,
-                   probe_detuning: float) -> Susceptibility:
-    """Steady-state six-level susceptibility at one probe detuning."""
-    field_drives = drives.field_drives(probe_detuning)
-    ham = build_hamiltonian(mat.levels.n_levels, field_drives)
-    lv = build_liouvillian(ham, mat.levels, mat.gamma)
-    rho = steady_state(lv)
-    return rho_to_chi(coherence(rho, *PROBE_LEVELS), mat, drives.probe_rabi)
+                   probe_detuning) -> Susceptibility:
+    """Steady-state six-level susceptibility at one probe detuning or an
+    array of them.
+
+    The generator is assembled once, at zero probe detuning, and every
+    detuning is solved in bloch.steady_states as L0 + delta * D.
+    """
+    n = mat.levels.n_levels
+    ham0 = build_hamiltonian(n, drives.field_drives(0.0))
+    lv0 = build_liouvillian(ham0, mat.levels, mat.gamma)
+    rho = steady_states(lv0, generator_drift(n, _PROBE_SCAN), probe_detuning)
+    upper, lower = PROBE_LEVELS
+    rho52 = rho[:, upper - 1, lower - 1].reshape(np.shape(probe_detuning))
+    return rho_to_chi(rho52, mat, drives.probe_rabi)
 
 
 def sweep(backend: str, mat: MaterialParams, drives: DriveSet, grid: GridSpec,
           jobs: int = 1) -> Spectrum:
-    """Evaluate chi, n, alpha on the detuning grid.
+    """Evaluate chi, n, alpha on the detuning grid, all points in one
+    batched call of the chosen backend.
 
-    Grid points are independent; with jobs > 1 they are fanned out to a
-    thread pool.  Row order and values are identical for any job count.
+    jobs is accepted and validated (>= 1) so that old configurations and
+    summaries replay; it has no effect on the work or the result.
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
@@ -324,6 +346,7 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet, grid: GridSpec,
         raise ConfigError("jobs must be >= 1")
     omega_c = abs(drives.coupling_rabi)
     omega_p = abs(drives.probe_rabi)
+    deltas = grid.values()
     if backend == BACKEND_FULL:
         if omega_p == 0.0:
             raise ConfigError("full backend needs a nonzero probe field")
@@ -332,31 +355,14 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet, grid: GridSpec,
                 f"full backend requires probe rabi <= {WEAK_PROBE_RATIO} * "
                 f"coupling rabi (got {omega_p!r} vs {omega_c!r})"
             )
-        lam = None
+        chi = full_model_chi(mat, drives, deltas)
     else:
-        lam = lambda_from_material(mat, omega_c)
+        chi = chi_analytic(lambda_from_material(mat, omega_c), deltas)
 
-    def eval_point(delta: float) -> Susceptibility:
-        try:
-            if lam is not None:
-                return chi_analytic(lam, float(delta))
-            return full_model_chi(mat, drives, float(delta))
-        except EitsimError as exc:
-            raise type(exc)(f"at delta = {delta!r} rad/s: {exc}") from exc
-
-    deltas = grid.values()
-    if jobs == 1:
-        chis = [eval_point(d) for d in deltas]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chis = list(pool.map(eval_point, deltas))
-
-    chi_re = np.array([c.chi_re for c in chis])
-    chi_im = np.array([c.chi_im for c in chis])
-    alpha = np.array([absorption(c, mat.probe_wavelength) for c in chis])
     return Spectrum(
-        backend=backend, deltas=deltas, chi_re=chi_re, chi_im=chi_im,
-        n_index=1.0 + 0.5 * chi_re, alpha=alpha,
+        backend=backend, deltas=deltas, chi_re=chi.chi_re, chi_im=chi.chi_im,
+        n_index=1.0 + 0.5 * chi.chi_re,
+        alpha=absorption(chi, mat.probe_wavelength),
         params_digest=_digest(backend, mat, drives, grid),
     )
 

@@ -46,32 +46,54 @@ def assert_density_matrix(matrix) -> DensityMatrix:
     Deviations from hermiticity or unit trace below VALIDATION_TOL are
     repaired (hermitian part taken, trace renormalized); larger ones raise
     StateCorruptionError.  Populations must be real and non-negative to the
-    same tolerance.
+    same tolerance.  This is the one-matrix case of assert_density_matrices.
     """
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateCorruptionError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise StateCorruptionError("non-finite entries in density matrix")
+    return DensityMatrix(assert_density_matrices(m[np.newaxis])[0])
 
-    herm_dev = float(np.max(np.abs(m - m.conj().T)))
-    if herm_dev > VALIDATION_TOL:
+
+def assert_density_matrices(stack, label=None) -> np.ndarray:
+    """Validate and repair a (k, n, n) stack of candidate density matrices.
+
+    Every matrix passes the gates of assert_density_matrix and gets the same
+    repair; the repaired stack is returned.  The first failing matrix raises
+    StateCorruptionError, its message prefixed by label(i) when a label
+    callable is given.
+    """
+    m = np.asarray(stack, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise StateCorruptionError(
-            f"hermiticity deviation {herm_dev:.3e} exceeds {VALIDATION_TOL:.0e}"
-        )
-    sym = 0.5 * (m + m.conj().T)
+            f"expected a stack of square matrices, got shape {m.shape}")
 
-    trace = float(np.trace(sym).real)
-    if abs(trace - 1.0) > VALIDATION_TOL:
-        raise StateCorruptionError(
-            f"trace deviation {abs(trace - 1.0):.3e} exceeds {VALIDATION_TOL:.0e}"
-        )
-    sym = sym / trace
+    def check(bad, message):
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            prefix = "" if label is None else f"{label(i)}: "
+            raise StateCorruptionError(prefix + message(i))
 
-    pops = np.real(np.diag(sym))
-    if np.any(pops < -VALIDATION_TOL) or np.any(pops > 1.0 + VALIDATION_TOL):
-        raise StateCorruptionError(f"populations outside [0, 1]: {pops}")
-    return DensityMatrix(sym)
+    check(~np.isfinite(m).all(axis=(1, 2)),
+          lambda i: "non-finite entries in density matrix")
+
+    adjoint = m.conj().swapaxes(1, 2)
+    herm_dev = np.abs(m - adjoint).max(axis=(1, 2))
+    check(herm_dev > VALIDATION_TOL,
+          lambda i: f"hermiticity deviation {herm_dev[i]:.3e} exceeds "
+                    f"{VALIDATION_TOL:.0e}")
+    sym = 0.5 * (m + adjoint)
+
+    trace = np.trace(sym, axis1=1, axis2=2).real
+    trace_dev = np.abs(trace - 1.0)
+    check(trace_dev > VALIDATION_TOL,
+          lambda i: f"trace deviation {trace_dev[i]:.3e} exceeds "
+                    f"{VALIDATION_TOL:.0e}")
+    sym = sym / trace[:, np.newaxis, np.newaxis]
+
+    pops = np.real(np.diagonal(sym, axis1=1, axis2=2))
+    check(((pops < -VALIDATION_TOL) | (pops > 1.0 + VALIDATION_TOL)).any(axis=1),
+          lambda i: f"populations outside [0, 1]: {pops[i]}")
+    return sym
 
 
 def coherence(rho: DensityMatrix, m: int, n: int) -> complex:

@@ -89,12 +89,10 @@ def validate_reduction(mat: MaterialParams, omega_c: float, omega_p: float,
     drives = DriveSet(probe_rabi=omega_p, coupling_rabi=omega_c,
                       aux_rabi=omega_a)
 
-    ana = [chi_analytic(lam, d) for d in deltas]
-    full = [full_model_chi(mat, drives, d) for d in deltas]
-    ana_re = np.array([c.chi_re for c in ana])
-    ana_im = np.array([c.chi_im for c in ana])
-    full_re = np.array([c.chi_re for c in full])
-    full_im = np.array([c.chi_im for c in full])
+    ana = chi_analytic(lam, deltas)
+    full = full_model_chi(mat, drives, deltas)
+    ana_re, ana_im = ana.chi_re, ana.chi_im
+    full_re, full_im = full.chi_re, full.chi_im
 
     mask = ana_im >= MASK_FRACTION * ana_im.max()
     ana_mag = np.hypot(ana_re[mask], ana_im[mask])

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from eitsim.bloch import (DEGENERACY_TOL, FieldDrive, Liouvillian,
-                          build_hamiltonian, build_liouvillian, evolve,
-                          frame_phases, steady_state)
+from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK, FieldDrive,
+                          Liouvillian, build_hamiltonian, build_liouvillian,
+                          evolve, frame_phases, generator_drift, steady_state,
+                          steady_states)
 from eitsim.errors import (ConfigError, InconsistentFrameError,
                            IntegrationError, InvalidArgumentError,
                            SteadyStateError)
 from eitsim.lambda_system import lambda_from_material, lambda_steady_state
 from eitsim.materials import LevelSystem, equal_branching, pryso_defaults
-from eitsim.states import basis_state, coherence, mixed_state
+from eitsim.states import DensityMatrix, basis_state, coherence, mixed_state
 
 MAT = pryso_defaults()
 
@@ -17,6 +18,21 @@ EIT_DRIVES = (FieldDrive(5, 2, 1.5e3), FieldDrive(5, 3, 1.5e6),
               FieldDrive(6, 1, 1.5e6))
 PUMP_DRIVES = (FieldDrive(5, 3, 1e6), FieldDrive(6, 1, 1e6),
                FieldDrive(5, 2, 0.0))
+# Per unit sweep parameter only the probe detuning moves.
+PROBE_SCAN = (FieldDrive(5, 2, 0.0, 1.0), FieldDrive(5, 3, 0.0),
+              FieldDrive(6, 1, 0.0))
+
+
+def eit_drives(delta, rabi=(1.5e3, 1.5e6, 1.5e6), coupling_det=0.0,
+               aux_det=0.0):
+    return (FieldDrive(5, 2, rabi[0], delta),
+            FieldDrive(5, 3, rabi[1], coupling_det),
+            FieldDrive(6, 1, rabi[2], aux_det))
+
+
+def assembled(drives, mat=MAT):
+    return build_liouvillian(build_hamiltonian(mat.levels.n_levels, drives),
+                             mat.levels, mat.gamma)
 
 
 def reference_rhs(rho, ham, branching, gamma):
@@ -252,6 +268,75 @@ class TestSteadyState:
         assert DEGENERACY_TOL == 1e-8
 
 
+class TestBatchedSteadyStates:
+    def test_affine_generator_matches_assembly(self):
+        # L0 + delta * D against a fresh assembly at delta, over random
+        # complex drives with coupling and auxiliary detunings switched on
+        rng = np.random.default_rng(23)
+        eps = np.finfo(float).eps
+        drift = generator_drift(6, PROBE_SCAN)
+        for _ in range(25):
+            rabi = ((rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                    * 10 ** rng.uniform(2, 7, 3))
+            det_c, det_a = rng.uniform(-2e7, 2e7, 2)
+            lv0 = assembled(eit_drives(0.0, rabi, det_c, det_a))
+            for delta in rng.uniform(-2e7, 2e7, 4):
+                want = assembled(eit_drives(delta, rabi, det_c, det_a))
+                got = lv0.generator + np.diag(delta * drift)
+                assert np.max(np.abs(got - want.generator)) \
+                    <= 8 * eps * np.max(np.abs(want.generator))
+
+    def test_drift_is_the_frame_phase_difference(self):
+        drift = generator_drift(6, PROBE_SCAN).reshape(6, 6)
+        # levels 5 and 3 move with the probe detuning, the rest stay put
+        assert drift[4, 1] == -1j and drift[1, 4] == 1j
+        assert drift[2, 1] == -1j and drift[4, 2] == 0.0
+        assert drift[0, 5] == 0.0 and np.all(np.diag(drift) == 0.0)
+
+    def test_batch_agrees_with_per_point_solves(self):
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        deltas = np.linspace(-3e6, 3e6, 7)
+        batch = steady_states(lv0, drift, deltas)
+        for delta, rho in zip(deltas, batch):
+            one = steady_state(assembled(eit_drives(delta)))
+            assert np.max(np.abs(rho - one.matrix)) < DEGENERACY_TOL
+
+    def test_chunking_does_not_change_any_point(self):
+        # every point is its own stacked system: where the chunk
+        # boundaries fall must not move a single bit
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        deltas = np.linspace(-2e7, 2e7, 2 * STEADY_STATE_CHUNK + 3)
+        batch = steady_states(lv0, drift, deltas)
+        assert batch.shape == (deltas.size, 6, 6)
+        for i in (0, STEADY_STATE_CHUNK - 1, STEADY_STATE_CHUNK,
+                  deltas.size - 1):
+            alone = steady_states(lv0, drift, deltas[i:i + 1])[0]
+            assert np.array_equal(alone, batch[i])
+
+    def test_singular_point_names_its_detuning(self):
+        # two levels, undamped coherence: the nullspace is two-dimensional
+        # only at delta = 0, which sits in the second chunk of this grid
+        lifetimes = np.array([np.inf, 1e-3])
+        levels = LevelSystem(2, lifetimes,
+                             equal_branching(lifetimes, destinations={2: (1,)}),
+                             np.zeros((2, 2)))
+        lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
+        drift = generator_drift(2, (FieldDrive(2, 1, 0.0, 1.0),))
+        rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
+        assert np.array_equal(rho[:, 0, 0], np.ones(3))
+        grid = np.linspace(-40.0, 40.0, 81)
+        assert int(np.argmax(grid == 0.0)) >= STEADY_STATE_CHUNK
+        with pytest.raises(SteadyStateError,
+                           match=r"at delta = 0\.0 rad/s: singular"):
+            steady_states(lv0, drift, grid)
+
+    def test_drift_dimension_checked(self):
+        with pytest.raises(ConfigError):
+            steady_states(assembled(EIT_DRIVES), np.zeros(35), [0.0])
+
+
 class TestEvolve:
     def test_exponential_decay_of_level5(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
@@ -284,6 +369,15 @@ class TestEvolve:
         traj = evolve(np.eye(6, dtype=complex) / 6, lv, 1e-5, 1e-9,
                       n_samples=3)
         assert len(traj.states) == 3
+
+    def test_states_are_validated_density_matrices(self):
+        traj = evolve(mixed_state(6), assembled(PUMP_DRIVES), 1e-3, 1e-9,
+                      n_samples=5)
+        assert isinstance(traj.states, tuple) and len(traj.states) == 5
+        for state in traj.states:
+            assert isinstance(state, DensityMatrix)
+            assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-15)
+            assert np.array_equal(state.matrix, state.matrix.conj().T)
 
     def test_tolerance_range_enforced(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)

@@ -140,6 +140,31 @@ class TestChiAnalytic:
             b = chi_analytic(scaled, 2 * delta)
             assert (a.chi_re, a.chi_im) == (b.chi_re, b.chi_im)
 
+    def test_array_detunings_match_scalar_calls(self):
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            p = random_params(rng)
+            deltas = rng.standard_normal(64) * 10 ** rng.uniform(2, 7)
+            chi = chi_analytic(p, deltas)
+            slope = dchi_prime_ddelta(p, deltas)
+            assert chi.chi_re.shape == chi.chi_im.shape == slope.shape == (64,)
+            for i, delta in enumerate(deltas):
+                one = chi_analytic(p, float(delta))
+                assert type(one.chi_re) is float and type(one.chi_im) is float
+                assert (one.chi_re, one.chi_im) == (chi.chi_re[i],
+                                                    chi.chi_im[i])
+                one_slope = dchi_prime_ddelta(p, float(delta))
+                assert type(one_slope) is float
+                assert one_slope == slope[i]
+
+    def test_singular_point_in_array_named(self):
+        p = LambdaParams(1e4, 0.0, 0.0, 1e3)
+        deltas = np.array([-2.0, 5e-324, 0.0, 1.0])
+        with pytest.raises(SingularParametersError, match=r"delta = 5e-324"):
+            chi_analytic(p, deltas)
+        with pytest.raises(SingularParametersError, match=r"delta = 0\.0"):
+            dchi_prime_ddelta(p, deltas[2:])
+
     def test_susceptibility_container(self):
         s = Susceptibility(1.5, -0.25)
         assert s.as_complex == 1.5 - 0.25j

@@ -2,15 +2,23 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eitsim import bloch, states
+from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK,
+                          build_hamiltonian, build_liouvillian)
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
                            DivergentVelocityError, InvalidArgumentError,
-                           SingularParametersError)
+                           SingularParametersError, StateCorruptionError,
+                           SteadyStateError)
 from eitsim.lambda_system import (LambdaParams, Susceptibility, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
 from eitsim.materials import pryso_defaults
-from eitsim.optics import (CSV_HEADER, DriveSet, GridSpec, Spectrum,
+from eitsim.optics import (CSV_HEADER, WEAK_PROBE_RATIO, DriveSet, GridSpec,
+                           Spectrum,
                            absorption, full_model_chi, group_velocity,
                            make_index_sampler, probe_angular_frequency,
                            refractive_index, rho_to_chi, spectrum_to_csv,
@@ -79,6 +87,16 @@ class TestPointwiseOptics:
             absorption(Susceptibility(0.0, -1e-9), 605.7e-9)
         with pytest.raises(InvalidArgumentError):
             absorption(Susceptibility(0.0, 1.0), 0.0)
+
+    def test_absorption_on_arrays(self):
+        chi = Susceptibility(np.zeros(3), np.array([2e-3, -1e-13, 0.0]))
+        alpha = absorption(chi, 605.7e-9)
+        assert alpha.shape == (3,)
+        assert alpha[0] == absorption(Susceptibility(0.0, 2e-3), 605.7e-9)
+        assert alpha[1] == 0.0 and alpha[2] == 0.0
+        with pytest.raises(ConventionError, match="-1e-09"):
+            absorption(Susceptibility(np.zeros(2), np.array([1.0, -1e-9])),
+                       605.7e-9)
 
     def test_probe_angular_frequency(self):
         want = TWO_PI * C_LIGHT / 605.7e-9
@@ -323,3 +341,96 @@ def test_full_model_chi_resonant_point():
     chi = full_model_chi(MAT, EIT_DRIVES, 0.0)
     want = chi_analytic(EIT, 0.0)
     assert chi.chi_im == pytest.approx(want.chi_im, rel=0.02)
+
+
+def null_space_chi(mat, drives, deltas):
+    """Per-point oracle: the generator assembled afresh at every detuning,
+    its nullspace from an SVD (scipy), normalised to unit trace."""
+    out = []
+    for delta in deltas:
+        ham = build_hamiltonian(6, drives.field_drives(float(delta)))
+        gen = build_liouvillian(ham, mat.levels, mat.gamma).generator
+        basis = scipy.linalg.null_space(gen)
+        assert basis.shape[1] == 1
+        rho = basis[:, 0].reshape(6, 6)
+        rho = rho / np.trace(rho)
+        out.append(2.0 * mat.coupling_strength * rho[4, 1]
+                   / complex(drives.probe_rabi))
+    return np.array(out)
+
+
+def assert_matches_oracle(mat, drives, deltas):
+    # the two pivot orderings may disagree by DEGENERACY_TOL in any element
+    # of vec(rho); chi = 2 A rho52 / omega_p carries that to chi
+    tol = 2.0 * mat.coupling_strength * DEGENERACY_TOL \
+        / abs(drives.probe_rabi)
+    got = full_model_chi(mat, drives, deltas)
+    want = null_space_chi(mat, drives, deltas)
+    dev = np.abs(got.chi_re + 1j * got.chi_im - want)
+    assert dev.max() <= tol
+
+
+class TestBatchedFullBackend:
+    @pytest.mark.parametrize("points", [1, STEADY_STATE_CHUNK - 1,
+                                        STEADY_STATE_CHUNK,
+                                        STEADY_STATE_CHUNK + 1, 4001])
+    def test_matches_null_space_oracle(self, points):
+        drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=1.5e6,
+                          aux_rabi=1.5e6, coupling_detuning=2e5,
+                          aux_detuning=-3e5)
+        deltas = np.linspace(-3e6, 3e6, points) if points > 1 \
+            else np.array([2.5e5])
+        assert_matches_oracle(MAT, drives, deltas)
+
+    @settings(max_examples=25, deadline=None)
+    @given(coupling=st.floats(1.5e5, 5e6),
+           probe_share=st.floats(1e-3, 1.0),
+           aux=st.floats(1.5e5, 5e6),
+           coupling_det=st.floats(-1e6, 1e6),
+           aux_det=st.floats(-1e6, 1e6),
+           deltas=st.lists(st.floats(-2e7, 2e7), min_size=1, max_size=8),
+           dephasing=st.tuples(st.floats(0.0, 1e4), st.floats(1e3, 1e5),
+                               st.floats(1e3, 1e5)))
+    def test_matches_null_space_oracle_over_drives(
+            self, coupling, probe_share, aux, coupling_det, aux_det, deltas,
+            dephasing):
+        mat = pryso_defaults(dephasing_hz={
+            (3, 2): dephasing[0], (5, 2): dephasing[1], (5, 3): dephasing[2]})
+        drives = DriveSet(
+            probe_rabi=probe_share * WEAK_PROBE_RATIO * coupling,
+            coupling_rabi=coupling, aux_rabi=aux,
+            coupling_detuning=coupling_det, aux_detuning=aux_det)
+        assert_matches_oracle(mat, drives, np.array(deltas))
+
+    def test_sweep_is_the_batched_chi(self):
+        grid = GridSpec(-2e7, 2e7, 2 * STEADY_STATE_CHUNK + 5)
+        spec = sweep("full", MAT, EIT_DRIVES, grid)
+        chi = full_model_chi(MAT, EIT_DRIVES, grid.values())
+        assert np.array_equal(spec.chi_re, chi.chi_re)
+        assert np.array_equal(spec.chi_im, chi.chi_im)
+        one = full_model_chi(MAT, EIT_DRIVES, float(grid.values()[7]))
+        assert type(one.chi_re) is float and type(one.chi_im) is float
+        assert (one.chi_re, one.chi_im) == (chi.chi_re[7], chi.chi_im[7])
+
+    def test_failed_gate_names_the_detuning(self):
+        # infinite ground lifetimes and no coupling or auxiliary field:
+        # population parked in levels 1 and 3 never moves, so every point
+        # is degenerate and the first one is reported
+        mat = pryso_defaults(lifetimes=np.array([np.inf] * 3 + [164e-6] * 3))
+        drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=0.0)
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = -1000000\.0 rad/s: "):
+            sweep("full", mat, drives, GridSpec(-1e6, 1e6, 5))
+
+    @pytest.mark.parametrize("gate, error, message", [
+        ("DEGENERACY_TOL", SteadyStateError, "steady state is not unique"),
+        ("STEADY_STATE_RTOL", SteadyStateError, "steady-state residual"),
+        ("VALIDATION_TOL", StateCorruptionError, "hermiticity deviation"),
+    ])
+    def test_each_gate_failure_names_the_detuning(self, monkeypatch, gate,
+                                                  error, message):
+        # a gate below zero fails every point; the sweep stops at the first
+        module = states if gate == "VALIDATION_TOL" else bloch
+        monkeypatch.setattr(module, gate, -1.0)
+        with pytest.raises(error, match=rf"^at delta = -20000000\.0 rad/s: {message}"):
+            sweep("full", MAT, EIT_DRIVES, GridSpec(-2e7, 2e7, 5))

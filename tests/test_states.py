@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from eitsim.errors import InvalidArgumentError, StateCorruptionError
-from eitsim.states import (DensityMatrix, assert_density_matrix, basis_state,
-                           coherence, mixed_state)
+from eitsim.states import (DensityMatrix, assert_density_matrices,
+                           assert_density_matrix, basis_state, coherence,
+                           mixed_state)
 
 
 def test_accepts_valid_state():
@@ -78,3 +79,38 @@ def test_coherence_element():
     assert coherence(rho, 3, 1) == 0.1 - 0.2j
     with pytest.raises(InvalidArgumentError):
         coherence(rho, 1, 4)
+
+
+def _noisy_states(rng, k, n=6, noise=1e-8):
+    a = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    rho = a @ a.conj().swapaxes(1, 2)
+    rho /= np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+    return rho + noise * (rng.standard_normal((k, n, n))
+                          + 1j * rng.standard_normal((k, n, n)))
+
+
+def test_stack_repairs_each_matrix_like_the_single_call():
+    stack = _noisy_states(np.random.default_rng(5), 40)
+    repaired = assert_density_matrices(stack)
+    assert repaired.shape == stack.shape
+    for m, r in zip(stack, repaired):
+        assert np.array_equal(assert_density_matrix(m).matrix, r)
+
+
+def test_stack_failure_names_the_matrix():
+    stack = _noisy_states(np.random.default_rng(7), 5)
+    stack[3, 0, 1] += 1e-3
+    with pytest.raises(StateCorruptionError,
+                       match=r"^state 3: hermiticity deviation"):
+        assert_density_matrices(stack, label=lambda i: f"state {i}")
+    stack = _noisy_states(np.random.default_rng(7), 5)
+    stack[2] *= 1.1
+    with pytest.raises(StateCorruptionError, match=r"^trace deviation"):
+        assert_density_matrices(stack)
+
+
+def test_stack_needs_square_matrices():
+    with pytest.raises(StateCorruptionError):
+        assert_density_matrices(np.eye(3))
+    with pytest.raises(StateCorruptionError):
+        assert_density_matrices(np.ones((2, 2, 3)))
