@@ -60,9 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", choices=("analytic", "full"),
                         help="shortcut for --set backend=...")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="shortcut for --set jobs_count=N; accepted "
-                             "(N >= 1) but has no effect, sweeps run as "
-                             "one batch")
+                        help="shortcut for --set jobs_count=N, a legacy "
+                             "key: accepted (N >= 1) but has no effect")
 
     parser = argparse.ArgumentParser(
         prog="eitsim",
@@ -138,8 +137,7 @@ def _write_summary(out_dir: str, command: str, canonical: dict,
 
 def cmd_spectrum(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    spec = optics.sweep(run.backend, run.material, run.drives, run.grid,
-                        jobs=run.jobs)
+    spec = optics.sweep(run.backend, run.material, run.drives, run.grid)
     csv_path = os.path.join(args.out, "spectrum.csv")
     _write_atomic(csv_path, optics.spectrum_to_csv(spec))
 
@@ -185,7 +183,7 @@ def cmd_window(args, run: ResolvedRun) -> int:
         span = WINDOW_GRID_SPAN_WIDTHS * width_estimate
         grid = GridSpec(-span, span, WINDOW_GRID_POINTS)
 
-    spec = optics.sweep(run.backend, mat, run.drives, grid, jobs=run.jobs)
+    spec = optics.sweep(run.backend, mat, run.drives, grid)
     report = optics.transparency_window(spec, reference)
 
     canonical = copy.deepcopy(run.canonical)
@@ -304,8 +302,7 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
     ham = bloch.build_hamiltonian(N_LEVELS, drives)
     lv = bloch.build_liouvillian(ham, run.material.levels, run.material.gamma)
     traj = bloch.evolve(run.initial_state(), lv, run.evolve_t_end,
-                        run.solver_tol, n_samples=run.evolve_samples,
-                        max_steps=run.solver_max_steps)
+                        n_samples=run.evolve_samples)
 
     header = "t_s," + ",".join(f"rho{i}{i}" for i in range(1, N_LEVELS + 1)) \
         + ",abs_rho52"
@@ -326,14 +323,12 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
         "rho22_final": final.population(2),
         "max_trace_dev": traj.max_trace_dev,
         "max_herm_dev": traj.max_herm_dev,
-        "n_steps": traj.n_steps,
-        "kernels": traj.kernels_used,
     }
     summary_path = _write_summary(args.out, "evolve", run.canonical, headline,
                                   ["evolve.csv"], started)
     pops = ", ".join(f"{p:.6g}" for p in final.populations())
-    print(f"evolve: {traj.n_steps} steps to t = {run.evolve_t_end:g} s "
-          f"[{traj.kernels_used} kernels]")
+    print(f"evolve: {len(traj.states)} samples to "
+          f"t = {run.evolve_t_end:g} s")
     print(f"  final populations = [{pops}]")
     print(f"  max trace drift = {traj.max_trace_dev:.3e}, "
           f"max hermiticity drift = {traj.max_herm_dev:.3e}")

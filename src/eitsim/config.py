@@ -104,6 +104,15 @@ _MATERIAL_PATTERNS = (
 )
 TOP_LEVEL_CHOICES = {"backend": ("analytic", "full")}
 
+# Legacy keys: parsed, range-checked and echoed into `canonical` so that
+# older configurations and summaries replay byte for byte, but read by
+# nothing.  path -> (minimum, maximum).
+LEGACY_KEYS = {
+    "jobs_count": (1, math.inf),
+    "solver.tol_rel": (1e-12, 1e-3),
+    "solver.max_steps_count": (-math.inf, math.inf),
+}
+
 
 def default_document() -> dict:
     return {
@@ -167,12 +176,9 @@ class ResolvedRun:
     drives: DriveSet
     grid: GridSpec
     backend: str
-    jobs: int
     evolve_t_end: float
     evolve_samples: int
     evolve_initial: str
-    solver_tol: float
-    solver_max_steps: int
     vg_fd_step: float
     validate_max_dev: float
     validate_fault_factor: float
@@ -361,9 +367,13 @@ def resolve(doc: dict) -> ResolvedRun:
     g = canonical["grid"]
     grid = GridSpec(g["delta_min_rad_s"], g["delta_max_rad_s"],
                     g["points_count"])
-    jobs = canonical["jobs_count"]
-    if jobs < 1:
-        raise ConfigError("config key 'jobs_count' must be >= 1")
+    for path, (low, high) in LEGACY_KEYS.items():
+        value = canonical
+        for part in path.split("."):
+            value = value[part]
+        if not low <= value <= high:
+            raise ConfigError(
+                f"config key '{path}' must lie in [{low:g}, {high:g}]")
     if canonical["evolve"]["samples_count"] < 2:
         raise ConfigError("config key 'evolve.samples_count' must be >= 2")
     if canonical["validate"]["max_dev_rel"] <= 0:
@@ -378,12 +388,9 @@ def resolve(doc: dict) -> ResolvedRun:
         drives=drives,
         grid=grid,
         backend=canonical["backend"],
-        jobs=jobs,
         evolve_t_end=canonical["evolve"]["t_end_s"],
         evolve_samples=canonical["evolve"]["samples_count"],
         evolve_initial=canonical["evolve"]["initial_state"],
-        solver_tol=canonical["solver"]["tol_rel"],
-        solver_max_steps=canonical["solver"]["max_steps_count"],
         vg_fd_step=canonical["vg"]["fd_step_rad_s"],
         validate_max_dev=canonical["validate"]["max_dev_rel"],
         validate_fault_factor=canonical["validate"]["fault_gamma52_factor"],

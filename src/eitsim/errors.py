@@ -40,7 +40,8 @@ class SteadyStateError(EitsimError, RuntimeError):
 
 
 class IntegrationError(EitsimError, RuntimeError):
-    """Adaptive integration could not reach the requested horizon."""
+    """Time propagation broke down: a sample came out non-finite or lost
+    its unit trace."""
 
 
 class DivergentVelocityError(EitsimError, RuntimeError):

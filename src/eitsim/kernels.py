@@ -1,211 +1,79 @@
-"""Adaptive integration kernel for linear complex ODE systems dy/dt = G y.
+"""Exact propagation of linear, time-invariant systems dy/dt = G y.
 
-One embedded Dormand-Prince 5(4) stepper with first-same-as-last reuse, dense
-sampling via step clamping, and a standard proportional error controller.
-The same source compiles two ways:
-
-  * pure numpy (always available)
-  * numba @njit (default when numba imports cleanly)
-
-Selection is made once at import time from the EITSIM_KERNELS environment
-variable: ``auto`` (default), ``numba`` or ``numpy``.  ``numba`` raises if
-numba cannot be imported; ``auto`` silently falls back to numpy.
-
-The kernel never raises: it returns (samples, status, n_steps, n_filled)
-where status is 0 ok, 1 step underflow, 2 step budget exhausted, so the
-compiled path stays exception-free.  Callers translate non-zero statuses
-into IntegrationError.
+On a uniform grid of step dt the solution obeys y_{k+1} = exp(G dt) y_k
+exactly, so the samples are one matrix exponential and n_samples - 1
+matrix-vector products.  The exponential is the degree-13 Pade approximant
+with scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 1179
+(2005)), in numpy alone: importing scipy.linalg would double the start-up
+time of every command.
 """
 
-import os
+import math
 
 import numpy as np
 
-from .errors import ConfigError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
-KERNELS_ENV_VAR = "EITSIM_KERNELS"
-DEFAULT_MAX_STEPS = 20_000_000
+# A constant: the benchmark records it in its environment line.
+ACTIVE_KERNELS = "numpy"
 
-STATUS_OK = 0
-STATUS_UNDERFLOW = 1
-STATUS_MAX_STEPS = 2
-
-# Dormand-Prince 5(4) tableau.  The last row of A equals the 5th-order
-# weights, so stage 7 evaluates the derivative at the accepted point and is
-# reused as stage 1 of the next step.
-A21 = 1.0 / 5.0
-A31 = 3.0 / 40.0
-A32 = 9.0 / 40.0
-A41 = 44.0 / 45.0
-A42 = -56.0 / 15.0
-A43 = 32.0 / 9.0
-A51 = 19372.0 / 6561.0
-A52 = -25360.0 / 2187.0
-A53 = 64448.0 / 6561.0
-A54 = -212.0 / 729.0
-A61 = 9017.0 / 3168.0
-A62 = -355.0 / 33.0
-A63 = 46732.0 / 5247.0
-A64 = 49.0 / 176.0
-A65 = -5103.0 / 18656.0
-B1 = 35.0 / 384.0
-B3 = 500.0 / 1113.0
-B4 = 125.0 / 192.0
-B5 = -2187.0 / 6784.0
-B6 = 11.0 / 84.0
-# 5th-order weights minus the embedded 4th-order weights.
-E1 = 71.0 / 57600.0
-E3 = -71.0 / 16695.0
-E4 = 71.0 / 1920.0
-E5 = -17253.0 / 339200.0
-E6 = 22.0 / 525.0
-E7 = -1.0 / 40.0
+# Coefficients of the [13/13] Pade approximant to exp, divided by the
+# first so that exp(0) comes out as the identity exactly, and the largest
+# 1-norm for which the approximant is accurate to double precision.
+PADE13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+THETA13 = 5.371920351148152
 
 
-def _dp45_impl(gen, y0, t_samples, rtol, atol, max_steps):
-    n_out = t_samples.shape[0]
-    dim = y0.shape[0]
-    out = np.empty((n_out, dim), dtype=np.complex128)
-    out[0, :] = y0
-    if n_out == 1:
-        return out, STATUS_OK, 0, 1
-
-    t = t_samples[0]
-    span = t_samples[n_out - 1] - t
-    hmin = 1e-13 * span
-    y = y0.copy()
-    k1 = gen @ y
-
-    # Cheap initial step: time for the fastest component to move ~1% of the
-    # state scale, capped at a tenth of the horizon.  A bad guess costs a few
-    # rejected steps, nothing more.
-    fmax = np.max(np.abs(k1))
-    ymax = np.max(np.abs(y))
-    if fmax > 0.0:
-        h = 0.01 * (ymax + atol) / fmax
-    else:
-        h = 0.1 * span
-    if h > 0.1 * span:
-        h = 0.1 * span
-
-    idx = 1
-    nsteps = 0
-    while idx < n_out:
-        target = t_samples[idx]
-        if target <= t:
-            out[idx, :] = y
-            idx += 1
-            continue
-        if nsteps >= max_steps:
-            return out, STATUS_MAX_STEPS, nsteps, idx
-        if h < hmin:
-            return out, STATUS_UNDERFLOW, nsteps, idx
-
-        h_step = h
-        hit = False
-        if t + h_step >= target:
-            h_step = target - t
-            hit = True
-
-        k2 = gen @ (y + h_step * (A21 * k1))
-        k3 = gen @ (y + h_step * (A31 * k1 + A32 * k2))
-        k4 = gen @ (y + h_step * (A41 * k1 + A42 * k2 + A43 * k3))
-        k5 = gen @ (y + h_step * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4))
-        k6 = gen @ (y + h_step * (A61 * k1 + A62 * k2 + A63 * k3
-                                  + A64 * k4 + A65 * k5))
-        y5 = y + h_step * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-        k7 = gen @ y5
-        err = h_step * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5
-                        + E6 * k6 + E7 * k7)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        errnorm = np.sqrt(np.mean((np.abs(err) / sc) ** 2))
-        nsteps += 1
-
-        if errnorm <= 1.0:
-            y = y5
-            k1 = k7
-            if hit:
-                t = target
-                out[idx, :] = y
-                idx += 1
-                # Clamped steps say nothing about the stable step size; keep
-                # the controller value instead of the truncated one.
-            else:
-                t = t + h_step
-                if errnorm == 0.0:
-                    fac = 5.0
-                else:
-                    fac = 0.9 * errnorm ** -0.2
-                    if fac > 5.0:
-                        fac = 5.0
-                    elif fac < 0.2:
-                        fac = 0.2
-                h = h_step * fac
-        else:
-            fac = 0.9 * errnorm ** -0.2
-            if fac < 0.2:
-                fac = 0.2
-            h = h_step * fac
-
-    return out, STATUS_OK, nsteps, n_out
+def expm(a: np.ndarray):
+    """(exp(a), s): the matrix exponential and its number of squarings."""
+    a = np.asarray(a, dtype=np.complex128)
+    norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan, dtype=np.complex128), 0
+    squarings = max(0, math.ceil(math.log2(norm / THETA13))) if norm else 0
+    a = a / 2.0 ** squarings
+    b = PADE13
+    eye = np.eye(a.shape[0], dtype=np.complex128)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    result = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        result = result @ result
+    return result, squarings
 
 
-_requested = os.environ.get(KERNELS_ENV_VAR, "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ConfigError(
-        f"{KERNELS_ENV_VAR} must be 'auto', 'numba' or 'numpy', got {_requested!r}"
-    )
+def integrate(gen, y0, dt: float, n_samples: int):
+    """Samples of dy/dt = gen @ y at t = 0, dt, ..., (n_samples - 1) dt.
 
-_dp45_numba = None
-if _requested in ("auto", "numba"):
-    try:
-        import numba
-
-        _dp45_numba = numba.njit(cache=True)(_dp45_impl)
-    except ImportError as exc:
-        if _requested == "numba":
-            raise ConfigError(
-                f"{KERNELS_ENV_VAR}=numba but numba could not be imported"
-            ) from exc
-
-ACTIVE_KERNELS = "numba" if _dp45_numba is not None else "numpy"
-
-
-def _prepare(gen, y0, t_samples):
-    gen = np.ascontiguousarray(gen, dtype=np.complex128)
-    y0 = np.ascontiguousarray(y0, dtype=np.complex128)
-    t_samples = np.ascontiguousarray(t_samples, dtype=np.float64)
+    Returns (samples, squarings, applications): the (n_samples, dim) array,
+    the squarings spent on exp(gen dt) and the number of times it was
+    applied.
+    """
+    gen = np.asarray(gen, dtype=np.complex128)
+    y0 = np.asarray(y0, dtype=np.complex128)
+    dt = float(dt)
     if gen.ndim != 2 or gen.shape[0] != gen.shape[1]:
         raise InvalidArgumentError("generator must be a square matrix")
     if y0.shape != (gen.shape[0],):
         raise InvalidArgumentError("state length does not match generator")
-    if t_samples.ndim != 1 or t_samples.size == 0:
-        raise InvalidArgumentError("need at least one sample time")
-    if np.any(np.diff(t_samples) < 0):
-        raise InvalidArgumentError("sample times must be non-decreasing")
-    return gen, y0, t_samples
-
-
-def integrate_numpy(gen, y0, t_samples, rtol, atol,
-                    max_steps=DEFAULT_MAX_STEPS):
-    """Pure-numpy integration of dy/dt = gen @ y at the given sample times."""
-    gen, y0, t_samples = _prepare(gen, y0, t_samples)
-    return _dp45_impl(gen, y0, t_samples, float(rtol), float(atol),
-                      int(max_steps))
-
-
-def integrate_numba(gen, y0, t_samples, rtol, atol,
-                    max_steps=DEFAULT_MAX_STEPS):
-    """Numba-compiled integration; raises if the compiled path is absent."""
-    if _dp45_numba is None:
-        raise ConfigError("numba kernel not available in this process")
-    gen, y0, t_samples = _prepare(gen, y0, t_samples)
-    return _dp45_numba(gen, y0, t_samples, float(rtol), float(atol),
-                       int(max_steps))
-
-
-def integrate(gen, y0, t_samples, rtol, atol, max_steps=DEFAULT_MAX_STEPS):
-    """Integrate with whichever kernel the environment selected at import."""
-    if ACTIVE_KERNELS == "numba":
-        return integrate_numba(gen, y0, t_samples, rtol, atol, max_steps)
-    return integrate_numpy(gen, y0, t_samples, rtol, atol, max_steps)
+    if n_samples < 1:
+        raise InvalidArgumentError("need at least one sample")
+    if not math.isfinite(dt) or dt < 0:
+        raise InvalidArgumentError("time step must be finite and non-negative")
+    out = np.empty((n_samples, y0.size), dtype=np.complex128)
+    out[0] = y0
+    # A horizon far beyond the physics overflows; the caller checks the
+    # samples, so numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        step, squarings = expm(gen * dt)
+        for k in range(1, n_samples):
+            out[k] = step @ out[k - 1]
+    return out, squarings, n_samples - 1

@@ -332,18 +332,12 @@ def full_model_chi(mat: MaterialParams, drives: DriveSet,
     return rho_to_chi(rho52, mat, drives.probe_rabi)
 
 
-def sweep(backend: str, mat: MaterialParams, drives: DriveSet, grid: GridSpec,
-          jobs: int = 1) -> Spectrum:
+def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
+          grid: GridSpec) -> Spectrum:
     """Evaluate chi, n, alpha on the detuning grid, all points in one
-    batched call of the chosen backend.
-
-    jobs is accepted and validated (>= 1) so that old configurations and
-    summaries replay; it has no effect on the work or the result.
-    """
+    batched call of the chosen backend."""
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
     omega_c = abs(drives.coupling_rabi)
     omega_p = abs(drives.probe_rabi)
     deltas = grid.values()

@@ -13,13 +13,15 @@ from eitsim.config import resolve
 CSV_HEADER = "delta_rad_s,chi_re,chi_im,n,alpha_per_m"
 
 
-def run_cli(*argv, kernels="numpy"):
-    """Run `python -m eitsim ...`; numpy kernels keep start-up cheap."""
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   "src")
+
+
+def run_cli(*argv):
+    """Run `python -m eitsim ...` against this checkout's sources."""
     env = dict(os.environ)
-    if kernels is not None:
-        env["EITSIM_KERNELS"] = kernels
-    else:
-        env.pop("EITSIM_KERNELS", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (SRC, env.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "eitsim", *argv],
                           capture_output=True, text=True, env=env)
 
@@ -225,7 +227,7 @@ class TestValidate:
 class TestEvolve:
     def test_default_run_pumps_into_level_2(self, tmp_path):
         out = str(tmp_path)
-        proc = run_cli("evolve", "--out", out, kernels=None)
+        proc = run_cli("evolve", "--out", out)
         assert proc.returncode == 0, proc.stderr
         lines = read_csv_lines(os.path.join(out, "evolve.csv"))
         assert lines[0] == ("t_s,rho11,rho22,rho33,rho44,rho55,rho66,"
@@ -234,8 +236,9 @@ class TestEvolve:
         headline = read_summary(out, "evolve")["headline"]
         assert headline["rho22_final"] > 0.99
         assert headline["max_trace_dev"] < 1e-9
-        assert headline["n_steps"] > 0
-        assert headline["kernels"] in ("numba", "numpy")
+        assert headline["samples"] == 201
+        assert "n_steps" not in headline and "kernels" not in headline
+        assert proc.stdout.startswith("evolve: 201 samples to t = 0.01 s\n")
 
     def test_zero_horizon_writes_single_row(self, tmp_path):
         out = str(tmp_path)
@@ -263,11 +266,13 @@ class TestEvolve:
         assert float(last[5]) == pytest.approx(0.5, rel=1e-6)  # rho55
         assert float(last[7]) == 0.0  # no probe, no coherence
 
-    def test_step_budget_exhaustion_is_a_solver_error(self, tmp_path):
+    def test_propagator_breakdown_is_a_solver_error(self, tmp_path):
         proc = run_cli("evolve", "--out", str(tmp_path),
-                       "--set", "solver.max_steps_count=10")
+                       "--set", "evolve.t_end_s=1e30")
         assert proc.returncode == 3
         assert "solver error" in proc.stderr
+        assert "sample at t = 5.000000e+27 s" in proc.stderr
+        assert not os.path.exists(os.path.join(str(tmp_path), "evolve.csv"))
 
 
 class TestParams:

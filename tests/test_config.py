@@ -1,14 +1,15 @@
 """Configuration document resolution: unit suffixes, conventions,
 overrides, and the canonical echo."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from eitsim.config import (apply_overrides, default_document, load_document,
-                           resolve)
+from eitsim.config import (LEGACY_KEYS, ResolvedRun, apply_overrides,
+                           default_document, load_document, resolve)
 from eitsim.constants import TWO_PI
 from eitsim.errors import ConfigError
 from eitsim.materials import pryso_defaults
@@ -23,7 +24,7 @@ class TestDefaults:
     def test_default_resolution(self):
         run = resolve(default_document())
         assert run.backend == "analytic"
-        assert run.jobs == 1
+        assert run.canonical["jobs_count"] == 1
         assert run.drives.probe_rabi == 1.5e3
         assert run.drives.coupling_rabi == 1.5e6
         assert run.drives.aux_rabi == 1.5e6
@@ -34,7 +35,8 @@ class TestDefaults:
         assert run.evolve_t_end == 10e-3
         assert run.evolve_samples == 201
         assert run.evolve_initial == "mixed"
-        assert run.solver_tol == 1e-9
+        assert run.canonical["solver"] == {"tol_rel": 1e-9,
+                                           "max_steps_count": 20_000_000}
         assert run.validate_max_dev == 0.02
         assert run.validate_fault_factor == 1.0
 
@@ -197,6 +199,39 @@ class TestRejection:
             resolve_with("grid.points_count=1")
         with pytest.raises(ConfigError):
             resolve_with("grid.delta_min_rad_s=1.0", "grid.delta_max_rad_s=0.0")
+
+
+class TestLegacyKeys:
+    def test_tol_rel_range_enforced(self):
+        for bad in ("1e-13", "1e-2"):
+            with pytest.raises(ConfigError, match=r"'solver\.tol_rel' must "
+                                                  r"lie in \[1e-12, 0\.001\]"):
+                resolve_with(f"solver.tol_rel={bad}")
+        for edge in (1e-12, 1e-3):
+            assert resolve_with(f"solver.tol_rel={edge!r}") \
+                .canonical["solver"]["tol_rel"] == edge
+
+    def test_parsed_and_echoed_but_not_resolved(self):
+        run = resolve_with("jobs_count=3", "solver.tol_rel=1e-7",
+                           "solver.max_steps_count=10")
+        assert run.canonical["jobs_count"] == 3
+        assert run.canonical["solver"] == {"tol_rel": 1e-7,
+                                           "max_steps_count": 10}
+        assert {"jobs_count", "solver.tol_rel",
+                "solver.max_steps_count"} <= run.user_set
+        assert set(LEGACY_KEYS) == {"jobs_count", "solver.tol_rel",
+                                    "solver.max_steps_count"}
+        fields = {f.name for f in dataclasses.fields(ResolvedRun)}
+        assert not {f for f in fields
+                    if "jobs" in f or "tol" in f or "max_steps" in f}
+
+    def test_types_checked_as_before(self):
+        for bad in ("jobs_count=1.5", "solver.max_steps_count=2.5",
+                    'solver.tol_rel="tight"', "jobs_count=true"):
+            with pytest.raises(ConfigError):
+                resolve_with(bad)
+        with pytest.raises(ConfigError, match="unknown config key"):
+            resolve_with("solver.tol_abs=1e-9")
 
 
 class TestMaterialOverrides:

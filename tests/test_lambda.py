@@ -170,6 +170,37 @@ class TestChiAnalytic:
         assert s.as_complex == 1.5 - 0.25j
 
 
+def kramers_kronig_errors(half_width, points):
+    """Largest |chi_re - H[chi_im]| and |chi_im + H[chi_re]| inside
+    |delta| < 2e7 rad/s, as shares of max |chi|, with the Hilbert transform
+    H taken by FFT (scipy.signal.hilbert) on a grid of +-half_width."""
+    from scipy.signal import hilbert
+
+    deltas = np.linspace(-half_width, half_width, points)
+    chi = chi_analytic(EIT, deltas)
+    inside = np.abs(deltas) < 2e7
+    scale = np.max(np.abs(chi.chi_re + 1j * chi.chi_im))
+    re_err = np.abs(chi.chi_re - np.imag(hilbert(chi.chi_im)))[inside]
+    im_err = np.abs(chi.chi_im + np.imag(hilbert(chi.chi_re)))[inside]
+    return re_err.max() / scale, im_err.max() / scale
+
+
+class TestKramersKronig:
+    # chi is causal, so its real part is the Hilbert transform of its
+    # imaginary part.  The FFT transform only sees the grid, so the error is
+    # the missing tails beyond it: widening the grid at a fixed step lowers
+    # it (by ~4x per doubling).
+    def test_real_part_is_hilbert_transform_of_imaginary_part(self):
+        re_err, im_err = kramers_kronig_errors(1e9, 2 ** 20)
+        assert re_err <= 2e-6
+        assert im_err <= 1e-4
+
+    def test_wider_grid_lowers_the_error(self):
+        narrow = kramers_kronig_errors(5e8, 2 ** 19)
+        wide = kramers_kronig_errors(1e9, 2 ** 20)
+        assert wide[0] < narrow[0] and wide[1] < narrow[1]
+
+
 class TestDerivative:
     def test_matches_central_difference(self):
         g32 = EIT.gamma32

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from eitsim import bloch, states
 from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK,
                           build_hamiltonian, build_liouvillian)
+from eitsim.config import apply_overrides, resolve
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
                            DivergentVelocityError, InvalidArgumentError,
@@ -205,12 +206,14 @@ class TestSweep:
         assert spec.deltas[np.argmax(spec.alpha)] == 0.0
 
     def test_jobs_do_not_change_results(self):
-        grid = GridSpec(-2e7, 2e7, 41)
-        one = sweep("full", MAT, EIT_DRIVES, grid, jobs=1)
-        four = sweep("full", MAT, EIT_DRIVES, grid, jobs=4)
-        assert np.array_equal(one.chi_re, four.chi_re)
-        assert np.array_equal(one.chi_im, four.chi_im)
-        assert spectrum_to_csv(one) == spectrum_to_csv(four)
+        # jobs_count is a legacy key: it is echoed, and reaches no sweep
+        one, four = (resolve(apply_overrides({}, [f"jobs_count={jobs}",
+                                                  "backend=full"]))
+                     for jobs in (1, 4))
+        assert four.canonical["jobs_count"] == 4
+        spectra = [sweep(run.backend, run.material, run.drives,
+                         GridSpec(-2e7, 2e7, 41)) for run in (one, four)]
+        assert spectrum_to_csv(spectra[0]) == spectrum_to_csv(spectra[1])
 
     def test_repeated_sweep_is_bit_identical(self):
         grid = GridSpec(-2e7, 2e7, 31)
@@ -230,8 +233,10 @@ class TestSweep:
     def test_backend_and_jobs_validation(self):
         with pytest.raises(ConfigError):
             sweep("exact", MAT, EIT_DRIVES, GridSpec(-1.0, 1.0, 3))
-        with pytest.raises(ConfigError):
-            sweep("analytic", MAT, EIT_DRIVES, GridSpec(-1.0, 1.0, 3), jobs=0)
+        # jobs_count is a legacy config key (range-checked in config);
+        # the sweep takes no jobs
+        with pytest.raises(TypeError):
+            sweep("analytic", MAT, EIT_DRIVES, GridSpec(-1.0, 1.0, 3), jobs=1)
 
     def test_point_failures_name_the_detuning(self):
         # undamped ground coherence + no coupling: the closed form is
