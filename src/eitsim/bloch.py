@@ -8,6 +8,15 @@ rotating-frame phases depend on a drive's detuning, so a detuning sweep is
 affine: L(delta) = L0 + delta * D with D diagonal, and its steady states are
 solved as stacked batches.
 
+The generator couples a coherence rho_mk only to rho_jk' with j in m's drive
+component and k' in k's, and relaxation couples populations only to
+populations.  So L splits into an invariant block P (the populations plus
+the coherences inside each drive component: 14 of 36 entries in the
+six-level model) and the rest X, which has no source term.  On X the
+hermitian part of L is minus the coherence decay rates for every detuning;
+when that is negative definite L_X is nonsingular, rho_X = 0 exactly and
+only P is solved (see solved_indices).
+
 The density matrix is vectorized row-major: element (m, k) of the n x n
 matrix sits at index m*n + k of the length-n^2 state vector.
 """
@@ -31,11 +40,15 @@ STEADY_STATE_RTOL = 1e-9
 # Two independent pivot orderings must agree this closely or the nullspace
 # is treated as degenerate.
 DEGENERACY_TOL = 1e-8
-# Detuning points per stacked solve.  One chunk of pinned 36 x 36 complex
-# systems is ~0.33 MB; a 4,001-point sweep stacked at once needs ~270 MB.
-# Chunks of 16 to 64 solve a 4,001-point sweep equally fast; larger ones
-# only raise the peak memory.
-STEADY_STATE_CHUNK = 16
+# Detuning points per stacked solve.  One chunk of pinned 14 x 14 complex
+# systems (the population block of the six-level model) is ~0.1 MB; a
+# 4,001-point sweep stacked at once would need ~12.5 MB per stack.  On a
+# shared 2-vCPU Xeon VM a 4,001-point full sweep takes 100-125, 70-115,
+# 60-90 and 60-80 ms at chunks of 16, 32, 64 and 128 (medians of 5, three
+# runs each), with tracemalloc peaks of 2.46, 2.59, 2.84 and 3.35 MB.  From
+# 64 on, OpenBLAS runs the residual product on two threads, which doubles
+# the CPU time for little wall time.
+STEADY_STATE_CHUNK = 32
 
 # The reference level whose rotating-frame phase is pinned to zero when it
 # participates in the drive graph (the probe's lower level in the default
@@ -253,18 +266,52 @@ def _first_singular(pinned: np.ndarray, first: np.ndarray) -> int:
     return 0
 
 
+def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
+    """Sorted indices of vec(rho) that steady_states solves for.
+
+    Block P is the union of the connected components of the off-diagonal
+    sparsity of L0 that hold a population; the diagonal, delta * diag(drift)
+    included, adds no edges.  L(delta) therefore maps P into P and the rest,
+    X, into X for every delta.  If drift is purely imaginary on X and the
+    hermitian part of L0 restricted to X is negative definite, then
+    Re(v^H L_X(delta) v) < 0 for every v != 0 and real delta, so L_X(delta)
+    is nonsingular and rho_X = 0: only P is returned.  Otherwise (X holds a
+    coherence with no decay, say) every index is.
+    """
+    n = lv0.n_levels
+    gen0 = lv0.generator
+    drift = np.asarray(drift, dtype=complex)
+    linked = (gen0 != 0) | (gen0.T != 0)
+    block = np.zeros(n * n, dtype=bool)
+    block[:: n + 1] = True
+    while True:
+        grown = block | linked[block].any(axis=0)
+        if np.array_equal(grown, block):
+            break
+        block = grown
+    rest = ~block
+    if rest.any():
+        sub = gen0[np.ix_(rest, rest)]
+        if (np.any(drift[rest].real != 0.0)
+                or np.linalg.eigvalsh(0.5 * (sub + sub.conj().T)).max() >= 0):
+            block[:] = True
+    return np.flatnonzero(block)
+
+
 def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
     """Stationary density matrices of L(delta) = L0 + delta * diag(drift)
     for every delta, as a validated and repaired (k, n, n) stack.
 
-    Each point is a dense solve by elimination with partial pivoting, with
-    the trace constraint substituted for the first row, re-solved under the
-    reversed row ordering to detect degenerate (non-unique) nullspaces.
-    Points go in chunks of STEADY_STATE_CHUNK stacked systems, one
-    np.linalg.solve per ordering.  Every point must pass the residual gate
-    ||L v|| <= STEADY_STATE_RTOL * max(||L||, 1) (infinity norms) and the
-    DEGENERACY_TOL agreement gate, then the state validation; a failure
-    names its delta.
+    Only the invariant block P of solved_indices is solved; the certified
+    rest of vec(rho) is exactly zero.  Each point is a dense solve of
+    L(delta)[P, P] by elimination with partial pivoting, with the trace
+    constraint substituted for the first row (a population), re-solved
+    under the reversed row ordering to detect degenerate (non-unique)
+    nullspaces.  Points go in chunks of STEADY_STATE_CHUNK stacked systems,
+    one np.linalg.solve per ordering.  Every point must pass the residual
+    gate ||L v|| <= STEADY_STATE_RTOL * max(||L||, 1) (infinity norms over
+    the full generator) and the DEGENERACY_TOL agreement gate, then the
+    state validation of the full matrix; a failure names its delta.
     """
     n = lv0.n_levels
     dim = n * n
@@ -274,38 +321,43 @@ def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
     if drift.shape != (dim,):
         raise ConfigError("drift dimension does not match generator")
 
-    diag = np.arange(dim)
-    diag0 = gen0[diag, diag]
+    diag0 = np.diagonal(gen0)
     off_diag_norm = np.abs(gen0 - np.diag(diag0)).sum(axis=1)
-    trace_row = np.zeros(dim, dtype=complex)
-    trace_row[:: n + 1] = 1.0
-    first = np.zeros(dim, dtype=complex)
+    solved = solved_indices(lv0, drift)
+    size = solved.size
+    gen_p = gen0[np.ix_(solved, solved)]
+    diag = np.arange(size)
+    # solved[0] == 0 is the population rho_11: its row becomes the trace.
+    trace_row = (solved % (n + 1) == 0).astype(complex)
+    first = np.zeros(size, dtype=complex)
     first[0] = 1.0
 
     states = np.empty((deltas.size, n, n), dtype=complex)
     for start in range(0, deltas.size, STEADY_STATE_CHUNK):
         chunk = deltas[start:start + STEADY_STATE_CHUNK]
         diags = diag0 + chunk[:, None] * drift
-        pinned = np.repeat(gen0[np.newaxis], chunk.size, axis=0)
-        pinned[:, diag, diag] = diags
+        pinned = np.repeat(gen_p[np.newaxis], chunk.size, axis=0)
+        pinned[:, diag, diag] = diags[:, solved]
         pinned[:, 0, :] = trace_row
-        # Right-hand sides as (k, dim, 1) stacks: numpy 1.x and 2.x read
+        # Right-hand sides as (k, size, 1) stacks: numpy 1.x and 2.x read
         # a 1-d b against stacked systems differently.
-        rhs = np.broadcast_to(first[:, np.newaxis], (chunk.size, dim, 1))
+        rhs = np.broadcast_to(first[:, np.newaxis], (chunk.size, size, 1))
         try:
-            vec = np.linalg.solve(pinned, rhs)[..., 0]
+            vec_p = np.linalg.solve(pinned, rhs)[..., 0]
             vec_alt = np.linalg.solve(pinned[:, ::-1], rhs[:, ::-1])[..., 0]
         except np.linalg.LinAlgError as exc:
             bad = chunk[_first_singular(pinned, first)]
             raise SteadyStateError(
                 f"{_at(bad)}: singular steady-state system: {exc}") from exc
+        vec = np.zeros((chunk.size, dim), dtype=complex)
+        vec[:, solved] = vec_p
 
         # L(delta) v = L0 v + delta * (D o v), ||L(delta)|| from the
         # off-diagonal row sums plus the shifted diagonal: no second stack.
         residual = np.abs(vec @ gen0.T + chunk[:, None] * (drift * vec)
                           ).max(axis=1)
         gen_norm = (off_diag_norm + np.abs(diags)).max(axis=1)
-        disagreement = np.abs(vec - vec_alt).max(axis=1)
+        disagreement = np.abs(vec_p - vec_alt).max(axis=1)
         too_large = residual > STEADY_STATE_RTOL * np.maximum(gen_norm, 1.0)
         not_unique = disagreement > DEGENERACY_TOL
         if np.any(too_large | not_unique):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK, FieldDrive,
                           Liouvillian, build_hamiltonian, build_liouvillian,
-                          evolve, frame_phases, generator_drift, steady_state,
-                          steady_states)
+                          evolve, frame_phases, generator_drift,
+                          solved_indices, steady_state, steady_states)
 from eitsim.errors import (ConfigError, InconsistentFrameError,
                            IntegrationError, InvalidArgumentError,
                            SteadyStateError)
@@ -51,6 +52,19 @@ def reference_rhs(rho, ham, branching, gamma):
             else:
                 out[m, k] -= gamma[m, k] * rho[m, k]
     return out
+
+
+def block_by_drives(n, drives):
+    """Indices of vec(rho) in block P worked out from the drive graph alone:
+    every population, plus every coherence between two levels that a chain
+    of nonzero-rabi drives connects."""
+    component = list(range(n))
+    for d in drives:
+        if d.rabi != 0:
+            old, new = component[d.upper - 1], component[d.lower - 1]
+            component = [new if c == old else c for c in component]
+    return np.array([m * n + k for m in range(n) for k in range(n)
+                     if component[m] == component[k]])
 
 
 def random_hermitian_state(rng, n=6):
@@ -270,6 +284,74 @@ class TestSteadyState:
         assert DEGENERACY_TOL == 1e-8
 
 
+class TestSolvedBlock:
+    def test_defaults_solve_fourteen_entries(self):
+        # the populations plus the coherences within {2, 3, 5} and {1, 6}
+        solved = solved_indices(assembled(EIT_DRIVES),
+                                generator_drift(6, PROBE_SCAN))
+        want = sorted([m * 7 for m in range(6)]
+                      + [(m - 1) * 6 + k - 1 for group in ((2, 3, 5), (1, 6))
+                         for m in group for k in group if m != k])
+        assert solved.size == 14
+        assert np.array_equal(solved, want)
+        assert np.array_equal(solved, block_by_drives(6, EIT_DRIVES))
+
+    def test_undamped_uncoupled_coherence_solves_everything(self):
+        # rho_12 has no decay and no drive: the rest is not certified
+        lifetimes = np.array([np.inf, 1e-3])
+        levels = LevelSystem(2, lifetimes,
+                             equal_branching(lifetimes, destinations={2: (1,)}),
+                             np.zeros((2, 2)))
+        lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
+        drift = generator_drift(2, (FieldDrive(2, 1, 0.0, 1.0),))
+        assert np.array_equal(solved_indices(lv0, drift), np.arange(4))
+        damped = build_liouvillian(np.zeros((2, 2)), levels,
+                                   np.full((2, 2), 10.0))
+        assert np.array_equal(solved_indices(damped, drift), [0, 3])
+
+    def test_real_drift_on_the_rest_solves_everything(self):
+        lv0 = assembled(EIT_DRIVES)
+        drift = generator_drift(6, PROBE_SCAN)
+        assert solved_indices(lv0, drift).size == 14
+        drift[1] = 1.0  # rho_12: outside the block
+        assert np.array_equal(solved_indices(lv0, drift), np.arange(36))
+
+    @settings(max_examples=40, deadline=None)
+    @given(probe=st.floats(1.0, 1e5),
+           coupling=st.one_of(st.just(0.0), st.floats(1.5e5, 5e6)),
+           aux=st.one_of(st.just(0.0), st.floats(1e5, 5e6)),
+           coupling_det=st.floats(-1e6, 1e6),
+           aux_det=st.floats(-1e6, 1e6),
+           delta=st.floats(-2e7, 2e7))
+    def test_matches_full_space_null_space(self, probe, coupling, aux,
+                                           coupling_det, aux_det, delta):
+        # all 36 entries against the SVD nullspace of the full generator at
+        # delta, assembled afresh.  The SVD's own error, ~dim * eps *
+        # sigma_1 / sigma_{n-1}, is added to DEGENERACY_TOL: where the slow
+        # ground-level decay sets sigma_{n-1} it reaches 5e-6 (coupling and
+        # auxiliary fields off), while steady_states there agrees with a
+        # 40-digit elimination to the last bit.
+        rabi = (probe, coupling, aux)
+        lv0 = assembled(eit_drives(0.0, rabi, coupling_det, aux_det))
+        drift = generator_drift(6, PROBE_SCAN)
+        rho = steady_states(lv0, drift, [delta])[0].reshape(-1)
+        gen = assembled(eit_drives(delta, rabi, coupling_det,
+                                   aux_det)).generator
+        basis = scipy.linalg.null_space(gen)
+        assert basis.shape[1] == 1
+        want = basis[:, 0] / basis[:: 7, 0].sum()
+        sigma = scipy.linalg.svdvals(gen)
+        tol = DEGENERACY_TOL \
+            + 36 * np.finfo(float).eps * sigma[0] / sigma[-2]
+        assert np.max(np.abs(rho - want)) <= tol
+
+        solved = solved_indices(lv0, drift)
+        assert np.array_equal(solved, block_by_drives(
+            6, eit_drives(0.0, rabi, coupling_det, aux_det)))
+        outside = np.setdiff1d(np.arange(36), solved)
+        assert np.all(rho[outside] == 0.0)
+
+
 class TestBatchedSteadyStates:
     def test_affine_generator_matches_assembly(self):
         # L0 + delta * D against a fresh assembly at delta, over random
@@ -319,7 +401,7 @@ class TestBatchedSteadyStates:
 
     def test_singular_point_names_its_detuning(self):
         # two levels, undamped coherence: the nullspace is two-dimensional
-        # only at delta = 0, which sits in the second chunk of this grid
+        # only at delta = 0, which sits past the first chunk of this grid
         lifetimes = np.array([np.inf, 1e-3])
         levels = LevelSystem(2, lifetimes,
                              equal_branching(lifetimes, destinations={2: (1,)}),
@@ -328,7 +410,37 @@ class TestBatchedSteadyStates:
         drift = generator_drift(2, (FieldDrive(2, 1, 0.0, 1.0),))
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 0, 0], np.ones(3))
-        grid = np.linspace(-40.0, 40.0, 81)
+        half = 2 * STEADY_STATE_CHUNK + 8
+        grid = np.linspace(-half, half, 2 * half + 1)
+        assert int(np.argmax(grid == 0.0)) >= STEADY_STATE_CHUNK
+        with pytest.raises(SteadyStateError,
+                           match=r"at delta = 0\.0 rad/s: singular"):
+            steady_states(lv0, drift, grid)
+
+    def test_singular_population_block_names_its_detuning(self):
+        # Lambda system 1-3-2 whose excited level decays only into a trap,
+        # level 4, with an undamped 1-2 coherence.  Off two-photon
+        # resonance everything ends in the trap; at delta = 0 the dark
+        # state of levels 1 and 2 is stationary too.  The coherences with
+        # level 4 decay, so the solve runs on the 10-entry block.
+        lifetimes = np.array([np.inf, np.inf, 1e-3, np.inf])
+        levels = LevelSystem(4, lifetimes,
+                             equal_branching(lifetimes, destinations={3: (4,)}),
+                             np.zeros((4, 4)))
+        gamma = np.full((4, 4), 100.0)
+        np.fill_diagonal(gamma, 0.0)
+        gamma[0, 1] = gamma[1, 0] = 0.0
+        ham = build_hamiltonian(4, (FieldDrive(3, 1, 2.0),
+                                    FieldDrive(3, 2, 2.0)))
+        lv0 = build_liouvillian(ham, levels, gamma)
+        drift = generator_drift(4, (FieldDrive(3, 1, 0.0),
+                                    FieldDrive(3, 2, 0.0, 1.0)))
+        assert np.array_equal(solved_indices(lv0, drift),
+                              [0, 1, 2, 4, 5, 6, 8, 9, 10, 15])
+        rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
+        assert np.array_equal(rho[:, 3, 3], np.ones(3))
+        half = 2 * STEADY_STATE_CHUNK + 8
+        grid = np.linspace(-half, half, 2 * half + 1)
         assert int(np.argmax(grid == 0.0)) >= STEADY_STATE_CHUNK
         with pytest.raises(SteadyStateError,
                            match=r"at delta = 0\.0 rad/s: singular"):

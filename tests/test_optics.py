@@ -18,8 +18,8 @@ from eitsim.errors import (ConfigError, ConventionError,
 from eitsim.lambda_system import (LambdaParams, Susceptibility, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
 from eitsim.materials import pryso_defaults
-from eitsim.optics import (CSV_HEADER, WEAK_PROBE_RATIO, DriveSet, GridSpec,
-                           Spectrum,
+from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, WEAK_PROBE_RATIO,
+                           DriveSet, GridSpec, Spectrum,
                            absorption, full_model_chi, group_velocity,
                            make_index_sampler, probe_angular_frequency,
                            refractive_index, rho_to_chi, spectrum_to_csv,
@@ -346,6 +346,27 @@ def test_full_model_chi_resonant_point():
     chi = full_model_chi(MAT, EIT_DRIVES, 0.0)
     want = chi_analytic(EIT, 0.0)
     assert chi.chi_im == pytest.approx(want.chi_im, rel=0.02)
+
+
+@settings(max_examples=50, deadline=None)
+@given(coupling=st.floats(1.5e5, 5e6),
+       probe_share=st.floats(1e-300, 1.0),
+       aux=st.floats(1e5, 5e6),
+       coupling_det=st.floats(-1e6, 1e6),
+       aux_det=st.floats(-1e6, 1e6),
+       deltas=st.lists(st.floats(-2e7, 2e7), min_size=1, max_size=16))
+def test_chi_im_nonnegative_on_both_backends(coupling, probe_share, aux,
+                                             coupling_det, aux_det, deltas):
+    # the raw chi_im, before absorption() rounds values inside the
+    # tolerance up to zero
+    drives = DriveSet(probe_rabi=probe_share * WEAK_PROBE_RATIO * coupling,
+                      coupling_rabi=coupling, aux_rabi=aux,
+                      coupling_detuning=coupling_det, aux_detuning=aux_det)
+    deltas = np.array(deltas)
+    full = full_model_chi(MAT, drives, deltas)
+    analytic = chi_analytic(lambda_from_material(MAT, coupling), deltas)
+    assert np.all(full.chi_im >= -CHI_IM_SIGN_TOL)
+    assert np.all(analytic.chi_im >= -CHI_IM_SIGN_TOL)
 
 
 def null_space_chi(mat, drives, deltas):
