@@ -17,10 +17,9 @@ from .lambda_system import (LambdaParams, Susceptibility, chi_analytic,
 from .materials import (LevelSystem, MaterialParams, derive_gamma,
                         equal_branching, pryso_defaults)
 from .optics import (DriveSet, GridSpec, Spectrum, WindowReport, absorption,
-                     full_model_chi, group_velocity, make_index_sampler,
-                     probe_angular_frequency, refractive_index, rho_to_chi,
-                     spectrum_to_csv, sweep, transparency_window,
-                     window_width_closed_form)
+                     full_model_chi, group_velocity, probe_angular_frequency,
+                     refractive_index, rho_to_chi, spectrum_to_csv, sweep,
+                     transparency_window, window_width_closed_form)
 from .states import (DensityMatrix, assert_density_matrices,
                      assert_density_matrix, basis_state, coherence,
                      mixed_state)
@@ -44,10 +43,9 @@ __all__ = [
     "LambdaParams", "Susceptibility", "chi_analytic", "dchi_prime_ddelta",
     "lambda_from_material", "lambda_steady_state", "suppression_ratio",
     "DriveSet", "GridSpec", "Spectrum", "WindowReport", "absorption",
-    "full_model_chi", "group_velocity", "make_index_sampler",
-    "probe_angular_frequency", "refractive_index", "rho_to_chi",
-    "spectrum_to_csv", "sweep", "transparency_window",
-    "window_width_closed_form",
+    "full_model_chi", "group_velocity", "probe_angular_frequency",
+    "refractive_index", "rho_to_chi", "spectrum_to_csv", "sweep",
+    "transparency_window", "window_width_closed_form",
     "ReductionReport", "validate_reduction",
     "__version__",
 ]

@@ -5,8 +5,9 @@ Bloch-form relaxation (population branching plus per-pair coherence decay,
 not a Lindblad dissipator), and solves the resulting linear master equation
 dvec(rho)/dt = L vec(rho) for steady states and transients.  Only the
 rotating-frame phases depend on a drive's detuning, so a detuning sweep is
-affine: L(delta) = L0 + delta * D with D diagonal, and its steady states are
-solved as stacked batches.
+affine: L(delta) = L0 + delta * D with D diagonal, its steady states are
+solved as stacked batches, and d rho / d delta is one more solve of the
+same system.
 
 The generator couples a coherence rho_mk only to rho_jk' with j in m's drive
 component and k' in k's, and relaxation couples populations only to
@@ -298,6 +299,22 @@ def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
     return np.flatnonzero(block)
 
 
+def _pinned(lv0: Liouvillian, drift, solved, deltas):
+    """(L0 + delta * diag(drift))[P, P] stacked over deltas, its first row
+    (the population rho_11) replaced by the trace row, and each full
+    ||L(delta)||: off-diagonal row sums plus the shifted diagonal."""
+    gen0 = lv0.generator
+    diag0 = np.diagonal(gen0)
+    diags = diag0 + deltas[:, None] * drift
+    pinned = np.repeat(gen0[np.ix_(solved, solved)][np.newaxis], deltas.size,
+                       axis=0)
+    diag = np.arange(solved.size)
+    pinned[:, diag, diag] = diags[:, solved]
+    pinned[:, 0, :] = solved % (lv0.n_levels + 1) == 0
+    off_diag_norm = np.abs(gen0 - np.diag(diag0)).sum(axis=1)
+    return pinned, (off_diag_norm + np.abs(diags)).max(axis=1)
+
+
 def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
     """Stationary density matrices of L(delta) = L0 + delta * diag(drift)
     for every delta, as a validated and repaired (k, n, n) stack.
@@ -321,24 +338,15 @@ def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
     if drift.shape != (dim,):
         raise ConfigError("drift dimension does not match generator")
 
-    diag0 = np.diagonal(gen0)
-    off_diag_norm = np.abs(gen0 - np.diag(diag0)).sum(axis=1)
     solved = solved_indices(lv0, drift)
     size = solved.size
-    gen_p = gen0[np.ix_(solved, solved)]
-    diag = np.arange(size)
-    # solved[0] == 0 is the population rho_11: its row becomes the trace.
-    trace_row = (solved % (n + 1) == 0).astype(complex)
     first = np.zeros(size, dtype=complex)
     first[0] = 1.0
 
     states = np.empty((deltas.size, n, n), dtype=complex)
     for start in range(0, deltas.size, STEADY_STATE_CHUNK):
         chunk = deltas[start:start + STEADY_STATE_CHUNK]
-        diags = diag0 + chunk[:, None] * drift
-        pinned = np.repeat(gen_p[np.newaxis], chunk.size, axis=0)
-        pinned[:, diag, diag] = diags[:, solved]
-        pinned[:, 0, :] = trace_row
+        pinned, gen_norm = _pinned(lv0, drift, solved, chunk)
         # Right-hand sides as (k, size, 1) stacks: numpy 1.x and 2.x read
         # a 1-d b against stacked systems differently.
         rhs = np.broadcast_to(first[:, np.newaxis], (chunk.size, size, 1))
@@ -352,11 +360,9 @@ def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
         vec = np.zeros((chunk.size, dim), dtype=complex)
         vec[:, solved] = vec_p
 
-        # L(delta) v = L0 v + delta * (D o v), ||L(delta)|| from the
-        # off-diagonal row sums plus the shifted diagonal: no second stack.
+        # L(delta) v = L0 v + delta * (D o v): no second stack.
         residual = np.abs(vec @ gen0.T + chunk[:, None] * (drift * vec)
                           ).max(axis=1)
-        gen_norm = (off_diag_norm + np.abs(diags)).max(axis=1)
         disagreement = np.abs(vec_p - vec_alt).max(axis=1)
         too_large = residual > STEADY_STATE_RTOL * np.maximum(gen_norm, 1.0)
         not_unique = disagreement > DEGENERACY_TOL
@@ -376,6 +382,36 @@ def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
         states[start:start + chunk.size] = assert_density_matrices(
             vec.reshape(-1, n, n), label=lambda i: _at(chunk[i]))
     return states
+
+
+def steady_state_slope(lv0: Liouvillian, drift, delta, rho) -> np.ndarray:
+    """d rho / d delta, (n, n), of the state rho steady_states gave at delta.
+
+    L(delta) rho = 0 and tr rho = 1 give L(delta) rho' = -D o rho with
+    tr rho' = 0: one more solve of the pinned system.  The residual
+    ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL * max(||L||, 1)
+    * max(||rho'||, 1); a failure or a singular system names delta.
+    """
+    solved = solved_indices(lv0, drift)
+    pinned, gen_norm = _pinned(lv0, drift, solved, np.array([float(delta)]))
+    source = drift * rho.reshape(-1)
+    rhs = -source[solved]
+    rhs[0] = 0.0
+    slope = np.zeros_like(source)
+    try:
+        slope[solved] = np.linalg.solve(pinned[0], rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(
+            f"{_at(delta)}: singular slope system: {exc}") from exc
+    residual = np.abs(lv0.generator @ slope + delta * (drift * slope)
+                      + source).max()
+    bound = (STEADY_STATE_RTOL * max(gen_norm[0], 1.0)
+             * max(np.abs(slope).max(), 1.0))
+    if not residual <= bound:
+        raise SteadyStateError(
+            f"{_at(delta)}: slope residual {residual:.3e} exceeds "
+            f"{STEADY_STATE_RTOL:.1e} * ||L|| * ||rho'|| = {bound:.3e}")
+    return slope.reshape(rho.shape)
 
 
 def steady_state(lv: Liouvillian) -> DensityMatrix:

@@ -24,8 +24,7 @@ from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      IntegrationError, InvalidArgumentError,
                      SingularParametersError, StateCorruptionError,
                      SteadyStateError)
-from .lambda_system import (LambdaParams, chi_analytic, dchi_prime_ddelta,
-                            lambda_from_material)
+from .lambda_system import LambdaParams, chi_analytic, lambda_from_material
 from .materials import N_LEVELS
 from .optics import GridSpec
 from .states import coherence
@@ -222,40 +221,19 @@ def cmd_window(args, run: ResolvedRun) -> int:
 
 def cmd_vg(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    mat = run.material
     delta0 = run.drives.probe_detuning
-    omega0 = optics.probe_angular_frequency(mat)
-    lam = lambda_from_material(mat, run.drives.coupling_rabi)
-    if run.backend == optics.BACKEND_ANALYTIC:
-        chi_of_delta = lambda d: chi_analytic(lam, d)
-    else:
-        chi_of_delta = lambda d: optics.full_model_chi(mat, run.drives, d)
-    sampler = optics.make_index_sampler(chi_of_delta, omega0, delta0)
-
-    vg = optics.group_velocity(sampler, omega0, run.vg_fd_step)
+    vg = optics.group_velocity(run.backend, run.material, run.drives, delta0)
     group_index = optics.C_LIGHT / vg
     anomalous = group_index < 1.0
 
     headline = {
         "vg_m_s": vg,
         "group_index": group_index,
-        "omega_rad_s": omega0,
+        "omega_rad_s": optics.probe_angular_frequency(run.material),
         "delta_rad_s": delta0,
-        "fd_step_rad_s": run.vg_fd_step,
         "anomalous_dispersion": anomalous,
         "backend": run.backend,
     }
-    if run.backend == optics.BACKEND_ANALYTIC:
-        # Exact slope: dn/domega = -0.5 * dchi'/ddelta under the delta(omega)
-        # sign map.
-        ng_exact = (optics.refractive_index(chi_analytic(lam, delta0))
-                    - omega0 * 0.5 * dchi_prime_ddelta(lam, delta0))
-        headline["group_index_closed_form"] = ng_exact
-        if abs(ng_exact) >= optics.GROUP_INDEX_MIN:
-            vg_exact = optics.C_LIGHT / ng_exact
-            headline["vg_closed_form_m_s"] = vg_exact
-            headline["fd_vs_closed_form_rel"] = abs(vg - vg_exact) / abs(vg_exact)
-
     summary_path = _write_summary(args.out, "vg", run.canonical, headline,
                                   [], started)
     print(f"vg: {vg:.6g} m/s (group index {group_index:.6g}) at "

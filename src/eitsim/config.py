@@ -104,13 +104,14 @@ _MATERIAL_PATTERNS = (
 )
 TOP_LEVEL_CHOICES = {"backend": ("analytic", "full")}
 
-# Legacy keys: parsed, range-checked and echoed into `canonical` so that
-# older configurations and summaries replay byte for byte, but read by
-# nothing.  path -> (minimum, maximum).
+# Legacy keys: parsed, range-checked (when present) and echoed into
+# `canonical` so that older configurations and summaries replay byte for
+# byte, but read by nothing.  path -> (minimum, maximum).
 LEGACY_KEYS = {
     "jobs_count": (1, math.inf),
     "solver.tol_rel": (1e-12, 1e-3),
     "solver.max_steps_count": (-math.inf, math.inf),
+    "vg.fd_step_rad_s": (math.ulp(0.0), math.inf),  # > 0
 }
 
 
@@ -158,7 +159,7 @@ def default_document() -> dict:
             "tol_rel": 1e-9,
             "max_steps_count": 20_000_000,
         },
-        "vg": {},  # fd_step_rad_s defaults to gamma32/100, filled at resolve
+        "vg": {},  # holds the legacy fd_step_rad_s when one is given
         "validate": {
             "max_dev_rel": 0.02,
             "fault_gamma52_factor": 1.0,
@@ -179,7 +180,6 @@ class ResolvedRun:
     evolve_t_end: float
     evolve_samples: int
     evolve_initial: str
-    vg_fd_step: float
     validate_max_dev: float
     validate_fault_factor: float
 
@@ -350,8 +350,6 @@ def resolve(doc: dict) -> ResolvedRun:
             user_set.add(f"{section}.{canon_key}")
 
     mat = _build_material(canonical["material"], rate_convention)
-    if "fd_step_rad_s" not in canonical["vg"]:
-        canonical["vg"]["fd_step_rad_s"] = float(mat.gamma[2, 1]) / 100.0
     d = canonical["drives"]
     for name in ("probe_rabi_rad_s", "coupling_rabi_rad_s", "aux_rabi_rad_s"):
         if d[name] < 0:
@@ -368,18 +366,15 @@ def resolve(doc: dict) -> ResolvedRun:
     grid = GridSpec(g["delta_min_rad_s"], g["delta_max_rad_s"],
                     g["points_count"])
     for path, (low, high) in LEGACY_KEYS.items():
-        value = canonical
-        for part in path.split("."):
-            value = value[part]
-        if not low <= value <= high:
+        section, _, key = path.rpartition(".")
+        node = canonical[section] if section else canonical
+        if key in node and not low <= node[key] <= high:
             raise ConfigError(
                 f"config key '{path}' must lie in [{low:g}, {high:g}]")
     if canonical["evolve"]["samples_count"] < 2:
         raise ConfigError("config key 'evolve.samples_count' must be >= 2")
     if canonical["validate"]["max_dev_rel"] <= 0:
         raise ConfigError("config key 'validate.max_dev_rel' must be > 0")
-    if canonical["vg"]["fd_step_rad_s"] <= 0:
-        raise ConfigError("config key 'vg.fd_step_rad_s' must be > 0")
 
     return ResolvedRun(
         canonical=canonical,
@@ -391,7 +386,6 @@ def resolve(doc: dict) -> ResolvedRun:
         evolve_t_end=canonical["evolve"]["t_end_s"],
         evolve_samples=canonical["evolve"]["samples_count"],
         evolve_initial=canonical["evolve"]["initial_state"],
-        vg_fd_step=canonical["vg"]["fd_step_rad_s"],
         validate_max_dev=canonical["validate"]["max_dev_rel"],
         validate_fault_factor=canonical["validate"]["fault_gamma52_factor"],
     )

@@ -2,22 +2,25 @@
 refractive index, absorption, group velocity, transparency window, and
 detuning sweeps over the analytic lambda backend or the full six-level
 steady-state backend.
+The group velocity needs only chi' and its exact detuning slope.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
 # steady_state stays importable here: the benchmark's traced pass
 # (perfbench/launcher.py) wraps it under this module's name.
 from .bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
-                    generator_drift, steady_state, steady_states)
+                    generator_drift, steady_state, steady_state_slope,
+                    steady_states)
 from .constants import C_LIGHT, TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      InvalidArgumentError)
-from .lambda_system import Susceptibility, chi_analytic, lambda_from_material
+from .lambda_system import (Susceptibility, chi_analytic, dchi_prime_ddelta,
+                            lambda_from_material)
 from .materials import MaterialParams
 
 BACKEND_ANALYTIC = "analytic"
@@ -101,7 +104,6 @@ class Spectrum:
     chi_im: np.ndarray
     n_index: np.ndarray
     alpha: np.ndarray
-    params_digest: dict = field(default_factory=dict)
 
     def __post_init__(self):
         arrays = {}
@@ -175,45 +177,6 @@ def absorption(chi: Susceptibility, wavelength: float):
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
-def group_velocity(n_of_omega: Callable[[float], float], omega: float,
-                   h: float) -> float:
-    """v_g = c / (n + omega * dn/domega), dn/domega by central difference.
-
-    The difference is divided by the realized spacing of the two sample
-    points rather than the nominal 2h: at optical omega the grid spacing of
-    doubles (~0.5 rad/s) would otherwise contaminate small steps.
-    """
-    if not (np.isfinite(omega) and omega > 0):
-        raise InvalidArgumentError("omega must be positive and finite")
-    if not (np.isfinite(h) and h > 0):
-        raise InvalidArgumentError("finite-difference step must be positive")
-    above = omega + h
-    below = omega - h
-    if not above > below:
-        raise InvalidArgumentError(
-            f"step {h!r} vanishes at omega = {omega!r}"
-        )
-    dn_domega = (n_of_omega(above) - n_of_omega(below)) / (above - below)
-    group_index = n_of_omega(omega) + omega * dn_domega
-    if abs(group_index) < GROUP_INDEX_MIN:
-        raise DivergentVelocityError(
-            f"group index {group_index!r} is below {GROUP_INDEX_MIN:.0e}"
-        )
-    return C_LIGHT / group_index
-
-
-def make_index_sampler(chi_of_delta: Callable[[float], Susceptibility],
-                       probe_omega: float,
-                       delta_at_probe_omega: float) -> Callable[[float], float]:
-    """n(omega) from chi(delta) under delta = omega_atom - omega_field,
-    i.e. d delta / d omega = -1 with the atom frequency held fixed."""
-    def sampler(omega: float) -> float:
-        delta = delta_at_probe_omega + (probe_omega - omega)
-        return refractive_index(chi_of_delta(delta))
-
-    return sampler
-
-
 def probe_angular_frequency(mat: MaterialParams) -> float:
     return TWO_PI * C_LIGHT / mat.probe_wavelength
 
@@ -276,43 +239,20 @@ def transparency_window(spectrum: Spectrum,
     )
 
 
-def _digest(backend: str, mat: MaterialParams, drives: DriveSet,
-            grid: GridSpec) -> dict:
-    return {
-        "backend": backend,
-        "material": {
-            "number_density_per_m3": mat.number_density,
-            "probe_dipole_c_m": mat.probe_dipole,
-            "probe_wavelength_m": mat.probe_wavelength,
-            "rate_convention": mat.rate_convention,
-            "lifetimes_s": mat.levels.lifetimes.tolist(),
-            "branching_per_s": mat.levels.branching.tolist(),
-            "dephasing_hz": mat.levels.dephasing.tolist(),
-        },
-        "drives": {
-            "probe_rabi_rad_s": _complex_digest(drives.probe_rabi),
-            "coupling_rabi_rad_s": _complex_digest(drives.coupling_rabi),
-            "aux_rabi_rad_s": _complex_digest(drives.aux_rabi),
-            "probe_detuning_rad_s": drives.probe_detuning,
-            "coupling_detuning_rad_s": drives.coupling_detuning,
-            "aux_detuning_rad_s": drives.aux_detuning,
-        },
-        "grid": {
-            "delta_min_rad_s": grid.delta_min,
-            "delta_max_rad_s": grid.delta_max,
-            "points_count": grid.points,
-        },
-    }
-
-
-def _complex_digest(value: complex):
-    value = complex(value)
-    return value.real if value.imag == 0.0 else [value.real, value.imag]
-
-
 # The probe detuning per unit sweep parameter of each standard drive: only
 # the probe moves.  generator_drift reads nothing but the detunings.
 _PROBE_SCAN = DriveSet(0.0, 0.0, 0.0).field_drives(1.0)
+
+
+def _full_generator(mat: MaterialParams, drives: DriveSet):
+    """L0 and D of L(delta) = L0 + delta * diag(D) for the full backend,
+    which reads chi as 2 * A * rho52 / omega_p: a zero probe is refused."""
+    if drives.probe_rabi == 0:
+        raise ConfigError("full backend needs a nonzero probe field")
+    n = mat.levels.n_levels
+    ham0 = build_hamiltonian(n, drives.field_drives(0.0))
+    lv0 = build_liouvillian(ham0, mat.levels, mat.gamma)
+    return lv0, generator_drift(n, _PROBE_SCAN)
 
 
 def full_model_chi(mat: MaterialParams, drives: DriveSet,
@@ -323,13 +263,44 @@ def full_model_chi(mat: MaterialParams, drives: DriveSet,
     The generator is assembled once, at zero probe detuning, and every
     detuning is solved in bloch.steady_states as L0 + delta * D.
     """
-    n = mat.levels.n_levels
-    ham0 = build_hamiltonian(n, drives.field_drives(0.0))
-    lv0 = build_liouvillian(ham0, mat.levels, mat.gamma)
-    rho = steady_states(lv0, generator_drift(n, _PROBE_SCAN), probe_detuning)
+    rho = steady_states(*_full_generator(mat, drives), probe_detuning)
     upper, lower = PROBE_LEVELS
     rho52 = rho[:, upper - 1, lower - 1].reshape(np.shape(probe_detuning))
     return rho_to_chi(rho52, mat, drives.probe_rabi)
+
+
+def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
+                   delta0: float) -> float:
+    """c / n_g at probe detuning delta0, in m/s, with the exact
+    n_g = 1 + chi'/2 - omega0 * 0.5 * dchi'/ddelta (n = 1 + chi'/2 and
+    d delta / d omega = -1).  The slope comes from dchi_prime_ddelta or
+    bloch.steady_state_slope (chi is linear in rho52).  |n_g| below
+    GROUP_INDEX_MIN raises DivergentVelocityError.
+    """
+    omega0 = probe_angular_frequency(mat)
+    if not (np.isfinite(omega0) and omega0 > 0):
+        raise InvalidArgumentError(
+            f"probe angular frequency {omega0!r} must be positive and finite")
+    if backend == BACKEND_FULL:
+        lv0, drift = _full_generator(mat, drives)
+        rho = steady_states(lv0, drift, delta0)[0]
+        slope = steady_state_slope(lv0, drift, delta0, rho)
+        upper, lower = PROBE_LEVELS
+        chi = rho_to_chi(rho[upper - 1, lower - 1], mat, drives.probe_rabi)
+        dchi_re = rho_to_chi(slope[upper - 1, lower - 1], mat,
+                             drives.probe_rabi).chi_re
+    elif backend == BACKEND_ANALYTIC:
+        lam = lambda_from_material(mat, abs(drives.coupling_rabi))
+        chi = chi_analytic(lam, delta0)
+        dchi_re = dchi_prime_ddelta(lam, delta0)
+    else:
+        raise ConfigError(f"backend must be one of {BACKENDS}")
+    group_index = refractive_index(chi) - omega0 * 0.5 * dchi_re
+    if abs(group_index) < GROUP_INDEX_MIN:
+        raise DivergentVelocityError(
+            f"group index {group_index!r} is below {GROUP_INDEX_MIN:.0e}"
+        )
+    return C_LIGHT / group_index
 
 
 def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
@@ -342,8 +313,6 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
     omega_p = abs(drives.probe_rabi)
     deltas = grid.values()
     if backend == BACKEND_FULL:
-        if omega_p == 0.0:
-            raise ConfigError("full backend needs a nonzero probe field")
         if omega_c > 0.0 and omega_p > WEAK_PROBE_RATIO * omega_c:
             raise ConfigError(
                 f"full backend requires probe rabi <= {WEAK_PROBE_RATIO} * "
@@ -357,7 +326,6 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
         backend=backend, deltas=deltas, chi_re=chi.chi_re, chi_im=chi.chi_im,
         n_index=1.0 + 0.5 * chi.chi_re,
         alpha=absorption(chi, mat.probe_wavelength),
-        params_digest=_digest(backend, mat, drives, grid),
     )
 
 

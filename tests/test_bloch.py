@@ -4,10 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eitsim import bloch
 from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK, FieldDrive,
                           Liouvillian, build_hamiltonian, build_liouvillian,
                           evolve, frame_phases, generator_drift,
-                          solved_indices, steady_state, steady_states)
+                          solved_indices, steady_state, steady_state_slope,
+                          steady_states)
 from eitsim.errors import (ConfigError, InconsistentFrameError,
                            IntegrationError, InvalidArgumentError,
                            SteadyStateError)
@@ -449,6 +451,64 @@ class TestBatchedSteadyStates:
     def test_drift_dimension_checked(self):
         with pytest.raises(ConfigError):
             steady_states(assembled(EIT_DRIVES), np.zeros(35), [0.0])
+
+
+class TestSteadyStateSlope:
+    def test_slope_of_a_hermitian_unit_trace_state(self):
+        # rho(delta) is hermitian with unit trace for every real delta, so
+        # its derivative is hermitian with zero trace, to rounding: eps
+        # times the condition number of the pinned system, ~1.5e6 here
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        for delta in (-8e5, 0.0, 2.5e5):
+            rho = steady_states(lv0, drift, [delta])[0]
+            slope = steady_state_slope(lv0, drift, delta, rho)
+            scale = np.abs(slope).max()
+            assert scale > 0
+            assert abs(np.trace(slope)) <= 1e-9 * scale
+            assert np.abs(slope - slope.conj().T).max() <= 1e-9 * scale
+
+    def test_matches_a_difference_of_steady_states(self):
+        # away from narrow features a plain central difference of the
+        # stationary states agrees to its O(h^2) truncation
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        delta, h = 3e6, 10.0
+        rho = steady_states(lv0, drift, [delta - h, delta, delta + h])
+        slope = steady_state_slope(lv0, drift, delta, rho[1])
+        diff = (rho[2] - rho[0]) / (2.0 * h)
+        assert np.abs(slope - diff).max() <= 1e-6 * np.abs(slope).max()
+
+    def test_residual_gate_names_its_detuning(self, monkeypatch):
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        rho = steady_states(lv0, drift, [2.5e5])[0]
+        # a gate below zero fails any slope, however exact
+        monkeypatch.setattr(bloch, "STEADY_STATE_RTOL", -1.0)
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = 250000\.0 rad/s: slope "
+                                 r"residual"):
+            steady_state_slope(lv0, drift, 2.5e5, rho)
+
+    def test_singular_system_names_its_detuning(self):
+        # the trap system of test_singular_population_block_names_its_
+        # detuning: its pinned system is singular at delta = 0
+        lifetimes = np.array([np.inf, np.inf, 1e-3, np.inf])
+        levels = LevelSystem(4, lifetimes,
+                             equal_branching(lifetimes, destinations={3: (4,)}),
+                             np.zeros((4, 4)))
+        gamma = np.full((4, 4), 100.0)
+        np.fill_diagonal(gamma, 0.0)
+        gamma[0, 1] = gamma[1, 0] = 0.0
+        ham = build_hamiltonian(4, (FieldDrive(3, 1, 2.0),
+                                    FieldDrive(3, 2, 2.0)))
+        lv0 = build_liouvillian(ham, levels, gamma)
+        drift = generator_drift(4, (FieldDrive(3, 1, 0.0),
+                                    FieldDrive(3, 2, 0.0, 1.0)))
+        rho = steady_states(lv0, drift, [1.0])[0]
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = 0\.0 rad/s: singular slope"):
+            steady_state_slope(lv0, drift, 0.0, rho)
 
 
 class TestEvolve:

@@ -8,7 +8,11 @@ import sys
 
 import pytest
 
-from eitsim.config import resolve
+from eitsim.config import default_document, resolve
+from eitsim.constants import C_LIGHT
+from eitsim.lambda_system import (chi_analytic, dchi_prime_ddelta,
+                                  lambda_from_material)
+from eitsim.optics import probe_angular_frequency
 
 CSV_HEADER = "delta_rad_s,chi_re,chi_im,n,alpha_per_m"
 
@@ -17,13 +21,18 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def run_cli(*argv):
-    """Run `python -m eitsim ...` against this checkout's sources."""
+def run_python(*argv):
+    """Run `python ...` against this checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "eitsim", *argv],
+    return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def run_cli(*argv):
+    """Run `python -m eitsim ...` against this checkout's sources."""
+    return run_python("-m", "eitsim", *argv)
 
 
 def read_summary(out_dir, command):
@@ -161,17 +170,54 @@ class TestWindow:
         assert "no transparency window" in proc.stdout
 
 
+# vg_m_s at the defaults: c / (1 + chi'/2 - omega0 * 0.5 * dchi'/ddelta)
+# from the closed form, which summaries carried as vg_closed_form_m_s next
+# to a finite-difference vg_m_s while the step was read.
+VG_AT_DEFAULTS = 21.569882082393843
+
+
 class TestVg:
     def test_analytic_slow_light(self, tmp_path):
         out = str(tmp_path)
         proc = run_cli("vg", "--out", out)
         assert proc.returncode == 0, proc.stderr
         headline = read_summary(out, "vg")["headline"]
-        assert headline["vg_m_s"] < 50.0
+        assert set(headline) == {"vg_m_s", "group_index", "omega_rad_s",
+                                 "delta_rad_s", "anomalous_dispersion",
+                                 "backend"}
         assert headline["anomalous_dispersion"] is False
-        assert headline["fd_vs_closed_form_rel"] < 1e-4
-        assert headline["vg_m_s"] == pytest.approx(
-            headline["vg_closed_form_m_s"], rel=1e-4)
+        mat = resolve({}).material
+        lam = lambda_from_material(mat, 1.5e6)
+        group_index = (1.0 + 0.5 * chi_analytic(lam, 0.0).chi_re
+                       - probe_angular_frequency(mat) * 0.5
+                       * dchi_prime_ddelta(lam, 0.0))
+        assert headline["vg_m_s"] == pytest.approx(C_LIGHT / group_index,
+                                                   rel=1e-15)
+        assert headline["vg_m_s"] == pytest.approx(VG_AT_DEFAULTS, rel=1e-15)
+        assert headline["vg_m_s"] < 50.0
+
+    @pytest.mark.parametrize("fd_step", [62.83201015142855, 100.0])
+    def test_summary_with_legacy_step_replays(self, tmp_path, fd_step):
+        # the resolved_config of a vg summary written while the step was
+        # read: the defaults plus the step, autofilled as gamma32 / 100 or
+        # set by the user
+        written = default_document()
+        written["vg"]["fd_step_rad_s"] = fd_step
+        config = tmp_path / "written.json"
+        config.write_text(json.dumps(written), encoding="utf-8")
+        out = str(tmp_path / "replay")
+        proc = run_cli("vg", "--out", out, "--config", str(config))
+        assert proc.returncode == 0, proc.stderr
+        summary = read_summary(out, "vg")
+        assert summary["resolved_config"] == written
+        assert summary["headline"]["vg_m_s"] == VG_AT_DEFAULTS
+
+    def test_full_backend_zero_probe_is_a_config_error(self, tmp_path):
+        proc = run_cli("vg", "--out", str(tmp_path), "--backend", "full",
+                       "--set", "drives.probe_rabi_rad_s=0")
+        assert proc.returncode == 2
+        assert "config error: full backend needs a nonzero probe field" \
+            in proc.stderr
 
     def test_full_backend_agrees_with_analytic(self, tmp_path):
         out = str(tmp_path)
@@ -298,6 +344,17 @@ class TestParams:
         with open(os.path.join(out, "params.json"), encoding="utf-8") as fh:
             dump = json.load(fh)
         assert dump["notes"]["gamma_32"].startswith("0.5 *")
+
+
+class TestStartup:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        # scipy is a test-only oracle: importing it would add ~0.3 s to
+        # every command
+        proc = run_python("-c", "import sys, eitsim.cli; "
+                                "print(sorted(m for m in sys.modules "
+                                "if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestErrorStatuses:

@@ -50,17 +50,6 @@ class TestDefaults:
         assert run.material.probe_dipole == ref.probe_dipole
         assert run.material.probe_wavelength == ref.probe_wavelength
 
-    def test_fd_step_autofilled_from_ground_coherence_rate(self):
-        run = resolve(default_document())
-        assert run.vg_fd_step == run.material.gamma[2, 1] / 100.0
-        assert run.vg_fd_step == 62.83201015142855
-        assert "vg.fd_step_rad_s" not in run.user_set
-
-    def test_fd_step_user_value_kept(self):
-        run = resolve_with("vg.fd_step_rad_s=100.0")
-        assert run.vg_fd_step == 100.0
-        assert "vg.fd_step_rad_s" in run.user_set
-
     def test_empty_document_equals_defaults(self):
         bare = resolve({})
         full = resolve(default_document())
@@ -213,17 +202,35 @@ class TestLegacyKeys:
 
     def test_parsed_and_echoed_but_not_resolved(self):
         run = resolve_with("jobs_count=3", "solver.tol_rel=1e-7",
-                           "solver.max_steps_count=10")
+                           "solver.max_steps_count=10",
+                           "vg.fd_step_rad_s=100.0")
         assert run.canonical["jobs_count"] == 3
         assert run.canonical["solver"] == {"tol_rel": 1e-7,
                                            "max_steps_count": 10}
-        assert {"jobs_count", "solver.tol_rel",
-                "solver.max_steps_count"} <= run.user_set
+        assert run.canonical["vg"] == {"fd_step_rad_s": 100.0}
         assert set(LEGACY_KEYS) == {"jobs_count", "solver.tol_rel",
-                                    "solver.max_steps_count"}
+                                    "solver.max_steps_count",
+                                    "vg.fd_step_rad_s"}
+        assert set(LEGACY_KEYS) <= run.user_set
         fields = {f.name for f in dataclasses.fields(ResolvedRun)}
-        assert not {f for f in fields
-                    if "jobs" in f or "tol" in f or "max_steps" in f}
+        assert not {f for f in fields if "jobs" in f or "tol" in f
+                    or "max_steps" in f or "fd_step" in f}
+
+    def test_fd_step_not_filled_in_by_default(self):
+        run = resolve(default_document())
+        assert run.canonical["vg"] == {}
+        assert "vg.fd_step_rad_s" not in run.user_set
+
+    def test_fd_step_unit_and_range_checked(self):
+        run = resolve_with("vg.fd_step_hz=10.0")
+        assert run.canonical["vg"] == {"fd_step_rad_s": TWO_PI * 10.0}
+        assert "vg.fd_step_rad_s" in run.user_set
+        for bad in ("0.0", "-1.0"):
+            with pytest.raises(ConfigError,
+                               match=r"'vg\.fd_step_rad_s' must lie in"):
+                resolve_with(f"vg.fd_step_rad_s={bad}")
+        with pytest.raises(ConfigError, match="different units"):
+            resolve_with("vg.fd_step_hz=10.0", "vg.fd_step_rad_s=1.0")
 
     def test_types_checked_as_before(self):
         for bad in ("jobs_count=1.5", "solver.max_steps_count=2.5",

@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch, states
 from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK,
-                          build_hamiltonian, build_liouvillian)
+                          build_hamiltonian, build_liouvillian,
+                          generator_drift, steady_state_slope, steady_states)
 from eitsim.config import apply_overrides, resolve
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
@@ -21,10 +23,9 @@ from eitsim.materials import pryso_defaults
 from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, WEAK_PROBE_RATIO,
                            DriveSet, GridSpec, Spectrum,
                            absorption, full_model_chi, group_velocity,
-                           make_index_sampler, probe_angular_frequency,
-                           refractive_index, rho_to_chi, spectrum_to_csv,
-                           sweep, transparency_window,
-                           window_width_closed_form)
+                           probe_angular_frequency, refractive_index,
+                           rho_to_chi, spectrum_to_csv, sweep,
+                           transparency_window, window_width_closed_form)
 
 MAT = pryso_defaults()
 EIT_DRIVES = DriveSet(probe_rabi=1.5e3, coupling_rabi=1.5e6, aux_rabi=1.5e6)
@@ -106,62 +107,85 @@ class TestPointwiseOptics:
                                                              rel=1e-9)
 
 
+def full_chi_and_slope(mat, drives, delta):
+    """Full-backend chi and dchi/ddelta at one detuning, complex, from
+    bloch's steady state and its exact slope."""
+    lv0 = build_liouvillian(build_hamiltonian(6, drives.field_drives(0.0)),
+                            mat.levels, mat.gamma)
+    drift = generator_drift(6, DriveSet(0.0, 0.0, 0.0).field_drives(1.0))
+    rho = steady_states(lv0, drift, [delta])[0]
+    slope = steady_state_slope(lv0, drift, delta, rho)
+    scale = 2.0 * mat.coupling_strength / complex(drives.probe_rabi)
+    return scale * rho[4, 1], scale * slope[4, 1]
+
+
+# Detunings across the window, at the Autler-Townes peak (-8e5) and far out.
+SLOPE_DELTAS = (-8e5, -1e5, 0.0, 3e5, 5e6)
+
+
 class TestGroupVelocity:
-    def _sampler(self, lam=EIT, delta0=0.0):
-        omega0 = probe_angular_frequency(MAT)
-        return make_index_sampler(lambda d: chi_analytic(lam, d), omega0,
-                                  delta0), omega0
-
     def test_slow_light_value(self):
-        sampler, omega0 = self._sampler()
-        vg = group_velocity(sampler, omega0, EIT.gamma32 / 100)
-        # exact group index via the closed-form slope and the sign map
-        ng = 1.0 - omega0 * 0.5 * dchi_prime_ddelta(EIT, 0.0)
-        assert vg < 50.0
-        assert vg == pytest.approx(C_LIGHT / ng, rel=1e-6)
-        assert C_LIGHT / ng == pytest.approx(21.57, rel=1e-3)
+        omega0 = probe_angular_frequency(MAT)
+        for delta in SLOPE_DELTAS:
+            ng = (1.0 + 0.5 * chi_analytic(EIT, delta).chi_re
+                  - omega0 * 0.5 * dchi_prime_ddelta(EIT, delta))
+            assert group_velocity("analytic", MAT, EIT_DRIVES, delta) \
+                == pytest.approx(C_LIGHT / ng, rel=1e-15)
+        vg = group_velocity("analytic", MAT, EIT_DRIVES, 0.0)
+        assert vg == pytest.approx(21.57, rel=1e-3)
 
-    def test_step_robustness_two_decades(self):
-        sampler, omega0 = self._sampler()
-        ng = 1.0 - omega0 * 0.5 * dchi_prime_ddelta(EIT, 0.0)
-        exact = C_LIGHT / ng
-        for h in (EIT.gamma32 / 10, EIT.gamma32 / 100, EIT.gamma32 / 1000):
-            vg = group_velocity(sampler, omega0, h)
-            assert abs(vg - exact) / exact < 1e-4
-
-    def test_sign_map(self):
-        # exact arithmetic: small carrier so omega + h is representable
-        sampler = make_index_sampler(lambda d: chi_analytic(EIT, d),
-                                     1e6, 2e5)
-        # moving omega up moves delta down by the same amount
-        want = refractive_index(chi_analytic(EIT, 2e5 - 1e3))
-        assert sampler(1e6 + 1e3) == want
+    def test_full_backend_uses_the_exact_slope(self):
+        omega0 = probe_angular_frequency(MAT)
+        for delta in SLOPE_DELTAS:
+            chi, slope = full_chi_and_slope(MAT, EIT_DRIVES, delta)
+            ng = 1.0 + 0.5 * chi.real - omega0 * 0.5 * slope.real
+            assert group_velocity("full", MAT, EIT_DRIVES, delta) \
+                == pytest.approx(C_LIGHT / ng, rel=1e-15)
+        # the default probe is weak: both backends see the same slow light
+        assert group_velocity("full", MAT, EIT_DRIVES, 0.0) == pytest.approx(
+            group_velocity("analytic", MAT, EIT_DRIVES, 0.0), rel=1e-4)
 
     def test_vacuum_limit(self):
-        omega0 = probe_angular_frequency(MAT)
-        vg = group_velocity(lambda _: 1.0, omega0, 1e3)
-        assert vg == C_LIGHT
+        # one dopant per m^3 moves n_g from 1 by less than half an ulp
+        vacuum = dataclasses.replace(MAT, number_density=1.0)
+        for backend in ("analytic", "full"):
+            assert group_velocity(backend, vacuum, EIT_DRIVES, 0.0) == C_LIGHT
 
     def test_anomalous_slope_negative_velocity(self):
-        lam0 = LambdaParams(EIT.gamma52, EIT.gamma32, 0.0, EIT.coupling_a)
-        sampler, omega0 = self._sampler(lam=lam0)
-        vg = group_velocity(sampler, omega0, EIT.gamma32 / 100)
+        bare = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=1.5e6)
+        vg = group_velocity("analytic", MAT, bare, 0.0)
         assert vg < 0  # steep anomalous dispersion at the bare resonance
         assert abs(vg) < 1.0
+        assert group_velocity("full", MAT, bare, 0.0) < 0
 
     def test_divergent_group_index(self):
-        # n = 2 - omega makes the group index exactly zero at omega = 1
+        # at the bare resonance chi' = 0 and n_g = 1 - omega0/2 * dchi'/d
+        # delta, with the slope linear in the number density: the density
+        # that puts n_g at zero leaves it within rounding of zero
+        bare = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=1.5e6)
+        slope = dchi_prime_ddelta(lambda_from_material(MAT, 0.0), 0.0)
+        density = MAT.number_density * 2.0 \
+            / (probe_angular_frequency(MAT) * slope)
+        mat = dataclasses.replace(MAT, number_density=density)
         with pytest.raises(DivergentVelocityError):
-            group_velocity(lambda w: 2.0 - w, 1.0, 0.5)
+            group_velocity("analytic", mat, bare, 0.0)
 
     def test_input_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            group_velocity(lambda _: 1.0, -1.0, 1e3)
-        with pytest.raises(InvalidArgumentError):
-            group_velocity(lambda _: 1.0, 1e15, 0.0)
-        with pytest.raises(InvalidArgumentError):
-            # step far below the grid spacing of doubles at this omega
-            group_velocity(lambda _: 1.0, 1e15, 1e-6)
+        # an infinite wavelength gives omega = 0, a subnormal one omega = inf
+        for wavelength in (math.inf, 1e-310):
+            mat = dataclasses.replace(MAT, probe_wavelength=wavelength)
+            with pytest.raises(InvalidArgumentError,
+                               match="probe angular frequency"):
+                group_velocity("analytic", mat, EIT_DRIVES, 0.0)
+        with pytest.raises(ConfigError):
+            group_velocity("exact", MAT, EIT_DRIVES, 0.0)
+
+    def test_full_backend_refuses_a_zero_probe(self):
+        off = DriveSet(probe_rabi=0.0, coupling_rabi=1.5e6, aux_rabi=1.5e6)
+        for run in (lambda: group_velocity("full", MAT, off, 0.0),
+                    lambda: sweep("full", MAT, off, GridSpec(-1e6, 1e6, 3))):
+            with pytest.raises(ConfigError, match="nonzero probe field"):
+                run()
 
 
 class TestSweep:
@@ -220,7 +244,6 @@ class TestSweep:
         a = sweep("full", MAT, EIT_DRIVES, grid)
         b = sweep("full", MAT, EIT_DRIVES, grid)
         assert spectrum_to_csv(a) == spectrum_to_csv(b)
-        assert a.params_digest == b.params_digest
 
     def test_full_backend_weak_probe_gate(self):
         strong = DriveSet(probe_rabi=3e5, coupling_rabi=1.5e6, aux_rabi=1.5e6)
@@ -427,6 +450,46 @@ class TestBatchedFullBackend:
             coupling_rabi=coupling, aux_rabi=aux,
             coupling_detuning=coupling_det, aux_detuning=aux_det)
         assert_matches_oracle(mat, drives, np.array(deltas))
+
+    # Richardson's extrapolation R = (4 D(h/2) - D(h)) / 3 of the central
+    # difference D(h) = (chi'(delta + h) - chi'(delta - h)) / 2h misses
+    # dchi'/ddelta by h^4 |f^(5)| / 480 plus 3 e / h, e the error of one
+    # chi' value.  chi(delta) is rational; its singular points (generalized
+    # eigenvalues of the pinned pencil) lay at least 1.04 * gamma32 off the
+    # real axis over 2,000 random drives from these ranges.  Cauchy's
+    # estimate on a disc of radius gamma32 / 2, where |chi| <= ~2 M with
+    # M = max|chi| on the axis, gives |f^(5)| <= 5! * 2M / (gamma32/2)^5,
+    # so the truncation is <= 16 (h / gamma32)^4 M / gamma32.  The solves
+    # keep e <= 1e-13 M.  At h = gamma32 / 100 the bound is
+    # (1.6e-7 + 3e-11) M / gamma32; the worst seen is 7e-12 M / gamma32.
+    @settings(max_examples=25, deadline=None)
+    @given(coupling=st.floats(1.5e5, 5e6),
+           probe_share=st.floats(1e-3, 1.0),
+           aux=st.floats(1e5, 5e6),
+           coupling_det=st.floats(-1e6, 1e6),
+           aux_det=st.floats(-1e6, 1e6),
+           delta=st.floats(-2e7, 2e7))
+    @example(coupling=1.5e6, probe_share=0.02, aux=1.5e6, coupling_det=0.0,
+             aux_det=0.0, delta=-8e5)  # the Autler-Townes peak
+    def test_exact_slope_matches_richardson(self, coupling, probe_share, aux,
+                                            coupling_det, aux_det, delta):
+        drives = DriveSet(
+            probe_rabi=probe_share * WEAK_PROBE_RATIO * coupling,
+            coupling_rabi=coupling, aux_rabi=aux,
+            coupling_detuning=coupling_det, aux_detuning=aux_det)
+        gamma32 = MAT.gamma[2, 1]
+        h = gamma32 / 100.0
+        stencil = delta + np.array([-h, h, -h / 2, h / 2])
+        chi_re = full_model_chi(MAT, drives, stencil).chi_re
+        coarse = full_model_chi(MAT, drives, np.linspace(-2e7, 2e7, 801))
+        m = max(np.abs(chi_re).max(),
+                np.hypot(coarse.chi_re, coarse.chi_im).max())
+        wide = (chi_re[1] - chi_re[0]) / (stencil[1] - stencil[0])
+        narrow = (chi_re[3] - chi_re[2]) / (stencil[3] - stencil[2])
+        richardson = (4.0 * narrow - wide) / 3.0
+        _, slope = full_chi_and_slope(MAT, drives, delta)
+        tol = (16.0 * (h / gamma32) ** 4 + 3e-13 * gamma32 / h) * m / gamma32
+        assert abs(slope.real - richardson) <= tol
 
     def test_sweep_is_the_batched_chi(self):
         grid = GridSpec(-2e7, 2e7, 2 * STEADY_STATE_CHUNK + 5)
