@@ -42,14 +42,15 @@ STEADY_STATE_RTOL = 1e-9
 # is treated as degenerate.
 DEGENERACY_TOL = 1e-8
 # Detuning points per stacked solve.  One chunk of pinned 14 x 14 complex
-# systems (the population block of the six-level model) is ~0.1 MB; a
+# systems (the population block of the six-level model) is ~0.4 MB; a
 # 4,001-point sweep stacked at once would need ~12.5 MB per stack.  On a
-# shared 2-vCPU Xeon VM a 4,001-point full sweep takes 100-125, 70-115,
-# 60-90 and 60-80 ms at chunks of 16, 32, 64 and 128 (medians of 5, three
-# runs each), with tracemalloc peaks of 2.46, 2.59, 2.84 and 3.35 MB.  From
-# 64 on, OpenBLAS runs the residual product on two threads, which doubles
-# the CPU time for little wall time.
-STEADY_STATE_CHUNK = 32
+# shared 2-vCPU Xeon VM with one BLAS thread (the CLI's default), a
+# 4,001-point full sweep takes 116, 102 and 95 ms at chunks of 32, 64 and
+# 128 (medians of six runs of 9-15 sweeps; ranges 108-134, 96-109 and
+# 92-101 ms), with tracemalloc peaks of 2.66, 2.92 and 3.49 MB.  A process
+# that keeps OpenBLAS's thread pool runs the residual product of a
+# 128-point chunk on two threads: ~95 ms of wall time for ~190 ms of CPU.
+STEADY_STATE_CHUNK = 128
 
 # The reference level whose rotating-frame phase is pinned to zero when it
 # participates in the drive graph (the probe's lower level in the default

@@ -16,7 +16,11 @@ import os
 import sys
 import time
 
-import numpy as np
+# The matrices here are at most 36x36, too small for OpenBLAS threads, whose
+# idle pool would busy-wait on a second core; a value the user set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (must follow the thread setting)
 
 from . import bloch, optics, validation
 from .config import ResolvedRun, apply_overrides, load_document, resolve

@@ -21,11 +21,17 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    "src")
 
 
-def run_python(*argv):
-    """Run `python ...` against this checkout's sources."""
+def run_python(*argv, **env_vars):
+    """Run `python ...` against this checkout's sources; keyword arguments
+    set (a string) or unset (None) environment variables."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, env.get("PYTHONPATH"))))
+    for key, value in env_vars.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     return subprocess.run([sys.executable, *argv],
                           capture_output=True, text=True, env=env)
 
@@ -355,6 +361,37 @@ class TestStartup:
                                 "if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_package_import_is_lazy(self):
+        # `import eitsim` must load no numpy, so that eitsim.cli can still
+        # choose numpy's BLAS threads, and must change no environment
+        proc = run_python("-c", "import os, sys, eitsim; "
+                                "print(sorted(m for m in sys.modules "
+                                "if m == 'numpy' or m.startswith('eitsim.'))"
+                                "); print(os.environ.get("
+                                "'OPENBLAS_NUM_THREADS'))",
+                          OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]", "None"]
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_cli_import_defaults_to_one_blas_thread(self, preset, expected):
+        proc = run_python("-c", "import os, eitsim.cli; "
+                                "print(os.environ['OPENBLAS_NUM_THREADS'])",
+                          OPENBLAS_NUM_THREADS=preset)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status")
+    def test_cli_import_starts_no_blas_thread_pool(self):
+        proc = run_python("-c", "import eitsim.cli; "
+                                "print(*(line for line in "
+                                "open('/proc/self/status') "
+                                "if line.startswith('Threads:')))",
+                          OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["Threads:", "1"]
 
 
 class TestErrorStatuses:
