@@ -161,22 +161,12 @@ def frame_phases(n_levels: int, drives) -> np.ndarray:
 
     phases = np.zeros(n_levels)
     assigned = [False] * (n_levels + 1)
-    for start in range(1, n_levels + 1):
-        if assigned[start]:
+    # One BFS per component: the reference level's first, then each
+    # remaining component from its lowest level.
+    for root in sorted(range(1, n_levels + 1),
+                       key=lambda m: m != FRAME_REFERENCE_LEVEL):
+        if assigned[root]:
             continue
-        component = []
-        stack = [start]
-        marked = {start}
-        while stack:
-            m = stack.pop()
-            component.append(m)
-            for neighbor, _ in adjacency[m]:
-                if neighbor not in marked:
-                    marked.add(neighbor)
-                    stack.append(neighbor)
-        root = FRAME_REFERENCE_LEVEL if FRAME_REFERENCE_LEVEL in component \
-            else min(component)
-        phases[root - 1] = 0.0
         assigned[root] = True
         queue = deque([root])
         while queue:

@@ -1,22 +1,24 @@
 """Run configuration: a JSON document plus `--set path=value` overrides.
 
-Every numeric key carries an explicit unit suffix; the recognized suffixes
-per quantity kind are listed in KIND_SUFFIXES.  Values are converted to the
-internal rad/s-based units exactly once, here.  Two convention switches
-control the conversion arithmetic:
+Every key has one canonical spelling in internal units (rad/s, Hz for
+dephasing, SI otherwise), listed in CHOICES and NUMERIC_KEYS.  SPELLINGS
+maps each accepted spelling to its canonical key and the factor that
+converts it: every `_rad_s` key may also be spelled `_hz`, and a dephasing
+pair may name its levels in either order.  Two spellings of one quantity in
+one document are an error.  Values are converted exactly once, here, after
+the two convention switches are known:
 
   conventions.rate_convention  cyclic | angular   (coherence-decay rule)
   conventions.rabi_convention  angular | cyclic   (how *_rabi_hz is read:
         angular takes the number as rad/s as-is, cyclic multiplies by 2*pi)
 
-The resolved state is echoed as a canonical document (all rad/s keys) that
-re-parses to the identical run, which is what run summaries embed.
+The resolved state is echoed as a canonical document (canonical keys only)
+that re-parses to the identical run, which is what run summaries embed.
 """
 
 import copy
 import json
 import math
-import re
 from dataclasses import dataclass
 from typing import FrozenSet
 
@@ -31,78 +33,48 @@ from .materials import (DEFAULT_DEPHASING_HZ, EXCITED_LIFETIME_S,
 from .optics import DriveSet, GridSpec
 from .states import DensityMatrix, basis_state, mixed_state
 
-KIND_SUFFIXES = {
-    "angular": {"_rad_s": "identity", "_hz": "two_pi"},
-    "rabi": {"_rad_s": "identity", "_hz": "rabi"},
-    "dephasing": {"_hz": "identity"},
-    "time": {"_s": "identity"},
-    "length": {"_m": "identity"},
-    "density": {"_per_m3": "identity"},
-    "dipole": {"_c_m": "identity"},
-    "rate": {"_per_s": "identity"},
-    "count": {"_count": "count"},
-    "rel": {"_rel": "identity"},
-    "factor": {"_factor": "identity"},
-}
-CANONICAL_SUFFIX = {
-    "angular": "_rad_s", "rabi": "_rad_s", "dephasing": "_hz", "time": "_s",
-    "length": "_m", "density": "_per_m3", "dipole": "_c_m", "rate": "_per_s",
-    "count": "_count", "rel": "_rel", "factor": "_factor",
-}
+_LEVELS = range(1, N_LEVELS + 1)
 
-# base name -> kind, per section; material's indexed families are handled
-# by _MATERIAL_PATTERNS.
-SECTION_NUMERIC = {
-    "material": {
-        "number_density": "density",
-        "probe_dipole": "dipole",
-        "probe_wavelength": "length",
-    },
-    "drives": {
-        "probe_rabi": "rabi",
-        "coupling_rabi": "rabi",
-        "aux_rabi": "rabi",
-        "probe_detuning": "angular",
-        "coupling_detuning": "angular",
-        "aux_detuning": "angular",
-    },
-    "grid": {
-        "delta_min": "angular",
-        "delta_max": "angular",
-        "points": "count",
-    },
-    "evolve": {
-        "t_end": "time",
-        "samples": "count",
-    },
-    "solver": {
-        "tol": "rel",
-        "max_steps": "count",
-    },
-    "vg": {
-        "fd_step": "angular",
-    },
-    "validate": {
-        "max_dev": "rel",
-        "fault_gamma52": "factor",
-    },
+# Keys whose value is one of a fixed set of words.
+CHOICES = {
+    "backend": ("analytic", "full"),
+    "conventions.rate_convention": ("cyclic", "angular"),
+    "conventions.rabi_convention": ("angular", "cyclic"),
+    "evolve.initial_state": ("mixed",) + tuple(f"level_{i}" for i in _LEVELS),
 }
-SECTION_CHOICES = {
-    "conventions": {
-        "rate_convention": ("cyclic", "angular"),
-        "rabi_convention": ("angular", "cyclic"),
-    },
-    "evolve": {
-        "initial_state": ("mixed", "level_1", "level_2", "level_3",
-                          "level_4", "level_5", "level_6"),
-    },
-}
-_MATERIAL_PATTERNS = (
-    (re.compile(r"lifetime_([1-6])"), "time"),
-    (re.compile(r"dephasing_([1-6])([1-6])"), "dephasing"),
-    (re.compile(r"branching_([1-6])([1-6])"), "rate"),
+# Every numeric key, spelled in the internal units it is stored in.  The
+# symmetric dephasing pairs are spelled upper level first.
+NUMERIC_KEYS = (
+    "jobs_count",
+    "material.number_density_per_m3", "material.probe_dipole_c_m",
+    "material.probe_wavelength_m",
+    *(f"material.lifetime_{i}_s" for i in _LEVELS),
+    *(f"material.dephasing_{i}{j}_hz" for i in _LEVELS for j in _LEVELS
+      if i > j),
+    *(f"material.branching_{i}{j}_per_s" for i in _LEVELS for j in _LEVELS
+      if i != j),
+    *(f"drives.{field}_{kind}_rad_s" for kind in ("rabi", "detuning")
+      for field in ("probe", "coupling", "aux")),
+    "grid.delta_min_rad_s", "grid.delta_max_rad_s", "grid.points_count",
+    "evolve.t_end_s", "evolve.samples_count",
+    "solver.tol_rel", "solver.max_steps_count",
+    "vg.fd_step_rad_s",
+    "validate.max_dev_rel", "validate.fault_gamma52_factor",
 )
-TOP_LEVEL_CHOICES = {"backend": ("analytic", "full")}
+# Accepted spelling -> (canonical key, factor to internal units).  Every
+# `_rad_s` key may be spelled `_hz` (times 2*pi; a Rabi frequency only under
+# the cyclic rabi_convention, marked RABI), and a dephasing pair either way
+# round.
+RABI = "rabi"
+SPELLINGS = {
+    **{key: (key, 1.0) for key in NUMERIC_KEYS},
+    **{key[:-len("_rad_s")] + "_hz": (key, RABI if "_rabi_" in key else TWO_PI)
+       for key in NUMERIC_KEYS if key.endswith("_rad_s")},
+    **{f"material.dephasing_{j}{i}_hz": (f"material.dephasing_{i}{j}_hz", 1.0)
+       for i in _LEVELS for j in _LEVELS if i > j},
+}
+SECTIONS = frozenset(key.partition(".")[0] for key in (*CHOICES, *NUMERIC_KEYS)
+                     if "." in key)
 
 # Legacy keys: parsed, range-checked (when present) and echoed into
 # `canonical` so that older configurations and summaries replay byte for
@@ -229,30 +201,6 @@ def apply_overrides(doc: dict, assignments) -> dict:
     return doc
 
 
-def _split_numeric_key(section: str, key: str):
-    """Return (base, kind, conversion) or None if the key is not a numeric
-    key of this section."""
-    table = SECTION_NUMERIC.get(section, {})
-    for base, kind in table.items():
-        for suffix, conversion in KIND_SUFFIXES[kind].items():
-            if key == base + suffix:
-                return base, kind, conversion
-    if section == "material":
-        for pattern, kind in _MATERIAL_PATTERNS:
-            for suffix, conversion in KIND_SUFFIXES[kind].items():
-                if key.endswith(suffix):
-                    match = pattern.fullmatch(key[: -len(suffix)])
-                    if match:
-                        if len(match.groups()) == 2 and \
-                                match.group(1) == match.group(2):
-                            raise ConfigError(
-                                f"config key 'material.{key}' pairs a level "
-                                "with itself"
-                            )
-                        return key[: -len(suffix)], kind, conversion
-    return None
-
-
 def _check_number(path: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key '{path}' must be a number")
@@ -260,94 +208,61 @@ def _check_number(path: str, value):
         raise ConfigError(f"config key '{path}' must be finite")
 
 
-def _resolve_section(section: str, content, collected: list):
-    if not isinstance(content, dict):
-        raise ConfigError(f"config section '{section}' must be an object")
-    seen_bases = {}
-    for key, value in content.items():
-        path = f"{section}.{key}"
-        choices = SECTION_CHOICES.get(section, {})
-        if key in choices:
-            if value not in choices[key]:
-                raise ConfigError(
-                    f"config key '{path}' must be one of {choices[key]}, "
-                    f"got {value!r}"
-                )
-            collected.append((section, key, "choice", None, value, path))
-            continue
-        split = _split_numeric_key(section, key)
-        if split is None:
-            raise ConfigError(f"unknown config key '{path}'")
-        base, kind, conversion = split
-        if base in seen_bases:
-            raise ConfigError(
-                f"config keys '{section}.{seen_bases[base]}' and '{path}' "
-                "set the same quantity in different units"
-            )
-        seen_bases[base] = key
-        _check_number(path, value)
-        collected.append((section, base, kind, conversion, value, path))
-
-
-def _convert(kind: str, conversion: str, value, rabi_convention: str, path: str):
-    if conversion == "identity":
-        return float(value)
-    if conversion == "two_pi":
-        return TWO_PI * float(value)
-    if conversion == "rabi":
-        if rabi_convention == "cyclic":
-            return TWO_PI * float(value)
-        return float(value)
-    if conversion == "count":
-        if isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"config key '{path}' must be an integer")
-        return int(value)
-    raise ConfigError(f"internal: unknown conversion {conversion!r}")
+def _entries(doc: dict):
+    """Yield (path, value) for every key, one section deep."""
+    for key, value in doc.items():
+        if key in SECTIONS:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config section '{key}' must be an object")
+            for inner, item in value.items():
+                yield f"{key}.{inner}", item
+        elif isinstance(key, str) and "." in key:
+            raise ConfigError(f"unknown config key '{key}'")
+        else:
+            yield key, value
 
 
 def resolve(doc: dict) -> ResolvedRun:
     """Validate a raw document and produce the resolved run inputs."""
-    collected = []
-    for key, value in doc.items():
-        if key in TOP_LEVEL_CHOICES:
-            if value not in TOP_LEVEL_CHOICES[key]:
+    chosen = {}   # choice path -> value
+    numbers = {}  # canonical path -> (spelling, value, factor)
+    for path, value in _entries(doc):
+        if path in CHOICES:
+            if value not in CHOICES[path]:
                 raise ConfigError(
-                    f"config key '{key}' must be one of "
-                    f"{TOP_LEVEL_CHOICES[key]}, got {value!r}"
+                    f"config key '{path}' must be one of {CHOICES[path]}, "
+                    f"got {value!r}"
                 )
-            collected.append((None, key, "choice", None, value, key))
-        elif key == "jobs_count":
-            _check_number(key, value)
-            collected.append((None, "jobs", "count", "count", value, key))
-        elif key in SECTION_NUMERIC or key in SECTION_CHOICES or key == "conventions":
-            _resolve_section(key, value, collected)
+            chosen[path] = value
+        elif path not in SPELLINGS:
+            raise ConfigError(f"unknown config key '{path}'")
         else:
-            raise ConfigError(f"unknown config key '{key}'")
+            canon, factor = SPELLINGS[path]
+            if canon in numbers:
+                raise ConfigError(
+                    f"config keys '{numbers[canon][0]}' and '{path}' set "
+                    "the same quantity in different units"
+                )
+            _check_number(path, value)
+            numbers[canon] = (path, value, factor)
 
     # Conventions must be fixed before any rabi key converts.
-    rate_convention = "cyclic"
-    rabi_convention = "angular"
-    for section, base, kind, _, value, _ in collected:
-        if section == "conventions" and base == "rate_convention":
-            rate_convention = value
-        if section == "conventions" and base == "rabi_convention":
-            rabi_convention = value
-
+    rate_convention = chosen.get("conventions.rate_convention", "cyclic")
+    rabi_convention = chosen.get("conventions.rabi_convention", "angular")
+    resolved = dict(chosen)
+    for canon, (path, value, factor) in numbers.items():
+        if canon.endswith("_count"):
+            if isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"config key '{path}' must be an integer")
+            resolved[canon] = int(value)
+            continue
+        if factor == RABI:
+            factor = TWO_PI if rabi_convention == "cyclic" else 1.0
+        resolved[canon] = factor * float(value)
     canonical = default_document()
-    user_set = set()
-    for section, base, kind, conversion, value, path in collected:
-        if kind == "choice":
-            resolved = value
-            canon_key = base
-        else:
-            resolved = _convert(kind, conversion, value, rabi_convention, path)
-            canon_key = base + CANONICAL_SUFFIX[kind]
-        if section is None:
-            canonical[canon_key] = resolved
-            user_set.add(canon_key)
-        else:
-            canonical[section][canon_key] = resolved
-            user_set.add(f"{section}.{canon_key}")
+    for path, value in resolved.items():
+        section, _, key = path.rpartition(".")
+        (canonical[section] if section else canonical)[key] = value
 
     mat = _build_material(canonical["material"], rate_convention)
     d = canonical["drives"]
@@ -378,7 +293,7 @@ def resolve(doc: dict) -> ResolvedRun:
 
     return ResolvedRun(
         canonical=canonical,
-        user_set=frozenset(user_set),
+        user_set=frozenset(resolved),
         material=mat,
         drives=drives,
         grid=grid,
@@ -392,24 +307,16 @@ def resolve(doc: dict) -> ResolvedRun:
 
 
 def _build_material(m: dict, rate_convention: str) -> MaterialParams:
-    lifetimes = np.array([m[f"lifetime_{i}_s"] for i in range(1, N_LEVELS + 1)])
+    lifetimes = np.array([m[f"lifetime_{i}_s"] for i in _LEVELS])
     dephasing = np.zeros((N_LEVELS, N_LEVELS))
-    branching_overrides = {}
-    for key, value in m.items():
-        match = re.fullmatch(r"dephasing_([1-6])([1-6])_hz", key)
-        if match:
-            i, j = int(match.group(1)) - 1, int(match.group(2)) - 1
-            dephasing[i, j] = value
-            dephasing[j, i] = value
-            continue
-        match = re.fullmatch(r"branching_([1-6])([1-6])_per_s", key)
-        if match:
-            branching_overrides[(int(match.group(1)) - 1,
-                                 int(match.group(2)) - 1)] = value
-
     branching = equal_branching(lifetimes)
-    for (i, j), value in branching_overrides.items():
-        branching[i, j] = value
+    for i in _LEVELS:
+        for j in _LEVELS:
+            if i > j:
+                dephasing[i - 1, j - 1] = dephasing[j - 1, i - 1] = \
+                    m.get(f"dephasing_{i}{j}_hz", 0.0)
+            if f"branching_{i}{j}_per_s" in m:
+                branching[i - 1, j - 1] = m[f"branching_{i}{j}_per_s"]
     levels = LevelSystem(N_LEVELS, lifetimes, branching, dephasing)
     return MaterialParams(
         levels=levels,

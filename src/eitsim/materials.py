@@ -177,8 +177,9 @@ def pryso_defaults(rate_convention: str = "cyclic", lifetimes=None,
                    dephasing_hz=None, branching=None) -> MaterialParams:
     """Default six-level Pr3+:Y2SiO5 material.
 
-    Any of the tables can be swapped out wholesale; the config layer uses the
-    keyword hooks for per-entry overrides.
+    Any of the tables can be swapped out wholesale through the keyword
+    arguments.  The config layer does not call this: it builds its material
+    from the canonical document's keys.
     """
     if lifetimes is None:
         lifetimes = np.array([GROUND_LIFETIME_S] * 3 + [EXCITED_LIFETIME_S] * 3)

@@ -413,6 +413,13 @@ class TestErrorStatuses:
                        str(tmp_path / "absent.json"))
         assert proc.returncode == 2
 
+    def test_both_dephasing_pair_orders_rejected(self, tmp_path):
+        proc = run_cli("params", "--out", str(tmp_path),
+                       "--set", "material.dephasing_32_hz=4.0",
+                       "--set", "material.dephasing_23_hz=5.0")
+        assert proc.returncode == 2
+        assert "same quantity" in proc.stderr
+
     def test_single_point_grid_rejected(self, tmp_path):
         proc = run_cli("spectrum", "--out", str(tmp_path),
                        "--set", "grid.points_count=1")
@@ -437,3 +444,29 @@ class TestErrorStatuses:
     def test_unknown_subcommand(self):
         proc = run_cli("fourier")
         assert proc.returncode == 2
+
+
+LAUNCHER = os.path.join(os.path.dirname(SRC), "perfbench", "launcher.py")
+
+
+class TestTracedEntryPoint:
+    """The benchmark's traced pass patches eitsim names by attribute; a
+    refactor that drops one must fail here, not only under tracing."""
+
+    @pytest.mark.parametrize("argv", [
+        ("params",),
+        ("evolve", "--set", "evolve.t_end_s=1e-4",
+         "--set", "evolve.samples_count=11"),
+        ("spectrum", "--backend", "full"),
+        ("vg", "--backend", "full"),
+        ("validate",),
+        ("window",),
+    ], ids=lambda argv: argv[0])
+    def test_command_writes_spans(self, tmp_path, argv):
+        spans_path = tmp_path / "spans.json"
+        proc = run_python(LAUNCHER, str(spans_path), "--", *argv,
+                          "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        names = {span[0] for span in json.loads(spans_path.read_text())}
+        assert {"config.resolve", "materials.derive_gamma",
+                f"cli.{argv[0]}"} <= names

@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from eitsim.config import (LEGACY_KEYS, ResolvedRun, apply_overrides,
-                           default_document, load_document, resolve)
+from eitsim.config import (CHOICES, LEGACY_KEYS, SPELLINGS, ResolvedRun,
+                           apply_overrides, default_document, load_document,
+                           resolve)
 from eitsim.constants import TWO_PI
 from eitsim.errors import ConfigError
 from eitsim.materials import pryso_defaults
@@ -116,11 +117,199 @@ class TestUnitSuffixes:
         assert "evolve.t_end_rad_s" in str(err.value)
 
 
+class TestDephasingPairOrder:
+    def test_lower_first_is_an_alias_of_the_canonical_pair(self):
+        run = resolve_with("material.dephasing_23_hz=5.0")
+        material = run.canonical["material"]
+        assert material["dephasing_32_hz"] == 5.0
+        assert "dephasing_23_hz" not in material
+        assert "material.dephasing_32_hz" in run.user_set
+        assert "material.dephasing_23_hz" not in run.user_set
+        assert run.material.levels.dephasing[2, 1] == 5.0
+        assert run.material.levels.dephasing[1, 2] == 5.0
+
+    def test_both_orders_set_the_same_quantity(self):
+        with pytest.raises(ConfigError, match="same quantity") as err:
+            resolve_with("material.dephasing_32_hz=4.0",
+                         "material.dephasing_23_hz=5.0")
+        assert "material.dephasing_23_hz" in str(err.value)
+        assert "material.dephasing_32_hz" in str(err.value)
+
+
+# The accepted spellings, written out family by family: spelling ->
+# (canonical key, factor under the angular and the cyclic rabi_convention).
+_LEVEL_NUMBERS = range(1, 7)
+_ANGULAR = ("drives.probe_detuning", "drives.coupling_detuning",
+            "drives.aux_detuning", "grid.delta_min", "grid.delta_max",
+            "vg.fd_step")
+_RABI = ("drives.probe_rabi", "drives.coupling_rabi", "drives.aux_rabi")
+_AS_IS = (
+    "jobs_count", "grid.points_count", "evolve.samples_count",
+    "solver.max_steps_count", "solver.tol_rel", "evolve.t_end_s",
+    "validate.max_dev_rel", "validate.fault_gamma52_factor",
+    "material.number_density_per_m3", "material.probe_dipole_c_m",
+    "material.probe_wavelength_m",
+    *(f"material.lifetime_{i}_s" for i in _LEVEL_NUMBERS),
+    *(f"material.dephasing_{i}{j}_hz" for i in _LEVEL_NUMBERS
+      for j in range(1, i)),
+    *(f"material.branching_{i}{j}_per_s" for i in _LEVEL_NUMBERS
+      for j in _LEVEL_NUMBERS if i != j),
+)
+EXPECTED_SPELLINGS = {
+    **{key: (key, 1.0, 1.0) for key in _AS_IS},
+    **{f"material.dephasing_{j}{i}_hz": (f"material.dephasing_{i}{j}_hz",
+                                         1.0, 1.0)
+       for i in _LEVEL_NUMBERS for j in range(1, i)},
+    **{f"{base}_rad_s": (f"{base}_rad_s", 1.0, 1.0)
+       for base in _ANGULAR + _RABI},
+    **{f"{base}_hz": (f"{base}_rad_s", TWO_PI, TWO_PI) for base in _ANGULAR},
+    **{f"{base}_hz": (f"{base}_rad_s", 1.0, TWO_PI) for base in _RABI},
+}
+
+
+def _spelling_document(spelling, value, convention):
+    """A valid document that sets `spelling` to `value`."""
+    doc = {"conventions": {"rabi_convention": convention}}
+    section, _, key = spelling.rpartition(".")
+    if key.startswith("branching_"):
+        # the rest of the row keeps its sum at the default 1/T1
+        pair = key.split("_")[1]
+        upper, lower = int(pair[0]), int(pair[1])
+        others = [j for j in _LEVEL_NUMBERS if j not in (upper, lower)]
+        total = 1.0 / (400.0 if upper <= 3 else 164e-6)
+        value = total / 4.0
+        doc["material"] = {f"branching_{upper}{j}_per_s": 0.75 * total / 4.0
+                           for j in others}
+    if section:
+        doc.setdefault(section, {})[key] = value
+    else:
+        doc[key] = value
+    return doc, value
+
+
+class TestSpellingCoverage:
+    def test_spelling_table_is_the_documented_one(self):
+        assert set(SPELLINGS) == set(EXPECTED_SPELLINGS)
+
+    @pytest.mark.parametrize("convention", ["angular", "cyclic"])
+    def test_every_spelling_resolves_to_its_canonical_key(self, convention):
+        for spelling, (canon, angular, cyclic) in EXPECTED_SPELLINGS.items():
+            if spelling.endswith("_count"):
+                value, expected_type = 7, int
+            elif spelling == "solver.tol_rel":
+                value, expected_type = 1e-6, float
+            else:
+                value, expected_type = 1000.0, float
+            doc, value = _spelling_document(spelling, value, convention)
+            run = resolve(doc)
+            factor = cyclic if convention == "cyclic" else angular
+            section, _, key = canon.rpartition(".")
+            node = run.canonical[section] if section else run.canonical
+            assert node[key] == factor * value, spelling
+            assert type(node[key]) is expected_type, spelling
+            assert canon in run.user_set, spelling
+            if spelling != canon:
+                assert spelling.rpartition(".")[2] not in node, spelling
+                assert spelling not in run.user_set, spelling
+
+    @pytest.mark.parametrize("convention", ["angular", "cyclic"])
+    def test_every_choice_resolves(self, convention):
+        assert set(CHOICES) == {"backend", "conventions.rate_convention",
+                                "conventions.rabi_convention",
+                                "evolve.initial_state"}
+        for path, allowed in CHOICES.items():
+            for value in allowed:
+                doc = apply_overrides(
+                    {}, [f"conventions.rabi_convention={convention}",
+                         f"{path}={value}"])
+                run = resolve(doc)
+                section, _, key = path.rpartition(".")
+                node = run.canonical[section] if section else run.canonical
+                assert node[key] == value
+                assert path in run.user_set
+
+
+_T1_4 = 1.0 / 164e-6
+RICH_DOCUMENT = {
+    "backend": "full",
+    "jobs_count": 2,
+    "conventions": {"rabi_convention": "cyclic", "rate_convention": "angular"},
+    "material": {"lifetime_5_s": 82e-6, "dephasing_25_hz": 7e3,
+                 "dephasing_41_hz": 50.0,
+                 "branching_41_per_s": _T1_4 / 2,
+                 "branching_42_per_s": _T1_4 / 4,
+                 "branching_43_per_s": _T1_4 / 4},
+    "drives": {"probe_rabi_hz": 200.0, "coupling_rabi_rad_s": 2e6,
+               "coupling_detuning_hz": 1e3, "aux_detuning_hz": -1e4},
+    "grid": {"delta_min_hz": -1e6, "points_count": 11.0},
+    "evolve": {"t_end_s": 1e-3, "samples_count": 5,
+               "initial_state": "level_2"},
+    "solver": {"tol_rel": 1e-7},
+    "vg": {"fd_step_hz": 10.0},
+    "validate": {"max_dev_rel": 0.05},
+}
+RICH_RESOLVED = {
+    "backend": "full",
+    "jobs_count": 2,
+    "conventions": {"rate_convention": "angular",
+                    "rabi_convention": "cyclic"},
+    "material": {
+        "number_density_per_m3": 4.7e+24,
+        "probe_dipole_c_m": 1e-33,
+        "probe_wavelength_m": 6.057e-07,
+        "lifetime_1_s": 400.0,
+        "lifetime_2_s": 400.0,
+        "lifetime_3_s": 400.0,
+        "lifetime_4_s": 0.000164,
+        "lifetime_5_s": 8.2e-05,
+        "lifetime_6_s": 0.000164,
+        "dephasing_32_hz": 2000.0,
+        "dephasing_52_hz": 7000.0,
+        "dephasing_53_hz": 9000.0,
+        "dephasing_41_hz": 50.0,
+        "branching_41_per_s": 3048.780487804878,
+        "branching_42_per_s": 1524.390243902439,
+        "branching_43_per_s": 1524.390243902439,
+    },
+    "drives": {
+        "probe_rabi_rad_s": 1256.6370614359173,
+        "coupling_rabi_rad_s": 2000000.0,
+        "aux_rabi_rad_s": 1500000.0,
+        "probe_detuning_rad_s": 0.0,
+        "coupling_detuning_rad_s": 6283.185307179586,
+        "aux_detuning_rad_s": -62831.853071795864,
+    },
+    "grid": {"delta_min_rad_s": -6283185.307179586,
+             "delta_max_rad_s": 20000000.0, "points_count": 11},
+    "evolve": {"t_end_s": 0.001, "samples_count": 5,
+               "initial_state": "level_2"},
+    "solver": {"tol_rel": 1e-07, "max_steps_count": 20000000},
+    "vg": {"fd_step_rad_s": 62.83185307179586},
+    "validate": {"max_dev_rel": 0.05, "fault_gamma52_factor": 1.0},
+}
+
+
+class TestPinnedEcho:
+    def test_rich_document_resolves_to_the_pinned_literal(self):
+        canonical = resolve(RICH_DOCUMENT).canonical
+        assert json.dumps(canonical) == json.dumps(RICH_RESOLVED)
+
+    def test_pinned_literal_replays_to_itself(self):
+        run = resolve(RICH_RESOLVED)
+        assert json.dumps(run.canonical) == json.dumps(RICH_RESOLVED)
+        assert run.material.levels.dephasing[1, 4] == 7000.0
+        assert run.material.levels.dephasing[3, 0] == 50.0
+
+
 class TestRejection:
     def test_unknown_section(self):
         with pytest.raises(ConfigError) as err:
             resolve_with("fields.probe_rabi_rad_s=1.0")
         assert "fields" in str(err.value)
+
+    def test_dotted_top_level_key_is_not_a_path(self):
+        with pytest.raises(ConfigError, match="unknown config key"):
+            resolve({"drives.probe_rabi_rad_s": 1.0})
 
     def test_unknown_key_in_section(self):
         with pytest.raises(ConfigError) as err:
