@@ -5,9 +5,9 @@ Bloch-form relaxation (population branching plus per-pair coherence decay,
 not a Lindblad dissipator), and solves the resulting linear master equation
 dvec(rho)/dt = L vec(rho) for steady states and transients.  Only the
 rotating-frame phases depend on a drive's detuning, so a detuning sweep is
-affine: L(delta) = L0 + delta * D with D diagonal, its steady states are
-solved as stacked batches, and d rho / d delta is one more solve of the
-same system.
+affine: L(delta) = L0 + delta * D with D diagonal.  One factorization at the
+complex detuning i * sigma reaches every real delta, and d rho / d delta, by
+a Woodbury update of the few entries D moves (see _reduce).
 
 The generator couples a coherence rho_mk only to rho_jk' with j in m's drive
 component and k' in k's, and relaxation couples populations only to
@@ -38,18 +38,13 @@ from .states import (VALIDATION_TOL, DensityMatrix, assert_density_matrices,
 # Residual gate for the steady-state solve, relative to the generator's
 # infinity norm.
 STEADY_STATE_RTOL = 1e-9
-# Two independent pivot orderings must agree this closely or the nullspace
-# is treated as degenerate.
+# The reference solve's two pivot orderings must agree this closely, and a
+# detuning must keep DEGENERACY_TOL * sigma off every pole.
 DEGENERACY_TOL = 1e-8
-# Detuning points per stacked solve.  One chunk of pinned 14 x 14 complex
-# systems (the population block of the six-level model) is ~0.4 MB; a
-# 4,001-point sweep stacked at once would need ~12.5 MB per stack.  On a
-# shared 2-vCPU Xeon VM with one BLAS thread (the CLI's default), a
-# 4,001-point full sweep takes 116, 102 and 95 ms at chunks of 32, 64 and
-# 128 (medians of six runs of 9-15 sweeps; ranges 108-134, 96-109 and
-# 92-101 ms), with tracemalloc peaks of 2.66, 2.92 and 3.49 MB.  A process
-# that keeps OpenBLAS's thread pool runs the residual product of a
-# 128-point chunk on two threads: ~95 ms of wall time for ~190 ms of CPU.
+# Detuning points evaluated together.  It only bounds memory: no point
+# depends on another.  A 4,001-point six-level sweep peaks at 2.4, 2.7 and
+# 12.5 MB of tracemalloc at chunks of 32, 128 and 4,001 and takes 30, 20
+# and 27 ms on one BLAS thread of a shared 2-vCPU VM.
 STEADY_STATE_CHUNK = 128
 
 # The reference level whose rotating-frame phase is pinned to zero when it
@@ -246,18 +241,6 @@ def _at(delta: float) -> str:
     return f"at delta = {float(delta)!r} rad/s"
 
 
-def _first_singular(pinned: np.ndarray, first: np.ndarray) -> int:
-    """Index of the first stacked system that either pivot ordering finds
-    singular."""
-    for i, a in enumerate(pinned):
-        try:
-            np.linalg.solve(a, first)
-            np.linalg.solve(a[::-1], first[::-1])
-        except np.linalg.LinAlgError:
-            return i
-    return 0
-
-
 def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
     """Sorted indices of vec(rho) that steady_states solves for.
 
@@ -290,20 +273,80 @@ def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
     return np.flatnonzero(block)
 
 
-def _pinned(lv0: Liouvillian, drift, solved, deltas):
-    """(L0 + delta * diag(drift))[P, P] stacked over deltas, its first row
-    (the population rho_11) replaced by the trace row, and each full
-    ||L(delta)||: off-diagonal row sums plus the shifted diagonal."""
+def _reduce(lv0: Liouvillian, drift, first, kind="steady-state"):
+    """The one factorization of a call.  A(delta) = L(delta)[P, P] with the
+    trace row in place of rho_11's equation moves only on the diagonal of S,
+    the rows with nonzero drift: A(delta) = A(i sigma) + (delta - i sigma)
+    E_S C E_S^T, C = diag(drift_S), sigma = max(||L0||, 1).  A(i sigma) is
+    solved under both pivot orderings for y = A^-1 e_1 and Z = A^-1 E_S; by
+    Woodbury A(delta)^-1 e_1 = y - Z R^-1 (delta - i sigma) C y_S with R =
+    I + (delta - i sigma) C Z_S, singular only at the poles i sigma - 1/mu,
+    mu the eigenvalues of C Z_S.  Errors name first."""
     gen0 = lv0.generator
+    solved = solved_indices(lv0, drift)
+    sigma = max(np.abs(gen0).sum(axis=1).max(), 1.0)
+    rate = drift[solved]
+    rate[0] = 0.0  # the trace row carries no delta
+    moving = np.flatnonzero(rate)
+    pinned = gen0[np.ix_(solved, solved)] + np.diag(1j * sigma * rate)
+    pinned[0] = solved % (lv0.n_levels + 1) == 0
+    rhs = np.eye(solved.size, dtype=complex)[:, np.r_[0, moving]]
+    try:
+        sol = np.linalg.solve(pinned, rhs)
+        alt = np.linalg.solve(pinned[::-1], rhs[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise SteadyStateError(
+            f"{_at(first)}: singular {kind} system: {exc}") from exc
+    disagreement = np.abs(sol - alt).max()
+    if not disagreement <= DEGENERACY_TOL:
+        raise SteadyStateError(
+            f"{_at(first)}: steady state is not unique: two pivot orderings "
+            f"disagree by {disagreement:.3e}")
+    cz = rate[moving, None] * sol[moving, 1:]
+    mu = np.linalg.eigvals(cz)
+    return (solved, moving, rate[moving], sigma, sol[:, 0], sol[:, 1:], cz,
+            1j * sigma - 1.0 / mu[mu != 0])
+
+
+def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
+    """R(delta)^-1 rhs for each delta, (k, |S|); a delta within
+    DEGENERACY_TOL * sigma of a pole is refused by name."""
+    gap = np.abs(deltas[:, None] - poles)
+    near = ~(gap > DEGENERACY_TOL * sigma).all(axis=1)
+    if near.any():
+        i = int(np.argmax(near))
+        raise SteadyStateError(
+            f"{_at(deltas[i])}: singular {kind} system: within "
+            f"{DEGENERACY_TOL * sigma:.3e} of the pole "
+            f"{poles[gap[i].argmin()]:.6e}")
+    r = np.eye(cz.shape[0]) + (deltas - 1j * sigma)[:, None, None] * cz
+    try:
+        # Right-hand sides as (k, |S|, 1) stacks: numpy 1.x and 2.x read
+        # a 1-d b against stacked systems differently.
+        return np.linalg.solve(r, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        bad = gap.min(axis=1, initial=np.inf).argmin()
+        raise SteadyStateError(
+            f"{_at(deltas[bad])}: singular {kind} system: {exc}") from exc
+
+
+def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
+                    norm="||L||"):
+    """Refuse, by its delta, the first row of vec with ||L(delta) v +
+    source|| > STEADY_STATE_RTOL * max(||L(delta)||, 1) * scale."""
+    # L(delta) v = L0 v + delta * (D o v): no second stack.
+    residual = np.abs(vec @ gen0.T + deltas[:, None] * (drift * vec)
+                      + source).max(axis=1)
     diag0 = np.diagonal(gen0)
-    diags = diag0 + deltas[:, None] * drift
-    pinned = np.repeat(gen0[np.ix_(solved, solved)][np.newaxis], deltas.size,
-                       axis=0)
-    diag = np.arange(solved.size)
-    pinned[:, diag, diag] = diags[:, solved]
-    pinned[:, 0, :] = solved % (lv0.n_levels + 1) == 0
-    off_diag_norm = np.abs(gen0 - np.diag(diag0)).sum(axis=1)
-    return pinned, (off_diag_norm + np.abs(diags)).max(axis=1)
+    gen_norm = (np.abs(gen0 - np.diag(diag0)).sum(axis=1)
+                + np.abs(diag0 + deltas[:, None] * drift)).max(axis=1)
+    bound = STEADY_STATE_RTOL * np.maximum(gen_norm, 1.0) * scale
+    bad = ~(residual <= bound)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SteadyStateError(
+            f"{_at(deltas[i])}: {kind} residual {residual[i]:.3e} exceeds "
+            f"{STEADY_STATE_RTOL:.1e} * {norm} = {bound[i]:.3e}")
 
 
 def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
@@ -311,65 +354,29 @@ def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
     for every delta, as a validated and repaired (k, n, n) stack.
 
     Only the invariant block P of solved_indices is solved; the certified
-    rest of vec(rho) is exactly zero.  Each point is a dense solve of
-    L(delta)[P, P] by elimination with partial pivoting, with the trace
-    constraint substituted for the first row (a population), re-solved
-    under the reversed row ordering to detect degenerate (non-unique)
-    nullspaces.  Points go in chunks of STEADY_STATE_CHUNK stacked systems,
-    one np.linalg.solve per ordering.  Every point must pass the residual
-    gate ||L v|| <= STEADY_STATE_RTOL * max(||L||, 1) (infinity norms over
-    the full generator) and the DEGENERACY_TOL agreement gate, then the
-    state validation of the full matrix; a failure names its delta.
+    rest of vec(rho) is exactly zero.  Past _reduce each delta costs one
+    |S| x |S| solve (4 x 4 at the default drives).  Every point must keep
+    DEGENERACY_TOL * sigma off the poles and pass the residual gate ||L v||
+    <= STEADY_STATE_RTOL * max(||L||, 1) (infinity norms over the full
+    generator), then the state validation; a failure names its delta.
     """
     n = lv0.n_levels
     dim = n * n
-    gen0 = lv0.generator
     drift = np.asarray(drift, dtype=complex)
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     if drift.shape != (dim,):
         raise ConfigError("drift dimension does not match generator")
 
-    solved = solved_indices(lv0, drift)
-    size = solved.size
-    first = np.zeros(size, dtype=complex)
-    first[0] = 1.0
-
+    solved, moving, rate, sigma, y, z, cz, poles = _reduce(
+        lv0, drift, deltas[0] if deltas.size else 0.0)
     states = np.empty((deltas.size, n, n), dtype=complex)
     for start in range(0, deltas.size, STEADY_STATE_CHUNK):
         chunk = deltas[start:start + STEADY_STATE_CHUNK]
-        pinned, gen_norm = _pinned(lv0, drift, solved, chunk)
-        # Right-hand sides as (k, size, 1) stacks: numpy 1.x and 2.x read
-        # a 1-d b against stacked systems differently.
-        rhs = np.broadcast_to(first[:, np.newaxis], (chunk.size, size, 1))
-        try:
-            vec_p = np.linalg.solve(pinned, rhs)[..., 0]
-            vec_alt = np.linalg.solve(pinned[:, ::-1], rhs[:, ::-1])[..., 0]
-        except np.linalg.LinAlgError as exc:
-            bad = chunk[_first_singular(pinned, first)]
-            raise SteadyStateError(
-                f"{_at(bad)}: singular steady-state system: {exc}") from exc
+        s = _woodbury(chunk, sigma, cz, poles, (chunk - 1j * sigma)[:, None]
+                      * (rate * y[moving]))
         vec = np.zeros((chunk.size, dim), dtype=complex)
-        vec[:, solved] = vec_p
-
-        # L(delta) v = L0 v + delta * (D o v): no second stack.
-        residual = np.abs(vec @ gen0.T + chunk[:, None] * (drift * vec)
-                          ).max(axis=1)
-        disagreement = np.abs(vec_p - vec_alt).max(axis=1)
-        too_large = residual > STEADY_STATE_RTOL * np.maximum(gen_norm, 1.0)
-        not_unique = disagreement > DEGENERACY_TOL
-        if np.any(too_large | not_unique):
-            i = int(np.argmax(too_large | not_unique))
-            if too_large[i]:
-                raise SteadyStateError(
-                    f"{_at(chunk[i])}: steady-state residual "
-                    f"{residual[i]:.3e} exceeds {STEADY_STATE_RTOL:.1e} * "
-                    f"||L|| = {STEADY_STATE_RTOL * gen_norm[i]:.3e}"
-                )
-            raise SteadyStateError(
-                f"{_at(chunk[i])}: steady state is not unique: two pivot "
-                f"orderings disagree by {disagreement[i]:.3e} "
-                f"(residual {residual[i]:.3e})"
-            )
+        vec[:, solved] = y - (z @ s[..., None])[..., 0]
+        _check_residual(lv0.generator, drift, chunk, vec, 0.0, "steady-state")
         states[start:start + chunk.size] = assert_density_matrices(
             vec.reshape(-1, n, n), label=lambda i: _at(chunk[i]))
     return states
@@ -378,30 +385,21 @@ def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
 def steady_state_slope(lv0: Liouvillian, drift, delta, rho) -> np.ndarray:
     """d rho / d delta, (n, n), of the state rho steady_states gave at delta.
 
-    L(delta) rho = 0 and tr rho = 1 give L(delta) rho' = -D o rho with
-    tr rho' = 0: one more solve of the pinned system.  The residual
-    ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL * max(||L||, 1)
-    * max(||rho'||, 1); a failure or a singular system names delta.
+    L(delta) rho = 0 and tr rho = 1 give A(delta) rho'_P = -E_S C rho_S,
+    which by _reduce's Woodbury identity is rho'_P = -Z R^-1 C rho_S.  The
+    residual ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL *
+    max(||L||, 1) * max(||rho'||, 1); a failure or a pole names delta.
     """
-    solved = solved_indices(lv0, drift)
-    pinned, gen_norm = _pinned(lv0, drift, solved, np.array([float(delta)]))
+    delta = np.array([float(delta)])
+    drift = np.asarray(drift, dtype=complex)
+    solved, moving, _, sigma, _, z, cz, poles = _reduce(
+        lv0, drift, delta[0], "slope")
     source = drift * rho.reshape(-1)
-    rhs = -source[solved]
-    rhs[0] = 0.0
     slope = np.zeros_like(source)
-    try:
-        slope[solved] = np.linalg.solve(pinned[0], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError(
-            f"{_at(delta)}: singular slope system: {exc}") from exc
-    residual = np.abs(lv0.generator @ slope + delta * (drift * slope)
-                      + source).max()
-    bound = (STEADY_STATE_RTOL * max(gen_norm[0], 1.0)
-             * max(np.abs(slope).max(), 1.0))
-    if not residual <= bound:
-        raise SteadyStateError(
-            f"{_at(delta)}: slope residual {residual:.3e} exceeds "
-            f"{STEADY_STATE_RTOL:.1e} * ||L|| * ||rho'|| = {bound:.3e}")
+    slope[solved] = -z @ _woodbury(delta, sigma, cz, poles,
+                                   source[solved[moving]], "slope")[0]
+    _check_residual(lv0.generator, drift, delta, slope[None], source,
+                    "slope", max(np.abs(slope).max(), 1.0), "||L|| * ||rho'||")
     return slope.reshape(rho.shape)
 
 

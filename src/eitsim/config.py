@@ -204,7 +204,8 @@ def apply_overrides(doc: dict, assignments) -> dict:
 def _check_number(path: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key '{path}' must be a number")
-    if not math.isfinite(value):
+    # An integer past the float range is no finite number either.
+    if not abs(value) <= float(np.finfo(float).max):
         raise ConfigError(f"config key '{path}' must be finite")
 
 

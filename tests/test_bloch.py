@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch
@@ -54,6 +56,26 @@ def reference_rhs(rho, ham, branching, gamma):
             else:
                 out[m, k] -= gamma[m, k] * rho[m, k]
     return out
+
+
+def assert_matches_null_space(rabi, coupling_det, aux_det, delta):
+    """All 36 entries of steady_states at delta against the SVD nullspace
+    of the full generator assembled afresh there.  The SVD's own error,
+    ~dim * eps * sigma_1 / sigma_{n-1}, is added to DEGENERACY_TOL: where
+    the slow ground-level decay sets sigma_{n-1} it reaches 5e-6 (coupling
+    and auxiliary fields off), while steady_states there agrees with a
+    40-digit elimination to the last bit."""
+    lv0 = assembled(eit_drives(0.0, rabi, coupling_det, aux_det))
+    drift = generator_drift(6, PROBE_SCAN)
+    rho = steady_states(lv0, drift, [delta])[0].reshape(-1)
+    gen = assembled(eit_drives(delta, rabi, coupling_det, aux_det)).generator
+    basis = scipy.linalg.null_space(gen)
+    assert basis.shape[1] == 1
+    want = basis[:, 0] / basis[:: 7, 0].sum()
+    sigma = scipy.linalg.svdvals(gen)
+    tol = DEGENERACY_TOL + 36 * np.finfo(float).eps * sigma[0] / sigma[-2]
+    assert np.max(np.abs(rho - want)) <= tol
+    return lv0, drift, rho
 
 
 def block_by_drives(n, drives):
@@ -327,31 +349,25 @@ class TestSolvedBlock:
            delta=st.floats(-2e7, 2e7))
     def test_matches_full_space_null_space(self, probe, coupling, aux,
                                            coupling_det, aux_det, delta):
-        # all 36 entries against the SVD nullspace of the full generator at
-        # delta, assembled afresh.  The SVD's own error, ~dim * eps *
-        # sigma_1 / sigma_{n-1}, is added to DEGENERACY_TOL: where the slow
-        # ground-level decay sets sigma_{n-1} it reaches 5e-6 (coupling and
-        # auxiliary fields off), while steady_states there agrees with a
-        # 40-digit elimination to the last bit.
         rabi = (probe, coupling, aux)
-        lv0 = assembled(eit_drives(0.0, rabi, coupling_det, aux_det))
-        drift = generator_drift(6, PROBE_SCAN)
-        rho = steady_states(lv0, drift, [delta])[0].reshape(-1)
-        gen = assembled(eit_drives(delta, rabi, coupling_det,
-                                   aux_det)).generator
-        basis = scipy.linalg.null_space(gen)
-        assert basis.shape[1] == 1
-        want = basis[:, 0] / basis[:: 7, 0].sum()
-        sigma = scipy.linalg.svdvals(gen)
-        tol = DEGENERACY_TOL \
-            + 36 * np.finfo(float).eps * sigma[0] / sigma[-2]
-        assert np.max(np.abs(rho - want)) <= tol
-
+        lv0, drift, rho = assert_matches_null_space(rabi, coupling_det,
+                                                    aux_det, delta)
         solved = solved_indices(lv0, drift)
         assert np.array_equal(solved, block_by_drives(
             6, eit_drives(0.0, rabi, coupling_det, aux_det)))
         outside = np.setdiff1d(np.arange(36), solved)
         assert np.all(rho[outside] == 0.0)
+
+    # Omega_c = 4.1998e4 rad/s is the exceptional point of the default
+    # material, where EIT turns into an Autler-Townes doublet and two poles
+    # of the reduced 4 x 4 system coalesce.
+    @settings(max_examples=30, deadline=None)
+    @given(coupling=st.floats(3e4, 6e4), delta=st.floats(-2e5, 2e5))
+    @example(coupling=4.1998e4, delta=0.0)
+    @example(coupling=4.1998e4, delta=2.1e4)
+    def test_matches_null_space_across_the_exceptional_point(self, coupling,
+                                                             delta):
+        assert_matches_null_space((1.5e3, coupling, 1.5e6), 0.0, 0.0, delta)
 
 
 class TestBatchedSteadyStates:
@@ -388,18 +404,67 @@ class TestBatchedSteadyStates:
             one = steady_state(assembled(eit_drives(delta)))
             assert np.max(np.abs(rho - one.matrix)) < DEGENERACY_TOL
 
-    def test_chunking_does_not_change_any_point(self):
-        # every point is its own stacked system: where the chunk
-        # boundaries fall must not move a single bit
+    def test_no_point_depends_on_the_rest_of_the_call(self, monkeypatch):
+        # every point is its own small solve from the same factorization:
+        # neither the other points of the call nor where the evaluation
+        # chunks split them may move a single bit
         lv0 = assembled(eit_drives(0.0))
         drift = generator_drift(6, PROBE_SCAN)
-        deltas = np.linspace(-2e7, 2e7, 2 * STEADY_STATE_CHUNK + 3)
+        deltas = np.linspace(-2e7, 2e7, 259)
         batch = steady_states(lv0, drift, deltas)
-        assert batch.shape == (deltas.size, 6, 6)
-        for i in (0, STEADY_STATE_CHUNK - 1, STEADY_STATE_CHUNK,
-                  deltas.size - 1):
+        assert batch.shape == (259, 6, 6)
+        for i in (0, 127, 128, 258):
             alone = steady_states(lv0, drift, deltas[i:i + 1])[0]
             assert np.array_equal(alone, batch[i])
+        monkeypatch.setattr(bloch, "STEADY_STATE_CHUNK", 7)
+        assert np.array_equal(steady_states(lv0, drift, deltas), batch)
+
+    def test_poles_are_where_the_pinned_block_is_singular(self):
+        # the four dressed-state resonances at the defaults, against a
+        # fresh pinned block at each pole: singular to rounding
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        poles = bloch._reduce(lv0, drift, 0.0)[-1]
+        assert np.allclose(np.abs(poles.real), 7.497e5, rtol=1e-4)
+        assert np.allclose(np.abs(poles.imag), 2.729e4, rtol=1e-3)
+        assert np.sign(poles.real).sum() == np.sign(poles.imag).sum() == 0
+        solved = solved_indices(lv0, drift)
+        for pole in poles:
+            block = (lv0.generator + np.diag(pole * drift))[
+                np.ix_(solved, solved)]
+            block[0] = solved % 7 == 0
+            sv = np.linalg.svd(block, compute_uv=False)
+            assert sv[-1] <= 1e-12 * sv[0]
+
+    def test_terminal_level_collects_every_population(self):
+        # level 4 decays nowhere and every route leads into it, so each
+        # point is exactly |4><4|, though the delta-independent part of the
+        # pinned block is singular (cond 1.2e18)
+        lifetimes = MAT.levels.lifetimes
+        branching = equal_branching(lifetimes)
+        branching[3, :3] = 0.0
+        branching[1, 0] = 0.0
+        mat = pryso_defaults(lifetimes=lifetimes, branching=branching)
+        lv0 = assembled(eit_drives(0.0), mat)
+        rho = steady_states(lv0, generator_drift(6, PROBE_SCAN),
+                            np.linspace(-2e7, 2e7, 201))
+        assert np.array_equal(rho, np.broadcast_to(
+            np.diag([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), rho.shape))
+
+    def test_peak_allocation_of_a_window_sweep(self):
+        # 4,001 points at the defaults: evaluation stays chunked, so the
+        # peak stays within the 3.43 MB the per-point 14 x 14 stack took
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        deltas = np.linspace(-3e6, 3e6, 4001)
+        steady_states(lv0, drift, deltas[:2])
+        tracemalloc.start()
+        try:
+            steady_states(lv0, drift, deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.43e6
 
     def test_singular_point_names_its_detuning(self):
         # two levels, undamped coherence: the nullspace is two-dimensional

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from eitsim.config import default_document, resolve
@@ -101,6 +102,32 @@ class TestSpectrum:
             assert proc.returncode == 0, proc.stderr
         assert (serial / "spectrum.csv").read_bytes() == \
             (threaded / "spectrum.csv").read_bytes()
+
+    def test_terminal_level_runs_to_zero_susceptibility(self, tmp_path):
+        # level 4 decays nowhere and every route leads into it, so rho44 = 1
+        # and chi = 0 at every detuning.  The delta-independent part of the
+        # pinned system is singular here (cond 1.2e18), so eliminating it
+        # first, by a Schur complement, would refuse this run.
+        out = str(tmp_path)
+        sets = [f"material.branching_{pair}_per_s=0"
+                for pair in ("41", "42", "43", "21")]
+        proc = run_cli("spectrum", "--backend", "full", "--out", out,
+                       *[arg for s in sets for arg in ("--set", s)])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[:3] == [
+            "spectrum: full backend, 201 points in [-2e+07, 2e+07] rad/s",
+            "  peak alpha = 0 1/m at delta = -2e+07 rad/s",
+            "  alpha(0) = 0 1/m"]
+        lines = read_csv_lines(os.path.join(out, "spectrum.csv"))
+        assert lines[0] == CSV_HEADER
+        assert [float(line.split(",")[0]) for line in lines[1:]] \
+            == list(np.linspace(-2e7, 2e7, 201))
+        assert {line.split(",", 1)[1] for line in lines[1:]} \
+            == {"0.0,0.0,1.0,0.0"}
+        headline = read_summary(out, "spectrum")["headline"]
+        assert headline == {"alpha_at_zero_per_m": 0.0, "backend": "full",
+                            "peak_alpha_per_m": 0.0,
+                            "peak_delta_rad_s": -2e7, "points": 201}
 
     def test_no_coupling_peak_sits_at_resonance(self, tmp_path):
         out = str(tmp_path)

@@ -331,6 +331,23 @@ class TestRejection:
         with pytest.raises(ConfigError):
             resolve(doc)
 
+    @pytest.mark.parametrize("assignment", [
+        "drives.probe_rabi_rad_s=1" + "0" * 400,
+        "drives.probe_rabi_rad_s=-1" + "0" * 400,
+        "grid.points_count=1" + "0" * 400,
+    ])
+    def test_integer_past_the_float_range_rejected(self, assignment):
+        # JSON integers are unbounded; one no float can hold is no finite
+        # number, not an OverflowError
+        path = assignment.split("=")[0]
+        with pytest.raises(ConfigError, match=rf"'{path}' must be finite"):
+            resolve_with(assignment)
+
+    def test_largest_float_integer_accepted(self):
+        big = int(np.finfo(float).max)
+        run = resolve_with(f"drives.probe_detuning_rad_s={big}")
+        assert run.drives.probe_detuning == float(big)
+
     def test_count_must_be_integral(self):
         with pytest.raises(ConfigError) as err:
             resolve_with("grid.points_count=200.5")

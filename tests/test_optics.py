@@ -409,8 +409,8 @@ def null_space_chi(mat, drives, deltas):
 
 
 def assert_matches_oracle(mat, drives, deltas):
-    # the two pivot orderings may disagree by DEGENERACY_TOL in any element
-    # of vec(rho); chi = 2 A rho52 / omega_p carries that to chi
+    # steady_states is trusted to DEGENERACY_TOL in any element of
+    # vec(rho); chi = 2 A rho52 / omega_p carries that to chi
     tol = 2.0 * mat.coupling_strength * DEGENERACY_TOL \
         / abs(drives.probe_rabi)
     got = full_model_chi(mat, drives, deltas)
