@@ -7,7 +7,7 @@ dvec(rho)/dt = L vec(rho) for steady states and transients.  Only the
 rotating-frame phases depend on a drive's detuning, so a detuning sweep is
 affine: L(delta) = L0 + delta * D with D diagonal.  One factorization at the
 complex detuning i * sigma reaches every real delta, and d rho / d delta, by
-a Woodbury update of the few entries D moves (see _reduce).
+a Woodbury update of the few entries D moves (see reduction).
 
 The generator couples a coherence rho_mk only to rho_jk' with j in m's drive
 component and k' in k's, and relaxation couples populations only to
@@ -273,8 +273,9 @@ def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
     return np.flatnonzero(block)
 
 
-def _reduce(lv0: Liouvillian, drift, first, kind="steady-state"):
-    """The one factorization of a call.  A(delta) = L(delta)[P, P] with the
+def reduction(lv0: Liouvillian, drift, first=0.0, kind="steady-state"):
+    """The one factorization behind steady_states and steady_state_slope;
+    pass it to both to share it.  A(delta) = L(delta)[P, P] with the
     trace row in place of rho_11's equation moves only on the diagonal of S,
     the rows with nonzero drift: A(delta) = A(i sigma) + (delta - i sigma)
     E_S C E_S^T, C = diag(drift_S), sigma = max(||L0||, 1).  A(i sigma) is
@@ -283,6 +284,9 @@ def _reduce(lv0: Liouvillian, drift, first, kind="steady-state"):
     I + (delta - i sigma) C Z_S, singular only at the poles i sigma - 1/mu,
     mu the eigenvalues of C Z_S.  Errors name first."""
     gen0 = lv0.generator
+    drift = np.asarray(drift, dtype=complex)
+    if drift.shape != (gen0.shape[0],):
+        raise ConfigError("drift dimension does not match generator")
     solved = solved_indices(lv0, drift)
     sigma = max(np.abs(gen0).sum(axis=1).max(), 1.0)
     rate = drift[solved]
@@ -349,26 +353,26 @@ def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
             f"{STEADY_STATE_RTOL:.1e} * {norm} = {bound[i]:.3e}")
 
 
-def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
+def steady_states(lv0: Liouvillian, drift, deltas,
+                  reduced=None) -> np.ndarray:
     """Stationary density matrices of L(delta) = L0 + delta * diag(drift)
     for every delta, as a validated and repaired (k, n, n) stack.
 
     Only the invariant block P of solved_indices is solved; the certified
-    rest of vec(rho) is exactly zero.  Past _reduce each delta costs one
-    |S| x |S| solve (4 x 4 at the default drives).  Every point must keep
-    DEGENERACY_TOL * sigma off the poles and pass the residual gate ||L v||
-    <= STEADY_STATE_RTOL * max(||L||, 1) (infinity norms over the full
-    generator), then the state validation; a failure names its delta.
+    rest of vec(rho) is exactly zero.  Past the reduction (reduced, or one
+    made here) each delta costs one |S| x |S| solve (4 x 4 at the default
+    drives).  Every point must keep DEGENERACY_TOL * sigma off the poles
+    and pass the residual gate ||L v|| <= STEADY_STATE_RTOL * max(||L||, 1)
+    (infinity norms over the full generator), then the state validation; a
+    failure names its delta.
     """
     n = lv0.n_levels
     dim = n * n
     drift = np.asarray(drift, dtype=complex)
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
-    if drift.shape != (dim,):
-        raise ConfigError("drift dimension does not match generator")
-
-    solved, moving, rate, sigma, y, z, cz, poles = _reduce(
-        lv0, drift, deltas[0] if deltas.size else 0.0)
+    if reduced is None:
+        reduced = reduction(lv0, drift, deltas[0] if deltas.size else 0.0)
+    solved, moving, rate, sigma, y, z, cz, poles = reduced
     states = np.empty((deltas.size, n, n), dtype=complex)
     for start in range(0, deltas.size, STEADY_STATE_CHUNK):
         chunk = deltas[start:start + STEADY_STATE_CHUNK]
@@ -382,18 +386,21 @@ def steady_states(lv0: Liouvillian, drift, deltas) -> np.ndarray:
     return states
 
 
-def steady_state_slope(lv0: Liouvillian, drift, delta, rho) -> np.ndarray:
-    """d rho / d delta, (n, n), of the state rho steady_states gave at delta.
+def steady_state_slope(lv0: Liouvillian, drift, delta, rho,
+                       reduced=None) -> np.ndarray:
+    """d rho / d delta, (n, n), of the state rho steady_states gave at delta;
+    pass that call's reduction as reduced to factor once for both.
 
     L(delta) rho = 0 and tr rho = 1 give A(delta) rho'_P = -E_S C rho_S,
-    which by _reduce's Woodbury identity is rho'_P = -Z R^-1 C rho_S.  The
-    residual ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL *
+    which by the reduction's Woodbury identity is rho'_P = -Z R^-1 C rho_S.
+    The residual ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL *
     max(||L||, 1) * max(||rho'||, 1); a failure or a pole names delta.
     """
     delta = np.array([float(delta)])
     drift = np.asarray(drift, dtype=complex)
-    solved, moving, _, sigma, _, z, cz, poles = _reduce(
-        lv0, drift, delta[0], "slope")
+    if reduced is None:
+        reduced = reduction(lv0, drift, delta[0], "slope")
+    solved, moving, _, sigma, _, z, cz, poles = reduced
     source = drift * rho.reshape(-1)
     slope = np.zeros_like(source)
     slope[solved] = -z @ _woodbury(delta, sigma, cz, poles,

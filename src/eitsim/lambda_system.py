@@ -35,6 +35,19 @@ class Susceptibility:
         return complex(self.chi_re, self.chi_im)
 
 
+# Largest magnitude, in rad/s, of a LambdaParams field.  The highest power
+# of the rates in the closed forms is Z * Z in dchi_prime_ddelta, degree 8.
+# With every rate and |delta| at most R: 0 <= c <= 1.25 R^2, so |u| <= 1.25
+# R^2, and (gamma52 + gamma32)^2 <= 4 R^2, so Z <= 1.25^2 R^4 + 4 R^4 < 5.6
+# R^4 and Z * Z < 31 R^8.  Every other product stays far lower (the slope's
+# numerator A * (dnumer * Z - numer * dZ) < 49 R^7).  31 R^8 below the float
+# maximum 1.8e308 needs R < 2.2e38; R = 1e38 also keeps finite the Python
+# float powers, such as p.omega_c ** 2, which raise OverflowError instead of
+# returning inf.  A |delta| beyond R can still overflow; group_velocity
+# refuses the non-finite result.
+RATE_MAX = 1e38
+
+
 @dataclass(frozen=True)
 class LambdaParams:
     """Inputs of the closed-form response.
@@ -52,6 +65,12 @@ class LambdaParams:
         vals = (self.gamma52, self.gamma32, self.omega_c, self.coupling_a)
         if not all(np.isfinite(v) for v in vals):
             raise InvalidArgumentError("lambda parameters must be finite")
+        for name, value in zip(("gamma52", "gamma32", "omega_c",
+                                "coupling_a"), vals):
+            if abs(value) > RATE_MAX:
+                raise InvalidArgumentError(
+                    f"{name} = {float(value)!r} rad/s exceeds {RATE_MAX:.0e} "
+                    "rad/s, beyond which the closed form overflows")
         if not self.gamma52 > 0:
             raise InvalidArgumentError("gamma52 must be positive")
         if self.gamma32 < 0 or self.omega_c < 0:

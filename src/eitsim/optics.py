@@ -14,8 +14,8 @@ import numpy as np
 # steady_state stays importable here: the benchmark's traced pass
 # (perfbench/launcher.py) wraps it under this module's name.
 from .bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
-                    generator_drift, steady_state, steady_state_slope,
-                    steady_states)
+                    generator_drift, reduction, steady_state,
+                    steady_state_slope, steady_states)
 from .constants import C_LIGHT, TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      InvalidArgumentError)
@@ -274,8 +274,10 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
     """c / n_g at probe detuning delta0, in m/s, with the exact
     n_g = 1 + chi'/2 - omega0 * 0.5 * dchi'/ddelta (n = 1 + chi'/2 and
     d delta / d omega = -1).  The slope comes from dchi_prime_ddelta or
-    bloch.steady_state_slope (chi is linear in rho52).  |n_g| below
-    GROUP_INDEX_MIN raises DivergentVelocityError.
+    bloch.steady_state_slope (chi is linear in rho52), which shares the
+    state's reduction.  A non-finite n_g (the closed form overflows far off
+    resonance) or |n_g| below GROUP_INDEX_MIN raises
+    DivergentVelocityError.
     """
     omega0 = probe_angular_frequency(mat)
     if not (np.isfinite(omega0) and omega0 > 0):
@@ -283,8 +285,9 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
             f"probe angular frequency {omega0!r} must be positive and finite")
     if backend == BACKEND_FULL:
         lv0, drift = _full_generator(mat, drives)
-        rho = steady_states(lv0, drift, delta0)[0]
-        slope = steady_state_slope(lv0, drift, delta0, rho)
+        reduced = reduction(lv0, drift, delta0)
+        rho = steady_states(lv0, drift, delta0, reduced)[0]
+        slope = steady_state_slope(lv0, drift, delta0, rho, reduced)
         upper, lower = PROBE_LEVELS
         chi = rho_to_chi(rho[upper - 1, lower - 1], mat, drives.probe_rabi)
         dchi_re = rho_to_chi(slope[upper - 1, lower - 1], mat,
@@ -296,6 +299,11 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
     else:
         raise ConfigError(f"backend must be one of {BACKENDS}")
     group_index = refractive_index(chi) - omega0 * 0.5 * dchi_re
+    if not math.isfinite(group_index):
+        raise DivergentVelocityError(
+            f"group index {group_index!r} is not finite at delta = "
+            f"{float(delta0)!r} rad/s"
+        )
     if abs(group_index) < GROUP_INDEX_MIN:
         raise DivergentVelocityError(
             f"group index {group_index!r} is below {GROUP_INDEX_MIN:.0e}"

@@ -424,7 +424,7 @@ class TestBatchedSteadyStates:
         # fresh pinned block at each pole: singular to rounding
         lv0 = assembled(eit_drives(0.0))
         drift = generator_drift(6, PROBE_SCAN)
-        poles = bloch._reduce(lv0, drift, 0.0)[-1]
+        poles = bloch.reduction(lv0, drift)[-1]
         assert np.allclose(np.abs(poles.real), 7.497e5, rtol=1e-4)
         assert np.allclose(np.abs(poles.imag), 2.729e4, rtol=1e-3)
         assert np.sign(poles.real).sum() == np.sign(poles.imag).sum() == 0
@@ -543,6 +543,18 @@ class TestSteadyStateSlope:
         slope = steady_state_slope(lv0, drift, delta, rho[1])
         diff = (rho[2] - rho[0]) / (2.0 * h)
         assert np.abs(slope - diff).max() <= 1e-6 * np.abs(slope).max()
+
+    def test_shared_reduction_changes_no_bit(self):
+        lv0 = assembled(eit_drives(0.0))
+        drift = generator_drift(6, PROBE_SCAN)
+        for delta in (-8e5, 0.0, 2.5e5):
+            reduced = bloch.reduction(lv0, drift, delta)
+            rho = steady_states(lv0, drift, [delta])[0]
+            assert np.array_equal(
+                steady_states(lv0, drift, [delta], reduced)[0], rho)
+            assert np.array_equal(
+                steady_state_slope(lv0, drift, delta, rho, reduced),
+                steady_state_slope(lv0, drift, delta, rho))
 
     def test_residual_gate_names_its_detuning(self, monkeypatch):
         lv0 = assembled(eit_drives(0.0))

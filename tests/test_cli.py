@@ -1,5 +1,6 @@
-"""End-to-end command-line runs in subprocesses."""
+"""End-to-end command-line runs, in subprocesses and through cli.main."""
 
+import gc
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from eitsim.cli import main
 from eitsim.config import default_document, resolve
 from eitsim.constants import C_LIGHT
 from eitsim.lambda_system import (chi_analytic, dchi_prime_ddelta,
@@ -278,6 +280,27 @@ class TestVg:
         assert "anomalous" in proc.stdout
 
 
+    def test_non_finite_group_index_is_a_solver_error(self, tmp_path):
+        # the closed form overflows at 1e80 rad/s and would report NaN
+        out = str(tmp_path)
+        proc = run_cli("vg", "--out", out,
+                       "--set", "drives.probe_detuning_rad_s=1e80")
+        assert proc.returncode == 3
+        assert "solver error: group index nan is not finite at " \
+            "delta = 1e+80 rad/s" in proc.stderr
+        assert proc.stdout == ""
+        assert not os.path.exists(os.path.join(out, "vg_summary.json"))
+
+    def test_full_backend_far_off_resonance_is_vacuum_speed(self, tmp_path):
+        out = str(tmp_path)
+        proc = run_cli("vg", "--out", out, "--backend", "full",
+                       "--set", "drives.probe_detuning_rad_s=1e80")
+        assert proc.returncode == 0, proc.stderr
+        headline = read_summary(out, "vg")["headline"]
+        assert headline["vg_m_s"] == pytest.approx(C_LIGHT, rel=1e-12)
+        assert "nan" not in proc.stdout
+
+
 class TestValidate:
     def test_default_comparison_passes(self, tmp_path):
         out = str(tmp_path)
@@ -464,6 +487,30 @@ class TestErrorStatuses:
                        "turbo")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("command, coupling", [
+        ("spectrum", "1e200"), ("window", "1e200"), ("validate", "1e200"),
+        ("vg", "1e100"),
+    ])
+    def test_closed_form_overflow_is_a_config_error(self, tmp_path, command,
+                                                    coupling):
+        proc = run_cli(command, "--out", str(tmp_path),
+                       "--set", f"drives.coupling_rabi_rad_s={coupling}")
+        assert proc.returncode == 2
+        assert f"config error: omega_c = {float(coupling)!r} rad/s exceeds " \
+            "1e+38 rad/s" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_full_backend_window_ignores_the_closed_form_bound(self,
+                                                              tmp_path):
+        # the full window reads only the coupling-free closed form; its own
+        # solve refuses this drive at a pole, as before the bound existed
+        proc = run_cli("window", "--backend", "full", "--out", str(tmp_path),
+                       "--set", "drives.coupling_rabi_rad_s=1e200")
+        assert proc.returncode == 3
+        assert "solver error: at delta = -5e+199 rad/s: singular " \
+            "steady-state system" in proc.stderr
+
     def test_missing_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2
@@ -471,6 +518,95 @@ class TestErrorStatuses:
     def test_unknown_subcommand(self):
         proc = run_cli("fourier")
         assert proc.returncode == 2
+
+
+# One short run of each command; every one exits 0.
+SIX_COMMANDS = [
+    ("params",),
+    ("spectrum", "--backend", "full", "--set", "grid.points_count=101"),
+    ("window",),
+    ("vg", "--backend", "full"),
+    ("validate",),
+    ("evolve", "--set", "evolve.t_end_s=1e-4",
+     "--set", "evolve.samples_count=11"),
+]
+
+# Runs eitsim.__main__.run on its arguments and prints, as its last line,
+# the collector's state on entry to eitsim.cli.main and the objects left
+# for the collections at interpreter exit.
+PROBE_RUN = """
+import gc, json, sys
+seen = {}
+def probe(frame, event, arg):
+    if (event == "call" and frame.f_code.co_name == "main"
+            and frame.f_globals.get("__name__") == "eitsim.cli"):
+        seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count())
+        sys.setprofile(None)
+sys.setprofile(probe)
+from eitsim.__main__ import run
+status = run(sys.argv[1:])
+print(json.dumps({"status": status, "objects": len(gc.get_objects()), **seen}))
+"""
+
+
+def without_duration(summary: bytes) -> bytes:
+    return b"".join(line for line in summary.splitlines(keepends=True)
+                    if not line.startswith(b'  "duration_s": '))
+
+
+class TestEntryPoint:
+    """`python -m eitsim` and the `eitsim` script run eitsim.__main__.run,
+    which imports the CLI with the collector off and freezes the import
+    heap.  It runs only in subprocesses here, so the test process's own
+    heap is never frozen."""
+
+    def test_run_freezes_the_import_heap(self, tmp_path):
+        proc = run_python("-c", PROBE_RUN, "window", "--backend", "full",
+                          "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["status"] == 0
+        assert seen["enabled"] is True
+        assert seen["frozen"] > 0
+        # a deterministic stand-in for the teardown time: ~400 objects
+        # here, ~22,000 when the import heap is left in the generations
+        assert seen["objects"] < 5000
+
+    @pytest.mark.parametrize("argv", SIX_COMMANDS, ids=lambda a: a[0])
+    def test_in_process_main_leaves_gc_alone(self, tmp_path, argv):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        assert main([*argv, "--out", str(tmp_path)]) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    @pytest.mark.parametrize("argv, status", [
+        *((argv, 0) for argv in SIX_COMMANDS),
+        (("spectrum", "--set", "grid.points_count=1"), 2),
+        (("evolve", "--set", "evolve.t_end_s=1e30"), 3),
+        (("validate", "--set", "validate.fault_gamma52_factor=10.0"), 4),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+    def test_module_run_matches_in_process_main(self, tmp_path, capsys,
+                                                argv, status):
+        here, there = tmp_path / "main", tmp_path / "module"
+        assert main([*argv, "--out", str(here)]) == status
+        printed = capsys.readouterr().out
+        proc = run_cli(*argv, "--out", str(there))
+        assert proc.returncode == status, proc.stderr
+        assert proc.stdout == printed.replace(str(here), str(there))
+        names = sorted(os.listdir(here))
+        assert sorted(os.listdir(there)) == names
+        for name in names:
+            mine = (here / name).read_bytes()
+            theirs = (there / name).read_bytes()
+            if name.endswith("_summary.json"):
+                mine, theirs = without_duration(mine), without_duration(theirs)
+            assert mine == theirs, name
+
+    def test_script_runs_the_entry_point(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"),
+                  "rb") as fh:
+            scripts = tomllib.load(fh)["project"]["scripts"]
+        assert scripts == {"eitsim": "eitsim.__main__:run"}
 
 
 LAUNCHER = os.path.join(os.path.dirname(SRC), "perfbench", "launcher.py")

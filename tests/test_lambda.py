@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from eitsim.errors import InvalidArgumentError, SingularParametersError
-from eitsim.lambda_system import (LambdaParams, Susceptibility, chi_analytic,
-                                  dchi_prime_ddelta, lambda_from_material,
-                                  lambda_steady_state, suppression_ratio)
+from eitsim.lambda_system import (RATE_MAX, LambdaParams, Susceptibility,
+                                  chi_analytic, dchi_prime_ddelta,
+                                  lambda_from_material, lambda_steady_state,
+                                  suppression_ratio)
 from eitsim.materials import pryso_defaults
 
 MAT = pryso_defaults()
@@ -261,3 +264,29 @@ class TestLambdaParams:
             LambdaParams(1.0, 1.0, 1.0, 0.0)
         with pytest.raises(InvalidArgumentError):
             LambdaParams(float("inf"), 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("field", ["gamma52", "gamma32", "omega_c",
+                                       "coupling_a"])
+    def test_rates_beyond_the_overflow_bound_are_refused(self, field):
+        # 1e200 ** 2 raises OverflowError in Python float arithmetic, and
+        # 1e100 turns the slope's Z * Z into inf and the group index NaN
+        for value in (1e200, 1e100, float(np.nextafter(RATE_MAX, np.inf))):
+            fields = {"gamma52": 1.0, "gamma32": 1.0, "omega_c": 1.0,
+                      "coupling_a": 1.0, field: value}
+            with pytest.raises(InvalidArgumentError,
+                               match=f"^{field} = {re.escape(repr(value))} "
+                                     "rad/s exceeds"):
+                LambdaParams(**fields)
+
+    def test_closed_forms_are_finite_at_the_bound(self):
+        # the derivation next to RATE_MAX: every rate and |delta| at R
+        for omega_c in (0.0, RATE_MAX):
+            for gamma32 in (0.0, RATE_MAX):
+                p = LambdaParams(RATE_MAX, gamma32, omega_c, RATE_MAX)
+                deltas = np.array([-RATE_MAX, 1.0, RATE_MAX])
+                with np.errstate(all="raise"):
+                    chi = chi_analytic(p, deltas)
+                    slope = dchi_prime_ddelta(p, deltas)
+                assert np.isfinite(chi.chi_re).all()
+                assert np.isfinite(chi.chi_im).all()
+                assert np.isfinite(slope).all()

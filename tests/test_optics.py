@@ -7,7 +7,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitsim import bloch, states
+from eitsim import bloch, optics, states
 from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK,
                           build_hamiltonian, build_liouvillian,
                           generator_drift, steady_state_slope, steady_states)
@@ -169,6 +169,37 @@ class TestGroupVelocity:
         mat = dataclasses.replace(MAT, number_density=density)
         with pytest.raises(DivergentVelocityError):
             group_velocity("analytic", mat, bare, 0.0)
+
+    def test_non_finite_group_index_names_its_detuning(self):
+        # far off resonance the closed form's Z * Z overflows and its slope
+        # is inf - inf; the full backend still sees n_g = 1 there
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergentVelocityError,
+                               match=r"^group index nan is not finite at "
+                                     r"delta = 1e\+80 rad/s$"):
+                group_velocity("analytic", MAT, EIT_DRIVES, 1e80)
+        assert group_velocity("full", MAT, EIT_DRIVES, 1e80) \
+            == pytest.approx(C_LIGHT, rel=1e-12)
+
+    def test_full_backend_reduces_once(self, monkeypatch):
+        # the state and its slope share one reference factorization
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:])
+            return reduction(*args, **kwargs)
+
+        reduction = bloch.reduction
+        monkeypatch.setattr(bloch, "reduction", counted)
+        monkeypatch.setattr(optics, "reduction", counted)
+        vg = group_velocity("full", MAT, EIT_DRIVES, -1e5)
+        assert calls == [(-1e5,)]
+        chi, slope = full_chi_and_slope(MAT, EIT_DRIVES, -1e5)
+        assert len(calls) == 3
+        omega0 = probe_angular_frequency(MAT)
+        assert vg == pytest.approx(
+            C_LIGHT / (1.0 + 0.5 * chi.real - omega0 * 0.5 * slope.real),
+            rel=1e-15)
 
     def test_input_validation(self):
         # an infinite wavelength gives omega = 0, a subnormal one omega = inf
