@@ -21,9 +21,9 @@ _EXPORTS = {
                "EitsimError", "InconsistentFrameError", "IntegrationError",
                "InvalidArgumentError", "SingularParametersError",
                "StateCorruptionError", "SteadyStateError"),
-    "lambda_system": ("LambdaParams", "Susceptibility", "chi_analytic",
-                      "dchi_prime_ddelta", "lambda_from_material",
-                      "lambda_steady_state", "suppression_ratio"),
+    "lambda_system": ("LambdaParams", "chi_analytic", "dchi_prime_ddelta",
+                      "lambda_from_material", "lambda_steady_state",
+                      "suppression_ratio"),
     "materials": ("LevelSystem", "MaterialParams", "derive_gamma",
                   "equal_branching", "pryso_defaults"),
     "optics": ("DriveSet", "GridSpec", "Spectrum", "WindowReport",
@@ -31,9 +31,8 @@ _EXPORTS = {
                "probe_angular_frequency", "refractive_index", "rho_to_chi",
                "spectrum_to_csv", "sweep", "transparency_window",
                "window_width_closed_form"),
-    "states": ("DensityMatrix", "assert_density_matrices",
-               "assert_density_matrix", "basis_state", "coherence",
-               "mixed_state"),
+    "states": ("assert_density_matrices", "assert_density_matrix",
+               "basis_state", "mixed_state"),
     "validation": ("ReductionReport", "validate_reduction"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()

@@ -24,7 +24,6 @@ matrix sits at index m*n + k of the length-n^2 state vector.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from . import kernels
 from .errors import (ConfigError, InconsistentFrameError, IntegrationError,
                      InvalidArgumentError, SteadyStateError)
 from .materials import LevelSystem
-from .states import (VALIDATION_TOL, DensityMatrix, assert_density_matrices,
+from .states import (VALIDATION_TOL, assert_density_matrices,
                      assert_density_matrix)
 
 # Residual gate for the steady-state solve, relative to the generator's
@@ -104,22 +103,23 @@ class Liouvillian:
 class Trajectory:
     """Sampled transient solution plus propagation diagnostics.
 
-    max_trace_dev / max_herm_dev are measured on the raw propagated samples,
-    before the per-state validation pass cleans the states up.
+    rho is the (n_times, n, n) stack of validated density matrices, one per
+    entry of times.  max_trace_dev / max_herm_dev are measured on the raw
+    propagated samples, before the validation pass cleans the states up.
     """
 
     times: np.ndarray
-    states: Tuple[DensityMatrix, ...]
+    rho: np.ndarray
     max_trace_dev: float
     max_herm_dev: float
 
     @property
-    def final(self) -> DensityMatrix:
-        return self.states[-1]
+    def final(self) -> np.ndarray:
+        return self.rho[-1]
 
     def populations(self) -> np.ndarray:
         """(n_times, n_levels) array of level populations."""
-        return np.array([s.populations() for s in self.states])
+        return np.diagonal(self.rho, axis1=1, axis2=2).real.copy()
 
 
 def _check_drives(n_levels: int, drives) -> None:
@@ -410,11 +410,11 @@ def steady_state_slope(lv0: Liouvillian, drift, delta, rho,
     return slope.reshape(rho.shape)
 
 
-def steady_state(lv: Liouvillian) -> DensityMatrix:
+def steady_state(lv: Liouvillian) -> np.ndarray:
     """Stationary density matrix of the generator: the one-point call of
     steady_states at delta = 0, so its errors name delta = 0.0."""
     zero = np.zeros(lv.n_levels * lv.n_levels)
-    return DensityMatrix(steady_states(lv, zero, np.zeros(1))[0])
+    return steady_states(lv, zero, np.zeros(1))[0]
 
 
 def evolve(rho0, lv: Liouvillian, t_end: float,
@@ -428,17 +428,15 @@ def evolve(rho0, lv: Liouvillian, t_end: float,
     rounding; at the default drives this starts near t_end = 1e5 s) and
     raises IntegrationError.
     """
-    if isinstance(rho0, DensityMatrix):
-        rho0 = rho0.matrix
     start = assert_density_matrix(rho0)
-    n = start.n_levels
+    n = start.shape[0]
     if n != lv.n_levels:
         raise ConfigError("initial state dimension does not match generator")
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end < 0:
         raise InvalidArgumentError("t_end must be finite and non-negative")
     if t_end == 0.0:
-        return Trajectory(times=np.zeros(1), states=(start,),
+        return Trajectory(times=np.zeros(1), rho=start[np.newaxis],
                           max_trace_dev=0.0, max_herm_dev=0.0)
     if n_samples < 2:
         raise InvalidArgumentError("need at least two samples when t_end > 0")
@@ -447,7 +445,7 @@ def evolve(rho0, lv: Liouvillian, t_end: float,
     # Called through the module: the benchmark's traced pass wraps
     # kernels.integrate by that name.
     raw, squarings, _ = kernels.integrate(
-        lv.generator, start.matrix.reshape(-1), t_end / (n_samples - 1),
+        lv.generator, start.reshape(-1), t_end / (n_samples - 1),
         n_samples)
     mats = raw.reshape(n_samples, n, n)
     trace_dev = np.abs(np.einsum("tii->t", mats) - 1.0)
@@ -461,9 +459,8 @@ def evolve(rho0, lv: Liouvillian, t_end: float,
             f"deviation {trace_dev[k]:.3e} > {VALIDATION_TOL:.0e}"
         )
     herm_dev = np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max(axis=(1, 2))
-    states = tuple(DensityMatrix(m) for m in assert_density_matrices(mats))
     return Trajectory(
-        times=times, states=states,
+        times=times, rho=assert_density_matrices(mats),
         max_trace_dev=float(trace_dev.max()),
         max_herm_dev=float(herm_dev.max()),
     )

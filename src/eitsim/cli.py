@@ -10,6 +10,7 @@ summary alone.
 
 import argparse
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from .errors import (ConfigError, ConventionError, DivergentVelocityError,
 from .lambda_system import chi_analytic, lambda_from_material
 from .materials import N_LEVELS
 from .optics import GridSpec
-from .states import coherence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -258,7 +258,7 @@ def cmd_validate(args, run: ResolvedRun) -> int:
         analytic_gamma52_factor=run.validate_fault_factor,
     )
     passed = report.max_rel_dev_chi_im < run.validate_max_dev
-    headline = dict(report.as_dict())
+    headline = dataclasses.asdict(report)
     headline["threshold_rel"] = run.validate_max_dev
     headline["passed"] = passed
     summary_path = _write_summary(args.out, "validate", run.canonical,
@@ -286,30 +286,30 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
 
     header = "t_s," + ",".join(f"rho{i}{i}" for i in range(1, N_LEVELS + 1)) \
         + ",abs_rho52"
+    pops = traj.populations()
+    abs_rho52 = np.abs(traj.rho[:, 4, 1])
     lines = [header]
-    for t, state in zip(traj.times, traj.states):
-        cells = [repr(float(t))]
-        cells += [repr(float(p)) for p in state.populations()]
-        cells.append(repr(abs(coherence(state, 5, 2))))
-        lines.append(",".join(cells))
+    for t, row, coh in zip(traj.times.tolist(), pops.tolist(),
+                           abs_rho52.tolist()):
+        lines.append(",".join(map(repr, (t, *row, coh))))
     csv_path = os.path.join(args.out, "evolve.csv")
     _write_atomic(csv_path, "\n".join(lines) + "\n")
 
-    final = traj.final
+    samples = len(traj.times)
     headline = {
         "t_end_s": run.evolve_t_end,
-        "samples": len(traj.states),
-        "populations_final": final.populations(),
-        "rho22_final": final.population(2),
+        "samples": samples,
+        "populations_final": pops[-1],
+        "rho22_final": pops[-1, 1],
         "max_trace_dev": traj.max_trace_dev,
         "max_herm_dev": traj.max_herm_dev,
     }
     summary_path = _write_summary(args.out, "evolve", run.canonical, headline,
                                   ["evolve.csv"], started)
-    pops = ", ".join(f"{p:.6g}" for p in final.populations())
-    print(f"evolve: {len(traj.states)} samples to "
+    final = ", ".join(f"{p:.6g}" for p in pops[-1])
+    print(f"evolve: {samples} samples to "
           f"t = {run.evolve_t_end:g} s")
-    print(f"  final populations = [{pops}]")
+    print(f"  final populations = [{final}]")
     print(f"  max trace drift = {traj.max_trace_dev:.3e}, "
           f"max hermiticity drift = {traj.max_herm_dev:.3e}")
     print(f"  wrote {csv_path} and {summary_path}")

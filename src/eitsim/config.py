@@ -31,7 +31,7 @@ from .materials import (DEFAULT_DEPHASING_HZ, EXCITED_LIFETIME_S,
                         PROBE_DIPOLE_C_M, PROBE_WAVELENGTH_M, LevelSystem,
                         MaterialParams, derive_gamma, equal_branching)
 from .optics import DriveSet, GridSpec
-from .states import DensityMatrix, basis_state, mixed_state
+from .states import basis_state, mixed_state
 
 _LEVELS = range(1, N_LEVELS + 1)
 
@@ -155,7 +155,7 @@ class ResolvedRun:
     validate_max_dev: float
     validate_fault_factor: float
 
-    def initial_state(self) -> DensityMatrix:
+    def initial_state(self) -> np.ndarray:
         if self.evolve_initial == "mixed":
             return mixed_state(N_LEVELS)
         return basis_state(N_LEVELS, int(self.evolve_initial.split("_")[1]))

@@ -15,26 +15,6 @@ from .errors import InvalidArgumentError, SingularParametersError
 from .materials import MaterialParams
 
 
-@dataclass(frozen=True)
-class Susceptibility:
-    """chi = chi_re + i*chi_im, dimensionless: floats at one detuning,
-    arrays shaped like the detunings on a grid."""
-
-    chi_re: float
-    chi_im: float
-
-    @classmethod
-    def of(cls, chi_re, chi_im) -> "Susceptibility":
-        """Floats for a 0-d result, arrays otherwise."""
-        if np.ndim(chi_re) == 0:
-            return cls(chi_re=float(chi_re), chi_im=float(chi_im))
-        return cls(chi_re=np.asarray(chi_re), chi_im=np.asarray(chi_im))
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.chi_re, self.chi_im)
-
-
 # Largest magnitude, in rad/s, of a LambdaParams field.  The highest power
 # of the rates in the closed forms is Z * Z in dchi_prime_ddelta, degree 8.
 # With every rate and |delta| at most R: 0 <= c <= 1.25 R^2, so |u| <= 1.25
@@ -43,8 +23,8 @@ class Susceptibility:
 # numerator A * (dnumer * Z - numer * dZ) < 49 R^7).  31 R^8 below the float
 # maximum 1.8e308 needs R < 2.2e38; R = 1e38 also keeps finite the Python
 # float powers, such as p.omega_c ** 2, which raise OverflowError instead of
-# returning inf.  A |delta| beyond R can still overflow; group_velocity
-# refuses the non-finite result.
+# returning inf.  A |delta| beyond R can still overflow; chi_analytic and
+# group_velocity refuse the non-finite result.
 RATE_MAX = 1e38
 
 
@@ -112,20 +92,25 @@ def lambda_steady_state(p: LambdaParams, omega_p: complex,
     return rho52, rho32
 
 
+def _refuse(bad, delta, what: str, why: str) -> None:
+    """Raise SingularParametersError naming the first detuning where bad
+    holds."""
+    bad = np.reshape(bad, -1)
+    if np.any(bad):
+        first = float(np.reshape(delta, -1)[int(np.argmax(bad))])
+        raise SingularParametersError(
+            f"{what} at delta = {first!r} rad/s: {why}")
+
+
 def _check_regular(z, delta, what: str) -> None:
     """Raise, naming the first detuning, where the denominator Z vanishes."""
-    zero = np.reshape(z == 0.0, -1)
-    if np.any(zero):
-        bad = float(np.reshape(delta, -1)[int(np.argmax(zero))])
-        raise SingularParametersError(
-            f"{what} is indeterminate at delta = {bad!r} rad/s: gamma32, "
-            "delta and omega_c all vanish"
-        )
+    _refuse(z == 0.0, delta, f"{what} is indeterminate",
+            "gamma32, delta and omega_c all vanish")
 
 
-def chi_analytic(p: LambdaParams, delta) -> Susceptibility:
-    """Closed-form probe susceptibility chi(delta), elementwise over an
-    array of detunings.
+def chi_analytic(p: LambdaParams, delta):
+    """Closed-form probe susceptibility chi = chi_re + i*chi_im, elementwise:
+    a complex for one detuning, a complex array for an array.
 
     chi_re = A * delta * (delta^2 + gamma32^2 - omega_c^2/4) / Z
     chi_im = A * [gamma32*(gamma32*gamma52 + omega_c^2/4) + delta^2*gamma52] / Z
@@ -133,19 +118,29 @@ def chi_analytic(p: LambdaParams, delta) -> Susceptibility:
              + delta^2*(gamma52 + gamma32)^2
 
     Z > 0 except at the single degenerate point delta = gamma32 = omega_c = 0.
+    Far off resonance the numerators and Z overflow; a chi that is then not
+    finite raises SingularParametersError naming its detuning.
     """
     delta = np.asarray(delta, dtype=float)
     c = p.gamma32 * p.gamma52 + 0.25 * p.omega_c ** 2
-    d2 = delta * delta
-    # u * u, not u ** 2: numpy squares arrays exactly where the scalar pow
-    # can land one ulp off, and one detuning must give one value either way.
-    u = d2 - c
-    z = u * u + d2 * (p.gamma52 + p.gamma32) ** 2
-    _check_regular(z, delta, "susceptibility")
-    a = p.coupling_a
-    chi_re = a * delta * (d2 + p.gamma32 ** 2 - 0.25 * p.omega_c ** 2) / z
-    chi_im = a * (p.gamma32 * c + d2 * p.gamma52) / z
-    return Susceptibility.of(chi_re, chi_im)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = delta * delta
+        # u * u, not u ** 2: numpy squares arrays exactly where the scalar
+        # pow can land one ulp off, and one detuning must give one value
+        # either way.
+        u = d2 - c
+        z = u * u + d2 * (p.gamma52 + p.gamma32) ** 2
+        _check_regular(z, delta, "susceptibility")
+        a = p.coupling_a
+        # Two real formulas, assigned by part: chi_re + 1j * chi_im would
+        # turn a -0.0 real part into 0.0.
+        chi = np.empty(delta.shape, dtype=complex)
+        chi.real = (a * delta * (d2 + p.gamma32 ** 2 - 0.25 * p.omega_c ** 2)
+                    / z)
+        chi.imag = a * (p.gamma32 * c + d2 * p.gamma52) / z
+    _refuse(~np.isfinite(chi), delta, "susceptibility is not finite",
+            "the closed form overflows this far off resonance")
+    return complex(chi) if chi.ndim == 0 else chi
 
 
 def dchi_prime_ddelta(p: LambdaParams, delta):
@@ -155,14 +150,17 @@ def dchi_prime_ddelta(p: LambdaParams, delta):
     b = p.gamma32 ** 2 - 0.25 * p.omega_c ** 2
     c = p.gamma32 * p.gamma52 + 0.25 * p.omega_c ** 2
     s = (p.gamma52 + p.gamma32) ** 2
-    d2 = delta * delta
-    u = d2 - c
-    z = u * u + d2 * s
-    _check_regular(z, delta, "derivative")
-    numer = delta * (d2 + b)
-    dnumer = 3.0 * d2 + b
-    dz = 2.0 * delta * (2.0 * u + s)
-    slope = p.coupling_a * (dnumer * z - numer * dz) / (z * z)
+    # Far off resonance the slope overflows to inf or nan; group_velocity
+    # refuses that by name, so numpy need not warn as well.
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = delta * delta
+        u = d2 - c
+        z = u * u + d2 * s
+        _check_regular(z, delta, "derivative")
+        numer = delta * (d2 + b)
+        dnumer = 3.0 * d2 + b
+        dz = 2.0 * delta * (2.0 * u + s)
+        slope = p.coupling_a * (dnumer * z - numer * dz) / (z * z)
     return float(slope) if slope.ndim == 0 else slope
 
 

@@ -19,7 +19,7 @@ from .bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
 from .constants import C_LIGHT, TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      InvalidArgumentError)
-from .lambda_system import (Susceptibility, chi_analytic, dchi_prime_ddelta,
+from .lambda_system import (chi_analytic, dchi_prime_ddelta,
                             lambda_from_material)
 from .materials import MaterialParams
 
@@ -96,7 +96,7 @@ class DriveSet:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Susceptibility, index and absorption on a detuning grid."""
+    """Probe susceptibility, index and absorption on a detuning grid."""
 
     backend: str
     deltas: np.ndarray
@@ -138,11 +138,10 @@ class WindowReport:
     truncated: bool = False
 
 
-def rho_to_chi(rho52, mat: MaterialParams,
-               omega_p: complex) -> Susceptibility:
-    """Susceptibility from the 5-2 coherence (one value or an array) at
-    probe Rabi frequency omega_p: chi = 2 * A * rho52 / omega_p with
-    A = N*mu^2/(eps0*hbar).
+def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
+    """Probe susceptibility from the 5-2 coherence at Rabi frequency
+    omega_p: chi = 2 * A * rho52 / omega_p with A = N*mu^2/(eps0*hbar); a
+    complex for one rho52, a complex array for an array.
 
     Raises ZeroDivisionError for omega_p = 0.
     """
@@ -151,14 +150,15 @@ def rho_to_chi(rho52, mat: MaterialParams,
         raise ZeroDivisionError("probe rabi frequency is zero")
     chi = 2.0 * mat.coupling_strength * np.asarray(rho52, dtype=complex) \
         / omega_p
-    return Susceptibility.of(chi.real, chi.imag)
+    return complex(chi) if chi.ndim == 0 else chi
 
 
-def refractive_index(chi: Susceptibility) -> float:
-    return 1.0 + 0.5 * chi.chi_re
+def refractive_index(chi):
+    """n = 1 + chi_re/2; a float for one chi, an array for an array."""
+    return 1.0 + 0.5 * chi.real
 
 
-def absorption(chi: Susceptibility, wavelength: float):
+def absorption(chi, wavelength: float):
     """alpha = 0.5 * (2*pi/wavelength) * chi_im, in 1/m; a float for one
     chi_im, an array for an array.
 
@@ -167,7 +167,7 @@ def absorption(chi: Susceptibility, wavelength: float):
     """
     if not wavelength > 0:
         raise InvalidArgumentError("wavelength must be positive")
-    chi_im = np.asarray(chi.chi_im, dtype=float)
+    chi_im = np.asarray(chi.imag, dtype=float)
     if np.any(chi_im < -CHI_IM_SIGN_TOL):
         raise ConventionError(
             f"chi_im = {float(chi_im.min())!r} is negative beyond tolerance; "
@@ -255,8 +255,7 @@ def _full_generator(mat: MaterialParams, drives: DriveSet):
     return lv0, generator_drift(n, _PROBE_SCAN)
 
 
-def full_model_chi(mat: MaterialParams, drives: DriveSet,
-                   probe_detuning) -> Susceptibility:
+def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
     """Steady-state six-level susceptibility at one probe detuning or an
     array of them.
 
@@ -291,7 +290,7 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
         upper, lower = PROBE_LEVELS
         chi = rho_to_chi(rho[upper - 1, lower - 1], mat, drives.probe_rabi)
         dchi_re = rho_to_chi(slope[upper - 1, lower - 1], mat,
-                             drives.probe_rabi).chi_re
+                             drives.probe_rabi).real
     elif backend == BACKEND_ANALYTIC:
         lam = lambda_from_material(mat, abs(drives.coupling_rabi))
         chi = chi_analytic(lam, delta0)
@@ -331,8 +330,8 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
         chi = chi_analytic(lambda_from_material(mat, omega_c), deltas)
 
     return Spectrum(
-        backend=backend, deltas=deltas, chi_re=chi.chi_re, chi_im=chi.chi_im,
-        n_index=1.0 + 0.5 * chi.chi_re,
+        backend=backend, deltas=deltas, chi_re=chi.real, chi_im=chi.imag,
+        n_index=1.0 + 0.5 * chi.real,
         alpha=absorption(chi, mat.probe_wavelength),
     )
 

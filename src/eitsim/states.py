@@ -1,11 +1,10 @@
-"""Density-matrix container and validation.
+"""Validation and repair of density matrices held as numpy arrays: one
+(n, n) complex matrix, or a (k, n, n) stack of them.
 
 Levels are addressed 1-based everywhere in the public API, matching the
 conventional labelling of the six-level scheme (1..3 ground hyperfine,
 4..6 excited hyperfine).
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,32 +15,14 @@ from .errors import InvalidArgumentError, StateCorruptionError
 VALIDATION_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Validated density matrix: hermitian, unit trace."""
-
-    matrix: np.ndarray
-
-    @property
-    def n_levels(self) -> int:
-        return self.matrix.shape[0]
-
-    def population(self, level: int) -> float:
-        """Population of a level (1-based)."""
-        _check_index(level, self.n_levels)
-        return float(self.matrix[level - 1, level - 1].real)
-
-    def populations(self) -> np.ndarray:
-        return np.real(np.diag(self.matrix)).copy()
-
-
 def _check_index(level: int, n: int) -> None:
     if not isinstance(level, (int, np.integer)) or not 1 <= level <= n:
         raise InvalidArgumentError(f"level index {level!r} outside 1..{n}")
 
 
-def assert_density_matrix(matrix) -> DensityMatrix:
-    """Validate and repair a candidate density matrix.
+def assert_density_matrix(matrix) -> np.ndarray:
+    """Validate and repair a candidate density matrix; the repaired (n, n)
+    complex array is returned.
 
     Deviations from hermiticity or unit trace below VALIDATION_TOL are
     repaired (hermitian part taken, trace renormalized); larger ones raise
@@ -51,7 +32,7 @@ def assert_density_matrix(matrix) -> DensityMatrix:
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise StateCorruptionError(f"expected a square matrix, got shape {m.shape}")
-    return DensityMatrix(assert_density_matrices(m[np.newaxis])[0])
+    return assert_density_matrices(m[np.newaxis])[0]
 
 
 def assert_density_matrices(stack, label=None) -> np.ndarray:
@@ -96,26 +77,18 @@ def assert_density_matrices(stack, label=None) -> np.ndarray:
     return sym
 
 
-def coherence(rho: DensityMatrix, m: int, n: int) -> complex:
-    """Matrix element rho_mn (1-based level labels)."""
-    nlv = rho.n_levels
-    _check_index(m, nlv)
-    _check_index(n, nlv)
-    return complex(rho.matrix[m - 1, n - 1])
-
-
-def mixed_state(n: int) -> DensityMatrix:
+def mixed_state(n: int) -> np.ndarray:
     """Maximally mixed state: every population 1/n, no coherences."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"level count must be a positive int, got {n!r}")
-    return DensityMatrix(np.eye(n, dtype=complex) / n)
+    return np.eye(n, dtype=complex) / n
 
 
-def basis_state(n: int, level: int) -> DensityMatrix:
+def basis_state(n: int, level: int) -> np.ndarray:
     """Pure state with all population in one level (1-based)."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidArgumentError(f"level count must be a positive int, got {n!r}")
     _check_index(level, n)
     m = np.zeros((n, n), dtype=complex)
     m[level - 1, level - 1] = 1.0
-    return DensityMatrix(m)
+    return m

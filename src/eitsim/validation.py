@@ -33,16 +33,6 @@ class ReductionReport:
     n_compared: int
     n_grid: int
 
-    def as_dict(self) -> dict:
-        return {
-            "max_rel_dev_chi_im": self.max_rel_dev_chi_im,
-            "max_rel_dev_chi_re": self.max_rel_dev_chi_re,
-            "peak_shift_rad_s": self.peak_shift_rad_s,
-            "worst_delta_rad_s": self.worst_delta_rad_s,
-            "n_compared": self.n_compared,
-            "n_grid": self.n_grid,
-        }
-
 
 def _peak_positions(deltas: np.ndarray, chi_im: np.ndarray,
                     two_peaks: bool) -> list:
@@ -91,8 +81,8 @@ def validate_reduction(mat: MaterialParams, omega_c: float, omega_p: float,
 
     ana = chi_analytic(lam, deltas)
     full = full_model_chi(mat, drives, deltas)
-    ana_re, ana_im = ana.chi_re, ana.chi_im
-    full_re, full_im = full.chi_re, full.chi_im
+    ana_re, ana_im = ana.real, ana.imag
+    full_re, full_im = full.real, full.imag
 
     mask = ana_im >= MASK_FRACTION * ana_im.max()
     ana_mag = np.hypot(ana_re[mask], ana_im[mask])

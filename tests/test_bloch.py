@@ -17,7 +17,7 @@ from eitsim.errors import (ConfigError, InconsistentFrameError,
                            SteadyStateError)
 from eitsim.lambda_system import lambda_from_material, lambda_steady_state
 from eitsim.materials import LevelSystem, equal_branching, pryso_defaults
-from eitsim.states import DensityMatrix, basis_state, coherence, mixed_state
+from eitsim.states import basis_state, mixed_state
 
 MAT = pryso_defaults()
 
@@ -205,7 +205,7 @@ class TestLiouvillian:
 
     def test_population_decay_rates_from_level5(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
-        rho = basis_state(6, 5).matrix
+        rho = basis_state(6, 5)
         rhs = (lv.generator @ rho.reshape(-1)).reshape(6, 6)
         # equal split into 1..4 at 1/(4*T1), total drain 1/T1
         assert rhs[0, 0].real == pytest.approx(1524.3902439024391, rel=1e-12)
@@ -234,7 +234,7 @@ class TestLiouvillian:
             lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
             norm = np.abs(lv.generator).sum(axis=1).max()
             bound = max(1e-12, 1e-15 * norm)
-            states = [mixed_state(6).matrix] + \
+            states = [mixed_state(6)] + \
                 [random_hermitian_state(rng) for _ in range(20)]
             for rho in states:
                 rhs = (lv.generator @ rho.reshape(-1)).reshape(6, 6)
@@ -256,14 +256,14 @@ class TestSteadyState:
         rho = steady_state(lv)
         want = np.zeros(6)
         want[0] = 1.0
-        assert np.allclose(rho.populations(), want, atol=1e-9)
-        assert np.max(np.abs(rho.matrix - np.diag(want))) < 1e-9
+        assert np.allclose(np.diag(rho).real, want, atol=1e-9)
+        assert np.max(np.abs(rho - np.diag(want))) < 1e-9
 
     def test_pumping_concentrates_in_level2(self):
         ham = build_hamiltonian(6, PUMP_DRIVES)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         rho = steady_state(lv)
-        assert rho.population(2) > 0.999
+        assert rho[1, 1].real > 0.999
 
     def test_weak_probe_coherence_matches_lambda_form(self):
         lam = lambda_from_material(MAT, 1.5e6)
@@ -272,7 +272,7 @@ class TestSteadyState:
                       FieldDrive(5, 3, 1.5e6), FieldDrive(6, 1, 1.5e6))
             ham = build_hamiltonian(6, drives)
             lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
-            rho52 = coherence(steady_state(lv), 5, 2)
+            rho52 = steady_state(lv)[4, 1]
             ref, _ = lambda_steady_state(lam, 1.5e3, delta)
             assert abs(rho52 - ref) / abs(ref) < 0.02
 
@@ -282,7 +282,7 @@ class TestSteadyState:
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         ss = steady_state(lv)
         traj = evolve(mixed_state(6), lv, 24e-3, n_samples=9)
-        assert np.max(np.abs(traj.final.matrix - ss.matrix)) < 1e-6
+        assert np.max(np.abs(traj.final - ss)) < 1e-6
 
     def test_degenerate_nullspace_rejected(self):
         # two terminal ground levels, no fields: any population split
@@ -402,7 +402,7 @@ class TestBatchedSteadyStates:
         batch = steady_states(lv0, drift, deltas)
         for delta, rho in zip(deltas, batch):
             one = steady_state(assembled(eit_drives(delta)))
-            assert np.max(np.abs(rho - one.matrix)) < DEGENERACY_TOL
+            assert np.max(np.abs(rho - one)) < DEGENERACY_TOL
 
     def test_no_point_depends_on_the_rest_of_the_call(self, monkeypatch):
         # every point is its own small solve from the same factorization:
@@ -603,30 +603,29 @@ class TestEvolve:
         traj = evolve(mixed_state(6), lv, 10e-3)
         assert traj.max_trace_dev <= 1e-9
         assert traj.max_herm_dev <= 1e-9
-        assert traj.final.population(2) > 0.99
+        assert traj.final[1, 1].real > 0.99
         assert traj.times.size == 201
 
     def test_zero_horizon_returns_initial(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
         traj = evolve(basis_state(6, 3), lv, 0.0)
-        assert len(traj.states) == 1
+        assert len(traj.rho) == 1
         assert traj.times[0] == 0.0
-        assert traj.final.population(3) == 1.0
+        assert traj.final[2, 2].real == 1.0
         assert traj.max_trace_dev == 0.0
 
     def test_accepts_raw_matrix_input(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
         traj = evolve(np.eye(6, dtype=complex) / 6, lv, 1e-5, n_samples=3)
-        assert len(traj.states) == 3
+        assert len(traj.rho) == 3
 
     def test_states_are_validated_density_matrices(self):
         traj = evolve(mixed_state(6), assembled(PUMP_DRIVES), 1e-3,
                       n_samples=5)
-        assert isinstance(traj.states, tuple) and len(traj.states) == 5
-        for state in traj.states:
-            assert isinstance(state, DensityMatrix)
-            assert np.trace(state.matrix).real == pytest.approx(1.0, abs=1e-15)
-            assert np.array_equal(state.matrix, state.matrix.conj().T)
+        assert traj.rho.shape == (5, 6, 6) and traj.rho.dtype == complex
+        for state in traj.rho:
+            assert np.trace(state).real == pytest.approx(1.0, abs=1e-15)
+            assert np.array_equal(state, state.conj().T)
 
     def test_bad_horizon_rejected(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
@@ -664,8 +663,7 @@ class TestEvolve:
         lv = assembled(eit_drives(detunings[0], rabi, *detunings[1:]))
         traj = evolve(rho0, lv, t_end, n_samples=n_samples)
         assert traj.max_trace_dev <= 1e-9 and traj.max_herm_dev <= 1e-9
-        for state in traj.states:
-            m = state.matrix
+        for m in traj.rho:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-9
             assert abs(np.trace(m) - 1.0) <= 1e-9
             assert np.linalg.eigvalsh(m).min() >= -1e-9
@@ -682,5 +680,5 @@ class TestEvolve:
         lv = build_liouvillian(np.zeros((6, 6)), mat.levels, mat.gamma)
         ss = steady_state(lv)
         traj = evolve(mixed_state(6), lv, 20e-3, n_samples=5)
-        assert ss.population(1) == pytest.approx(1.0, abs=1e-9)
-        assert np.max(np.abs(traj.final.matrix - ss.matrix)) < 1e-6
+        assert ss[0, 0].real == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(traj.final - ss)) < 1e-6

@@ -223,7 +223,7 @@ class TestVg:
         assert headline["anomalous_dispersion"] is False
         mat = resolve({}).material
         lam = lambda_from_material(mat, 1.5e6)
-        group_index = (1.0 + 0.5 * chi_analytic(lam, 0.0).chi_re
+        group_index = (1.0 + 0.5 * chi_analytic(lam, 0.0).real
                        - probe_angular_frequency(mat) * 0.5
                        * dchi_prime_ddelta(lam, 0.0))
         assert headline["vg_m_s"] == pytest.approx(C_LIGHT / group_index,
@@ -299,6 +299,38 @@ class TestVg:
         headline = read_summary(out, "vg")["headline"]
         assert headline["vg_m_s"] == pytest.approx(C_LIGHT, rel=1e-12)
         assert "nan" not in proc.stdout
+
+
+class TestFarOffResonance:
+    @pytest.mark.parametrize("command", ["spectrum", "window", "validate"])
+    def test_overflowing_closed_form_is_a_solver_error(self, tmp_path,
+                                                       command):
+        # at 1e120 rad/s the closed form's numerator and Z both overflow
+        # and chi_re would be inf / inf
+        out = str(tmp_path)
+        proc = run_cli(command, "--out", out,
+                       "--set", "grid.delta_min_rad_s=-1e120",
+                       "--set", "grid.delta_max_rad_s=1e120",
+                       "--set", "grid.points_count=3")
+        assert proc.returncode == 3
+        assert proc.stderr == (
+            "solver error: susceptibility is not finite at delta = -1e+120 "
+            "rad/s: the closed form overflows this far off resonance\n")
+        assert proc.stdout == ""
+        assert os.listdir(out) == []
+
+    def test_far_off_resonance_spectrum_is_quiet(self, tmp_path):
+        # at 1e80 rad/s Z overflows alone, and chi is a finite 0
+        out = str(tmp_path)
+        proc = run_cli("spectrum", "--out", out,
+                       "--set", "grid.delta_min_rad_s=-1e80",
+                       "--set", "grid.delta_max_rad_s=1e80",
+                       "--set", "grid.points_count=3")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        lines = read_csv_lines(os.path.join(out, "spectrum.csv"))
+        assert [line.split(",")[:3] for line in lines[1::2]] == \
+            [["-1e+80", "-0.0", "0.0"], ["1e+80", "0.0", "0.0"]]
 
 
 class TestValidate:

@@ -562,9 +562,9 @@ class TestLoadDocument:
 class TestInitialState:
     def test_mixed(self):
         rho = resolve(default_document()).initial_state()
-        np.testing.assert_array_equal(rho.matrix, np.eye(6) / 6.0)
+        np.testing.assert_array_equal(rho, np.eye(6) / 6.0)
 
     def test_level(self):
         rho = resolve_with("evolve.initial_state=level_3").initial_state()
-        assert rho.population(3) == 1.0
-        assert np.trace(rho.matrix) == 1.0
+        assert rho[2, 2].real == 1.0
+        assert np.trace(rho) == 1.0

@@ -96,9 +96,9 @@ def test_long_time_limit_is_the_steady_state():
     lv = build_liouvillian(build_hamiltonian(6, drives), mat.levels,
                            mat.gamma)
     out, _, _ = kernels.integrate(lv.generator,
-                                  mixed_state(6).matrix.reshape(-1),
+                                  mixed_state(6).reshape(-1),
                                   1.0 / 200, 201)
-    ss = steady_state(lv).matrix.reshape(-1)
+    ss = steady_state(lv).reshape(-1)
     assert np.max(np.abs(out[-1] - ss)) <= 1e-9
 
 

@@ -1,13 +1,13 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from eitsim.errors import InvalidArgumentError, SingularParametersError
-from eitsim.lambda_system import (RATE_MAX, LambdaParams, Susceptibility,
-                                  chi_analytic, dchi_prime_ddelta,
-                                  lambda_from_material, lambda_steady_state,
-                                  suppression_ratio)
+from eitsim.lambda_system import (RATE_MAX, LambdaParams, chi_analytic,
+                                  dchi_prime_ddelta, lambda_from_material,
+                                  lambda_steady_state, suppression_ratio)
 from eitsim.materials import pryso_defaults
 
 MAT = pryso_defaults()
@@ -75,7 +75,7 @@ class TestLambdaSteadyState:
         p = LambdaParams(1e4, 0.0, 1e5, 1e3)
         rho52, _ = lambda_steady_state(p, 1.0, 0.0)
         assert rho52 == 0.0  # perfect interference
-        assert chi_analytic(p, 0.0).chi_im == 0.0
+        assert chi_analytic(p, 0.0).imag == 0.0
 
 
 class TestChiAnalytic:
@@ -88,7 +88,7 @@ class TestChiAnalytic:
             omega_p = float(10 ** rng.uniform(0, 3))
             rho52, _ = lambda_steady_state(p, omega_p, delta)
             want = 2.0 * p.coupling_a * rho52 / omega_p
-            got = chi_analytic(p, delta).as_complex
+            got = chi_analytic(p, delta)
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_lorentzian_identity_without_coupling(self):
@@ -96,38 +96,38 @@ class TestChiAnalytic:
         deltas = np.linspace(-2e7, 2e7, 10_000)
         g, a = NO_COUPLING.gamma52, NO_COUPLING.coupling_a
         for delta in deltas:
-            got = chi_analytic(NO_COUPLING, float(delta)).as_complex
+            got = chi_analytic(NO_COUPLING, float(delta))
             want = a * (delta + 1j * g) / (delta * delta + g * g)
             assert abs(got - want) <= 1e-12 * abs(want)
 
     def test_frozen_resonant_values(self):
-        assert chi_analytic(NO_COUPLING, 0.0).chi_im == pytest.approx(
+        assert chi_analytic(NO_COUPLING, 0.0).imag == pytest.approx(
             0.10612464007530696, rel=1e-12)
-        assert chi_analytic(EIT, 0.0).chi_im == pytest.approx(
+        assert chi_analytic(EIT, 0.0).imag == pytest.approx(
             5.6195477337320556e-05, rel=1e-12)
-        assert chi_analytic(EIT, 0.0).chi_re == 0.0
+        assert chi_analytic(EIT, 0.0).real == 0.0
 
     def test_parity(self):
         for delta in (1e3, 7.7e4, 2.3e6):
             plus = chi_analytic(EIT, delta)
             minus = chi_analytic(EIT, -delta)
-            assert minus.chi_re == -plus.chi_re
-            assert minus.chi_im == plus.chi_im
+            assert minus.real == -plus.real
+            assert minus.imag == plus.imag
 
     def test_absorption_positive_everywhere(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
             p = random_params(rng)
             delta = float(rng.standard_normal() * 10 ** rng.uniform(2, 7))
-            assert chi_analytic(p, delta).chi_im >= 0.0
+            assert chi_analytic(p, delta).imag >= 0.0
 
     def test_transparency_dip_shape(self):
         # strong coupling: chi_im has a local minimum at delta = 0
-        chi0 = chi_analytic(EIT, 0.0).chi_im
+        chi0 = chi_analytic(EIT, 0.0).imag
         for delta in (1e4, 1e5, 5e5):
-            assert chi_analytic(EIT, delta).chi_im > chi0
+            assert chi_analytic(EIT, delta).imag > chi0
         # and recovers towards the bare Lorentzian scale at the sidebands
-        peak = chi_analytic(EIT, 0.5 * EIT.omega_c).chi_im
+        peak = chi_analytic(EIT, 0.5 * EIT.omega_c).imag
         assert peak > 100 * chi0
 
     def test_power_of_two_rate_scaling_is_exact(self):
@@ -141,7 +141,7 @@ class TestChiAnalytic:
                                   2 * p.coupling_a)
             a = chi_analytic(p, delta)
             b = chi_analytic(scaled, 2 * delta)
-            assert (a.chi_re, a.chi_im) == (b.chi_re, b.chi_im)
+            assert (a.real, a.imag) == (b.real, b.imag)
 
     def test_array_detunings_match_scalar_calls(self):
         rng = np.random.default_rng(37)
@@ -150,12 +150,11 @@ class TestChiAnalytic:
             deltas = rng.standard_normal(64) * 10 ** rng.uniform(2, 7)
             chi = chi_analytic(p, deltas)
             slope = dchi_prime_ddelta(p, deltas)
-            assert chi.chi_re.shape == chi.chi_im.shape == slope.shape == (64,)
+            assert chi.real.shape == chi.imag.shape == slope.shape == (64,)
             for i, delta in enumerate(deltas):
                 one = chi_analytic(p, float(delta))
-                assert type(one.chi_re) is float and type(one.chi_im) is float
-                assert (one.chi_re, one.chi_im) == (chi.chi_re[i],
-                                                    chi.chi_im[i])
+                assert type(one) is complex
+                assert (one.real, one.imag) == (chi.real[i], chi.imag[i])
                 one_slope = dchi_prime_ddelta(p, float(delta))
                 assert type(one_slope) is float
                 assert one_slope == slope[i]
@@ -168,9 +167,18 @@ class TestChiAnalytic:
         with pytest.raises(SingularParametersError, match=r"delta = 0\.0"):
             dchi_prime_ddelta(p, deltas[2:])
 
-    def test_susceptibility_container(self):
-        s = Susceptibility(1.5, -0.25)
-        assert s.as_complex == 1.5 - 0.25j
+    def test_overflow_far_off_resonance_named(self):
+        # at 1e80 Z overflows alone and chi is a quiet 0; at 1e120 the
+        # numerator overflows too and chi_re would be inf / inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi_analytic(EIT, 1e80) == 0.0
+            assert np.isnan(dchi_prime_ddelta(EIT, 1e80))
+            for deltas in (-1e120, np.array([0.0, 1e80, -1e120, 1e120])):
+                with pytest.raises(SingularParametersError,
+                                   match=r"^susceptibility is not finite at "
+                                         r"delta = -1e\+120 rad/s"):
+                    chi_analytic(EIT, deltas)
 
 
 def kramers_kronig_errors(half_width, points):
@@ -182,9 +190,9 @@ def kramers_kronig_errors(half_width, points):
     deltas = np.linspace(-half_width, half_width, points)
     chi = chi_analytic(EIT, deltas)
     inside = np.abs(deltas) < 2e7
-    scale = np.max(np.abs(chi.chi_re + 1j * chi.chi_im))
-    re_err = np.abs(chi.chi_re - np.imag(hilbert(chi.chi_im)))[inside]
-    im_err = np.abs(chi.chi_im + np.imag(hilbert(chi.chi_re)))[inside]
+    scale = np.max(np.abs(chi))
+    re_err = np.abs(chi.real - np.imag(hilbert(chi.imag)))[inside]
+    im_err = np.abs(chi.imag + np.imag(hilbert(chi.real)))[inside]
     return re_err.max() / scale, im_err.max() / scale
 
 
@@ -212,8 +220,8 @@ class TestDerivative:
         for delta in detunings:
             exact = dchi_prime_ddelta(EIT, delta)
             for h in steps:
-                fd = (chi_analytic(EIT, delta + h).chi_re
-                      - chi_analytic(EIT, delta - h).chi_re) / (2 * h)
+                fd = (chi_analytic(EIT, delta + h).real
+                      - chi_analytic(EIT, delta - h).real) / (2 * h)
                 assert fd == pytest.approx(exact, rel=1e-6)
 
     def test_resonant_slope_closed_form(self):
@@ -236,8 +244,8 @@ class TestSuppressionRatio:
                                                        rel=1e-12)
 
     def test_matches_chi_ratio(self):
-        ratio = (chi_analytic(NO_COUPLING, 0.0).chi_im
-                 / chi_analytic(EIT, 0.0).chi_im)
+        ratio = (chi_analytic(NO_COUPLING, 0.0).imag
+                 / chi_analytic(EIT, 0.0).imag)
         assert ratio == pytest.approx(suppression_ratio(EIT), rel=1e-12)
 
     def test_rejects_zero_gamma32(self):
@@ -287,6 +295,23 @@ class TestLambdaParams:
                 with np.errstate(all="raise"):
                     chi = chi_analytic(p, deltas)
                     slope = dchi_prime_ddelta(p, deltas)
-                assert np.isfinite(chi.chi_re).all()
-                assert np.isfinite(chi.chi_im).all()
+                assert np.isfinite(chi.real).all()
+                assert np.isfinite(chi.imag).all()
                 assert np.isfinite(slope).all()
+
+    def test_closed_forms_at_the_bound_match_a_rescaled_call(self):
+        # chi and its slope are homogeneous of degree 0 and -1 in the rates,
+        # A and delta, and scaling by 2**-100 is exact: an intermediate that
+        # overflowed at the bound (and was silenced inside the closed forms)
+        # would not reproduce the rescaled values bit for bit
+        k = 2.0 ** -100
+        for omega_c in (0.0, RATE_MAX):
+            for gamma32 in (0.0, RATE_MAX):
+                p = LambdaParams(RATE_MAX, gamma32, omega_c, RATE_MAX)
+                small = LambdaParams(k * RATE_MAX, k * gamma32, k * omega_c,
+                                     k * RATE_MAX)
+                deltas = np.array([-RATE_MAX, 1.0, RATE_MAX])
+                assert np.array_equal(chi_analytic(p, deltas),
+                                      chi_analytic(small, k * deltas))
+                assert np.array_equal(dchi_prime_ddelta(p, deltas),
+                                      k * dchi_prime_ddelta(small, k * deltas))

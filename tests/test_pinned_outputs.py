@@ -1,0 +1,94 @@
+"""Byte-level pins of every file the CLI writes for its default runs.
+
+Each case runs cli.main in-process into its own directory and compares the
+SHA-256 of every CSV and params.json, and of each summary as
+json.dumps(summary, sort_keys=True) without its duration_s, with the digest
+recorded before.  A refactor that claims unchanged outputs must leave every
+digest as it is.
+
+The digests were recorded with numpy 2.4.6 on scipy-openblas 0.3.31 (one
+BLAS thread); another numpy or BLAS may move a last digit.  A change that
+deliberately moves digits re-records them here and says so in CHANGES.md.
+"""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from eitsim.cli import main
+
+PINNED = {
+    ("spectrum",): {
+        "spectrum.csv":
+            "dacad18fa80676c1c11c3445862755a506567501ea763d31e6b1027c5bf8c435",
+        "spectrum_summary.json":
+            "a58be13987f10511e39f195eee869063a9914a113029e7a594161b5f6d05b0ef",
+    },
+    ("window",): {
+        "window_summary.json":
+            "a373986345f7a68039ce4ce730de31cfb332f22c318aa28165fe152effb045d5",
+    },
+    ("vg",): {
+        "vg_summary.json":
+            "be38fd4e80aa8b0902f2a4ebd0a2989b101181cd0a1cf45090f36f773f79fb7b",
+    },
+    ("validate",): {
+        "validate_summary.json":
+            "56998775d069d1bdf60a8dc4a6da4bed722c050470049c632026c6e884f76bad",
+    },
+    ("evolve",): {
+        "evolve.csv":
+            "a4ea54c7b73da5c3b938a1cdf779088c583aae72abc3c804d0dd94bbdf734688",
+        "evolve_summary.json":
+            "833e58a672f2e7ec8b6c840b555e58378056f27dbae8491dcfa0c2d234e145e0",
+    },
+    ("params",): {
+        "params.json":
+            "3ff36adfad5e548740ed50f2698c336f904f713876918c6e66131a4e1d374032",
+        "params_summary.json":
+            "6967992f9473261f3147ddd39abd0ce4b2da8ebfea37786dda5b158891668bd8",
+    },
+    ("spectrum", "--backend", "full"): {
+        "spectrum.csv":
+            "90a232f185fcce2ac11aa8ce6690a5863306d46b234bad79791497faa8765a08",
+        "spectrum_summary.json":
+            "4010f832c01a1a5f45608add3dfb0cdb579743b52ae3d70b7385f52e6b642701",
+    },
+    ("window", "--backend", "full"): {
+        "window_summary.json":
+            "14cb6ab4a867cce43c127f51c0295a58b5023b37c0ee3ab9801bd0ae23be41b9",
+    },
+    ("vg", "--backend", "full"): {
+        "vg_summary.json":
+            "cdf8e5374af5520ea5701a5e4c78ea10c1f0d55416a9aa607660572f973853c5",
+    },
+    ("evolve", "--set", "evolve.initial_state=level_5"): {
+        "evolve.csv":
+            "d3b3f829d34d18264626646c46a4e5e65bce6103d732f18a0c5351c00be51cfa",
+        "evolve_summary.json":
+            "7837a95e5ba52f8e8dc3ffd110d29924d3c5507b940e10a84697414d5e9e998b",
+    },
+}
+
+
+def output_digests(out_dir):
+    """{file name: SHA-256 hex digest} of everything written to out_dir."""
+    digests = {}
+    for name in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, name), "rb") as fh:
+            data = fh.read()
+        if name.endswith("_summary.json"):
+            summary = json.loads(data)
+            del summary["duration_s"]
+            data = json.dumps(summary, sort_keys=True).encode("utf-8")
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("argv", list(PINNED), ids=" ".join)
+def test_outputs_match_recorded_digests(argv, tmp_path, capsys):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert output_digests(str(tmp_path)) == PINNED[argv]

@@ -1,8 +1,11 @@
 """Full-model vs closed-form cross validation."""
 
+import json
+
 import numpy as np
 import pytest
 
+from eitsim.cli import main
 from eitsim.config import apply_overrides, resolve
 from eitsim.errors import ConfigError, InvalidArgumentError
 from eitsim.materials import pryso_defaults
@@ -70,14 +73,20 @@ class TestInputs:
         with pytest.raises(InvalidArgumentError):
             validate_reduction(MAT, 1.5e6, 1.5e3, [])
 
-    def test_as_dict_round_trip(self):
+    def test_as_dict_round_trip(self, tmp_path):
+        # the default validate run writes the report, field for field, into
+        # its summary headline, next to the threshold and the verdict
         report = validate_reduction(MAT, 1.5e6, 1.5e3, GRID)
-        d = report.as_dict()
-        assert d == {
+        assert main(["validate", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "validate_summary.json", encoding="utf-8") as fh:
+            headline = json.load(fh)["headline"]
+        assert headline == {
             "max_rel_dev_chi_im": report.max_rel_dev_chi_im,
             "max_rel_dev_chi_re": report.max_rel_dev_chi_re,
             "peak_shift_rad_s": report.peak_shift_rad_s,
             "worst_delta_rad_s": report.worst_delta_rad_s,
             "n_compared": report.n_compared,
             "n_grid": report.n_grid,
+            "threshold_rel": 0.02,
+            "passed": True,
         }
