@@ -16,14 +16,13 @@ _EXPORTS = {
     "bloch": ("FieldDrive", "Liouvillian", "Trajectory", "build_hamiltonian",
               "build_liouvillian", "evolve", "frame_phases",
               "generator_drift", "steady_state", "steady_states"),
-    "constants": ("C_LIGHT", "EPSILON_0", "HBAR", "TWO_PI", "hz_to_angular"),
+    "constants": ("C_LIGHT", "EPSILON_0", "HBAR", "TWO_PI"),
     "errors": ("ConfigError", "ConventionError", "DivergentVelocityError",
                "EitsimError", "InconsistentFrameError", "IntegrationError",
                "InvalidArgumentError", "SingularParametersError",
                "StateCorruptionError", "SteadyStateError"),
     "lambda_system": ("LambdaParams", "chi_analytic", "dchi_prime_ddelta",
-                      "lambda_from_material", "lambda_steady_state",
-                      "suppression_ratio"),
+                      "lambda_from_material"),
     "materials": ("LevelSystem", "MaterialParams", "derive_gamma",
                   "equal_branching", "pryso_defaults"),
     "optics": ("DriveSet", "GridSpec", "Spectrum", "WindowReport",

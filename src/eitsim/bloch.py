@@ -40,11 +40,6 @@ STEADY_STATE_RTOL = 1e-9
 # The reference solve's two pivot orderings must agree this closely, and a
 # detuning must keep DEGENERACY_TOL * sigma off every pole.
 DEGENERACY_TOL = 1e-8
-# Detuning points evaluated together.  It only bounds memory: no point
-# depends on another.  A 4,001-point six-level sweep peaks at 2.4, 2.7 and
-# 12.5 MB of tracemalloc at chunks of 32, 128 and 4,001 and takes 30, 20
-# and 27 ms on one BLAS thread of a shared 2-vCPU VM.
-STEADY_STATE_CHUNK = 128
 
 # The reference level whose rotating-frame phase is pinned to zero when it
 # participates in the drive graph (the probe's lower level in the default
@@ -364,26 +359,23 @@ def steady_states(lv0: Liouvillian, drift, deltas,
     drives).  Every point must keep DEGENERACY_TOL * sigma off the poles
     and pass the residual gate ||L v|| <= STEADY_STATE_RTOL * max(||L||, 1)
     (infinity norms over the full generator), then the state validation; a
-    failure names its delta.
+    failure names its delta.  The k deltas are solved in one pass that
+    holds several (k, n^2) temporaries, so a caller with a long grid passes
+    it in slices (optics.full_model_chi does) and keeps what it needs.
     """
     n = lv0.n_levels
-    dim = n * n
     drift = np.asarray(drift, dtype=complex)
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     if reduced is None:
         reduced = reduction(lv0, drift, deltas[0] if deltas.size else 0.0)
     solved, moving, rate, sigma, y, z, cz, poles = reduced
-    states = np.empty((deltas.size, n, n), dtype=complex)
-    for start in range(0, deltas.size, STEADY_STATE_CHUNK):
-        chunk = deltas[start:start + STEADY_STATE_CHUNK]
-        s = _woodbury(chunk, sigma, cz, poles, (chunk - 1j * sigma)[:, None]
-                      * (rate * y[moving]))
-        vec = np.zeros((chunk.size, dim), dtype=complex)
-        vec[:, solved] = y - (z @ s[..., None])[..., 0]
-        _check_residual(lv0.generator, drift, chunk, vec, 0.0, "steady-state")
-        states[start:start + chunk.size] = assert_density_matrices(
-            vec.reshape(-1, n, n), label=lambda i: _at(chunk[i]))
-    return states
+    s = _woodbury(deltas, sigma, cz, poles, (deltas - 1j * sigma)[:, None]
+                  * (rate * y[moving]))
+    vec = np.zeros((deltas.size, n * n), dtype=complex)
+    vec[:, solved] = y - (z @ s[..., None])[..., 0]
+    _check_residual(lv0.generator, drift, deltas, vec, 0.0, "steady-state")
+    return assert_density_matrices(vec.reshape(-1, n, n),
+                                   label=lambda i: _at(deltas[i]))
 
 
 def steady_state_slope(lv0: Liouvillian, drift, delta, rho,

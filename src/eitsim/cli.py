@@ -138,8 +138,21 @@ def _write_summary(out_dir: str, command: str, canonical: dict,
     return path
 
 
+def _refuse_aux_detuning(run: ResolvedRun) -> None:
+    """The three-level closed form has no auxiliary field, so it would
+    silently drop that field's detuning."""
+    if run.drives.aux_detuning != 0.0:
+        raise ConfigError(
+            f"config key 'drives.aux_detuning_rad_s' = "
+            f"{run.drives.aux_detuning!r} would be ignored: the three-level "
+            "closed form has no auxiliary field (only the full backend and "
+            "evolve read it)")
+
+
 def cmd_spectrum(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
+    if run.backend == optics.BACKEND_ANALYTIC:
+        _refuse_aux_detuning(run)
     spec = optics.sweep(run.backend, run.material, run.drives, run.grid)
     csv_path = os.path.join(args.out, "spectrum.csv")
     _write_atomic(csv_path, optics.spectrum_to_csv(spec))
@@ -169,6 +182,8 @@ def cmd_spectrum(args, run: ResolvedRun) -> int:
 
 def cmd_window(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
+    if run.backend == optics.BACKEND_ANALYTIC:
+        _refuse_aux_detuning(run)
     mat = run.material
     # Reference: resonant absorption with the coupling switched off, so
     # the full backend's window never meets the closed form's rate bound.
@@ -223,6 +238,8 @@ def cmd_window(args, run: ResolvedRun) -> int:
 
 def cmd_vg(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
+    if run.backend == optics.BACKEND_ANALYTIC:
+        _refuse_aux_detuning(run)
     delta0 = run.drives.probe_detuning
     vg = optics.group_velocity(run.backend, run.material, run.drives, delta0)
     group_index = optics.C_LIGHT / vg
@@ -249,6 +266,7 @@ def cmd_vg(args, run: ResolvedRun) -> int:
 
 def cmd_validate(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
+    _refuse_aux_detuning(run)
     report = validation.validate_reduction(
         run.material,
         run.drives.coupling_rabi,

@@ -1,31 +1,15 @@
-"""Physical constants and the one sanctioned Hz -> rad/s conversion.
+"""Physical constants.
 
 Every frequency-like quantity inside the package is angular (rad/s).  Inputs
-quoted in Hz cross the boundary exactly once, through hz_to_angular.
+quoted in Hz are converted once: a `_hz` config key by 2*pi where the run
+configuration resolves (config.SPELLINGS), and the dephasing table, which
+stays in Hz, in materials.derive_gamma.
 """
 
 import math
-
-import numpy as np
-
-from .errors import InvalidArgumentError
 
 EPSILON_0 = 8.8541878128e-12  # vacuum permittivity, F/m (CODATA 2018)
 HBAR = 1.054571817e-34  # reduced Planck constant, J s (CODATA 2018)
 C_LIGHT = 2.99792458e8  # speed of light in vacuum, m/s (exact)
 
 TWO_PI = 2.0 * math.pi
-
-
-def hz_to_angular(f):
-    """Convert a cyclic frequency in Hz to an angular one in rad/s.
-
-    Accepts scalars or numpy arrays; rejects non-finite input.
-    """
-    arr = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidArgumentError(f"non-finite frequency input: {f!r}")
-    out = TWO_PI * arr
-    if np.ndim(f) == 0:
-        return float(out)
-    return out

@@ -69,29 +69,6 @@ def lambda_from_material(mat: MaterialParams, omega_c: float) -> LambdaParams:
     )
 
 
-def _denominator(p: LambdaParams, delta: float) -> complex:
-    return ((p.gamma52 + 1j * delta) * (p.gamma32 + 1j * delta)
-            + 0.25 * p.omega_c ** 2)
-
-
-def lambda_steady_state(p: LambdaParams, omega_p: complex,
-                        delta: float) -> tuple:
-    """Stationary (rho52, rho32) of the two-coherence system.
-
-    rho32 is returned in the cancelled form -(omega_c * omega_p / 4) / D so
-    the gamma32 + i*delta = 0 point stays well defined while the coupling
-    is on.
-    """
-    if p.gamma32 == 0.0 and delta == 0.0 and p.omega_c == 0.0:
-        raise SingularParametersError(
-            "rho32 is indeterminate when gamma32, delta and omega_c all vanish"
-        )
-    d = _denominator(p, delta)
-    rho52 = 0.5j * omega_p * (p.gamma32 + 1j * delta) / d
-    rho32 = -0.25 * p.omega_c * omega_p / d
-    return rho52, rho32
-
-
 def _refuse(bad, delta, what: str, why: str) -> None:
     """Raise SingularParametersError naming the first detuning where bad
     holds."""
@@ -162,12 +139,3 @@ def dchi_prime_ddelta(p: LambdaParams, delta):
         dz = 2.0 * delta * (2.0 * u + s)
         slope = p.coupling_a * (dnumer * z - numer * dz) / (z * z)
     return float(slope) if slope.ndim == 0 else slope
-
-
-def suppression_ratio(p: LambdaParams) -> float:
-    """chi_im(0) without coupling over chi_im(0) with coupling (exact)."""
-    if p.gamma32 <= 0:
-        raise SingularParametersError(
-            "suppression ratio requires gamma32 > 0"
-        )
-    return 1.0 + 0.25 * p.omega_c ** 2 / (p.gamma32 * p.gamma52)

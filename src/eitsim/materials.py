@@ -103,10 +103,6 @@ class LevelSystem:
                     f"expected 1/T1 = {expected!r}"
                 )
 
-    def decay_rate(self, level: int) -> float:
-        """Total population decay rate out of a level, 1/s."""
-        return float(self.branching[level - 1].sum())
-
 
 def derive_gamma(levels: LevelSystem, rate_convention: str = "cyclic") -> np.ndarray:
     """Coherence decay rates gamma_ij in rad/s for every level pair.

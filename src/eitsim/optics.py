@@ -46,6 +46,13 @@ CHI_IM_SIGN_TOL = 1e-12
 
 GROUP_INDEX_MIN = 1e-12
 
+# Detuning points full_model_chi solves together.  It only bounds memory:
+# no point depends on another, and only rho52 of each slice is kept.  A
+# 4,001-point six-level sweep peaks at 0.22, 0.47 and 9.8 MB of tracemalloc
+# at chunks of 32, 128 and 4,001 (at 40,001 points: 1.3, 1.3 and 97 MB) and
+# takes 45, 26 and 33 ms on one BLAS thread of a shared 2-vCPU VM.
+STEADY_STATE_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -259,13 +266,23 @@ def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
     """Steady-state six-level susceptibility at one probe detuning or an
     array of them.
 
-    The generator is assembled once, at zero probe detuning, and every
-    detuning is solved in bloch.steady_states as L0 + delta * D.
+    The generator is assembled and reduced once, at zero probe detuning;
+    bloch.steady_states then solves the detunings as L0 + delta * D, one
+    STEADY_STATE_CHUNK slice at a time, and only rho52 of each validated
+    slice is kept.  A failure names its detuning; one in the reduction
+    names the first.
     """
-    rho = steady_states(*_full_generator(mat, drives), probe_detuning)
+    lv0, drift = _full_generator(mat, drives)
+    deltas = np.asarray(probe_detuning, dtype=float).reshape(-1)
+    reduced = reduction(lv0, drift, deltas[0] if deltas.size else 0.0)
     upper, lower = PROBE_LEVELS
-    rho52 = rho[:, upper - 1, lower - 1].reshape(np.shape(probe_detuning))
-    return rho_to_chi(rho52, mat, drives.probe_rabi)
+    rho52 = np.empty(deltas.size, dtype=complex)
+    for start in range(0, deltas.size, STEADY_STATE_CHUNK):
+        chunk = deltas[start:start + STEADY_STATE_CHUNK]
+        rho52[start:start + chunk.size] = steady_states(
+            lv0, drift, chunk, reduced)[:, upper - 1, lower - 1]
+    return rho_to_chi(rho52.reshape(np.shape(probe_detuning)), mat,
+                      drives.probe_rabi)
 
 
 def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,

@@ -7,17 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch
-from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK, FieldDrive,
-                          Liouvillian, build_hamiltonian, build_liouvillian,
-                          evolve, frame_phases, generator_drift,
-                          solved_indices, steady_state, steady_state_slope,
-                          steady_states)
+from eitsim.bloch import (DEGENERACY_TOL, FieldDrive, Liouvillian,
+                          build_hamiltonian, build_liouvillian, evolve,
+                          frame_phases, generator_drift, solved_indices,
+                          steady_state, steady_state_slope, steady_states)
 from eitsim.errors import (ConfigError, InconsistentFrameError,
                            IntegrationError, InvalidArgumentError,
                            SteadyStateError)
-from eitsim.lambda_system import lambda_from_material, lambda_steady_state
+from eitsim.lambda_system import lambda_from_material
 from eitsim.materials import LevelSystem, equal_branching, pryso_defaults
+from eitsim.optics import DriveSet, full_model_chi
 from eitsim.states import basis_state, mixed_state
+
+from lambda_oracle import lambda_steady_state
 
 MAT = pryso_defaults()
 
@@ -404,10 +406,10 @@ class TestBatchedSteadyStates:
             one = steady_state(assembled(eit_drives(delta)))
             assert np.max(np.abs(rho - one)) < DEGENERACY_TOL
 
-    def test_no_point_depends_on_the_rest_of_the_call(self, monkeypatch):
+    def test_no_point_depends_on_the_rest_of_the_call(self):
         # every point is its own small solve from the same factorization:
-        # neither the other points of the call nor where the evaluation
-        # chunks split them may move a single bit
+        # the other points of the call may not move a single bit (how
+        # full_model_chi slices a grid is tested in test_optics)
         lv0 = assembled(eit_drives(0.0))
         drift = generator_drift(6, PROBE_SCAN)
         deltas = np.linspace(-2e7, 2e7, 259)
@@ -416,8 +418,6 @@ class TestBatchedSteadyStates:
         for i in (0, 127, 128, 258):
             alone = steady_states(lv0, drift, deltas[i:i + 1])[0]
             assert np.array_equal(alone, batch[i])
-        monkeypatch.setattr(bloch, "STEADY_STATE_CHUNK", 7)
-        assert np.array_equal(steady_states(lv0, drift, deltas), batch)
 
     def test_poles_are_where_the_pinned_block_is_singular(self):
         # the four dressed-state resonances at the defaults, against a
@@ -452,23 +452,26 @@ class TestBatchedSteadyStates:
             np.diag([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), rho.shape))
 
     def test_peak_allocation_of_a_window_sweep(self):
-        # 4,001 points at the defaults: evaluation stays chunked, so the
-        # peak stays within the 3.43 MB the per-point 14 x 14 stack took
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
-        deltas = np.linspace(-3e6, 3e6, 4001)
-        steady_states(lv0, drift, deltas[:2])
-        tracemalloc.start()
-        try:
-            steady_states(lv0, drift, deltas)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.43e6
+        # full_model_chi keeps rho52 of each validated slice and no
+        # (k, 6, 6) stack (576 B a point): its peak is one slice's
+        # temporaries (~0.35 MB) plus rho52 and chi, 16 B a point each.
+        # Measured: 0.47 MB at 4,001 points, 1.31 MB at 40,001.
+        drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=1.5e6,
+                          aux_rabi=1.5e6)
+        full_model_chi(MAT, drives, np.zeros(2))
+        for k in (4001, 40001):
+            deltas = np.linspace(-3e6, 3e6, k)
+            tracemalloc.start()
+            try:
+                full_model_chi(MAT, drives, deltas)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.45e6 + 32 * k
 
     def test_singular_point_names_its_detuning(self):
         # two levels, undamped coherence: the nullspace is two-dimensional
-        # only at delta = 0, which sits past the first chunk of this grid
+        # only at delta = 0, which sits mid-grid
         lifetimes = np.array([np.inf, 1e-3])
         levels = LevelSystem(2, lifetimes,
                              equal_branching(lifetimes, destinations={2: (1,)}),
@@ -477,9 +480,8 @@ class TestBatchedSteadyStates:
         drift = generator_drift(2, (FieldDrive(2, 1, 0.0, 1.0),))
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 0, 0], np.ones(3))
-        half = 2 * STEADY_STATE_CHUNK + 8
-        grid = np.linspace(-half, half, 2 * half + 1)
-        assert int(np.argmax(grid == 0.0)) >= STEADY_STATE_CHUNK
+        grid = np.linspace(-264.0, 264.0, 529)
+        assert grid[264] == 0.0
         with pytest.raises(SteadyStateError,
                            match=r"at delta = 0\.0 rad/s: singular"):
             steady_states(lv0, drift, grid)
@@ -506,9 +508,8 @@ class TestBatchedSteadyStates:
                               [0, 1, 2, 4, 5, 6, 8, 9, 10, 15])
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 3, 3], np.ones(3))
-        half = 2 * STEADY_STATE_CHUNK + 8
-        grid = np.linspace(-half, half, 2 * half + 1)
-        assert int(np.argmax(grid == 0.0)) >= STEADY_STATE_CHUNK
+        grid = np.linspace(-264.0, 264.0, 529)
+        assert grid[264] == 0.0
         with pytest.raises(SteadyStateError,
                            match=r"at delta = 0\.0 rad/s: singular"):
             steady_states(lv0, drift, grid)

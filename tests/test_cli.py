@@ -543,6 +543,29 @@ class TestErrorStatuses:
         assert "solver error: at delta = -5e+199 rad/s: singular " \
             "steady-state system" in proc.stderr
 
+    @pytest.mark.parametrize("command", ["spectrum", "window", "vg",
+                                         "validate"])
+    def test_aux_detuning_the_closed_form_would_ignore(self, tmp_path,
+                                                       command):
+        # the three-level closed form has no auxiliary field
+        proc = run_cli(command, "--out", str(tmp_path),
+                       "--set", "drives.aux_detuning_hz=1e3")
+        assert proc.returncode == 2
+        assert "config error: config key 'drives.aux_detuning_rad_s' = " \
+            f"{2e3 * math.pi!r} would be ignored" in proc.stderr
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_full_backend_reads_the_aux_detuning(self, tmp_path, capsys):
+        out = str(tmp_path)
+        full = ["vg", "--backend", "full", "--out", out]
+        assert main(full) == 0
+        resonant = read_summary(out, "vg")["headline"]["vg_m_s"]
+        assert main(full + ["--set", "drives.aux_detuning_rad_s=1e6"]) == 0
+        assert read_summary(out, "vg")["headline"]["vg_m_s"] != resonant
+        # a zero aux detuning is what the closed form assumes
+        assert main(["vg", "--out", out,
+                     "--set", "drives.aux_detuning_rad_s=0"]) == 0
+
     def test_missing_subcommand(self):
         proc = run_cli()
         assert proc.returncode == 2

@@ -1,10 +1,6 @@
 import math
 
-import numpy as np
-import pytest
-
-from eitsim.constants import C_LIGHT, EPSILON_0, HBAR, TWO_PI, hz_to_angular
-from eitsim.errors import InvalidArgumentError
+from eitsim.constants import C_LIGHT, EPSILON_0, HBAR, TWO_PI
 
 
 def test_codata_values():
@@ -12,22 +8,3 @@ def test_codata_values():
     assert HBAR == 1.054571817e-34
     assert C_LIGHT == 2.99792458e8
     assert TWO_PI == 2.0 * math.pi
-
-
-def test_hz_to_angular_scalar():
-    # 1.5 MHz cyclic -> 2*pi*1.5e6 rad/s
-    assert hz_to_angular(1.5e6) == pytest.approx(9424777.960769379, rel=1e-15)
-    assert hz_to_angular(0.0) == 0.0
-    assert hz_to_angular(-3.0) == -3.0 * TWO_PI
-
-
-def test_hz_to_angular_array():
-    out = hz_to_angular(np.array([1.0, 2.0]))
-    assert np.allclose(out, [TWO_PI, 2 * TWO_PI], rtol=1e-15)
-
-
-def test_hz_to_angular_rejects_non_finite():
-    with pytest.raises(InvalidArgumentError):
-        hz_to_angular(float("nan"))
-    with pytest.raises(InvalidArgumentError):
-        hz_to_angular(np.array([1.0, float("inf")]))

