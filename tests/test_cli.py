@@ -10,8 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from eitsim import bloch, optics
 from eitsim.cli import main
-from eitsim.config import default_document, resolve
+from eitsim.config import apply_overrides, default_document, resolve
 from eitsim.constants import C_LIGHT
 from eitsim.lambda_system import (chi_analytic, dchi_prime_ddelta,
                                   lambda_from_material)
@@ -374,6 +375,24 @@ class TestEvolve:
         assert "n_steps" not in headline and "kernels" not in headline
         assert proc.stdout.startswith("evolve: 201 samples to t = 0.01 s\n")
 
+    def test_csv_holds_the_trajectory_exactly(self, tmp_path, capsys):
+        # every cell reads back as the float bloch.evolve produced
+        out = str(tmp_path)
+        argv = ["--set", "evolve.t_end_s=1e-4", "--set",
+                "evolve.samples_count=11"]
+        assert main(["evolve", "--out", out, *argv]) == 0
+        run = resolve(apply_overrides({}, argv[1::2]))
+        drives = run.drives.field_drives(run.drives.probe_detuning)
+        gen = bloch.build_liouvillian(bloch.build_hamiltonian(6, drives),
+                                      run.material.levels, run.material.gamma)
+        times, rho, _, _ = bloch.evolve(run.initial_state(), gen, 1e-4,
+                                        n_samples=11)
+        cells = [[float(c) for c in line.split(",")] for line in
+                 read_csv_lines(os.path.join(out, "evolve.csv"))[1:]]
+        want = np.column_stack([times, np.diagonal(rho, axis1=1, axis2=2).real,
+                                np.abs(rho[:, 4, 1])])
+        assert np.array_equal(np.array(cells), want)
+
     def test_zero_horizon_writes_single_row(self, tmp_path):
         out = str(tmp_path)
         proc = run_cli("evolve", "--out", out, "--set", "evolve.t_end_s=0.0")
@@ -506,6 +525,25 @@ class TestErrorStatuses:
         proc = run_cli("spectrum", "--out", str(tmp_path),
                        "--set", "grid.points_count=1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("backend", ["analytic", "full"])
+    def test_non_increasing_grid_refused_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, backend):
+        # one ulp cannot hold five increasing points; neither backend may
+        # solve a point of such a grid
+        def solve(*args):
+            raise AssertionError("the backend ran")
+        monkeypatch.setattr(optics, "full_model_chi", solve)
+        monkeypatch.setattr(optics, "chi_analytic", solve)
+        status = main(["spectrum", "--backend", backend,
+                       "--out", str(tmp_path),
+                       "--set", "grid.delta_min_rad_s=1",
+                       "--set", "grid.delta_max_rad_s=1.0000000000000002",
+                       "--set", "grid.points_count=5"])
+        assert status == 2
+        assert capsys.readouterr().err == \
+            "config error: deltas must be strictly increasing\n"
+        assert os.listdir(str(tmp_path)) == []
 
     def test_out_blocked_by_file(self, tmp_path):
         blocked = tmp_path / "blocked"

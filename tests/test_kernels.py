@@ -95,7 +95,7 @@ def test_long_time_limit_is_the_steady_state():
               FieldDrive(5, 2, 0.0))
     lv = build_liouvillian(build_hamiltonian(6, drives), mat.levels,
                            mat.gamma)
-    out, _, _ = kernels.integrate(lv.generator,
+    out, _, _ = kernels.integrate(lv,
                                   mixed_state(6).reshape(-1),
                                   1.0 / 200, 201)
     ss = steady_state(lv).reshape(-1)

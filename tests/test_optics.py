@@ -21,7 +21,7 @@ from eitsim.lambda_system import (LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
 from eitsim.materials import pryso_defaults
 from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, STEADY_STATE_CHUNK,
-                           WEAK_PROBE_RATIO, DriveSet, GridSpec, Spectrum,
+                           WEAK_PROBE_RATIO, DriveSet, GridSpec,
                            absorption, full_model_chi, group_velocity,
                            probe_angular_frequency, refractive_index,
                            rho_to_chi, spectrum_to_csv, sweep,
@@ -222,43 +222,43 @@ class TestGroupVelocity:
 class TestSweep:
     def test_analytic_matches_pointwise(self):
         grid = GridSpec(-2e7, 2e7, 51)
-        spec = sweep("analytic", MAT, EIT_DRIVES, grid)
+        deltas, chis, alpha = sweep("analytic", MAT, EIT_DRIVES, grid)
+        assert np.array_equal(deltas, grid.values())
         for i, delta in enumerate(grid.values()):
             chi = chi_analytic(EIT, float(delta))
-            assert spec.chi_re[i] == chi.real
-            assert spec.chi_im[i] == chi.imag
-            assert spec.n_index[i] == 1.0 + 0.5 * chi.real
-            assert spec.alpha[i] == absorption(chi, MAT.probe_wavelength)
+            assert chis[i] == chi
+            assert alpha[i] == absorption(chi, MAT.probe_wavelength)
 
     def test_symmetry_invariants(self):
         grid = GridSpec(-2e7, 2e7, 101)
-        ana = sweep("analytic", MAT, EIT_DRIVES, grid)
-        assert np.max(np.abs(ana.chi_im - ana.chi_im[::-1])) \
-            <= 1e-10 * ana.chi_im.max()
-        assert np.max(np.abs(ana.chi_re + ana.chi_re[::-1])) \
-            <= 1e-10 * np.abs(ana.chi_re).max()
-        ful = sweep("full", MAT, EIT_DRIVES, grid)
-        assert np.max(np.abs(ful.chi_im - ful.chi_im[::-1])) \
-            <= 0.01 * ful.chi_im.max()
-        assert np.max(np.abs(ful.chi_re + ful.chi_re[::-1])) \
-            <= 0.01 * np.abs(ful.chi_re).max()
+        ana = sweep("analytic", MAT, EIT_DRIVES, grid)[1]
+        assert np.max(np.abs(ana.imag - ana.imag[::-1])) \
+            <= 1e-10 * ana.imag.max()
+        assert np.max(np.abs(ana.real + ana.real[::-1])) \
+            <= 1e-10 * np.abs(ana.real).max()
+        ful = sweep("full", MAT, EIT_DRIVES, grid)[1]
+        assert np.max(np.abs(ful.imag - ful.imag[::-1])) \
+            <= 0.01 * ful.imag.max()
+        assert np.max(np.abs(ful.real + ful.real[::-1])) \
+            <= 0.01 * np.abs(ful.real).max()
 
     def test_full_close_to_analytic_at_default_probe(self):
         grid = GridSpec(-2e7, 2e7, 201)
-        ana = sweep("analytic", MAT, EIT_DRIVES, grid)
-        ful = sweep("full", MAT, EIT_DRIVES, grid)
-        dev = np.abs(ful.chi_im - ana.chi_im) / np.abs(ana.chi_im)
+        ana = sweep("analytic", MAT, EIT_DRIVES, grid)[1]
+        ful = sweep("full", MAT, EIT_DRIVES, grid)[1]
+        dev = np.abs(ful.imag - ana.imag) / np.abs(ana.imag)
         assert dev.max() < 0.02
 
     def test_alpha_nonnegative_everywhere(self):
         for backend in ("analytic", "full"):
-            spec = sweep(backend, MAT, EIT_DRIVES, GridSpec(-2e7, 2e7, 41))
-            assert np.all(spec.alpha >= 0)
+            alpha = sweep(backend, MAT, EIT_DRIVES, GridSpec(-2e7, 2e7, 41))[2]
+            assert np.all(alpha >= 0)
 
     def test_no_coupling_peak_at_resonance(self):
         drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=0.0)
-        spec = sweep("analytic", MAT, drives, GridSpec(-2e7, 2e7, 101))
-        assert spec.deltas[np.argmax(spec.alpha)] == 0.0
+        deltas, _, alpha = sweep("analytic", MAT, drives,
+                                 GridSpec(-2e7, 2e7, 101))
+        assert deltas[np.argmax(alpha)] == 0.0
 
     def test_jobs_do_not_change_results(self):
         # jobs_count is a legacy key: it is echoed, and reaches no sweep
@@ -268,13 +268,13 @@ class TestSweep:
         assert four.canonical["jobs_count"] == 4
         spectra = [sweep(run.backend, run.material, run.drives,
                          GridSpec(-2e7, 2e7, 41)) for run in (one, four)]
-        assert spectrum_to_csv(spectra[0]) == spectrum_to_csv(spectra[1])
+        assert spectrum_to_csv(*spectra[0]) == spectrum_to_csv(*spectra[1])
 
     def test_repeated_sweep_is_bit_identical(self):
         grid = GridSpec(-2e7, 2e7, 31)
         a = sweep("full", MAT, EIT_DRIVES, grid)
         b = sweep("full", MAT, EIT_DRIVES, grid)
-        assert spectrum_to_csv(a) == spectrum_to_csv(b)
+        assert spectrum_to_csv(*a) == spectrum_to_csv(*b)
 
     def test_full_backend_weak_probe_gate(self):
         strong = DriveSet(probe_rabi=3e5, coupling_rabi=1.5e6, aux_rabi=1.5e6)
@@ -302,36 +302,52 @@ class TestSweep:
         with pytest.raises(SingularParametersError, match="delta"):
             sweep("analytic", mat, drives, GridSpec(-1e3, 1e3, 3))
 
-    def test_spectrum_invariants_enforced(self):
-        d = np.array([0.0, 1.0, 2.0])
-        ones = np.ones(3)
-        with pytest.raises(InvalidArgumentError):
-            Spectrum("analytic", d, ones, ones, 1.0 + 0.5 * ones, -ones)
-        with pytest.raises(InvalidArgumentError):
-            Spectrum("analytic", d[::-1], ones, ones, 1.0 + 0.5 * ones, ones)
-        with pytest.raises(InvalidArgumentError):
-            Spectrum("analytic", d, ones, ones, ones, ones)  # n != 1+chi/2
+    def test_spectrum_invariants_enforced(self, monkeypatch):
+        # a span of one ulp cannot hold five increasing points: the grid is
+        # refused before either backend solves a point
+        def solve(*args):
+            raise AssertionError("the backend ran")
+        monkeypatch.setattr(optics, "full_model_chi", solve)
+        monkeypatch.setattr(optics, "chi_analytic", solve)
+        grid = GridSpec(1.0, 1.0000000000000002, 5)
+        for backend in ("analytic", "full"):
+            with pytest.raises(InvalidArgumentError,
+                               match="deltas must be strictly increasing"):
+                sweep(backend, MAT, EIT_DRIVES, grid)
 
 
 class TestCsv:
+    def test_row_blocks_change_no_byte(self, monkeypatch):
+        # against one row at a time through numpy scalars
+        deltas, chi, alpha = sweep("full", MAT, EIT_DRIVES,
+                                   GridSpec(-2e7, 2e7, 41))
+        n = 1.0 + 0.5 * chi.real
+        want = CSV_HEADER + "\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n"
+            for row in zip(deltas, chi.real, chi.imag, n, alpha))
+        for rows in (1, 7, 41, 64):
+            monkeypatch.setattr(optics, "CSV_BLOCK_ROWS", rows)
+            assert spectrum_to_csv(deltas, chi, alpha) == want
+
     def test_header_and_shape(self):
-        spec = sweep("analytic", MAT, EIT_DRIVES, GridSpec(-1e6, 1e6, 5))
-        text = spectrum_to_csv(spec)
+        text = spectrum_to_csv(*sweep("analytic", MAT, EIT_DRIVES,
+                                      GridSpec(-1e6, 1e6, 5)))
         lines = text.strip().split("\n")
         assert lines[0] == CSV_HEADER == "delta_rad_s,chi_re,chi_im,n,alpha_per_m"
         assert len(lines) == 6
         assert text.endswith("\n")
 
     def test_values_round_trip_exactly(self):
-        spec = sweep("analytic", MAT, EIT_DRIVES, GridSpec(-2e7, 2e7, 9))
-        lines = spectrum_to_csv(spec).strip().split("\n")[1:]
+        deltas, chi, alpha = sweep("analytic", MAT, EIT_DRIVES,
+                                   GridSpec(-2e7, 2e7, 9))
+        lines = spectrum_to_csv(deltas, chi, alpha).strip().split("\n")[1:]
         for i, line in enumerate(lines):
             cells = [float(c) for c in line.split(",")]
-            assert cells[0] == spec.deltas[i]
-            assert cells[1] == spec.chi_re[i]
-            assert cells[2] == spec.chi_im[i]
-            assert cells[3] == spec.n_index[i]
-            assert cells[4] == spec.alpha[i]
+            assert cells[0] == deltas[i]
+            assert cells[1] == chi.real[i]
+            assert cells[2] == chi.imag[i]
+            assert cells[3] == 1.0 + 0.5 * chi.real[i]
+            assert cells[4] == alpha[i]
 
 
 class TestTransparencyWindow:
@@ -345,55 +361,72 @@ class TestTransparencyWindow:
         drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=omega_c,
                           aux_rabi=omega_c)
         grid = GridSpec(-2 * width_est, 2 * width_est, points)
-        spec = sweep("analytic", MAT, drives, grid)
-        return transparency_window(spec, self._reference(lam)), width_est
+        deltas, _, alpha = sweep("analytic", MAT, drives, grid)
+        return (transparency_window(deltas, alpha, self._reference(lam)),
+                width_est)
 
     def test_closed_form_agreement_across_coupling_strengths(self):
         for ratio in (10.0, 30.0, 100.0):
             omega_c = ratio * EIT.gamma52
-            report, want = self._measure(omega_c)
-            assert report.has_window and not report.truncated
-            assert abs(report.width - want) / want < 0.005
+            (left, right, truncated), want = self._measure(omega_c)
+            assert not truncated
+            assert abs(right - left - want) / want < 0.005
 
     def test_default_eit_width(self):
-        report, want = self._measure(1.5e6)
+        (left, right, _), want = self._measure(1.5e6)
         # closed-form edge: sqrt(gamma52^2 + omega_c^2) - gamma52
         assert want == math.hypot(EIT.gamma52, 1.5e6) - EIT.gamma52
-        assert report.width == pytest.approx(want, rel=0.005)
-        assert report.width == pytest.approx(1.45e6, rel=0.01)
-        assert report.width_hz == report.width / TWO_PI
-        assert report.edges[0] == pytest.approx(-report.edges[1], rel=1e-6)
+        assert right - left == pytest.approx(want, rel=0.005)
+        assert right - left == pytest.approx(1.45e6, rel=0.01)
+        assert left == pytest.approx(-right, rel=1e-6)
 
     def test_monotone_in_coupling(self):
-        w1, _ = self._measure(1.5e6)
-        w2, _ = self._measure(3.0e6)
-        assert w2.width > w1.width
+        (l1, r1, _), _ = self._measure(1.5e6)
+        (l2, r2, _), _ = self._measure(3.0e6)
+        assert r2 - l2 > r1 - l1
 
     def test_no_window_without_coupling(self):
         drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=0.0)
-        spec = sweep("analytic", MAT, drives, GridSpec(-2e7, 2e7, 201))
-        report = transparency_window(spec, self._reference(EIT))
-        assert not report.has_window
-        assert report.width == 0.0
+        deltas, _, alpha = sweep("analytic", MAT, drives,
+                                 GridSpec(-2e7, 2e7, 201))
+        assert transparency_window(deltas, alpha,
+                                   self._reference(EIT)) is None
 
     def test_truncated_when_grid_too_narrow(self):
         lam = lambda_from_material(MAT, 1.5e6)
         width_est = window_width_closed_form(lam.gamma52, 1.5e6)
         grid = GridSpec(-0.3 * width_est, 0.3 * width_est, 501)
-        spec = sweep("analytic", MAT, EIT_DRIVES, grid)
-        report = transparency_window(spec, self._reference(lam))
-        assert report.has_window and report.truncated
-        assert report.width <= 0.6 * width_est * 1.0001
+        deltas, _, alpha = sweep("analytic", MAT, EIT_DRIVES, grid)
+        left, right, truncated = transparency_window(deltas, alpha,
+                                                     self._reference(lam))
+        assert truncated
+        assert right - left <= 0.6 * width_est * 1.0001
 
     def test_grid_must_cover_resonance(self):
-        spec = sweep("analytic", MAT, EIT_DRIVES, GridSpec(1e5, 1e6, 11))
+        deltas, _, alpha = sweep("analytic", MAT, EIT_DRIVES,
+                                 GridSpec(1e5, 1e6, 11))
         with pytest.raises(ConfigError):
-            transparency_window(spec, 1.0)
+            transparency_window(deltas, alpha, 1.0)
 
     def test_reference_must_be_positive(self):
-        spec = sweep("analytic", MAT, EIT_DRIVES, GridSpec(-1e6, 1e6, 11))
+        deltas, _, alpha = sweep("analytic", MAT, EIT_DRIVES,
+                                 GridSpec(-1e6, 1e6, 11))
         with pytest.raises(InvalidArgumentError):
-            transparency_window(spec, 0.0)
+            transparency_window(deltas, alpha, 0.0)
+
+    def test_edges_interpolate_between_grid_points(self):
+        # threshold 2: alpha crosses it a third of the way from -1 to -2
+        # and two thirds of the way from 0 to 1; a grid whose every point
+        # sits under it is truncated at both ends
+        deltas = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        left, right, truncated = transparency_window(
+            deltas, np.array([4.0, 1.0, 0.0, 3.0, 4.0]), 4.0)
+        assert left == pytest.approx(-4.0 / 3.0, rel=1e-15)
+        assert right == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert not truncated
+        assert transparency_window(deltas, np.ones(5), 4.0) == \
+            (-2.0, 2.0, True)
+        assert transparency_window(deltas, np.full(5, 2.0), 4.0) is None
 
 
 def test_full_model_chi_resonant_point():
@@ -429,7 +462,7 @@ def null_space_chi(mat, drives, deltas):
     out = []
     for delta in deltas:
         ham = build_hamiltonian(6, drives.field_drives(float(delta)))
-        gen = build_liouvillian(ham, mat.levels, mat.gamma).generator
+        gen = build_liouvillian(ham, mat.levels, mat.gamma)
         basis = scipy.linalg.null_space(gen)
         assert basis.shape[1] == 1
         rho = basis[:, 0].reshape(6, 6)
@@ -524,10 +557,9 @@ class TestBatchedFullBackend:
 
     def test_sweep_is_the_batched_chi(self):
         grid = GridSpec(-2e7, 2e7, 2 * STEADY_STATE_CHUNK + 5)
-        spec = sweep("full", MAT, EIT_DRIVES, grid)
+        swept = sweep("full", MAT, EIT_DRIVES, grid)[1]
         chi = full_model_chi(MAT, EIT_DRIVES, grid.values())
-        assert np.array_equal(spec.chi_re, chi.real)
-        assert np.array_equal(spec.chi_im, chi.imag)
+        assert np.array_equal(swept, chi)
         one = full_model_chi(MAT, EIT_DRIVES, float(grid.values()[7]))
         assert type(one) is complex
         assert (one.real, one.imag) == (chi.real[7], chi.imag[7])
