@@ -16,6 +16,7 @@ _EXPORTS = {
     "bloch": ("FieldDrive", "build_hamiltonian", "build_liouvillian",
               "evolve", "frame_phases", "generator_drift", "steady_state",
               "steady_states"),
+    "config": ("DriveSet", "GridSpec", "pryso_defaults"),
     "constants": ("C_LIGHT", "EPSILON_0", "HBAR", "TWO_PI"),
     "errors": ("ConfigError", "ConventionError", "DivergentVelocityError",
                "EitsimError", "InconsistentFrameError", "IntegrationError",
@@ -24,11 +25,11 @@ _EXPORTS = {
     "lambda_system": ("LambdaParams", "chi_analytic", "dchi_prime_ddelta",
                       "lambda_from_material"),
     "materials": ("LevelSystem", "MaterialParams", "derive_gamma",
-                  "equal_branching", "pryso_defaults"),
-    "optics": ("DriveSet", "GridSpec", "absorption", "full_model_chi",
-               "group_velocity", "probe_angular_frequency",
-               "refractive_index", "rho_to_chi", "spectrum_to_csv", "sweep",
-               "transparency_window", "window_width_closed_form"),
+                  "equal_branching"),
+    "optics": ("absorption", "full_model_chi", "group_velocity",
+               "probe_angular_frequency", "refractive_index", "rho_to_chi",
+               "spectrum_to_csv", "sweep", "transparency_window",
+               "window_width_closed_form"),
     "states": ("assert_density_matrices", "assert_density_matrix",
                "basis_state", "mixed_state"),
     "validation": ("validate_reduction",),

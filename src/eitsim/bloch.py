@@ -165,10 +165,11 @@ def build_hamiltonian(n_levels: int, drives) -> np.ndarray:
 
 
 def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
-                      gamma: np.ndarray) -> np.ndarray:
+                      gamma) -> np.ndarray:
     """Assemble the full (n^2, n^2) generator acting on the row-major
     vec(rho): coherent commutator, population branching, and coherence
-    decay."""
+    decay.  The branching and gamma tables (tuples of floats in a
+    MaterialParams) are read as arrays here."""
     n = levels.n_levels
     ham = np.asarray(ham, dtype=complex)
     gamma = np.asarray(gamma, dtype=float)
@@ -180,7 +181,7 @@ def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
     eye = np.eye(n)
     gen = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
 
-    branching = levels.branching
+    branching = np.asarray(levels.branching)
     for m in range(n):
         row = m * n + m
         gen[row, row] -= branching[m].sum()

@@ -6,6 +6,13 @@ Exit statuses: 0 success, 2 configuration error, 3 solver error,
 into --out; every command also writes a `<command>_summary.json` that echoes
 the fully resolved configuration, so any run can be reproduced from its
 summary alone.
+
+Parsing the arguments and resolving the configuration need the standard
+library alone.  numpy and the modules that compute (the numeric layer:
+bloch, optics, validation, lambda_system) load through load_numeric once a
+command that computes has resolved its configuration, so `params`, `--help`
+and every configuration error run without them.  Reading one of their
+names from this module (`eitsim.cli.optics`, say) loads them too (PEP 562).
 """
 
 import argparse
@@ -16,22 +23,45 @@ import os
 import sys
 import time
 
-# The matrices here are at most 36x36, too small for OpenBLAS threads, whose
-# idle pool would busy-wait on a second core; a value the user set wins.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402  (must follow the thread setting)
-
-from . import bloch, optics, validation
-from .config import ResolvedRun, apply_overrides, load_document, resolve
+from .config import (GridSpec, ResolvedRun, apply_overrides, load_document,
+                     resolve)
 from .constants import TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      IntegrationError, InvalidArgumentError,
                      SingularParametersError, StateCorruptionError,
                      SteadyStateError)
-from .lambda_system import chi_analytic, lambda_from_material
 from .materials import N_LEVELS
-from .optics import GridSpec
+
+# The matrices here are at most 36x36, too small for OpenBLAS threads, whose
+# idle pool would busy-wait on a second core; a value the user set wins.
+# Nothing above loads numpy, and everything below loads it after this.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+# The names load_numeric binds in this module.
+_NUMERIC_NAMES = ("np", "bloch", "optics", "validation", "chi_analytic",
+                  "lambda_from_material")
+# Commands that read nothing but the resolved configuration.
+_NUMPY_FREE_COMMANDS = ("params",)
+
+
+def load_numeric() -> None:
+    """Import numpy and the numeric layer into this module's namespace.
+    Only the first call imports, so a name rebound since (by a tracer, say)
+    stays rebound."""
+    global np, bloch, optics, validation, chi_analytic, lambda_from_material
+    if "np" in globals():
+        return
+    import numpy as np
+    from . import bloch, optics, validation
+    from .lambda_system import chi_analytic, lambda_from_material
+
+
+def __getattr__(name):
+    if name not in _NUMERIC_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    load_numeric()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -101,19 +131,21 @@ def _resolved_run(args) -> ResolvedRun:
 
 
 def _jsonable(value):
+    """value with tuples as lists and non-finite floats as None; numpy
+    arrays and scalars convert through their `tolist()`."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (bool, str)) or value is None:
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return int(value)
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         v = float(value)
         return v if math.isfinite(v) else None
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+    if hasattr(value, "tolist"):
+        return _jsonable(value.tolist())
     return value
 
 
@@ -276,7 +308,7 @@ def cmd_validate(args, run: ResolvedRun) -> int:
         run.material,
         run.drives.coupling_rabi,
         run.drives.probe_rabi,
-        run.grid.values(),
+        optics.grid_values(run.grid),
         omega_a=run.drives.aux_rabi,
         analytic_gamma52_factor=run.validate_fault_factor,
     )
@@ -301,12 +333,12 @@ def cmd_validate(args, run: ResolvedRun) -> int:
 
 def cmd_evolve(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    drives = run.drives.field_drives(run.drives.probe_detuning)
+    drives = optics.field_drives(run.drives, run.drives.probe_detuning)
     ham = bloch.build_hamiltonian(N_LEVELS, drives)
     gen = bloch.build_liouvillian(ham, run.material.levels,
                                   run.material.gamma)
     times, rho, max_trace_dev, max_herm_dev = bloch.evolve(
-        run.initial_state(), gen, run.evolve_t_end,
+        optics.initial_state(run.evolve_initial), gen, run.evolve_t_end,
         n_samples=run.evolve_samples)
 
     header = "t_s," + ",".join(f"rho{i}{i}" for i in range(1, N_LEVELS + 1)) \
@@ -340,7 +372,7 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
 def _gamma_note(mat, upper: int, lower: int) -> str:
     inv_u = 1.0 / mat.levels.lifetimes[upper - 1]
     inv_l = 1.0 / mat.levels.lifetimes[lower - 1]
-    deph = mat.levels.dephasing[upper - 1, lower - 1]
+    deph = mat.levels.dephasing[upper - 1][lower - 1]
     if mat.rate_convention == "cyclic":
         return (f"pi * (1/T1({upper}) + 1/T1({lower}) + dephasing) "
                 f"= pi * ({inv_u:g} + {inv_l:g} + {deph:g} Hz), "
@@ -378,20 +410,20 @@ def cmd_params(args, run: ResolvedRun) -> int:
     _write_atomic(params_path,
                   json.dumps(_jsonable(dump), indent=2, sort_keys=True) + "\n")
     headline = {
-        "gamma_32_rad_s": float(mat.gamma[2, 1]),
-        "gamma_52_rad_s": float(mat.gamma[4, 1]),
-        "gamma_53_rad_s": float(mat.gamma[4, 2]),
+        "gamma_32_rad_s": float(mat.gamma[2][1]),
+        "gamma_52_rad_s": float(mat.gamma[4][1]),
+        "gamma_53_rad_s": float(mat.gamma[4][2]),
         "coupling_strength_rad_s": float(mat.coupling_strength),
         "rate_convention": mat.rate_convention,
     }
     summary_path = _write_summary(args.out, "params", run.canonical, headline,
                                   ["params.json"], started)
     print(f"params: rate_convention = {mat.rate_convention}")
-    print(f"  gamma_32 = {mat.gamma[2, 1]:.6g} rad/s   "
+    print(f"  gamma_32 = {mat.gamma[2][1]:.6g} rad/s   "
           f"[{dump['notes']['gamma_32']}]")
-    print(f"  gamma_52 = {mat.gamma[4, 1]:.6g} rad/s   "
+    print(f"  gamma_52 = {mat.gamma[4][1]:.6g} rad/s   "
           f"[{dump['notes']['gamma_52']}]")
-    print(f"  gamma_53 = {mat.gamma[4, 2]:.6g} rad/s")
+    print(f"  gamma_53 = {mat.gamma[4][2]:.6g} rad/s")
     print(f"  coupling strength = {mat.coupling_strength:.6g} rad/s, "
           f"wavelength = {mat.probe_wavelength:g} m")
     print(f"  wrote {params_path} and {summary_path}")
@@ -408,11 +440,18 @@ _HANDLERS = {
 }
 
 
-def main(argv=None) -> int:
+def main(argv=None, load_numeric=load_numeric) -> int:
+    """Run one command in this process and return its exit status.
+
+    A command that computes calls load_numeric once its configuration has
+    resolved; eitsim.__main__.run passes one that also freezes the import.
+    """
     args = build_parser().parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
         run = _resolved_run(args)
+        if args.command not in _NUMPY_FREE_COMMANDS:
+            load_numeric()
         return _HANDLERS[args.command](args, run)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,15 +14,16 @@ the two convention switches are known:
 
 The resolved state is echoed as a canonical document (canonical keys only)
 that re-parses to the identical run, which is what run summaries embed.
+
+This module, like `materials` below it, runs on the standard library alone:
+`eitsim params` and every configuration error need no numpy.
 """
 
 import copy
 import json
 import math
-from dataclasses import dataclass
-from typing import FrozenSet
-
-import numpy as np
+import sys
+from collections import namedtuple
 
 from .constants import TWO_PI
 from .errors import ConfigError
@@ -30,8 +31,6 @@ from .materials import (DEFAULT_DEPHASING_HZ, EXCITED_LIFETIME_S,
                         GROUND_LIFETIME_S, N_LEVELS, NUMBER_DENSITY_PER_M3,
                         PROBE_DIPOLE_C_M, PROBE_WAVELENGTH_M, LevelSystem,
                         MaterialParams, derive_gamma, equal_branching)
-from .optics import DriveSet, GridSpec
-from .states import basis_state, mixed_state
 
 _LEVELS = range(1, N_LEVELS + 1)
 
@@ -139,26 +138,41 @@ def default_document() -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ResolvedRun:
-    """Fully resolved run inputs in internal units."""
+class GridSpec(namedtuple("GridSpec", "delta_min delta_max points")):
+    """Uniform detuning grid in rad/s (optics.grid_values lays it out)."""
 
-    canonical: dict
-    user_set: FrozenSet[str]
-    material: MaterialParams
-    drives: DriveSet
-    grid: GridSpec
-    backend: str
-    evolve_t_end: float
-    evolve_samples: int
-    evolve_initial: str
-    validate_max_dev: float
-    validate_fault_factor: float
+    __slots__ = ()
 
-    def initial_state(self) -> np.ndarray:
-        if self.evolve_initial == "mixed":
-            return mixed_state(N_LEVELS)
-        return basis_state(N_LEVELS, int(self.evolve_initial.split("_")[1]))
+    def __new__(cls, delta_min, delta_max, points):
+        if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
+            raise ConfigError("grid bounds must be finite")
+        if delta_max <= delta_min:
+            raise ConfigError("grid needs delta_max > delta_min")
+        if points < 2:
+            raise ConfigError("grid needs at least 2 points")
+        return super().__new__(cls, delta_min, delta_max, points)
+
+
+class DriveSet(namedtuple("DriveSet",
+                          "probe_rabi coupling_rabi aux_rabi probe_detuning "
+                          "coupling_detuning aux_detuning",
+                          defaults=(0.0, 0.0, 0.0))):
+    """Rabi frequencies and detunings of the three standard fields
+    (optics.field_drives places them on their levels).
+
+    The probe detuning stored here is the sweep's reference point; sweeps
+    override it per grid point.  Zero-magnitude drives are kept in the
+    model because they still anchor the rotating frame.
+    """
+
+    __slots__ = ()
+
+
+ResolvedRun = namedtuple("ResolvedRun", (
+    "canonical", "user_set", "material", "drives", "grid", "backend",
+    "evolve_t_end", "evolve_samples", "evolve_initial", "validate_max_dev",
+    "validate_fault_factor"))
+ResolvedRun.__doc__ = "Fully resolved run inputs in internal units."
 
 
 def load_document(path) -> dict:
@@ -205,7 +219,7 @@ def _check_number(path: str, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key '{path}' must be a number")
     # An integer past the float range is no finite number either.
-    if not abs(value) <= float(np.finfo(float).max):
+    if not abs(value) <= sys.float_info.max:
         raise ConfigError(f"config key '{path}' must be finite")
 
 
@@ -265,7 +279,7 @@ def resolve(doc: dict) -> ResolvedRun:
         section, _, key = path.rpartition(".")
         (canonical[section] if section else canonical)[key] = value
 
-    mat = _build_material(canonical["material"], rate_convention)
+    mat = pryso_defaults(rate_convention, material=canonical["material"])
     d = canonical["drives"]
     for name in ("probe_rabi_rad_s", "coupling_rabi_rad_s", "aux_rabi_rad_s"):
         if d[name] < 0:
@@ -307,17 +321,34 @@ def resolve(doc: dict) -> ResolvedRun:
     )
 
 
-def _build_material(m: dict, rate_convention: str) -> MaterialParams:
-    lifetimes = np.array([m[f"lifetime_{i}_s"] for i in _LEVELS])
-    dephasing = np.zeros((N_LEVELS, N_LEVELS))
-    branching = equal_branching(lifetimes)
-    for i in _LEVELS:
-        for j in _LEVELS:
-            if i > j:
-                dephasing[i - 1, j - 1] = dephasing[j - 1, i - 1] = \
-                    m.get(f"dephasing_{i}{j}_hz", 0.0)
-            if f"branching_{i}{j}_per_s" in m:
-                branching[i - 1, j - 1] = m[f"branching_{i}{j}_per_s"]
+def pryso_defaults(rate_convention: str = "cyclic", lifetimes=None,
+                   dephasing_hz=None, branching=None,
+                   material: dict = None) -> MaterialParams:
+    """The six-level Pr3+:Y2SiO5 material of a canonical `material`
+    section, default_document()'s when material is None; resolve builds
+    every run's material here.
+
+    lifetimes (n values in s, inf allowed), dephasing_hz ({(i, j): Hz} on
+    1-based levels) and branching (n x n, 1/s) replace the section's
+    tables wholesale.  Without a branching table each level's 1/T1 splits
+    equally over all lower levels, then the section's per-pair
+    `branching_ij_per_s` entries apply.
+    """
+    m = default_document()["material"] if material is None else material
+    if lifetimes is None:
+        lifetimes = [m[f"lifetime_{i}_s"] for i in _LEVELS]
+    if dephasing_hz is None:
+        dephasing_hz = {(i, j): m.get(f"dephasing_{i}{j}_hz", 0.0)
+                        for i in _LEVELS for j in _LEVELS if i > j}
+    if branching is None:
+        branching = [list(row) for row in equal_branching(lifetimes)]
+        for i in _LEVELS:
+            for j in _LEVELS:
+                if f"branching_{i}{j}_per_s" in m:
+                    branching[i - 1][j - 1] = m[f"branching_{i}{j}_per_s"]
+    dephasing = [[0.0] * N_LEVELS for _ in _LEVELS]
+    for (i, j), value in dephasing_hz.items():
+        dephasing[i - 1][j - 1] = dephasing[j - 1][i - 1] = value
     levels = LevelSystem(N_LEVELS, lifetimes, branching, dephasing)
     return MaterialParams(
         levels=levels,

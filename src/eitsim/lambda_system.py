@@ -62,8 +62,8 @@ class LambdaParams:
 def lambda_from_material(mat: MaterialParams, omega_c: float) -> LambdaParams:
     """Extract the lambda-system inputs for the 5-2 probe / 5-3 coupling."""
     return LambdaParams(
-        gamma52=float(mat.gamma[4, 1]),
-        gamma32=float(mat.gamma[2, 1]),
+        gamma52=float(mat.gamma[4][1]),
+        gamma32=float(mat.gamma[2][1]),
         omega_c=float(omega_c),
         coupling_a=mat.coupling_strength,
     )

@@ -17,9 +17,7 @@ gamma_32 ~ 6.28e3 rad/s and gamma_52 ~ 4.74e4 rad/s for the default inputs.
 """
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from collections import namedtuple
 
 from .constants import EPSILON_0, HBAR
 from .errors import ConfigError, InvalidArgumentError
@@ -51,49 +49,70 @@ RATE_CONVENTIONS = ("cyclic", "angular")
 BRANCHING_SUM_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LevelSystem:
-    """Level count, lifetimes and relaxation tables.
+def _lifetimes(values) -> tuple:
+    """values as a tuple of floats, each positive (inf allowed)."""
+    lifetimes = tuple(map(float, values))
+    if not all(t > 0 for t in lifetimes):
+        raise InvalidArgumentError("lifetimes must be positive (inf allowed)")
+    return lifetimes
 
-    lifetimes : (n,) seconds, np.inf allowed (non-decaying level)
-    branching : (n, n) population decay rates, branching[m, n] = rate of
+
+def _table(rows) -> tuple:
+    return tuple(tuple(map(float, row)) for row in rows)
+
+
+def _is_square(table, n: int) -> bool:
+    return len(table) == n and all(len(row) == n for row in table)
+
+
+def _finite_non_negative(table) -> bool:
+    return all(0 <= value < math.inf for row in table for value in row)
+
+
+def _symmetric(table) -> bool:
+    return all(row[j] == table[j][i] for i, row in enumerate(table)
+               for j in range(i))
+
+
+class LevelSystem(namedtuple("LevelSystem",
+                             "n_levels lifetimes branching dephasing")):
+    """Level count, lifetimes and relaxation tables, held as tuples of
+    floats.
+
+    lifetimes : n seconds, inf allowed (non-decaying level)
+    branching : n x n population decay rates, branching[m][n] = rate of
                 m -> n in 1/s.  Row sums must equal 1/T1 for every level
                 that decays at all; empty rows mark terminal levels whose
                 lifetime enters only the coherence-decay derivation.
-    dephasing : (n, n) symmetric pure-dephasing table in Hz (input unit).
+    dephasing : n x n symmetric pure-dephasing table in Hz (input unit).
     """
 
-    n_levels: int
-    lifetimes: np.ndarray
-    branching: np.ndarray
-    dephasing: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.n_levels
-        lifetimes = np.asarray(self.lifetimes, dtype=float)
-        branching = np.asarray(self.branching, dtype=float)
-        dephasing = np.asarray(self.dephasing, dtype=float)
-        object.__setattr__(self, "lifetimes", lifetimes)
-        object.__setattr__(self, "branching", branching)
-        object.__setattr__(self, "dephasing", dephasing)
-
+    def __new__(cls, n_levels, lifetimes, branching, dephasing):
+        n = n_levels
         if n < 2:
             raise InvalidArgumentError("need at least two levels")
-        if lifetimes.shape != (n,) or branching.shape != (n, n) or dephasing.shape != (n, n):
-            raise InvalidArgumentError("lifetimes/branching/dephasing shape mismatch")
-        if np.any(lifetimes <= 0):
-            raise InvalidArgumentError("lifetimes must be positive (np.inf allowed)")
-        if np.any(branching < 0) or not np.all(np.isfinite(branching)):
-            raise InvalidArgumentError("branching rates must be finite and non-negative")
-        if np.any(np.diag(branching) != 0):
+        branching = _table(branching)
+        dephasing = _table(dephasing)
+        if len(lifetimes) != n or not _is_square(branching, n) \
+                or not _is_square(dephasing, n):
+            raise InvalidArgumentError(
+                "lifetimes/branching/dephasing shape mismatch")
+        lifetimes = _lifetimes(lifetimes)
+        if not _finite_non_negative(branching):
+            raise InvalidArgumentError(
+                "branching rates must be finite and non-negative")
+        if any(branching[m][m] != 0 for m in range(n)):
             raise InvalidArgumentError("self-decay entries must be zero")
-        if np.any(dephasing < 0) or not np.all(np.isfinite(dephasing)):
-            raise InvalidArgumentError("dephasing must be finite and non-negative")
-        if not np.array_equal(dephasing, dephasing.T):
+        if not _finite_non_negative(dephasing):
+            raise InvalidArgumentError(
+                "dephasing must be finite and non-negative")
+        if not _symmetric(dephasing):
             raise InvalidArgumentError("dephasing table must be symmetric")
 
         for m in range(n):
-            total = branching[m].sum()
+            total = sum(branching[m])
             if total == 0.0:
                 continue  # terminal level; lifetime only feeds derive_gamma
             expected = 1.0 / lifetimes[m]
@@ -102,51 +121,57 @@ class LevelSystem:
                     f"branching out of level {m + 1} sums to {total!r}, "
                     f"expected 1/T1 = {expected!r}"
                 )
+        return super().__new__(cls, n, lifetimes, branching, dephasing)
 
 
-def derive_gamma(levels: LevelSystem, rate_convention: str = "cyclic") -> np.ndarray:
-    """Coherence decay rates gamma_ij in rad/s for every level pair.
+def derive_gamma(levels: LevelSystem, rate_convention: str = "cyclic") -> tuple:
+    """Coherence decay rates gamma[i][j] in rad/s for every level pair, as
+    an n x n tuple of floats.
 
     Pairs without a dephasing entry get the pure lifetime half-sum.
     The diagonal is zero.
     """
     if rate_convention not in RATE_CONVENTIONS:
         raise ConfigError(f"rate_convention must be one of {RATE_CONVENTIONS}")
-    inv_t1 = np.where(np.isinf(levels.lifetimes), 0.0, 1.0 / levels.lifetimes)
-    pair_sum = inv_t1[:, None] + inv_t1[None, :]
-    if rate_convention == "cyclic":
-        gamma = math.pi * (pair_sum + levels.dephasing)
-    else:
-        gamma = 0.5 * (pair_sum + 2.0 * math.pi * levels.dephasing)
-    np.fill_diagonal(gamma, 0.0)
-    return gamma
+    inv_t1 = [0.0 if math.isinf(t) else 1.0 / t for t in levels.lifetimes]
+    scale, per_hz = ((math.pi, 1.0) if rate_convention == "cyclic"
+                     else (0.5, 2.0 * math.pi))
+    return tuple(
+        tuple(0.0 if i == j
+              else scale * (inv_t1[i] + inv_t1[j] + per_hz * deph)
+              for j, deph in enumerate(row))
+        for i, row in enumerate(levels.dephasing))
 
 
-@dataclass(frozen=True)
-class MaterialParams:
-    """Everything the optical response depends on besides the drives."""
+class MaterialParams(namedtuple("MaterialParams",
+                                "levels gamma number_density probe_dipole "
+                                "probe_wavelength rate_convention")):
+    """Everything the optical response depends on besides the drives.
 
-    levels: LevelSystem
-    gamma: np.ndarray  # (n, n) coherence decay rates, rad/s
-    number_density: float  # dopant number density, 1/m^3
-    probe_dipole: float  # probe transition dipole moment, C m
-    probe_wavelength: float  # probe vacuum wavelength, m
-    rate_convention: str = "cyclic"
+    gamma            n x n coherence decay rates, rad/s (tuples of floats)
+    number_density   dopant number density, 1/m^3
+    probe_dipole     probe transition dipole moment, C m
+    probe_wavelength probe vacuum wavelength, m
+    """
 
-    def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=float)
-        object.__setattr__(self, "gamma", gamma)
-        n = self.levels.n_levels
-        if gamma.shape != (n, n):
+    __slots__ = ()
+
+    def __new__(cls, levels, gamma, number_density, probe_dipole,
+                probe_wavelength, rate_convention="cyclic"):
+        gamma = _table(gamma)
+        if not _is_square(gamma, levels.n_levels):
             raise InvalidArgumentError("gamma table shape mismatch")
-        if np.any(gamma < 0) or not np.array_equal(gamma, gamma.T):
+        if any(g < 0 for row in gamma for g in row) or not _symmetric(gamma):
             raise InvalidArgumentError("gamma must be symmetric and non-negative")
-        if not self.number_density > 0:
+        if not number_density > 0:
             raise InvalidArgumentError("number density must be positive")
-        if not self.probe_dipole > 0:
+        if not probe_dipole > 0:
             raise InvalidArgumentError("probe dipole moment must be positive")
-        if not self.probe_wavelength > 0:
+        if not probe_wavelength > 0:
             raise InvalidArgumentError("probe wavelength must be positive")
+        return super().__new__(cls, levels, gamma, number_density,
+                               probe_dipole, probe_wavelength,
+                               rate_convention)
 
     @property
     def coupling_strength(self) -> float:
@@ -154,45 +179,19 @@ class MaterialParams:
         return self.number_density * self.probe_dipole**2 / (EPSILON_0 * HBAR)
 
 
-def equal_branching(lifetimes: np.ndarray, destinations=None) -> np.ndarray:
-    """Branching table with 1/T1 split equally over each level's destinations."""
+def equal_branching(lifetimes, destinations=None) -> tuple:
+    """Branching table, an n x n tuple of floats, with 1/T1 split equally
+    over each level's destinations.  The lifetimes are checked first, so a
+    zero one is refused rather than divided by."""
     if destinations is None:
         destinations = DEFAULT_DESTINATIONS
+    lifetimes = _lifetimes(lifetimes)
     n = len(lifetimes)
-    table = np.zeros((n, n))
+    table = [[0.0] * n for _ in range(n)]
     for m, dests in destinations.items():
         if not dests:
             continue
         rate = 1.0 / (len(dests) * lifetimes[m - 1])
         for d in dests:
-            table[m - 1, d - 1] = rate
-    return table
-
-
-def pryso_defaults(rate_convention: str = "cyclic", lifetimes=None,
-                   dephasing_hz=None, branching=None) -> MaterialParams:
-    """Default six-level Pr3+:Y2SiO5 material.
-
-    Any of the tables can be swapped out wholesale through the keyword
-    arguments.  The config layer does not call this: it builds its material
-    from the canonical document's keys.
-    """
-    if lifetimes is None:
-        lifetimes = np.array([GROUND_LIFETIME_S] * 3 + [EXCITED_LIFETIME_S] * 3)
-    else:
-        lifetimes = np.asarray(lifetimes, dtype=float)
-    deph = np.zeros((N_LEVELS, N_LEVELS))
-    for (i, j), val in (dephasing_hz or DEFAULT_DEPHASING_HZ).items():
-        deph[i - 1, j - 1] = val
-        deph[j - 1, i - 1] = val
-    if branching is None:
-        branching = equal_branching(lifetimes)
-    levels = LevelSystem(N_LEVELS, lifetimes, branching, deph)
-    return MaterialParams(
-        levels=levels,
-        gamma=derive_gamma(levels, rate_convention),
-        number_density=NUMBER_DENSITY_PER_M3,
-        probe_dipole=PROBE_DIPOLE_C_M,
-        probe_wavelength=PROBE_WAVELENGTH_M,
-        rate_convention=rate_convention,
-    )
+            table[m - 1][d - 1] = rate
+    return _table(table)

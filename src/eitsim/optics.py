@@ -6,7 +6,6 @@ The group velocity needs only chi' and its exact detuning slope.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,12 +14,14 @@ import numpy as np
 from .bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
                     generator_drift, reduction, steady_state,
                     steady_state_slope, steady_states)
+from .config import DriveSet, GridSpec
 from .constants import C_LIGHT, TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      InvalidArgumentError)
 from .lambda_system import (chi_analytic, dchi_prime_ddelta,
                             lambda_from_material)
-from .materials import MaterialParams
+from .materials import N_LEVELS, MaterialParams
+from .states import basis_state, mixed_state
 
 BACKEND_ANALYTIC = "analytic"
 BACKEND_FULL = "full"
@@ -53,51 +54,34 @@ GROUP_INDEX_MIN = 1e-12
 STEADY_STATE_CHUNK = 128
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform detuning grid in rad/s."""
-
-    delta_min: float
-    delta_max: float
-    points: int
-
-    def __post_init__(self):
-        if not (np.isfinite(self.delta_min) and np.isfinite(self.delta_max)):
-            raise ConfigError("grid bounds must be finite")
-        if self.delta_max <= self.delta_min:
-            raise ConfigError("grid needs delta_max > delta_min")
-        if self.points < 2:
-            raise ConfigError("grid needs at least 2 points")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.delta_min, self.delta_max, self.points)
+def grid_values(grid: GridSpec) -> np.ndarray:
+    """The grid's detunings, refused unless they increase strictly: a grid
+    too narrow for its point count repeats a detuning."""
+    deltas = np.linspace(grid.delta_min, grid.delta_max, grid.points)
+    if np.any(np.diff(deltas) <= 0):
+        raise InvalidArgumentError("deltas must be strictly increasing")
+    return deltas
 
 
-@dataclass(frozen=True)
-class DriveSet:
-    """Rabi frequencies and detunings of the three standard fields.
+def field_drives(drives: DriveSet, probe_detuning: float) -> tuple:
+    """The three standard fields on their levels, the probe at
+    probe_detuning."""
+    return (
+        FieldDrive(*PROBE_LEVELS, rabi=drives.probe_rabi,
+                   detuning=float(probe_detuning)),
+        FieldDrive(*COUPLING_LEVELS, rabi=drives.coupling_rabi,
+                   detuning=drives.coupling_detuning),
+        FieldDrive(*AUX_LEVELS, rabi=drives.aux_rabi,
+                   detuning=drives.aux_detuning),
+    )
 
-    The probe detuning stored here is the sweep's reference point; sweeps
-    override it per grid point.  Zero-magnitude drives are kept in the
-    model because they still anchor the rotating frame.
-    """
 
-    probe_rabi: complex
-    coupling_rabi: complex
-    aux_rabi: complex
-    probe_detuning: float = 0.0
-    coupling_detuning: float = 0.0
-    aux_detuning: float = 0.0
-
-    def field_drives(self, probe_detuning: float) -> tuple:
-        return (
-            FieldDrive(*PROBE_LEVELS, rabi=self.probe_rabi,
-                       detuning=float(probe_detuning)),
-            FieldDrive(*COUPLING_LEVELS, rabi=self.coupling_rabi,
-                       detuning=self.coupling_detuning),
-            FieldDrive(*AUX_LEVELS, rabi=self.aux_rabi,
-                       detuning=self.aux_detuning),
-        )
+def initial_state(name: str) -> np.ndarray:
+    """The six-level state `evolve.initial_state` names: "mixed" or
+    "level_<k>"."""
+    if name == "mixed":
+        return mixed_state(N_LEVELS)
+    return basis_state(N_LEVELS, int(name.split("_")[1]))
 
 
 def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
@@ -196,7 +180,7 @@ def transparency_window(deltas: np.ndarray, alpha: np.ndarray,
 
 # The probe detuning per unit sweep parameter of each standard drive: only
 # the probe moves.  generator_drift reads nothing but the detunings.
-_PROBE_SCAN = DriveSet(0.0, 0.0, 0.0).field_drives(1.0)
+_PROBE_SCAN = field_drives(DriveSet(0.0, 0.0, 0.0), 1.0)
 
 
 def _full_generator(mat: MaterialParams, drives: DriveSet):
@@ -205,7 +189,7 @@ def _full_generator(mat: MaterialParams, drives: DriveSet):
     if drives.probe_rabi == 0:
         raise ConfigError("full backend needs a nonzero probe field")
     n = mat.levels.n_levels
-    ham0 = build_hamiltonian(n, drives.field_drives(0.0))
+    ham0 = build_hamiltonian(n, field_drives(drives, 0.0))
     gen0 = build_liouvillian(ham0, mat.levels, mat.gamma)
     return gen0, generator_drift(n, _PROBE_SCAN)
 
@@ -279,15 +263,14 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
           grid: GridSpec):
     """(deltas, chi, alpha) on the detuning grid, all points in one batched
     call of the chosen backend; n is 1 + chi.real / 2.  A grid too narrow
-    for its point count to increase strictly is refused before the solve.
+    for its point count to increase strictly is refused before the solve
+    (grid_values).
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
     omega_c = abs(drives.coupling_rabi)
     omega_p = abs(drives.probe_rabi)
-    deltas = grid.values()
-    if np.any(np.diff(deltas) <= 0):
-        raise InvalidArgumentError("deltas must be strictly increasing")
+    deltas = grid_values(grid)
     if backend == BACKEND_FULL:
         if omega_c > 0.0 and omega_p > WEAK_PROBE_RATIO * omega_c:
             raise ConfigError(

@@ -3,10 +3,11 @@ closed-form lambda response on a detuning grid."""
 
 import numpy as np
 
+from .config import DriveSet
 from .errors import ConfigError, InvalidArgumentError
 from .lambda_system import LambdaParams, chi_analytic, lambda_from_material
 from .materials import MaterialParams
-from .optics import WEAK_PROBE_RATIO, DriveSet, full_model_chi
+from .optics import WEAK_PROBE_RATIO, full_model_chi
 
 # Grid points where the analytic chi_im falls below this fraction of its
 # maximum are excluded from relative-deviation statistics (the transparency

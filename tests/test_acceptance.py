@@ -29,10 +29,10 @@ import time
 import numpy as np
 
 from eitsim.cli import EXIT_OK, EXIT_VALIDATION, main
+from eitsim.config import pryso_defaults
 from eitsim.lambda_system import (LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
-from eitsim.materials import pryso_defaults
-from eitsim.optics import (DriveSet, GridSpec, absorption, sweep,
+from eitsim.optics import (DriveSet, GridSpec, absorption, grid_values, sweep,
                            transparency_window, window_width_closed_form)
 
 MAT = pryso_defaults()
@@ -65,14 +65,15 @@ def rate_populations(mat, probe, coupling, aux, deltas):
     alone, so it shares no code with the Bloch generator, the steady-state
     solve or the closed form it is used to check.
     """
-    g = mat.gamma
+    g = np.array(mat.gamma)
     deltas = np.asarray(deltas, dtype=float)
     n = mat.levels.n_levels
     d = (g[4, 1] + 1j * deltas) * (g[2, 1] + 1j * deltas) \
         + 0.25 * coupling ** 2
     probe_rate = 0.5 * probe ** 2 * ((g[2, 1] + 1j * deltas) / d).real
     # rates[k, to, from] at detuning k
-    rates = np.repeat(mat.levels.branching.T[None], deltas.size, axis=0)
+    rates = np.repeat(np.array(mat.levels.branching).T[None], deltas.size,
+                      axis=0)
     for (upper, lower), rate in (((5, 2), probe_rate),
                                  ((5, 3), 0.5 * coupling ** 2 / g[4, 2]),
                                  ((6, 1), 0.5 * aux ** 2 / g[5, 0])):
@@ -261,7 +262,7 @@ def run_c08(weighted=True):
     (ok, detail, gated deviation)."""
     started = time.perf_counter()
     grid = GridSpec(-2e7, 2e7, 201)
-    deltas = grid.values()
+    deltas = grid_values(grid)
     chis, weights = [], []
     for p in (1.5e3, 1.5e4):
         chis.append(sweep("full", MAT, DriveSet(

@@ -11,11 +11,12 @@ from eitsim.bloch import (DEGENERACY_TOL, FieldDrive, build_hamiltonian,
                           build_liouvillian, evolve, frame_phases,
                           generator_drift, solved_indices, steady_state,
                           steady_state_slope, steady_states)
+from eitsim.config import pryso_defaults
 from eitsim.errors import (ConfigError, InconsistentFrameError,
                            IntegrationError, InvalidArgumentError,
                            SteadyStateError)
 from eitsim.lambda_system import lambda_from_material
-from eitsim.materials import LevelSystem, equal_branching, pryso_defaults
+from eitsim.materials import LevelSystem, equal_branching
 from eitsim.optics import DriveSet, full_model_chi
 from eitsim.states import basis_state, mixed_state
 
@@ -194,7 +195,8 @@ class TestLiouvillian:
         for _ in range(25):
             rho = random_hermitian_state(rng)
             via_gen = (lv @ rho.reshape(-1)).reshape(6, 6)
-            via_ref = reference_rhs(rho, ham, MAT.levels.branching, MAT.gamma)
+            via_ref = reference_rhs(rho, ham, np.array(MAT.levels.branching),
+                                    np.array(MAT.gamma))
             assert np.max(np.abs(via_gen - via_ref)) < 1e-13 * scale
 
     def test_probe_coupling_coefficients_in_population_equation(self):
@@ -217,7 +219,7 @@ class TestLiouvillian:
     def test_coherence_decay_entry(self):
         lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
         idx52 = 4 * 6 + 1
-        assert lv[idx52, idx52] == -MAT.gamma[4, 1]
+        assert lv[idx52, idx52] == -MAT.gamma[4][1]
 
     def test_trace_preserved_structurally(self):
         # the population rows of the generator sum to the zero row: exact
@@ -247,7 +249,8 @@ class TestLiouvillian:
         with pytest.raises(ConfigError):
             build_liouvillian(np.zeros((5, 5)), MAT.levels, MAT.gamma)
         with pytest.raises(ConfigError):
-            build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma[:5, :5])
+            build_liouvillian(np.zeros((6, 6)), MAT.levels,
+                              np.array(MAT.gamma)[:5, :5])
         # a generator that is not (n^2, n^2) is refused wherever one is
         # accepted
         zero = np.zeros(36)
@@ -452,7 +455,7 @@ class TestBatchedSteadyStates:
         # point is exactly |4><4|, though the delta-independent part of the
         # pinned block is singular (cond 1.2e18)
         lifetimes = MAT.levels.lifetimes
-        branching = equal_branching(lifetimes)
+        branching = np.array(equal_branching(lifetimes))
         branching[3, :3] = 0.0
         branching[1, 0] = 0.0
         mat = pryso_defaults(lifetimes=lifetimes, branching=branching)

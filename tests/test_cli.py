@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from eitsim import bloch, optics
+from eitsim import bloch, optics, validation
 from eitsim.cli import main
 from eitsim.config import apply_overrides, default_document, resolve
 from eitsim.constants import C_LIGHT
@@ -382,11 +382,11 @@ class TestEvolve:
                 "evolve.samples_count=11"]
         assert main(["evolve", "--out", out, *argv]) == 0
         run = resolve(apply_overrides({}, argv[1::2]))
-        drives = run.drives.field_drives(run.drives.probe_detuning)
+        drives = optics.field_drives(run.drives, run.drives.probe_detuning)
         gen = bloch.build_liouvillian(bloch.build_hamiltonian(6, drives),
                                       run.material.levels, run.material.gamma)
-        times, rho, _, _ = bloch.evolve(run.initial_state(), gen, 1e-4,
-                                        n_samples=11)
+        times, rho, _, _ = bloch.evolve(
+            optics.initial_state(run.evolve_initial), gen, 1e-4, n_samples=11)
         cells = [[float(c) for c in line.split(",")] for line in
                  read_csv_lines(os.path.join(out, "evolve.csv"))[1:]]
         want = np.column_stack([times, np.diagonal(rho, axis1=1, axis2=2).real,
@@ -453,6 +453,24 @@ class TestParams:
         assert dump["notes"]["gamma_32"].startswith("0.5 *")
 
 
+# Runs eitsim.__main__.run on its arguments (argparse's exit counts as the
+# status) and prints, as its last line, the status, whether numpy is
+# loaded, OPENBLAS_NUM_THREADS and the process's thread count.
+NUMPY_PROBE = """
+import os, sys
+from eitsim.__main__ import run
+try:
+    status = run(sys.argv[1:])
+except SystemExit as exc:
+    status = exc.code
+threads = ([line.strip() for line in open("/proc/self/status")
+            if line.startswith("Threads:")]
+           if os.path.exists("/proc/self/status") else [])
+print(status, "numpy" in sys.modules, os.environ["OPENBLAS_NUM_THREADS"],
+      *threads)
+"""
+
+
 class TestStartup:
     def test_cli_import_leaves_scipy_unloaded(self):
         # scipy is a test-only oracle: importing it would add ~0.3 s to
@@ -494,6 +512,34 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["Threads:", "1"]
 
+    @pytest.mark.parametrize("argv, status", [
+        (("params", "--out", "{out}"), 0),
+        (("--help",), 0),
+        (("params", "--bogus"), 2),
+        (("spectrum", "--out", "{out}", "--set", "nope.key_rad_s=1"), 2),
+        (("evolve", "--out", "{out}", "--set", "material.lifetime_5_s=0"),
+         2),
+    ], ids=["params", "help", "usage-error", "config-error",
+            "material-error"])
+    def test_commands_that_do_not_compute_load_no_numpy(self, tmp_path,
+                                                        argv, status):
+        # numpy and the numeric layer load only once a command that
+        # computes has resolved its configuration
+        argv = [arg.format(out=tmp_path) for arg in argv]
+        proc = run_python("-c", NUMPY_PROBE, *argv)
+        assert proc.stdout.splitlines()[-1].split()[:2] == [str(status),
+                                                             "False"]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="needs /proc/self/status")
+    def test_a_command_that_computes_loads_numpy_on_one_blas_thread(
+            self, tmp_path):
+        proc = run_python("-c", NUMPY_PROBE, "window", "--backend", "full",
+                          "--out", str(tmp_path), OPENBLAS_NUM_THREADS=None)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1].split() == ["0", "True", "1",
+                                                        "Threads:", "1"]
+
 
 class TestErrorStatuses:
     def test_unknown_key(self, tmp_path):
@@ -526,17 +572,21 @@ class TestErrorStatuses:
                        "--set", "grid.points_count=1")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("backend", ["analytic", "full"])
+    @pytest.mark.parametrize("command", [
+        ("spectrum", "--backend", "analytic"),
+        ("spectrum", "--backend", "full"),
+        ("validate",),
+    ], ids=["analytic", "full", "validate"])
     def test_non_increasing_grid_refused_before_the_solve(
-            self, tmp_path, capsys, monkeypatch, backend):
+            self, tmp_path, capsys, monkeypatch, command):
         # one ulp cannot hold five increasing points; neither backend may
-        # solve a point of such a grid
+        # solve a point of such a grid, and validate refuses it alike
         def solve(*args):
             raise AssertionError("the backend ran")
-        monkeypatch.setattr(optics, "full_model_chi", solve)
-        monkeypatch.setattr(optics, "chi_analytic", solve)
-        status = main(["spectrum", "--backend", backend,
-                       "--out", str(tmp_path),
+        for module in (optics, validation):
+            monkeypatch.setattr(module, "full_model_chi", solve)
+            monkeypatch.setattr(module, "chi_analytic", solve)
+        status = main([*command, "--out", str(tmp_path),
                        "--set", "grid.delta_min_rad_s=1",
                        "--set", "grid.delta_max_rad_s=1.0000000000000002",
                        "--set", "grid.points_count=5"])
@@ -544,6 +594,15 @@ class TestErrorStatuses:
         assert capsys.readouterr().err == \
             "config error: deltas must be strictly increasing\n"
         assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("level", [1, 2, 5])
+    def test_zero_lifetime_is_one_config_error(self, tmp_path, level):
+        # refused before any rate divides by it: no warning, no exit 3
+        proc = run_cli("params", "--out", str(tmp_path),
+                       "--set", f"material.lifetime_{level}_s=0")
+        assert proc.returncode == 2
+        assert proc.stderr == \
+            "config error: lifetimes must be positive (inf allowed)\n"
 
     def test_out_blocked_by_file(self, tmp_path):
         blocked = tmp_path / "blocked"

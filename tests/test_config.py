@@ -1,7 +1,6 @@
 """Configuration document resolution: unit suffixes, conventions,
 overrides, and the canonical echo."""
 
-import dataclasses
 import json
 import math
 
@@ -10,10 +9,10 @@ import pytest
 
 from eitsim.config import (CHOICES, LEGACY_KEYS, SPELLINGS, ResolvedRun,
                            apply_overrides, default_document, load_document,
-                           resolve)
+                           pryso_defaults, resolve)
 from eitsim.constants import TWO_PI
 from eitsim.errors import ConfigError
-from eitsim.materials import pryso_defaults
+from eitsim.optics import initial_state
 
 
 def resolve_with(*assignments):
@@ -42,14 +41,16 @@ class TestDefaults:
         assert run.validate_fault_factor == 1.0
 
     def test_default_material_matches_builtin(self):
-        run = resolve(default_document())
-        ref = pryso_defaults()
-        np.testing.assert_array_equal(run.material.gamma, ref.gamma)
-        np.testing.assert_array_equal(run.material.levels.branching,
-                                      ref.levels.branching)
-        assert run.material.number_density == ref.number_density
-        assert run.material.probe_dipole == ref.probe_dipole
-        assert run.material.probe_wavelength == ref.probe_wavelength
+        # one builder: the library default and the CLI's default run
+        # hold the same material, field by field
+        built, resolved = pryso_defaults(), resolve({}).material
+        assert built._fields == resolved._fields
+        for field in built._fields:
+            assert getattr(built, field) == getattr(resolved, field), field
+        for field in built.levels._fields:
+            assert getattr(built.levels, field) \
+                == getattr(resolved.levels, field), field
+        assert built.coupling_strength == resolved.coupling_strength
 
     def test_empty_document_equals_defaults(self):
         bare = resolve({})
@@ -96,7 +97,7 @@ class TestUnitSuffixes:
     def test_dephasing_stays_in_hz(self):
         run = resolve_with("material.dephasing_32_hz=4e3")
         assert run.canonical["material"]["dephasing_32_hz"] == 4e3
-        assert run.material.levels.dephasing[2, 1] == 4e3
+        assert run.material.levels.dephasing[2][1] == 4e3
 
     def test_alias_conflict_names_both_keys(self):
         doc = default_document()
@@ -125,8 +126,8 @@ class TestDephasingPairOrder:
         assert "dephasing_23_hz" not in material
         assert "material.dephasing_32_hz" in run.user_set
         assert "material.dephasing_23_hz" not in run.user_set
-        assert run.material.levels.dephasing[2, 1] == 5.0
-        assert run.material.levels.dephasing[1, 2] == 5.0
+        assert run.material.levels.dephasing[2][1] == 5.0
+        assert run.material.levels.dephasing[1][2] == 5.0
 
     def test_both_orders_set_the_same_quantity(self):
         with pytest.raises(ConfigError, match="same quantity") as err:
@@ -297,8 +298,8 @@ class TestPinnedEcho:
     def test_pinned_literal_replays_to_itself(self):
         run = resolve(RICH_RESOLVED)
         assert json.dumps(run.canonical) == json.dumps(RICH_RESOLVED)
-        assert run.material.levels.dephasing[1, 4] == 7000.0
-        assert run.material.levels.dephasing[3, 0] == 50.0
+        assert run.material.levels.dephasing[1][4] == 7000.0
+        assert run.material.levels.dephasing[3][0] == 50.0
 
 
 class TestRejection:
@@ -418,7 +419,7 @@ class TestLegacyKeys:
                                     "solver.max_steps_count",
                                     "vg.fd_step_rad_s"}
         assert set(LEGACY_KEYS) <= run.user_set
-        fields = {f.name for f in dataclasses.fields(ResolvedRun)}
+        fields = set(ResolvedRun._fields)
         assert not {f for f in fields if "jobs" in f or "tol" in f
                     or "max_steps" in f or "fd_step" in f}
 
@@ -451,11 +452,11 @@ class TestMaterialOverrides:
     def test_lifetime_override_regenerates_branching(self):
         run = resolve_with("material.lifetime_5_s=82e-6")
         per = (1.0 / 82e-6) / 4.0
-        np.testing.assert_allclose(run.material.levels.branching[4, :4], per,
+        np.testing.assert_allclose(run.material.levels.branching[4][:4], per,
                                    rtol=1e-15)
         # coherence rate follows the faster decay
         expected = math.pi * (1.0 / 82e-6 + 1.0 / 400.0 + 9e3)
-        assert run.material.gamma[4, 1] == pytest.approx(expected, rel=1e-15)
+        assert run.material.gamma[4][1] == pytest.approx(expected, rel=1e-15)
 
     def test_partial_branching_override_breaking_row_sum_rejected(self):
         with pytest.raises(ConfigError):
@@ -470,17 +471,17 @@ class TestMaterialOverrides:
             f"material.branching_54_per_s={per / 2!r}",
         )
         b = run.material.levels.branching
-        assert b[4, 0] == 2 * per
-        assert b[4, 1] == per
-        assert b[4, 2] == per / 2
-        assert b[4, 3] == per / 2
+        assert b[4][0] == 2 * per
+        assert b[4][1] == per
+        assert b[4][2] == per / 2
+        assert b[4][3] == per / 2
         # total decay rate is unchanged, so coherence rates are too
-        assert run.material.gamma[4, 1] == pryso_defaults().gamma[4, 1]
+        assert run.material.gamma[4][1] == pryso_defaults().gamma[4][1]
 
     def test_rate_convention_changes_gamma(self):
         angular = resolve_with("conventions.rate_convention=angular")
         expected = 0.5 * (1.0 / 164e-6 + 1.0 / 400.0 + TWO_PI * 9e3)
-        assert angular.material.gamma[4, 1] == pytest.approx(expected,
+        assert angular.material.gamma[4][1] == pytest.approx(expected,
                                                              rel=1e-15)
         assert angular.material.rate_convention == "angular"
 
@@ -561,10 +562,11 @@ class TestLoadDocument:
 
 class TestInitialState:
     def test_mixed(self):
-        rho = resolve(default_document()).initial_state()
+        rho = initial_state(resolve(default_document()).evolve_initial)
         np.testing.assert_array_equal(rho, np.eye(6) / 6.0)
 
     def test_level(self):
-        rho = resolve_with("evolve.initial_state=level_3").initial_state()
+        rho = initial_state(
+            resolve_with("evolve.initial_state=level_3").evolve_initial)
         assert rho[2, 2].real == 1.0
         assert np.trace(rho) == 1.0

@@ -4,8 +4,8 @@ import pytest
 from eitsim import kernels
 from eitsim.bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
                           steady_state)
+from eitsim.config import pryso_defaults
 from eitsim.errors import InvalidArgumentError
-from eitsim.materials import pryso_defaults
 from eitsim.states import mixed_state
 
 

@@ -4,10 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from eitsim.config import pryso_defaults
 from eitsim.errors import InvalidArgumentError, SingularParametersError
 from eitsim.lambda_system import (RATE_MAX, LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
-from eitsim.materials import pryso_defaults
 
 from lambda_oracle import lambda_steady_state
 
@@ -267,8 +267,8 @@ class TestSuppressionRatio:
 
 class TestLambdaParams:
     def test_from_material(self):
-        assert EIT.gamma52 == MAT.gamma[4, 1]
-        assert EIT.gamma32 == MAT.gamma[2, 1]
+        assert EIT.gamma52 == MAT.gamma[4][1]
+        assert EIT.gamma32 == MAT.gamma[2][1]
         assert EIT.coupling_a == MAT.coupling_strength
         assert EIT.omega_c == 1.5e6
 

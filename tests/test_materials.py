@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from eitsim.config import pryso_defaults
 from eitsim.errors import ConfigError, InvalidArgumentError
 from eitsim.materials import (DEFAULT_DESTINATIONS, EXCITED_LIFETIME_S,
                               GROUND_LIFETIME_S, LevelSystem, MaterialParams,
-                              derive_gamma, equal_branching, pryso_defaults)
+                              derive_gamma, equal_branching)
 
 
 def _levels(lifetimes=None, branching=None, dephasing=None, n=6):
@@ -22,32 +23,33 @@ def _levels(lifetimes=None, branching=None, dephasing=None, n=6):
 class TestLevelSystem:
     def test_default_branching_row_sums(self):
         lv = pryso_defaults().levels
+        branching = np.array(lv.branching)
         for m in range(2, 7):
-            assert lv.branching[m - 1].sum() == pytest.approx(
+            assert branching[m - 1].sum() == pytest.approx(
                 1.0 / lv.lifetimes[m - 1], rel=1e-14)
-        assert lv.branching[0].sum() == 0.0  # terminal
+        assert branching[0].sum() == 0.0  # terminal
 
     def test_equal_split_values(self):
-        lv = pryso_defaults().levels
+        branching = np.array(pryso_defaults().levels.branching)
         # level 5 decays to 1..4 at 1/(4*T1) each
-        assert lv.branching[4, 0] == pytest.approx(1.0 / (4 * 164e-6), rel=1e-15)
-        assert lv.branching[4, 0] == pytest.approx(1524.3902439024391, rel=1e-12)
-        assert lv.branching[4].sum() == pytest.approx(6097.560975609756,
-                                                      rel=1e-12)
+        assert branching[4, 0] == pytest.approx(1.0 / (4 * 164e-6), rel=1e-15)
+        assert branching[4, 0] == pytest.approx(1524.3902439024391, rel=1e-12)
+        assert branching[4].sum() == pytest.approx(6097.560975609756,
+                                                   rel=1e-12)
         # level 2 decays only to 1
-        assert lv.branching[1, 0] == pytest.approx(1.0 / 400.0, rel=1e-15)
-        assert np.all(lv.branching[1, 1:] == 0)
+        assert branching[1, 0] == pytest.approx(1.0 / 400.0, rel=1e-15)
+        assert np.all(branching[1, 1:] == 0)
 
     def test_rejects_bad_row_sum(self):
         lifetimes = np.array([400.0] * 3 + [164e-6] * 3)
-        branching = equal_branching(lifetimes)
+        branching = np.array(equal_branching(lifetimes))
         branching[4, 0] *= 1.5
         with pytest.raises(ConfigError):
             _levels(branching=branching)
 
     def test_rejects_self_decay(self):
         lifetimes = np.array([400.0] * 3 + [164e-6] * 3)
-        branching = equal_branching(lifetimes)
+        branching = np.array(equal_branching(lifetimes))
         branching[2, 2] = 1.0
         with pytest.raises(InvalidArgumentError):
             _levels(branching=branching)
@@ -62,7 +64,7 @@ class TestLevelSystem:
         lifetimes = np.array([np.inf, 400.0])
         branching = np.array([[0.0, 0.0], [1 / 400.0, 0.0]])
         lv = LevelSystem(2, lifetimes, branching, np.zeros((2, 2)))
-        assert lv.branching[0].sum() == 0.0
+        assert sum(lv.branching[0]) == 0.0
 
     def test_rejects_asymmetric_dephasing(self):
         deph = np.zeros((6, 6))
@@ -84,25 +86,25 @@ class TestDeriveGamma:
         # independent arithmetic: pi*(1/T1_i + 1/T1_j + dephasing_Hz)
         want_32 = math.pi * (1 / 400.0 + 1 / 400.0 + 2e3)
         want_52 = math.pi * (1 / 164e-6 + 1 / 400.0 + 9e3)
-        assert mat.gamma[2, 1] == pytest.approx(want_32, rel=1e-15)
-        assert mat.gamma[4, 1] == pytest.approx(want_52, rel=1e-15)
-        assert mat.gamma[2, 1] == pytest.approx(6283.201015142855, rel=1e-13)
-        assert mat.gamma[4, 1] == pytest.approx(47430.39450208119, rel=1e-13)
-        assert mat.gamma[4, 2] == pytest.approx(want_52, rel=1e-15)  # same inputs
+        assert mat.gamma[2][1] == pytest.approx(want_32, rel=1e-15)
+        assert mat.gamma[4][1] == pytest.approx(want_52, rel=1e-15)
+        assert mat.gamma[2][1] == pytest.approx(6283.201015142855, rel=1e-13)
+        assert mat.gamma[4][1] == pytest.approx(47430.39450208119, rel=1e-13)
+        assert mat.gamma[4][2] == pytest.approx(want_52, rel=1e-15)  # same inputs
 
     def test_pair_without_dephasing(self):
         mat = pryso_defaults()
         # 5-4: two excited levels, no pure dephasing entry
         want = math.pi * (2 / 164e-6)
-        assert mat.gamma[4, 3] == pytest.approx(want, rel=1e-15)
+        assert mat.gamma[4][3] == pytest.approx(want, rel=1e-15)
 
     def test_angular_convention(self):
         mat = pryso_defaults(rate_convention="angular")
         want_52 = 0.5 * (1 / 164e-6 + 1 / 400.0 + 2 * math.pi * 9e3)
-        assert mat.gamma[4, 1] == pytest.approx(want_52, rel=1e-15)
+        assert mat.gamma[4][1] == pytest.approx(want_52, rel=1e-15)
 
     def test_symmetric_zero_diagonal(self):
-        g = pryso_defaults().gamma
+        g = np.array(pryso_defaults().gamma)
         assert np.array_equal(g, g.T)
         assert np.all(np.diag(g) == 0)
         assert np.all(g[np.triu_indices(6, 1)] > 0)
@@ -111,8 +113,8 @@ class TestDeriveGamma:
         mat = pryso_defaults(
             lifetimes=np.array([400.0] * 3 + [164e-6, 82e-6, 164e-6]))
         want = math.pi * (1 / 82e-6 + 1 / 400.0 + 9e3)
-        assert mat.gamma[4, 1] == pytest.approx(want, rel=1e-15)
-        assert mat.gamma[4, 1] > 47430.39450208119
+        assert mat.gamma[4][1] == pytest.approx(want, rel=1e-15)
+        assert mat.gamma[4][1] > 47430.39450208119
 
     def test_doubled_rates_double_gamma(self):
         base = pryso_defaults()
@@ -120,7 +122,7 @@ class TestDeriveGamma:
         deph = {k: 2 * v for k, v in
                 {(3, 2): 2e3, (5, 2): 9e3, (5, 3): 9e3}.items()}
         doubled = pryso_defaults(lifetimes=half, dephasing_hz=deph)
-        assert np.array_equal(doubled.gamma, 2.0 * base.gamma)
+        assert np.array_equal(doubled.gamma, 2.0 * np.array(base.gamma))
 
     def test_rejects_unknown_convention(self):
         with pytest.raises(ConfigError):
@@ -138,7 +140,7 @@ class TestMaterialParams:
 
     def test_rejects_asymmetric_gamma(self):
         lv = pryso_defaults().levels
-        g = derive_gamma(lv)
+        g = np.array(derive_gamma(lv))
         g[0, 1] *= 2
         with pytest.raises(InvalidArgumentError):
             MaterialParams(lv, g, 4.7e24, 1e-33, 605.7e-9)
@@ -156,9 +158,9 @@ class TestMaterialParams:
 def test_equal_branching_custom_destinations():
     table = equal_branching(np.array([1.0, 2.0, 4.0]),
                             destinations={3: (1, 2), 2: (1,)})
-    assert table[2, 0] == table[2, 1] == 1 / 8.0
-    assert table[1, 0] == 0.5
-    assert np.all(table[0] == 0)
+    assert table[2][0] == table[2][1] == 1 / 8.0
+    assert table[1][0] == 0.5
+    assert all(rate == 0 for rate in table[0])
 
 
 def test_default_destinations_cover_all_lower_levels():
@@ -169,3 +171,32 @@ def test_default_destinations_cover_all_lower_levels():
 def test_default_lifetime_constants():
     assert GROUND_LIFETIME_S == 400.0
     assert EXCITED_LIFETIME_S == 164e-6
+
+
+@pytest.mark.parametrize("convention", ["cyclic", "angular"])
+def test_derive_gamma_matches_the_array_formula_bit_for_bit(convention):
+    # the rule in array form, in the order the rates were always summed:
+    # 1/T1(i) + 1/T1(j), then the dephasing, then the scale
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        lifetimes = 10.0 ** rng.uniform(-7, 3, 6)
+        lifetimes[0] = np.inf  # level 1 decays nowhere
+        deph = np.triu(10.0 ** rng.uniform(0, 5, (6, 6)), 1)
+        deph += deph.T
+        levels = LevelSystem(6, lifetimes, equal_branching(lifetimes), deph)
+        inv_t1 = np.where(np.isinf(lifetimes), 0.0, 1.0 / lifetimes)
+        pair_sum = inv_t1[:, None] + inv_t1[None, :]
+        if convention == "cyclic":
+            want = math.pi * (pair_sum + deph)
+        else:
+            want = 0.5 * (pair_sum + 2.0 * math.pi * deph)
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(derive_gamma(levels, convention), want)
+
+
+def test_zero_lifetime_refused_before_any_division():
+    lifetimes = [400.0] * 3 + [164e-6, 0.0, 164e-6]
+    with pytest.raises(InvalidArgumentError, match="lifetimes must be"):
+        equal_branching(lifetimes)
+    with pytest.raises(InvalidArgumentError, match="lifetimes must be"):
+        pryso_defaults(lifetimes=lifetimes)

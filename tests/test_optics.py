@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +10,7 @@ from eitsim import bloch, optics, states
 from eitsim.bloch import (DEGENERACY_TOL, build_hamiltonian,
                           build_liouvillian, generator_drift,
                           steady_state_slope, steady_states)
-from eitsim.config import apply_overrides, resolve
+from eitsim.config import apply_overrides, pryso_defaults, resolve
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
                            DivergentVelocityError, InvalidArgumentError,
@@ -19,10 +18,10 @@ from eitsim.errors import (ConfigError, ConventionError,
                            SteadyStateError)
 from eitsim.lambda_system import (LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
-from eitsim.materials import pryso_defaults
 from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, STEADY_STATE_CHUNK,
                            WEAK_PROBE_RATIO, DriveSet, GridSpec,
-                           absorption, full_model_chi, group_velocity,
+                           absorption, field_drives, full_model_chi,
+                           grid_values, group_velocity,
                            probe_angular_frequency, refractive_index,
                            rho_to_chi, spectrum_to_csv, sweep,
                            transparency_window, window_width_closed_form)
@@ -35,7 +34,7 @@ EIT = lambda_from_material(MAT, 1.5e6)
 class TestGridSpec:
     def test_values_and_center(self):
         grid = GridSpec(-2e7, 2e7, 201)
-        v = grid.values()
+        v = grid_values(grid)
         assert v.size == 201
         assert v[0] == -2e7 and v[-1] == 2e7
         assert v[100] == 0.0  # odd symmetric grid hits resonance exactly
@@ -52,7 +51,7 @@ class TestGridSpec:
 class TestDriveSet:
     def test_field_drives_geometry(self):
         ds = DriveSet(1.0, 2.0, 3.0, coupling_detuning=5.0, aux_detuning=-7.0)
-        probe, coupling, aux = ds.field_drives(11.0)
+        probe, coupling, aux = field_drives(ds, 11.0)
         assert (probe.upper, probe.lower, probe.rabi, probe.detuning) == \
             (5, 2, 1.0, 11.0)
         assert (coupling.upper, coupling.lower, coupling.detuning) == (5, 3, 5.0)
@@ -110,9 +109,9 @@ class TestPointwiseOptics:
 def full_chi_and_slope(mat, drives, delta):
     """Full-backend chi and dchi/ddelta at one detuning, complex, from
     bloch's steady state and its exact slope."""
-    lv0 = build_liouvillian(build_hamiltonian(6, drives.field_drives(0.0)),
+    lv0 = build_liouvillian(build_hamiltonian(6, field_drives(drives, 0.0)),
                             mat.levels, mat.gamma)
-    drift = generator_drift(6, DriveSet(0.0, 0.0, 0.0).field_drives(1.0))
+    drift = generator_drift(6, field_drives(DriveSet(0.0, 0.0, 0.0), 1.0))
     rho = steady_states(lv0, drift, [delta])[0]
     slope = steady_state_slope(lv0, drift, delta, rho)
     scale = 2.0 * mat.coupling_strength / complex(drives.probe_rabi)
@@ -147,7 +146,7 @@ class TestGroupVelocity:
 
     def test_vacuum_limit(self):
         # one dopant per m^3 moves n_g from 1 by less than half an ulp
-        vacuum = dataclasses.replace(MAT, number_density=1.0)
+        vacuum = MAT._replace(number_density=1.0)
         for backend in ("analytic", "full"):
             assert group_velocity(backend, vacuum, EIT_DRIVES, 0.0) == C_LIGHT
 
@@ -166,7 +165,7 @@ class TestGroupVelocity:
         slope = dchi_prime_ddelta(lambda_from_material(MAT, 0.0), 0.0)
         density = MAT.number_density * 2.0 \
             / (probe_angular_frequency(MAT) * slope)
-        mat = dataclasses.replace(MAT, number_density=density)
+        mat = MAT._replace(number_density=density)
         with pytest.raises(DivergentVelocityError):
             group_velocity("analytic", mat, bare, 0.0)
 
@@ -204,7 +203,7 @@ class TestGroupVelocity:
     def test_input_validation(self):
         # an infinite wavelength gives omega = 0, a subnormal one omega = inf
         for wavelength in (math.inf, 1e-310):
-            mat = dataclasses.replace(MAT, probe_wavelength=wavelength)
+            mat = MAT._replace(probe_wavelength=wavelength)
             with pytest.raises(InvalidArgumentError,
                                match="probe angular frequency"):
                 group_velocity("analytic", mat, EIT_DRIVES, 0.0)
@@ -223,8 +222,8 @@ class TestSweep:
     def test_analytic_matches_pointwise(self):
         grid = GridSpec(-2e7, 2e7, 51)
         deltas, chis, alpha = sweep("analytic", MAT, EIT_DRIVES, grid)
-        assert np.array_equal(deltas, grid.values())
-        for i, delta in enumerate(grid.values()):
+        assert np.array_equal(deltas, grid_values(grid))
+        for i, delta in enumerate(grid_values(grid)):
             chi = chi_analytic(EIT, float(delta))
             assert chis[i] == chi
             assert alpha[i] == absorption(chi, MAT.probe_wavelength)
@@ -461,7 +460,7 @@ def null_space_chi(mat, drives, deltas):
     its nullspace from an SVD (scipy), normalised to unit trace."""
     out = []
     for delta in deltas:
-        ham = build_hamiltonian(6, drives.field_drives(float(delta)))
+        ham = build_hamiltonian(6, field_drives(drives, float(delta)))
         gen = build_liouvillian(ham, mat.levels, mat.gamma)
         basis = scipy.linalg.null_space(gen)
         assert basis.shape[1] == 1
@@ -541,7 +540,7 @@ class TestBatchedFullBackend:
             probe_rabi=probe_share * WEAK_PROBE_RATIO * coupling,
             coupling_rabi=coupling, aux_rabi=aux,
             coupling_detuning=coupling_det, aux_detuning=aux_det)
-        gamma32 = MAT.gamma[2, 1]
+        gamma32 = MAT.gamma[2][1]
         h = gamma32 / 100.0
         stencil = delta + np.array([-h, h, -h / 2, h / 2])
         chi_re = full_model_chi(MAT, drives, stencil).real
@@ -558,9 +557,9 @@ class TestBatchedFullBackend:
     def test_sweep_is_the_batched_chi(self):
         grid = GridSpec(-2e7, 2e7, 2 * STEADY_STATE_CHUNK + 5)
         swept = sweep("full", MAT, EIT_DRIVES, grid)[1]
-        chi = full_model_chi(MAT, EIT_DRIVES, grid.values())
+        chi = full_model_chi(MAT, EIT_DRIVES, grid_values(grid))
         assert np.array_equal(swept, chi)
-        one = full_model_chi(MAT, EIT_DRIVES, float(grid.values()[7]))
+        one = full_model_chi(MAT, EIT_DRIVES, float(grid_values(grid)[7]))
         assert type(one) is complex
         assert (one.real, one.imag) == (chi.real[7], chi.imag[7])
 

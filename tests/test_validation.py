@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from eitsim.cli import main
-from eitsim.config import apply_overrides, resolve
+from eitsim.config import apply_overrides, pryso_defaults, resolve
 from eitsim.errors import ConfigError, InvalidArgumentError
-from eitsim.materials import pryso_defaults
 from eitsim.validation import validate_reduction
 
 MAT = pryso_defaults()
