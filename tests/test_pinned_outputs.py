@@ -70,6 +70,29 @@ PINNED = {
         "evolve_summary.json":
             "7837a95e5ba52f8e8dc3ffd110d29924d3c5507b940e10a84697414d5e9e998b",
     },
+    # Detuned fields: every level's rotating-frame phase is nonzero.
+    ("evolve", "--set", "drives.probe_detuning_rad_s=2e5",
+     "--set", "drives.coupling_detuning_rad_s=-3e5",
+     "--set", "drives.aux_detuning_rad_s=1e6"): {
+        "evolve.csv":
+            "6da0c18e965ac341e1d049559a3b3d14dbfdc2290dfdc1c7e63c70ccf459f83c",
+        "evolve_summary.json":
+            "272cbc99becc2288652c915ffa426ad0299288de2d72f1eb606a0b257ffa81a6",
+    },
+    ("spectrum", "--backend", "full",
+     "--set", "drives.coupling_detuning_rad_s=-3e5",
+     "--set", "drives.aux_detuning_rad_s=1e6"): {
+        "spectrum.csv":
+            "e135ea9b42893ffb9e43fa097d13f2a2b34042eea50176b330e48ff7d10d6748",
+        "spectrum_summary.json":
+            "814d4b09c9c7b95cd843fa81a51fcc5514f1f074c0d116b5772018146cbc77ad",
+    },
+    ("vg", "--backend", "full",
+     "--set", "drives.probe_detuning_rad_s=2e5",
+     "--set", "drives.coupling_detuning_rad_s=-3e5"): {
+        "vg_summary.json":
+            "c7fe39f4593adb788fc758d88588249bf9974f7ba955a0eeb8f6375f46417dad",
+    },
 }
 
 
