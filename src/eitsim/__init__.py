@@ -13,15 +13,14 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bloch": ("FieldDrive", "build_hamiltonian", "build_liouvillian",
-              "evolve", "frame_phases", "generator_drift", "steady_state",
-              "steady_states"),
+    "bloch": ("build_hamiltonian", "build_liouvillian", "evolve",
+              "steady_state", "steady_states"),
     "config": ("DriveSet", "GridSpec", "pryso_defaults"),
     "constants": ("C_LIGHT", "EPSILON_0", "HBAR", "TWO_PI"),
     "errors": ("ConfigError", "ConventionError", "DivergentVelocityError",
-               "EitsimError", "InconsistentFrameError", "IntegrationError",
-               "InvalidArgumentError", "SingularParametersError",
-               "StateCorruptionError", "SteadyStateError"),
+               "EitsimError", "IntegrationError", "InvalidArgumentError",
+               "SingularParametersError", "StateCorruptionError",
+               "SteadyStateError"),
     "lambda_system": ("LambdaParams", "chi_analytic", "dchi_prime_ddelta",
                       "lambda_from_material"),
     "materials": ("LevelSystem", "MaterialParams", "derive_gamma",

@@ -1,9 +1,11 @@
-"""Rotating-frame optical Bloch equations for an n-level system.
+"""Rotating-frame optical Bloch equations.
 
-Builds the rotating-frame Hamiltonian from a set of classical drives, adds
-Bloch-form relaxation (population branching plus per-pair coherence decay,
-not a Lindblad dissipator), and solves the resulting linear master equation
-dvec(rho)/dt = L vec(rho) for steady states and transients.  Only the
+Builds the rotating-frame Hamiltonian of the six-level model's three fields
+in their fixed geometry (probe 5-2, coupling 5-3, auxiliary repump 6-1),
+adds Bloch-form relaxation (population branching plus per-pair coherence
+decay, not a Lindblad dissipator), and solves the resulting linear master
+equation dvec(rho)/dt = L vec(rho) for steady states and transients; the
+generator assembly and the solvers take any level count n.  Only the
 rotating-frame phases depend on a drive's detuning, so a detuning sweep is
 affine: L(delta) = L0 + delta * D with D diagonal.  One factorization at the
 complex detuning i * sigma reaches every real delta, and d rho / d delta, by
@@ -23,14 +25,12 @@ matrix sits at index m*n + k of the length-n^2 state vector.
 """
 
 import math
-from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .errors import (ConfigError, InconsistentFrameError, IntegrationError,
-                     InvalidArgumentError, SteadyStateError)
+from .errors import (ConfigError, IntegrationError, InvalidArgumentError,
+                     SteadyStateError)
 from .materials import LevelSystem
 from .states import (VALIDATION_TOL, assert_density_matrices,
                      assert_density_matrix)
@@ -42,42 +42,11 @@ STEADY_STATE_RTOL = 1e-9
 # detuning must keep DEGENERACY_TOL * sigma off every pole.
 DEGENERACY_TOL = 1e-8
 
-# The reference level whose rotating-frame phase is pinned to zero when it
-# participates in the drive graph (the probe's lower level in the default
-# six-level model); any other connected component is anchored at its lowest
-# level.
-FRAME_REFERENCE_LEVEL = 2
-
-
-@dataclass(frozen=True)
-class FieldDrive:
-    """One classical field coupling two levels.
-
-    upper/lower are 1-based level indices; rabi is the complex Rabi
-    frequency in rad/s; detuning = omega_atom - omega_field in rad/s.
-    A zero-rabi drive is legal and still pins the rotating frame.
-    """
-
-    upper: int
-    lower: int
-    rabi: complex
-    detuning: float = 0.0
-
-    def __post_init__(self):
-        if not (isinstance(self.upper, int) and isinstance(self.lower, int)):
-            raise InvalidArgumentError("level indices must be integers")
-        if self.upper == self.lower:
-            raise InvalidArgumentError("a drive must couple two distinct levels")
-        if self.upper < 1 or self.lower < 1:
-            raise InvalidArgumentError("level indices are 1-based")
-        rabi = complex(self.rabi)
-        detuning = float(self.detuning)
-        if not (np.isfinite(rabi.real) and np.isfinite(rabi.imag)):
-            raise InvalidArgumentError("rabi frequency must be finite")
-        if not np.isfinite(detuning):
-            raise InvalidArgumentError("detuning must be finite")
-        object.__setattr__(self, "rabi", rabi)
-        object.__setattr__(self, "detuning", detuning)
+# Fixed drive geometry of the six-level model, (upper, lower) 1-based: probe
+# 5-2, coupling 5-3 and auxiliary repump 6-1.
+PROBE_LEVELS = (5, 2)
+COUPLING_LEVELS = (5, 3)
+AUX_LEVELS = (6, 1)
 
 
 def _n_levels(gen: np.ndarray) -> int:
@@ -90,77 +59,30 @@ def _n_levels(gen: np.ndarray) -> int:
     return n
 
 
-def _check_drives(n_levels: int, drives) -> None:
-    seen = set()
-    for d in drives:
-        if d.upper > n_levels or d.lower > n_levels:
-            raise InvalidArgumentError(
-                f"drive {d.upper}-{d.lower} outside 1..{n_levels}"
-            )
-        pair = frozenset((d.upper, d.lower))
-        if pair in seen:
-            raise ConfigError(
-                f"duplicate drive on level pair {d.lower}-{d.upper}"
-            )
-        seen.add(pair)
+def build_hamiltonian(drives, probe_detuning: float) -> np.ndarray:
+    """Rotating-frame Hamiltonian divided by hbar, in rad/s, of the three
+    fields of the DriveSet drives on their levels, the probe at
+    probe_detuning.
 
-
-def frame_phases(n_levels: int, drives) -> np.ndarray:
-    """Rotating-frame phase derivative (rad/s) for every level.
-
-    Constraint: phase(upper) - phase(lower) = detuning for every drive.
-    The component containing FRAME_REFERENCE_LEVEL is anchored there at
-    zero; every other component is anchored at its lowest level.  A drive
-    cycle whose detunings contradict each other has no consistent frame.
+    Diagonal: the frame phases p, with p(upper) - p(lower) = detuning for
+    each field (omega_atom - omega_field); p2 = p1 = p4 = 0, so p5 = delta_p,
+    p3 = delta_p - delta_c and p6 = delta_a.  Off-diagonal: H[u,l] = -rabi/2
+    and its conjugate.  A zero-rabi field still sets its phase.
     """
-    _check_drives(n_levels, drives)
-    adjacency = {m: [] for m in range(1, n_levels + 1)}
-    max_det = 1.0
-    for d in drives:
-        adjacency[d.upper].append((d.lower, -d.detuning))
-        adjacency[d.lower].append((d.upper, d.detuning))
-        max_det = max(max_det, abs(d.detuning))
-    tol = 1e-9 * max_det
-
-    phases = np.zeros(n_levels)
-    assigned = [False] * (n_levels + 1)
-    # One BFS per component: the reference level's first, then each
-    # remaining component from its lowest level.
-    for root in sorted(range(1, n_levels + 1),
-                       key=lambda m: m != FRAME_REFERENCE_LEVEL):
-        if assigned[root]:
-            continue
-        assigned[root] = True
-        queue = deque([root])
-        while queue:
-            m = queue.popleft()
-            for neighbor, offset in adjacency[m]:
-                candidate = phases[m - 1] + offset
-                if assigned[neighbor]:
-                    if abs(phases[neighbor - 1] - candidate) > tol:
-                        raise InconsistentFrameError(
-                            f"drive cycle through level {neighbor} implies "
-                            f"frame phases {phases[neighbor - 1]!r} and "
-                            f"{candidate!r}"
-                        )
-                    continue
-                phases[neighbor - 1] = candidate
-                assigned[neighbor] = True
-                queue.append(neighbor)
-    return phases
-
-
-def build_hamiltonian(n_levels: int, drives) -> np.ndarray:
-    """Rotating-frame Hamiltonian divided by hbar, in rad/s.
-
-    Diagonal: frame phases.  Off-diagonal: H[u,l] = -rabi/2 and its
-    conjugate, for each drive.
-    """
-    ham = np.diag(frame_phases(n_levels, drives)).astype(complex)
-    for d in drives:
-        u, l = d.upper - 1, d.lower - 1
-        ham[u, l] = -0.5 * d.rabi
-        ham[l, u] = -0.5 * np.conj(d.rabi)
+    # Each phase is its lower level's (+0.0) plus the offset, so a -0.0
+    # detuning gives +0.0, as a frame anchored at level 2 does.
+    p5 = 0.0 + float(probe_detuning)
+    phases = (0.0, 0.0, p5 + -float(drives.coupling_detuning), 0.0, p5,
+              0.0 + float(drives.aux_detuning))
+    if not all(map(math.isfinite, phases)):
+        raise ConfigError(f"rotating-frame phases {phases!r} overflow")
+    ham = np.diag(phases).astype(complex)
+    for (u, l), rabi in ((PROBE_LEVELS, drives.probe_rabi),
+                         (COUPLING_LEVELS, drives.coupling_rabi),
+                         (AUX_LEVELS, drives.aux_rabi)):
+        rabi = complex(rabi)
+        ham[u - 1, l - 1] = -0.5 * rabi
+        ham[l - 1, u - 1] = -0.5 * np.conj(rabi)
     return ham
 
 
@@ -195,16 +117,13 @@ def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
     return gen
 
 
-def generator_drift(n_levels: int, slope_drives) -> np.ndarray:
-    """Diagonal of dL/d(delta), D, for a sweep parameter delta that moves
-    each drive's detuning by that drive's `detuning` per unit delta.
-
-    The frame phases are linear in the detunings and nothing else in the
-    generator depends on them, so L(delta) = L(0) + delta * diag(D) with
-    D[m*n + k] = -i (p_m - p_k), p the phases of slope_drives.
-    """
-    slopes = frame_phases(n_levels, slope_drives)
-    return (-1j * (slopes[:, None] - slopes[None, :])).reshape(-1)
+# Diagonal of dL/d(delta_p), D: only the phases of levels 3 and 5 move with
+# the probe detuning, so L(delta_p) = L(0) + delta_p * diag(D) with D[m*n + k]
+# = -i (s_m - s_k), s = e_3 + e_5.
+_PROBE_PHASE_SLOPE = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+PROBE_DRIFT = (-1j * (_PROBE_PHASE_SLOPE[:, None]
+                      - _PROBE_PHASE_SLOPE[None, :])).reshape(-1)
+PROBE_DRIFT.flags.writeable = False
 
 
 def _at(delta: float) -> str:

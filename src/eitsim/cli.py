@@ -170,21 +170,23 @@ def _write_summary(out_dir: str, command: str, canonical: dict,
     return path
 
 
-def _refuse_aux_detuning(run: ResolvedRun) -> None:
-    """The three-level closed form has no auxiliary field, so it would
-    silently drop that field's detuning."""
-    if run.drives.aux_detuning != 0.0:
-        raise ConfigError(
-            f"config key 'drives.aux_detuning_rad_s' = "
-            f"{run.drives.aux_detuning!r} would be ignored: the three-level "
-            "closed form has no auxiliary field (only the full backend and "
-            "evolve read it)")
+def _refuse_detunings(run: ResolvedRun) -> None:
+    """Refuse a coupling or auxiliary detuning, which the three-level
+    closed form would silently drop."""
+    for field, why in (("coupling", "assumes the coupling field on resonance"),
+                       ("aux", "has no auxiliary field")):
+        value = getattr(run.drives, f"{field}_detuning")
+        if value != 0.0:
+            raise ConfigError(
+                f"config key 'drives.{field}_detuning_rad_s' = {value!r} "
+                f"would be ignored: the three-level closed form {why} (only "
+                "the full backend and evolve read it)")
 
 
 def cmd_spectrum(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
     if run.backend == optics.BACKEND_ANALYTIC:
-        _refuse_aux_detuning(run)
+        _refuse_detunings(run)
     deltas, chi, alpha = optics.sweep(run.backend, run.material, run.drives,
                                       run.grid)
     csv_path = os.path.join(args.out, "spectrum.csv")
@@ -216,7 +218,7 @@ def cmd_spectrum(args, run: ResolvedRun) -> int:
 def cmd_window(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
     if run.backend == optics.BACKEND_ANALYTIC:
-        _refuse_aux_detuning(run)
+        _refuse_detunings(run)
     mat = run.material
     # Reference: resonant absorption with the coupling switched off, so
     # the full backend's window never meets the closed form's rate bound.
@@ -276,7 +278,7 @@ def cmd_window(args, run: ResolvedRun) -> int:
 def cmd_vg(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
     if run.backend == optics.BACKEND_ANALYTIC:
-        _refuse_aux_detuning(run)
+        _refuse_detunings(run)
     delta0 = run.drives.probe_detuning
     vg = optics.group_velocity(run.backend, run.material, run.drives, delta0)
     group_index = optics.C_LIGHT / vg
@@ -303,7 +305,7 @@ def cmd_vg(args, run: ResolvedRun) -> int:
 
 def cmd_validate(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    _refuse_aux_detuning(run)
+    _refuse_detunings(run)
     report = validation.validate_reduction(
         run.material,
         run.drives.coupling_rabi,
@@ -333,10 +335,8 @@ def cmd_validate(args, run: ResolvedRun) -> int:
 
 def cmd_evolve(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    drives = optics.field_drives(run.drives, run.drives.probe_detuning)
-    ham = bloch.build_hamiltonian(N_LEVELS, drives)
-    gen = bloch.build_liouvillian(ham, run.material.levels,
-                                  run.material.gamma)
+    gen = optics.generator(run.material, run.drives,
+                           run.drives.probe_detuning)
     times, rho, max_trace_dev, max_herm_dev = bloch.evolve(
         optics.initial_state(run.evolve_initial), gen, run.evolve_t_end,
         n_samples=run.evolve_samples)

@@ -157,12 +157,13 @@ class DriveSet(namedtuple("DriveSet",
                           "probe_rabi coupling_rabi aux_rabi probe_detuning "
                           "coupling_detuning aux_detuning",
                           defaults=(0.0, 0.0, 0.0))):
-    """Rabi frequencies and detunings of the three standard fields
-    (optics.field_drives places them on their levels).
+    """Rabi frequencies (rad/s) and detunings (omega_atom - omega_field,
+    rad/s) of the six-level model's three fields: probe 5-2, coupling 5-3
+    and auxiliary repump 6-1 (bloch.build_hamiltonian places them).
 
     The probe detuning stored here is the sweep's reference point; sweeps
-    override it per grid point.  Zero-magnitude drives are kept in the
-    model because they still anchor the rotating frame.
+    override it per grid point.  A zero-magnitude field still sets its
+    level's rotating-frame phase.
     """
 
     __slots__ = ()

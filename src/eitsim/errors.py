@@ -19,10 +19,6 @@ class ConfigError(EitsimError, ValueError):
     """A configuration document or run setup is invalid."""
 
 
-class InconsistentFrameError(ConfigError):
-    """The drive graph admits no consistent rotating frame."""
-
-
 class ConventionError(EitsimError, ValueError):
     """A sign/unit convention was violated (e.g. negative absorption)."""
 

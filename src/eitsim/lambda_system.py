@@ -7,7 +7,7 @@ All rates and frequencies are rad/s; delta is the probe detuning
 (omega_atom - omega_field), a float or an array of them.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -28,35 +28,38 @@ from .materials import MaterialParams
 RATE_MAX = 1e38
 
 
-@dataclass(frozen=True)
-class LambdaParams:
+class LambdaParams(namedtuple("LambdaParams",
+                              "gamma52 gamma32 omega_c coupling_a")):
     """Inputs of the closed-form response.
 
     coupling_a is the prefactor between the 5-2 coherence per unit probe
     Rabi frequency and chi: number_density * dipole^2 / (eps0 * hbar).
     """
 
-    gamma52: float
-    gamma32: float
-    omega_c: float
-    coupling_a: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        vals = (self.gamma52, self.gamma32, self.omega_c, self.coupling_a)
+    def __new__(cls, gamma52, gamma32, omega_c, coupling_a):
+        vals = (gamma52, gamma32, omega_c, coupling_a)
         if not all(np.isfinite(v) for v in vals):
             raise InvalidArgumentError("lambda parameters must be finite")
-        for name, value in zip(("gamma52", "gamma32", "omega_c",
-                                "coupling_a"), vals):
+        for name, value in zip(cls._fields, vals):
             if abs(value) > RATE_MAX:
                 raise InvalidArgumentError(
                     f"{name} = {float(value)!r} rad/s exceeds {RATE_MAX:.0e} "
                     "rad/s, beyond which the closed form overflows")
-        if not self.gamma52 > 0:
+        if not gamma52 > 0:
             raise InvalidArgumentError("gamma52 must be positive")
-        if self.gamma32 < 0 or self.omega_c < 0:
+        if gamma32 < 0 or omega_c < 0:
             raise InvalidArgumentError("gamma32 and omega_c must be >= 0")
-        if not self.coupling_a > 0:
+        if not coupling_a > 0:
             raise InvalidArgumentError("coupling prefactor must be positive")
+        return super().__new__(cls, *vals)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the
+        # checks in __new__.
+        return cls(*iterable)
 
 
 def lambda_from_material(mat: MaterialParams, omega_c: float) -> LambdaParams:

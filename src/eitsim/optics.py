@@ -11,8 +11,8 @@ import numpy as np
 
 # steady_state stays importable here: the benchmark's traced pass
 # (perfbench/launcher.py) wraps it under this module's name.
-from .bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
-                    generator_drift, reduction, steady_state,
+from .bloch import (PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian,
+                    build_liouvillian, reduction, steady_state,
                     steady_state_slope, steady_states)
 from .config import DriveSet, GridSpec
 from .constants import C_LIGHT, TWO_PI
@@ -26,12 +26,6 @@ from .states import basis_state, mixed_state
 BACKEND_ANALYTIC = "analytic"
 BACKEND_FULL = "full"
 BACKENDS = (BACKEND_ANALYTIC, BACKEND_FULL)
-
-# Fixed drive geometry of the six-level model: probe 5-2, coupling 5-3,
-# auxiliary repump 6-1.
-PROBE_LEVELS = (5, 2)
-COUPLING_LEVELS = (5, 3)
-AUX_LEVELS = (6, 1)
 
 # Largest probe/coupling Rabi ratio the full backend accepts.  Staying under
 # it does not keep the probe from redistributing population: with 400 s
@@ -61,19 +55,6 @@ def grid_values(grid: GridSpec) -> np.ndarray:
     if np.any(np.diff(deltas) <= 0):
         raise InvalidArgumentError("deltas must be strictly increasing")
     return deltas
-
-
-def field_drives(drives: DriveSet, probe_detuning: float) -> tuple:
-    """The three standard fields on their levels, the probe at
-    probe_detuning."""
-    return (
-        FieldDrive(*PROBE_LEVELS, rabi=drives.probe_rabi,
-                   detuning=float(probe_detuning)),
-        FieldDrive(*COUPLING_LEVELS, rabi=drives.coupling_rabi,
-                   detuning=drives.coupling_detuning),
-        FieldDrive(*AUX_LEVELS, rabi=drives.aux_rabi,
-                   detuning=drives.aux_detuning),
-    )
 
 
 def initial_state(name: str) -> np.ndarray:
@@ -178,9 +159,12 @@ def transparency_window(deltas: np.ndarray, alpha: np.ndarray,
     return left, right, truncated
 
 
-# The probe detuning per unit sweep parameter of each standard drive: only
-# the probe moves.  generator_drift reads nothing but the detunings.
-_PROBE_SCAN = field_drives(DriveSet(0.0, 0.0, 0.0), 1.0)
+def generator(mat: MaterialParams, drives: DriveSet,
+              probe_detuning: float) -> np.ndarray:
+    """The six-level generator of the fields of drives on the material's
+    levels, the probe at probe_detuning."""
+    return build_liouvillian(build_hamiltonian(drives, probe_detuning),
+                             mat.levels, mat.gamma)
 
 
 def _full_generator(mat: MaterialParams, drives: DriveSet):
@@ -188,10 +172,7 @@ def _full_generator(mat: MaterialParams, drives: DriveSet):
     which reads chi as 2 * A * rho52 / omega_p: a zero probe is refused."""
     if drives.probe_rabi == 0:
         raise ConfigError("full backend needs a nonzero probe field")
-    n = mat.levels.n_levels
-    ham0 = build_hamiltonian(n, field_drives(drives, 0.0))
-    gen0 = build_liouvillian(ham0, mat.levels, mat.gamma)
-    return gen0, generator_drift(n, _PROBE_SCAN)
+    return generator(mat, drives, 0.0), PROBE_DRIFT
 
 
 def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):

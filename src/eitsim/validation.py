@@ -5,7 +5,7 @@ import numpy as np
 
 from .config import DriveSet
 from .errors import ConfigError, InvalidArgumentError
-from .lambda_system import LambdaParams, chi_analytic, lambda_from_material
+from .lambda_system import chi_analytic, lambda_from_material
 from .materials import MaterialParams
 from .optics import WEAK_PROBE_RATIO, full_model_chi
 
@@ -60,11 +60,7 @@ def validate_reduction(mat: MaterialParams, omega_c: float, omega_p: float,
 
     lam = lambda_from_material(mat, omega_c)
     if analytic_gamma52_factor != 1.0:
-        lam = LambdaParams(
-            gamma52=lam.gamma52 * analytic_gamma52_factor,
-            gamma32=lam.gamma32, omega_c=lam.omega_c,
-            coupling_a=lam.coupling_a,
-        )
+        lam = lam._replace(gamma52=lam.gamma52 * analytic_gamma52_factor)
     drives = DriveSet(probe_rabi=omega_p, coupling_rabi=omega_c,
                       aux_rabi=omega_a)
 

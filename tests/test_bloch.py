@@ -7,42 +7,47 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch
-from eitsim.bloch import (DEGENERACY_TOL, FieldDrive, build_hamiltonian,
-                          build_liouvillian, evolve, frame_phases,
-                          generator_drift, solved_indices, steady_state,
-                          steady_state_slope, steady_states)
-from eitsim.config import pryso_defaults
-from eitsim.errors import (ConfigError, InconsistentFrameError,
-                           IntegrationError, InvalidArgumentError,
-                           SteadyStateError)
+from eitsim.bloch import (AUX_LEVELS, COUPLING_LEVELS, DEGENERACY_TOL,
+                          PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian,
+                          build_liouvillian, evolve, solved_indices,
+                          steady_state, steady_state_slope, steady_states)
+from eitsim.config import DriveSet, pryso_defaults
+from eitsim.errors import (ConfigError, IntegrationError,
+                           InvalidArgumentError, SteadyStateError)
 from eitsim.lambda_system import lambda_from_material
 from eitsim.materials import LevelSystem, equal_branching
-from eitsim.optics import DriveSet, full_model_chi
+from eitsim.optics import full_model_chi
 from eitsim.states import basis_state, mixed_state
 
 from lambda_oracle import lambda_steady_state
 
 MAT = pryso_defaults()
 
-EIT_DRIVES = (FieldDrive(5, 2, 1.5e3), FieldDrive(5, 3, 1.5e6),
-              FieldDrive(6, 1, 1.5e6))
-PUMP_DRIVES = (FieldDrive(5, 3, 1e6), FieldDrive(6, 1, 1e6),
-               FieldDrive(5, 2, 0.0))
-# Per unit sweep parameter only the probe detuning moves.
-PROBE_SCAN = (FieldDrive(5, 2, 0.0, 1.0), FieldDrive(5, 3, 0.0),
-              FieldDrive(6, 1, 0.0))
+OFF = DriveSet(0.0, 0.0, 0.0)
+EIT_DRIVES = DriveSet(1.5e3, 1.5e6, 1.5e6)
+PUMP_DRIVES = DriveSet(0.0, 1e6, 1e6)
+FIELD_LEVELS = (PROBE_LEVELS, COUPLING_LEVELS, AUX_LEVELS)
+
+# Two levels whose 1-2 coherence neither decays nor is driven: frame phases
+# (-1, 0) per unit delta, so D[m*2 + k] = -i (p_m - p_k).
+TWO_LEVEL_DRIFT = np.array([0.0, 1j, -1j, 0.0])
+# The Lambda system 1-3-2 of four levels, both fields at rabi 2, and its
+# drift for delta on the 3-2 field: frame phases (1, 0, 1, 0) per unit delta.
+LAMBDA_HAM = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, -1.0, 0.0],
+                       [-1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+LAMBDA_DRIFT = -1j * np.array([[0.0, 1.0, 0.0, 1.0], [-1.0, 0.0, -1.0, 0.0],
+                               [0.0, 1.0, 0.0, 1.0],
+                               [-1.0, 0.0, -1.0, 0.0]]).reshape(-1)
 
 
-def eit_drives(delta, rabi=(1.5e3, 1.5e6, 1.5e6), coupling_det=0.0,
-               aux_det=0.0):
-    return (FieldDrive(5, 2, rabi[0], delta),
-            FieldDrive(5, 3, rabi[1], coupling_det),
-            FieldDrive(6, 1, rabi[2], aux_det))
+def eit_drives(rabi=(1.5e3, 1.5e6, 1.5e6), coupling_det=0.0, aux_det=0.0):
+    return DriveSet(*rabi, coupling_detuning=coupling_det,
+                    aux_detuning=aux_det)
 
 
-def assembled(drives, mat=MAT):
-    return build_liouvillian(build_hamiltonian(mat.levels.n_levels, drives),
-                             mat.levels, mat.gamma)
+def assembled(drives, delta=0.0, mat=MAT):
+    return build_liouvillian(build_hamiltonian(drives, delta), mat.levels,
+                             mat.gamma)
 
 
 def reference_rhs(rho, ham, branching, gamma):
@@ -68,10 +73,11 @@ def assert_matches_null_space(rabi, coupling_det, aux_det, delta):
     the slow ground-level decay sets sigma_{n-1} it reaches 5e-6 (coupling
     and auxiliary fields off), while steady_states there agrees with a
     40-digit elimination to the last bit."""
-    lv0 = assembled(eit_drives(0.0, rabi, coupling_det, aux_det))
-    drift = generator_drift(6, PROBE_SCAN)
+    drives = eit_drives(rabi, coupling_det, aux_det)
+    lv0 = assembled(drives)
+    drift = PROBE_DRIFT
     rho = steady_states(lv0, drift, [delta])[0].reshape(-1)
-    gen = assembled(eit_drives(delta, rabi, coupling_det, aux_det))
+    gen = assembled(drives, delta)
     basis = scipy.linalg.null_space(gen)
     assert basis.shape[1] == 1
     want = basis[:, 0] / basis[:: 7, 0].sum()
@@ -81,16 +87,16 @@ def assert_matches_null_space(rabi, coupling_det, aux_det, delta):
     return lv0, drift, rho
 
 
-def block_by_drives(n, drives):
+def block_by_drives(drives):
     """Indices of vec(rho) in block P worked out from the drive graph alone:
     every population, plus every coherence between two levels that a chain
-    of nonzero-rabi drives connects."""
-    component = list(range(n))
-    for d in drives:
-        if d.rabi != 0:
-            old, new = component[d.upper - 1], component[d.lower - 1]
+    of nonzero-rabi fields connects."""
+    component = list(range(6))
+    for (upper, lower), rabi in zip(FIELD_LEVELS, drives[:3]):
+        if rabi != 0:
+            old, new = component[upper - 1], component[lower - 1]
             component = [new if c == old else c for c in component]
-    return np.array([m * n + k for m in range(n) for k in range(n)
+    return np.array([m * 6 + k for m in range(6) for k in range(6)
                      if component[m] == component[k]])
 
 
@@ -100,95 +106,81 @@ def random_hermitian_state(rng, n=6):
     return rho / np.trace(rho).real
 
 
-class TestFieldDrive:
-    def test_basic_fields(self):
-        d = FieldDrive(5, 2, 1.5e6, -3.0)
-        assert (d.upper, d.lower) == (5, 2)
-        assert d.rabi == 1.5e6 and d.detuning == -3.0
-
-    def test_zero_rabi_is_legal(self):
-        FieldDrive(5, 2, 0.0)  # pins the frame without coupling
-
-    def test_rejects_identical_levels(self):
-        with pytest.raises(InvalidArgumentError):
-            FieldDrive(3, 3, 1.0)
-
-    def test_rejects_bad_levels_and_values(self):
-        with pytest.raises(InvalidArgumentError):
-            FieldDrive(0, 2, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            FieldDrive(2.5, 1, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            FieldDrive(2, 1, float("nan"))
-        with pytest.raises(InvalidArgumentError):
-            FieldDrive(2, 1, 1.0, float("inf"))
+# Finite field values, signed zeros and magnitudes from 1e-300 to 1e300.
+FIELD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e300, 1e300).filter(lambda v: v == 0.0 or abs(v) >= 1e-300))
 
 
 class TestFramePhases:
     def test_probe_scan_diagonal(self):
-        drives = (FieldDrive(5, 2, 1.0, 7e5), FieldDrive(5, 3, 1.0, 0.0),
-                  FieldDrive(6, 1, 1.0, 0.0))
-        phases = frame_phases(6, drives)
-        # reference level 2 at zero; 5 at probe detuning; 3 at probe-coupling
-        # difference; the 6-1 component roots at its lowest level 1
-        assert np.allclose(phases, [0.0, 0.0, 7e5, 0.0, 7e5, 0.0])
+        ham = build_hamiltonian(DriveSet(1.0, 1.0, 1.0), 7e5)
+        # reference level 2 at zero; 5 at the probe detuning; 3 at the
+        # probe-coupling difference; 1 at zero below the 6-1 repump
+        assert np.array_equal(np.diag(ham), [0.0, 0.0, 7e5, 0.0, 7e5, 0.0])
 
     def test_aux_detuning_lands_on_level6(self):
-        drives = (FieldDrive(6, 1, 1.0, 2e4),)
-        phases = frame_phases(6, drives)
-        assert np.allclose(phases, [0.0, 0.0, 0.0, 0.0, 0.0, 2e4])
+        ham = build_hamiltonian(DriveSet(0.0, 0.0, 1.0, aux_detuning=2e4),
+                                0.0)
+        assert np.array_equal(np.diag(ham), [0.0, 0.0, 0.0, 0.0, 0.0, 2e4])
 
     def test_no_drives_all_zero(self):
-        assert np.array_equal(frame_phases(6, ()), np.zeros(6))
-
-    def test_consistent_cycle_accepted(self):
-        drives = (FieldDrive(2, 1, 1.0, 3.0), FieldDrive(3, 2, 1.0, 4.0),
-                  FieldDrive(3, 1, 1.0, 7.0))
-        phases = frame_phases(3, drives)
-        # root level 2 at zero; 7.0 = 3.0 + 4.0 closes the cycle
-        assert np.allclose(phases, [-3.0, 0.0, 4.0])
-
-    def test_inconsistent_cycle_rejected(self):
-        drives = (FieldDrive(2, 1, 1.0, 3.0), FieldDrive(3, 2, 1.0, 4.0),
-                  FieldDrive(3, 1, 1.0, 7.5))
-        with pytest.raises(InconsistentFrameError):
-            frame_phases(3, drives)
-
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ConfigError):
-            frame_phases(6, (FieldDrive(5, 2, 1.0), FieldDrive(2, 5, 2.0)))
-
-    def test_out_of_range_level(self):
-        with pytest.raises(InvalidArgumentError):
-            frame_phases(4, (FieldDrive(5, 2, 1.0),))
+        assert np.array_equal(np.diag(build_hamiltonian(OFF, 0.0)),
+                              np.zeros(6))
 
 
 class TestHamiltonian:
     def test_no_drives_zero_matrix(self):
-        assert np.array_equal(build_hamiltonian(6, ()), np.zeros((6, 6)))
+        assert np.array_equal(build_hamiltonian(OFF, 0.0), np.zeros((6, 6)))
 
     def test_coupling_entries(self):
-        ham = build_hamiltonian(6, (FieldDrive(5, 2, 2.0, 9.0),))
+        ham = build_hamiltonian(DriveSet(2.0, 0.0, 0.0), 9.0)
         assert ham[4, 1] == -1.0
         assert ham[1, 4] == -1.0
         assert ham[4, 4] == 9.0
         assert ham[1, 1] == 0.0
 
     def test_complex_rabi_is_hermitian(self):
-        ham = build_hamiltonian(6, (FieldDrive(5, 2, 1.0 + 2.0j),))
+        ham = build_hamiltonian(DriveSet(1.0 + 2.0j, 0.0, 0.0), 0.0)
         assert np.allclose(ham, ham.conj().T)
         assert ham[4, 1] == -0.5 * (1.0 + 2.0j)
 
     def test_zero_rabi_still_pins_detuning(self):
-        ham = build_hamiltonian(6, (FieldDrive(5, 2, 0.0, 4e5),))
+        ham = build_hamiltonian(OFF, 4e5)
         assert ham[4, 4] == 4e5
         assert ham[4, 1] == 0.0
+
+    def test_phase_overflow_refused(self):
+        with pytest.raises(ConfigError, match="overflow"):
+            build_hamiltonian(
+                DriveSet(0.0, 0.0, 0.0, coupling_detuning=-1e308), 1e308)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rabi=st.tuples(*[st.one_of(
+               FIELD_VALUES, st.builds(complex, FIELD_VALUES, FIELD_VALUES))]
+               * 3),
+           detunings=st.tuples(FIELD_VALUES, FIELD_VALUES, FIELD_VALUES))
+    def test_fixed_geometry_over_random_drive_sets(self, rabi, detunings):
+        probe_det, coupling_det, aux_det = detunings
+        ham = build_hamiltonian(
+            DriveSet(*rabi, coupling_detuning=coupling_det,
+                     aux_detuning=aux_det), probe_det)
+        # level 2 anchors the frame; the coupling's phase difference is
+        # p5 - (p5 - delta_c), exact but for the rounding of p3
+        assert ham[1, 1] == 0.0
+        bound = 2.0 * np.finfo(float).eps * max(map(abs, detunings))
+        for (u, l), r, det in zip(FIELD_LEVELS, rabi, detunings):
+            assert abs((ham[u - 1, u - 1] - ham[l - 1, l - 1]) - det) <= bound
+            assert ham[u - 1, l - 1] == -0.5 * complex(r)
+        assert np.array_equal(ham, ham.conj().T)
+        assert np.count_nonzero(ham - np.diag(np.diag(ham))) == \
+            2 * sum(r != 0 for r in rabi)
 
 
 class TestLiouvillian:
     def test_dual_route_against_elementwise_equations(self):
         # superoperator route vs independently written component equations
-        ham = build_hamiltonian(6, EIT_DRIVES)
+        ham = build_hamiltonian(EIT_DRIVES, 0.0)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         rng = np.random.default_rng(11)
         scale = np.max(np.abs(lv))
@@ -201,7 +193,7 @@ class TestLiouvillian:
 
     def test_probe_coupling_coefficients_in_population_equation(self):
         # d rho_22/dt picks up -i*Omega_P/2 * rho_25 + i*Omega_P/2 * rho_52
-        ham = build_hamiltonian(6, (FieldDrive(5, 2, 2.0),))
+        ham = build_hamiltonian(DriveSet(2.0, 0.0, 0.0), 0.0)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         idx22, idx25, idx52 = 1 * 6 + 1, 1 * 6 + 4, 4 * 6 + 1
         assert lv[idx22, idx25] == -1.0j
@@ -223,8 +215,8 @@ class TestLiouvillian:
 
     def test_trace_preserved_structurally(self):
         # the population rows of the generator sum to the zero row: exact
-        for drives in ((), PUMP_DRIVES, EIT_DRIVES):
-            ham = build_hamiltonian(6, drives)
+        for drives in (OFF, PUMP_DRIVES, EIT_DRIVES):
+            ham = build_hamiltonian(drives, 0.0)
             lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
             rows = [m * 6 + m for m in range(6)]
             colsum = lv[rows, :].sum(axis=0)
@@ -233,8 +225,8 @@ class TestLiouvillian:
     def test_trace_and_hermiticity_preserved_applied(self):
         # applied to states, the residues scale with ||L||*eps
         rng = np.random.default_rng(13)
-        for drives in ((), PUMP_DRIVES, EIT_DRIVES):
-            ham = build_hamiltonian(6, drives)
+        for drives in (OFF, PUMP_DRIVES, EIT_DRIVES):
+            ham = build_hamiltonian(drives, 0.0)
             lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
             norm = np.abs(lv).sum(axis=1).max()
             bound = max(1e-12, 1e-15 * norm)
@@ -276,7 +268,7 @@ class TestSteadyState:
         assert np.max(np.abs(rho - np.diag(want))) < 1e-9
 
     def test_pumping_concentrates_in_level2(self):
-        ham = build_hamiltonian(6, PUMP_DRIVES)
+        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         rho = steady_state(lv)
         assert rho[1, 1].real > 0.999
@@ -284,17 +276,13 @@ class TestSteadyState:
     def test_weak_probe_coherence_matches_lambda_form(self):
         lam = lambda_from_material(MAT, 1.5e6)
         for delta in (0.0, 3e5, -8e5, 2e6):
-            drives = (FieldDrive(5, 2, 1.5e3, delta),
-                      FieldDrive(5, 3, 1.5e6), FieldDrive(6, 1, 1.5e6))
-            ham = build_hamiltonian(6, drives)
-            lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
-            rho52 = steady_state(lv)[4, 1]
+            rho52 = steady_state(assembled(EIT_DRIVES, delta))[4, 1]
             ref, _ = lambda_steady_state(lam, 1.5e3, delta)
             assert abs(rho52 - ref) / abs(ref) < 0.02
 
     def test_transient_agrees_with_steady_state(self):
         # 24 ms is ~20 times the slowest decay mode of the pumped generator
-        ham = build_hamiltonian(6, PUMP_DRIVES)
+        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         ss = steady_state(lv)
         rho = evolve(mixed_state(6), lv, 24e-3, n_samples=9)[1]
@@ -316,10 +304,7 @@ class TestSteadyState:
         # the weakest probe the acceptance criteria use: conditioning is
         # worst here, and the two pivot paths must still agree
         for probe in (1.5e3, 1.5e4):
-            drives = (FieldDrive(5, 2, probe, -8e5),
-                      FieldDrive(5, 3, 1.5e6), FieldDrive(6, 1, 1.5e6))
-            ham = build_hamiltonian(6, drives)
-            lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+            lv = assembled(DriveSet(probe, 1.5e6, 1.5e6), -8e5)
             steady_state(lv)  # raises if disagreement > DEGENERACY_TOL
         assert DEGENERACY_TOL == 1e-8
 
@@ -327,14 +312,13 @@ class TestSteadyState:
 class TestSolvedBlock:
     def test_defaults_solve_fourteen_entries(self):
         # the populations plus the coherences within {2, 3, 5} and {1, 6}
-        solved = solved_indices(assembled(EIT_DRIVES),
-                                generator_drift(6, PROBE_SCAN))
+        solved = solved_indices(assembled(EIT_DRIVES), PROBE_DRIFT)
         want = sorted([m * 7 for m in range(6)]
                       + [(m - 1) * 6 + k - 1 for group in ((2, 3, 5), (1, 6))
                          for m in group for k in group if m != k])
         assert solved.size == 14
         assert np.array_equal(solved, want)
-        assert np.array_equal(solved, block_by_drives(6, EIT_DRIVES))
+        assert np.array_equal(solved, block_by_drives(EIT_DRIVES))
 
     def test_undamped_uncoupled_coherence_solves_everything(self):
         # rho_12 has no decay and no drive: the rest is not certified
@@ -343,7 +327,7 @@ class TestSolvedBlock:
                              equal_branching(lifetimes, destinations={2: (1,)}),
                              np.zeros((2, 2)))
         lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
-        drift = generator_drift(2, (FieldDrive(2, 1, 0.0, 1.0),))
+        drift = TWO_LEVEL_DRIFT
         assert np.array_equal(solved_indices(lv0, drift), np.arange(4))
         damped = build_liouvillian(np.zeros((2, 2)), levels,
                                    np.full((2, 2), 10.0))
@@ -351,7 +335,7 @@ class TestSolvedBlock:
 
     def test_real_drift_on_the_rest_solves_everything(self):
         lv0 = assembled(EIT_DRIVES)
-        drift = generator_drift(6, PROBE_SCAN)
+        drift = PROBE_DRIFT.copy()
         assert solved_indices(lv0, drift).size == 14
         drift[1] = 1.0  # rho_12: outside the block
         assert np.array_equal(solved_indices(lv0, drift), np.arange(36))
@@ -370,7 +354,7 @@ class TestSolvedBlock:
                                                     aux_det, delta)
         solved = solved_indices(lv0, drift)
         assert np.array_equal(solved, block_by_drives(
-            6, eit_drives(0.0, rabi, coupling_det, aux_det)))
+            eit_drives(rabi, coupling_det, aux_det)))
         outside = np.setdiff1d(np.arange(36), solved)
         assert np.all(rho[outside] == 0.0)
 
@@ -392,40 +376,41 @@ class TestBatchedSteadyStates:
         # complex drives with coupling and auxiliary detunings switched on
         rng = np.random.default_rng(23)
         eps = np.finfo(float).eps
-        drift = generator_drift(6, PROBE_SCAN)
+        drift = PROBE_DRIFT
         for _ in range(25):
             rabi = ((rng.standard_normal(3) + 1j * rng.standard_normal(3))
                     * 10 ** rng.uniform(2, 7, 3))
             det_c, det_a = rng.uniform(-2e7, 2e7, 2)
-            lv0 = assembled(eit_drives(0.0, rabi, det_c, det_a))
+            drives = eit_drives(rabi, det_c, det_a)
+            lv0 = assembled(drives)
             for delta in rng.uniform(-2e7, 2e7, 4):
-                want = assembled(eit_drives(delta, rabi, det_c, det_a))
+                want = assembled(drives, delta)
                 got = lv0 + np.diag(delta * drift)
                 assert np.max(np.abs(got - want)) \
                     <= 8 * eps * np.max(np.abs(want))
 
     def test_drift_is_the_frame_phase_difference(self):
-        drift = generator_drift(6, PROBE_SCAN).reshape(6, 6)
+        drift = PROBE_DRIFT.reshape(6, 6)
         # levels 5 and 3 move with the probe detuning, the rest stay put
         assert drift[4, 1] == -1j and drift[1, 4] == 1j
         assert drift[2, 1] == -1j and drift[4, 2] == 0.0
         assert drift[0, 5] == 0.0 and np.all(np.diag(drift) == 0.0)
 
     def test_batch_agrees_with_per_point_solves(self):
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
+        lv0 = assembled(EIT_DRIVES)
+        drift = PROBE_DRIFT
         deltas = np.linspace(-3e6, 3e6, 7)
         batch = steady_states(lv0, drift, deltas)
         for delta, rho in zip(deltas, batch):
-            one = steady_state(assembled(eit_drives(delta)))
+            one = steady_state(assembled(EIT_DRIVES, delta))
             assert np.max(np.abs(rho - one)) < DEGENERACY_TOL
 
     def test_no_point_depends_on_the_rest_of_the_call(self):
         # every point is its own small solve from the same factorization:
         # the other points of the call may not move a single bit (how
         # full_model_chi slices a grid is tested in test_optics)
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
+        lv0 = assembled(EIT_DRIVES)
+        drift = PROBE_DRIFT
         deltas = np.linspace(-2e7, 2e7, 259)
         batch = steady_states(lv0, drift, deltas)
         assert batch.shape == (259, 6, 6)
@@ -436,8 +421,8 @@ class TestBatchedSteadyStates:
     def test_poles_are_where_the_pinned_block_is_singular(self):
         # the four dressed-state resonances at the defaults, against a
         # fresh pinned block at each pole: singular to rounding
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
+        lv0 = assembled(EIT_DRIVES)
+        drift = PROBE_DRIFT
         poles = bloch.reduction(lv0, drift)[-1]
         assert np.allclose(np.abs(poles.real), 7.497e5, rtol=1e-4)
         assert np.allclose(np.abs(poles.imag), 2.729e4, rtol=1e-3)
@@ -459,8 +444,8 @@ class TestBatchedSteadyStates:
         branching[3, :3] = 0.0
         branching[1, 0] = 0.0
         mat = pryso_defaults(lifetimes=lifetimes, branching=branching)
-        lv0 = assembled(eit_drives(0.0), mat)
-        rho = steady_states(lv0, generator_drift(6, PROBE_SCAN),
+        lv0 = assembled(EIT_DRIVES, mat=mat)
+        rho = steady_states(lv0, PROBE_DRIFT,
                             np.linspace(-2e7, 2e7, 201))
         assert np.array_equal(rho, np.broadcast_to(
             np.diag([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), rho.shape))
@@ -491,7 +476,7 @@ class TestBatchedSteadyStates:
                              equal_branching(lifetimes, destinations={2: (1,)}),
                              np.zeros((2, 2)))
         lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
-        drift = generator_drift(2, (FieldDrive(2, 1, 0.0, 1.0),))
+        drift = TWO_LEVEL_DRIFT
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 0, 0], np.ones(3))
         grid = np.linspace(-264.0, 264.0, 529)
@@ -513,11 +498,8 @@ class TestBatchedSteadyStates:
         gamma = np.full((4, 4), 100.0)
         np.fill_diagonal(gamma, 0.0)
         gamma[0, 1] = gamma[1, 0] = 0.0
-        ham = build_hamiltonian(4, (FieldDrive(3, 1, 2.0),
-                                    FieldDrive(3, 2, 2.0)))
-        lv0 = build_liouvillian(ham, levels, gamma)
-        drift = generator_drift(4, (FieldDrive(3, 1, 0.0),
-                                    FieldDrive(3, 2, 0.0, 1.0)))
+        lv0 = build_liouvillian(LAMBDA_HAM, levels, gamma)
+        drift = LAMBDA_DRIFT
         assert np.array_equal(solved_indices(lv0, drift),
                               [0, 1, 2, 4, 5, 6, 8, 9, 10, 15])
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
@@ -538,8 +520,8 @@ class TestSteadyStateSlope:
         # rho(delta) is hermitian with unit trace for every real delta, so
         # its derivative is hermitian with zero trace, to rounding: eps
         # times the condition number of the pinned system, ~1.5e6 here
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
+        lv0 = assembled(EIT_DRIVES)
+        drift = PROBE_DRIFT
         for delta in (-8e5, 0.0, 2.5e5):
             rho = steady_states(lv0, drift, [delta])[0]
             slope = steady_state_slope(lv0, drift, delta, rho)
@@ -551,8 +533,8 @@ class TestSteadyStateSlope:
     def test_matches_a_difference_of_steady_states(self):
         # away from narrow features a plain central difference of the
         # stationary states agrees to its O(h^2) truncation
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
+        lv0 = assembled(EIT_DRIVES)
+        drift = PROBE_DRIFT
         delta, h = 3e6, 10.0
         rho = steady_states(lv0, drift, [delta - h, delta, delta + h])
         slope = steady_state_slope(lv0, drift, delta, rho[1])
@@ -560,8 +542,8 @@ class TestSteadyStateSlope:
         assert np.abs(slope - diff).max() <= 1e-6 * np.abs(slope).max()
 
     def test_shared_reduction_changes_no_bit(self):
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
+        lv0 = assembled(EIT_DRIVES)
+        drift = PROBE_DRIFT
         for delta in (-8e5, 0.0, 2.5e5):
             reduced = bloch.reduction(lv0, drift, delta)
             rho = steady_states(lv0, drift, [delta])[0]
@@ -572,8 +554,8 @@ class TestSteadyStateSlope:
                 steady_state_slope(lv0, drift, delta, rho))
 
     def test_residual_gate_names_its_detuning(self, monkeypatch):
-        lv0 = assembled(eit_drives(0.0))
-        drift = generator_drift(6, PROBE_SCAN)
+        lv0 = assembled(EIT_DRIVES)
+        drift = PROBE_DRIFT
         rho = steady_states(lv0, drift, [2.5e5])[0]
         # a gate below zero fails any slope, however exact
         monkeypatch.setattr(bloch, "STEADY_STATE_RTOL", -1.0)
@@ -592,11 +574,8 @@ class TestSteadyStateSlope:
         gamma = np.full((4, 4), 100.0)
         np.fill_diagonal(gamma, 0.0)
         gamma[0, 1] = gamma[1, 0] = 0.0
-        ham = build_hamiltonian(4, (FieldDrive(3, 1, 2.0),
-                                    FieldDrive(3, 2, 2.0)))
-        lv0 = build_liouvillian(ham, levels, gamma)
-        drift = generator_drift(4, (FieldDrive(3, 1, 0.0),
-                                    FieldDrive(3, 2, 0.0, 1.0)))
+        lv0 = build_liouvillian(LAMBDA_HAM, levels, gamma)
+        drift = LAMBDA_DRIFT
         rho = steady_states(lv0, drift, [1.0])[0]
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 0\.0 rad/s: singular slope"):
@@ -613,7 +592,7 @@ class TestEvolve:
         assert np.allclose(pops[:, 4], want, rtol=1e-7, atol=1e-10)
 
     def test_drift_diagnostics_within_budget(self):
-        ham = build_hamiltonian(6, PUMP_DRIVES)
+        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         times, rho, trace_dev, herm_dev = evolve(mixed_state(6), lv, 10e-3)
         assert trace_dev <= 1e-9
@@ -652,7 +631,7 @@ class TestEvolve:
     def test_propagator_breakdown_raises(self):
         # exp(L dt) at dt = 5e27 s needs 110 squarings and loses the trace;
         # at 1e305 s L dt overflows outright
-        ham = build_hamiltonian(6, PUMP_DRIVES)
+        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
         lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
         with pytest.raises(IntegrationError,
                            match=r"sample at t = 5\.000000e\+27 s"):
@@ -675,7 +654,7 @@ class TestEvolve:
         # Bloch-form dephasing table does not keep rho positive, so those
         # are left out.
         rho0 = mixed_state(6) if initial == 0 else basis_state(6, initial)
-        lv = assembled(eit_drives(detunings[0], rabi, *detunings[1:]))
+        lv = assembled(eit_drives(rabi, *detunings[1:]), detunings[0])
         _, rho, trace_dev, herm_dev = evolve(rho0, lv, t_end,
                                              n_samples=n_samples)
         assert trace_dev <= 1e-9 and herm_dev <= 1e-9

@@ -382,9 +382,9 @@ class TestEvolve:
                 "evolve.samples_count=11"]
         assert main(["evolve", "--out", out, *argv]) == 0
         run = resolve(apply_overrides({}, argv[1::2]))
-        drives = optics.field_drives(run.drives, run.drives.probe_detuning)
-        gen = bloch.build_liouvillian(bloch.build_hamiltonian(6, drives),
-                                      run.material.levels, run.material.gamma)
+        ham = bloch.build_hamiltonian(run.drives, run.drives.probe_detuning)
+        gen = bloch.build_liouvillian(ham, run.material.levels,
+                                      run.material.gamma)
         times, rho, _, _ = bloch.evolve(
             optics.initial_state(run.evolve_initial), gen, 1e-4, n_samples=11)
         cells = [[float(c) for c in line.split(",")] for line in
@@ -541,6 +541,17 @@ class TestStartup:
                                                         "Threads:", "1"]
 
 
+    def test_a_full_run_loads_no_dataclasses(self, tmp_path):
+        # every record is a namedtuple: the package imports no dataclasses
+        proc = run_python("-c", "import sys\n"
+                                "from eitsim.__main__ import run\n"
+                                "status = run(sys.argv[1:])\n"
+                                "print(status, 'dataclasses' in sys.modules)",
+                          "vg", "--backend", "full", "--out", str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 class TestErrorStatuses:
     def test_unknown_key(self, tmp_path):
         proc = run_cli("spectrum", "--out", str(tmp_path),
@@ -651,6 +662,34 @@ class TestErrorStatuses:
         assert "config error: config key 'drives.aux_detuning_rad_s' = " \
             f"{2e3 * math.pi!r} would be ignored" in proc.stderr
         assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("command", ["spectrum", "window", "vg",
+                                         "validate"])
+    @pytest.mark.parametrize("setting, value", [
+        ("drives.coupling_detuning_rad_s=1e6", 1e6),
+        ("drives.coupling_detuning_hz=1e3", 2e3 * math.pi),
+    ], ids=["rad_s", "hz"])
+    def test_coupling_detuning_the_closed_form_would_ignore(
+            self, tmp_path, command, setting, value):
+        # the three-level closed form holds the coupling field on resonance
+        proc = run_cli(command, "--out", str(tmp_path), "--set", setting)
+        assert proc.returncode == 2
+        assert "config error: config key 'drives.coupling_detuning_rad_s' = " \
+            f"{value!r} would be ignored" in proc.stderr
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_full_backend_reads_the_coupling_detuning(self, tmp_path,
+                                                      capsys):
+        out = str(tmp_path)
+        full = ["vg", "--backend", "full", "--out", out]
+        assert main(full) == 0
+        resonant = read_summary(out, "vg")["headline"]["vg_m_s"]
+        assert main(full + ["--set", "drives.coupling_detuning_rad_s=1e5"]) \
+            == 0
+        assert read_summary(out, "vg")["headline"]["vg_m_s"] != resonant
+        # a zero coupling detuning is what the closed form assumes
+        assert main(["vg", "--out", out,
+                     "--set", "drives.coupling_detuning_rad_s=0"]) == 0
 
     def test_full_backend_reads_the_aux_detuning(self, tmp_path, capsys):
         out = str(tmp_path)

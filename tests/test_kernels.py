@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from eitsim import kernels
-from eitsim.bloch import (FieldDrive, build_hamiltonian, build_liouvillian,
-                          steady_state)
-from eitsim.config import pryso_defaults
+from eitsim.bloch import build_hamiltonian, build_liouvillian, steady_state
+from eitsim.config import DriveSet, pryso_defaults
 from eitsim.errors import InvalidArgumentError
 from eitsim.states import mixed_state
 
@@ -91,9 +90,8 @@ def test_long_time_limit_is_the_steady_state():
     # 1 s is ~1000 times the slowest decay mode of the pumped generator;
     # the oracle is the linear nullspace solve, not a propagation
     mat = pryso_defaults()
-    drives = (FieldDrive(5, 3, 1e6), FieldDrive(6, 1, 1e6),
-              FieldDrive(5, 2, 0.0))
-    lv = build_liouvillian(build_hamiltonian(6, drives), mat.levels,
+    drives = DriveSet(probe_rabi=0.0, coupling_rabi=1e6, aux_rabi=1e6)
+    lv = build_liouvillian(build_hamiltonian(drives, 0.0), mat.levels,
                            mat.gamma)
     out, _, _ = kernels.integrate(lv,
                                   mixed_state(6).reshape(-1),

@@ -284,6 +284,14 @@ class TestLambdaParams:
         with pytest.raises(InvalidArgumentError):
             LambdaParams(float("inf"), 1.0, 1.0, 1.0)
 
+    def test_replace_runs_the_same_checks(self):
+        # validation's gamma52 fault hook builds through _replace
+        assert EIT._replace(gamma52=2.0).gamma52 == 2.0
+        with pytest.raises(InvalidArgumentError, match="gamma52 must be"):
+            EIT._replace(gamma52=0.0)
+        with pytest.raises(InvalidArgumentError, match="exceeds"):
+            EIT._replace(gamma52=1e40)
+
     @pytest.mark.parametrize("field", ["gamma52", "gamma32", "omega_c",
                                        "coupling_a"])
     def test_rates_beyond_the_overflow_bound_are_refused(self, field):

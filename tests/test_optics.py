@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch, optics, states
-from eitsim.bloch import (DEGENERACY_TOL, build_hamiltonian,
-                          build_liouvillian, generator_drift,
-                          steady_state_slope, steady_states)
+from eitsim.bloch import (DEGENERACY_TOL, PROBE_DRIFT, build_hamiltonian,
+                          build_liouvillian, steady_state_slope,
+                          steady_states)
 from eitsim.config import apply_overrides, pryso_defaults, resolve
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
@@ -20,7 +20,7 @@ from eitsim.lambda_system import (LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
 from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, STEADY_STATE_CHUNK,
                            WEAK_PROBE_RATIO, DriveSet, GridSpec,
-                           absorption, field_drives, full_model_chi,
+                           absorption, full_model_chi,
                            grid_values, group_velocity,
                            probe_angular_frequency, refractive_index,
                            rho_to_chi, spectrum_to_csv, sweep,
@@ -46,16 +46,6 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 1)
         with pytest.raises(ConfigError):
             GridSpec(float("nan"), 1.0, 10)
-
-
-class TestDriveSet:
-    def test_field_drives_geometry(self):
-        ds = DriveSet(1.0, 2.0, 3.0, coupling_detuning=5.0, aux_detuning=-7.0)
-        probe, coupling, aux = field_drives(ds, 11.0)
-        assert (probe.upper, probe.lower, probe.rabi, probe.detuning) == \
-            (5, 2, 1.0, 11.0)
-        assert (coupling.upper, coupling.lower, coupling.detuning) == (5, 3, 5.0)
-        assert (aux.upper, aux.lower, aux.detuning) == (6, 1, -7.0)
 
 
 class TestPointwiseOptics:
@@ -109,9 +99,9 @@ class TestPointwiseOptics:
 def full_chi_and_slope(mat, drives, delta):
     """Full-backend chi and dchi/ddelta at one detuning, complex, from
     bloch's steady state and its exact slope."""
-    lv0 = build_liouvillian(build_hamiltonian(6, field_drives(drives, 0.0)),
-                            mat.levels, mat.gamma)
-    drift = generator_drift(6, field_drives(DriveSet(0.0, 0.0, 0.0), 1.0))
+    lv0 = build_liouvillian(build_hamiltonian(drives, 0.0), mat.levels,
+                            mat.gamma)
+    drift = PROBE_DRIFT
     rho = steady_states(lv0, drift, [delta])[0]
     slope = steady_state_slope(lv0, drift, delta, rho)
     scale = 2.0 * mat.coupling_strength / complex(drives.probe_rabi)
@@ -460,7 +450,7 @@ def null_space_chi(mat, drives, deltas):
     its nullspace from an SVD (scipy), normalised to unit trace."""
     out = []
     for delta in deltas:
-        ham = build_hamiltonian(6, field_drives(drives, float(delta)))
+        ham = build_hamiltonian(drives, float(delta))
         gen = build_liouvillian(ham, mat.levels, mat.gamma)
         basis = scipy.linalg.null_space(gen)
         assert basis.shape[1] == 1
