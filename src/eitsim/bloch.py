@@ -196,8 +196,13 @@ def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
             f"disagree by {disagreement:.3e}")
     cz = rate[moving, None] * sol[moving, 1:]
     mu = np.linalg.eigvals(cz)
+    with np.errstate(over="ignore", invalid="ignore"):
+        poles = 1j * sigma - 1.0 / mu[mu != 0]
+    if not np.isfinite(poles).all():
+        raise SteadyStateError(
+            f"{_at(first)}: {kind} system has a pole beyond the float range")
     return (solved, moving, rate[moving], sigma, sol[:, 0], sol[:, 1:], cz,
-            1j * sigma - 1.0 / mu[mu != 0])
+            poles)
 
 
 def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
@@ -226,13 +231,18 @@ def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
                     norm="||L||"):
     """Refuse, by its delta, the first row of vec with ||L(delta) v +
     source|| > STEADY_STATE_RTOL * max(||L(delta)||, 1) * scale."""
-    # L(delta) v = L0 v + delta * (D o v): no second stack.
-    residual = np.abs(vec @ gen0.T + deltas[:, None] * (drift * vec)
-                      + source).max(axis=1)
+    # L(delta) v = L0 v + delta * (D o v): no second stack.  A residual
+    # past the float range fails the gate below as inf or nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(vec @ gen0.T + deltas[:, None] * (drift * vec)
+                          + source).max(axis=1)
+    # ||L(delta)|| summed at a quarter of its size: near |delta| = 1e308
+    # its diagonal itself overflows.
     diag0 = np.diagonal(gen0)
-    gen_norm = (np.abs(gen0 - np.diag(diag0)).sum(axis=1)
-                + np.abs(diag0 + deltas[:, None] * drift)).max(axis=1)
-    bound = STEADY_STATE_RTOL * np.maximum(gen_norm, 1.0) * scale
+    quarter = (0.25 * np.abs(gen0 - np.diag(diag0)).sum(axis=1)
+               + np.abs(0.25 * diag0 + (0.25 * deltas)[:, None] * drift)
+               ).max(axis=1)
+    bound = 4.0 * STEADY_STATE_RTOL * np.maximum(quarter, 0.25) * scale
     bad = ~(residual <= bound)
     if bad.any():
         i = int(np.argmax(bad))

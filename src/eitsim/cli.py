@@ -170,23 +170,21 @@ def _write_summary(out_dir: str, command: str, canonical: dict,
     return path
 
 
-def _refuse_detunings(run: ResolvedRun) -> None:
-    """Refuse a coupling or auxiliary detuning, which the three-level
-    closed form would silently drop."""
-    for field, why in (("coupling", "assumes the coupling field on resonance"),
-                       ("aux", "has no auxiliary field")):
-        value = getattr(run.drives, f"{field}_detuning")
-        if value != 0.0:
-            raise ConfigError(
-                f"config key 'drives.{field}_detuning_rad_s' = {value!r} "
-                f"would be ignored: the three-level closed form {why} (only "
-                "the full backend and evolve read it)")
+def _refuse_aux_detuning(command: str, run: ResolvedRun) -> None:
+    """Refuse an auxiliary detuning where the three-level closed form would
+    silently drop it: in validate and the analytic spectrum, window and vg."""
+    value = run.drives.aux_detuning
+    if value != 0.0 and (command == "validate" or (
+            command in ("spectrum", "window", "vg")
+            and run.backend == "analytic")):
+        raise ConfigError(
+            f"config key 'drives.aux_detuning_rad_s' = {value!r} would be "
+            "ignored: the three-level closed form has no auxiliary field "
+            "(only the full backend and evolve read it)")
 
 
 def cmd_spectrum(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    if run.backend == optics.BACKEND_ANALYTIC:
-        _refuse_detunings(run)
     deltas, chi, alpha = optics.sweep(run.backend, run.material, run.drives,
                                       run.grid)
     csv_path = os.path.join(args.out, "spectrum.csv")
@@ -217,12 +215,11 @@ def cmd_spectrum(args, run: ResolvedRun) -> int:
 
 def cmd_window(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    if run.backend == optics.BACKEND_ANALYTIC:
-        _refuse_detunings(run)
     mat = run.material
     # Reference: resonant absorption with the coupling switched off, so
     # the full backend's window never meets the closed form's rate bound.
-    lam = lambda_from_material(mat, 0.0)
+    lam = lambda_from_material(mat, run.drives._replace(
+        coupling_rabi=0.0, coupling_detuning=0.0))
     reference = optics.absorption(chi_analytic(lam, 0.0),
                                   mat.probe_wavelength)
 
@@ -277,8 +274,6 @@ def cmd_window(args, run: ResolvedRun) -> int:
 
 def cmd_vg(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    if run.backend == optics.BACKEND_ANALYTIC:
-        _refuse_detunings(run)
     delta0 = run.drives.probe_detuning
     vg = optics.group_velocity(run.backend, run.material, run.drives, delta0)
     group_index = optics.C_LIGHT / vg
@@ -305,15 +300,9 @@ def cmd_vg(args, run: ResolvedRun) -> int:
 
 def cmd_validate(args, run: ResolvedRun) -> int:
     started = time.perf_counter()
-    _refuse_detunings(run)
     report = validation.validate_reduction(
-        run.material,
-        run.drives.coupling_rabi,
-        run.drives.probe_rabi,
-        optics.grid_values(run.grid),
-        omega_a=run.drives.aux_rabi,
-        analytic_gamma52_factor=run.validate_fault_factor,
-    )
+        run.material, run.drives, optics.grid_values(run.grid),
+        analytic_gamma52_factor=run.validate_fault_factor)
     passed = report["max_rel_dev_chi_im"] < run.validate_max_dev
     headline = {**report, "threshold_rel": run.validate_max_dev,
                 "passed": passed}
@@ -450,6 +439,7 @@ def main(argv=None, load_numeric=load_numeric) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
         run = _resolved_run(args)
+        _refuse_aux_detuning(args.command, run)
         if args.command not in _NUMPY_FREE_COMMANDS:
             load_numeric()
         return _HANDLERS[args.command](args, run)

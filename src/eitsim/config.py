@@ -144,8 +144,9 @@ class GridSpec(namedtuple("GridSpec", "delta_min delta_max points")):
     __slots__ = ()
 
     def __new__(cls, delta_min, delta_max, points):
-        if not (math.isfinite(delta_min) and math.isfinite(delta_max)):
-            raise ConfigError("grid bounds must be finite")
+        # The span too: numpy lays the grid out in steps of it.
+        if not math.isfinite(delta_max - delta_min):
+            raise ConfigError("grid bounds and their span must be finite")
         if delta_max <= delta_min:
             raise ConfigError("grid needs delta_max > delta_min")
         if points < 2:

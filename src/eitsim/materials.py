@@ -169,9 +169,17 @@ class MaterialParams(namedtuple("MaterialParams",
             raise InvalidArgumentError("probe dipole moment must be positive")
         if not probe_wavelength > 0:
             raise InvalidArgumentError("probe wavelength must be positive")
-        return super().__new__(cls, levels, gamma, number_density,
-                               probe_dipole, probe_wavelength,
-                               rate_convention)
+        mat = super().__new__(cls, levels, gamma, number_density,
+                              probe_dipole, probe_wavelength, rate_convention)
+        try:
+            finite = math.isfinite(mat.coupling_strength)
+        except OverflowError:  # probe_dipole**2 past the float range
+            finite = False
+        if not finite:
+            raise InvalidArgumentError(
+                "coupling strength overflows: lower config key 'material."
+                "probe_dipole_c_m' or 'material.number_density_per_m3'")
+        return mat
 
     @property
     def coupling_strength(self) -> float:

@@ -167,6 +167,16 @@ def generator(mat: MaterialParams, drives: DriveSet,
                              mat.levels, mat.gamma)
 
 
+def check_weak_probe(drives: DriveSet) -> None:
+    """Refuse a probe above WEAK_PROBE_RATIO times a nonzero coupling."""
+    omega_c = abs(drives.coupling_rabi)
+    omega_p = abs(drives.probe_rabi)
+    if omega_c > 0.0 and omega_p > WEAK_PROBE_RATIO * omega_c:
+        raise ConfigError(
+            f"weak-probe regime violated: probe rabi {omega_p!r} exceeds "
+            f"{WEAK_PROBE_RATIO} * coupling rabi {omega_c!r}")
+
+
 def _full_generator(mat: MaterialParams, drives: DriveSet):
     """L0 and D of L(delta) = L0 + delta * diag(D) for the full backend,
     which reads chi as 2 * A * rho52 / omega_p: a zero probe is refused."""
@@ -204,9 +214,8 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
     n_g = 1 + chi'/2 - omega0 * 0.5 * dchi'/ddelta (n = 1 + chi'/2 and
     d delta / d omega = -1).  The slope comes from dchi_prime_ddelta or
     bloch.steady_state_slope (chi is linear in rho52), which shares the
-    state's reduction.  A non-finite n_g (the closed form overflows far off
-    resonance) or |n_g| below GROUP_INDEX_MIN raises
-    DivergentVelocityError.
+    state's reduction.  A non-finite n_g or |n_g| below GROUP_INDEX_MIN
+    raises DivergentVelocityError.
     """
     omega0 = probe_angular_frequency(mat)
     if not (np.isfinite(omega0) and omega0 > 0):
@@ -222,7 +231,7 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
         dchi_re = rho_to_chi(slope[upper - 1, lower - 1], mat,
                              drives.probe_rabi).real
     elif backend == BACKEND_ANALYTIC:
-        lam = lambda_from_material(mat, abs(drives.coupling_rabi))
+        lam = lambda_from_material(mat, drives)
         chi = chi_analytic(lam, delta0)
         dchi_re = dchi_prime_ddelta(lam, delta0)
     else:
@@ -249,18 +258,12 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
-    omega_c = abs(drives.coupling_rabi)
-    omega_p = abs(drives.probe_rabi)
     deltas = grid_values(grid)
     if backend == BACKEND_FULL:
-        if omega_c > 0.0 and omega_p > WEAK_PROBE_RATIO * omega_c:
-            raise ConfigError(
-                f"full backend requires probe rabi <= {WEAK_PROBE_RATIO} * "
-                f"coupling rabi (got {omega_p!r} vs {omega_c!r})"
-            )
+        check_weak_probe(drives)
         chi = full_model_chi(mat, drives, deltas)
     else:
-        chi = chi_analytic(lambda_from_material(mat, omega_c), deltas)
+        chi = chi_analytic(lambda_from_material(mat, drives), deltas)
     return deltas, chi, absorption(chi, mat.probe_wavelength)
 
 

@@ -4,10 +4,10 @@ closed-form lambda response on a detuning grid."""
 import numpy as np
 
 from .config import DriveSet
-from .errors import ConfigError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .lambda_system import chi_analytic, lambda_from_material
 from .materials import MaterialParams
-from .optics import WEAK_PROBE_RATIO, full_model_chi
+from .optics import check_weak_probe, full_model_chi
 
 # Grid points where the analytic chi_im falls below this fraction of its
 # maximum are excluded from relative-deviation statistics (the transparency
@@ -28,11 +28,10 @@ def _peak_positions(deltas: np.ndarray, chi_im: np.ndarray,
     return [deltas[int(np.argmax(chi_im))]]
 
 
-def validate_reduction(mat: MaterialParams, omega_c: float, omega_p: float,
-                       grid, omega_a: float = None,
+def validate_reduction(mat: MaterialParams, drives: DriveSet, grid,
                        analytic_gamma52_factor: float = 1.0) -> dict:
-    """Compare full-model chi with the closed form over the grid; return
-    the worst-case disagreement as a dict.
+    """Compare full-model chi with the closed form of the same drives over
+    the grid; return the worst-case disagreement as a dict.
 
     max_rel_dev_chi_im is relative to the analytic chi_im pointwise,
     max_rel_dev_chi_re to the analytic |chi| pointwise (chi_re crosses zero
@@ -41,28 +40,20 @@ def validate_reduction(mat: MaterialParams, omega_c: float, omega_p: float,
     chi_im deviation peaks.  peak_shift_rad_s is the largest displacement
     of corresponding absorption maxima on the grid.
 
-    omega_a defaults to omega_c.  analytic_gamma52_factor is a fault-
-    injection hook that perturbs only the analytic side, used to prove the
-    comparison actually detects disagreement.
+    analytic_gamma52_factor is a fault-injection hook that perturbs only
+    the analytic side, used to prove the comparison actually detects
+    disagreement.
     """
     deltas = np.atleast_1d(np.asarray(grid, dtype=float))
     if deltas.size < 1:
         raise InvalidArgumentError("grid must contain at least one detuning")
-    if not omega_p > 0:
+    if not drives.probe_rabi > 0:
         raise InvalidArgumentError("probe rabi frequency must be positive")
-    if omega_c > 0 and omega_p > WEAK_PROBE_RATIO * omega_c:
-        raise ConfigError(
-            f"weak-probe regime violated: probe rabi {omega_p!r} exceeds "
-            f"{WEAK_PROBE_RATIO} * coupling rabi {omega_c!r}"
-        )
-    if omega_a is None:
-        omega_a = omega_c
+    check_weak_probe(drives)
 
-    lam = lambda_from_material(mat, omega_c)
+    lam = lambda_from_material(mat, drives)
     if analytic_gamma52_factor != 1.0:
         lam = lam._replace(gamma52=lam.gamma52 * analytic_gamma52_factor)
-    drives = DriveSet(probe_rabi=omega_p, coupling_rabi=omega_c,
-                      aux_rabi=omega_a)
 
     ana = chi_analytic(lam, deltas)
     full = full_model_chi(mat, drives, deltas)

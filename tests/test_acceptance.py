@@ -36,7 +36,7 @@ from eitsim.optics import (DriveSet, GridSpec, absorption, grid_values, sweep,
                            transparency_window, window_width_closed_form)
 
 MAT = pryso_defaults()
-EIT = lambda_from_material(MAT, 1.5e6)
+EIT = lambda_from_material(MAT, DriveSet(1.5e3, 1.5e6, 1.5e6))
 VG_CLOSED_FORM = 21.569882082393843  # c / (1 - omega0 * 0.5 * dchi'/ddelta)
 
 

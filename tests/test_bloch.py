@@ -274,7 +274,7 @@ class TestSteadyState:
         assert rho[1, 1].real > 0.999
 
     def test_weak_probe_coherence_matches_lambda_form(self):
-        lam = lambda_from_material(MAT, 1.5e6)
+        lam = lambda_from_material(MAT, EIT_DRIVES)
         for delta in (0.0, 3e5, -8e5, 2e6):
             rho52 = steady_state(assembled(EIT_DRIVES, delta))[4, 1]
             ref, _ = lambda_steady_state(lam, 1.5e3, delta)
@@ -513,6 +513,30 @@ class TestBatchedSteadyStates:
     def test_drift_dimension_checked(self):
         with pytest.raises(ConfigError):
             steady_states(assembled(EIT_DRIVES), np.zeros(35), [0.0])
+
+    def test_residual_gate_holds_where_the_norm_would_overflow(self):
+        # at delta = 1e308 with d_c = -1e308 the level-3 phase of L(delta)
+        # is 2e308, so ||L(delta)|| itself is not a float; the gate still
+        # bounds the residual, and refuses a vector L(delta) maps past it
+        lv0 = assembled(eit_drives((1.5e3, 1.5e6, 1.5e6), -1e308, 0.0))
+        unit = np.zeros((1, 36), dtype=complex)
+        unit[0, 2 * 6] = 1.0  # rho31, on the overflowing diagonal
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = 1e\+308 rad/s: steady-state "
+                                 r"residual inf exceeds"):
+            bloch._check_residual(lv0, PROBE_DRIFT, np.array([1e308]), unit,
+                                  0.0, "steady-state")
+
+    def test_pole_beyond_the_float_range_is_refused(self):
+        # a 6e246 rad/s ground decay next to a 6e298 rad/s probe leaves an
+        # eigenvalue of C Z_S of 1.7e-315 whose pole -1/mu is not a float
+        mat = pryso_defaults(lifetimes=np.array(
+            [1.6e-247, 400.0, 400.0, 164e-6, 164e-6, 164e-6]))
+        lv0 = assembled(eit_drives((6.45e298, 1.5e6, 1.5e6)), mat=mat)
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = 0\.0 rad/s: steady-state "
+                                 r"system has a pole beyond the float range"):
+            bloch.reduction(lv0, PROBE_DRIFT)
 
 
 class TestSteadyStateSlope:

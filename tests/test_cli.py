@@ -18,6 +18,8 @@ from eitsim.lambda_system import (chi_analytic, dchi_prime_ddelta,
                                   lambda_from_material)
 from eitsim.optics import probe_angular_frequency
 
+from lambda_oracle import exact_response
+
 CSV_HEADER = "delta_rad_s,chi_re,chi_im,n,alpha_per_m"
 
 
@@ -49,6 +51,15 @@ def read_summary(out_dir, command):
     with open(os.path.join(out_dir, f"{command}_summary.json"),
               encoding="utf-8") as fh:
         return json.load(fh)
+
+
+EPS = 2.0 ** -52
+# A bare resonance (no coupling) of width gamma52 = 2 pi * 1e-10 rad/s.
+BARE_NARROW_RESONANCE = (
+    "--set", "drives.coupling_rabi_rad_s=0",
+    "--set", "material.lifetime_2_s=1e10",
+    "--set", "material.lifetime_5_s=1e10",
+    "--set", "material.dephasing_52_hz=0")
 
 
 def read_csv_lines(path):
@@ -208,8 +219,9 @@ class TestWindow:
 
 # vg_m_s at the defaults: c / (1 + chi'/2 - omega0 * 0.5 * dchi'/ddelta)
 # from the closed form, which summaries carried as vg_closed_form_m_s next
-# to a finite-difference vg_m_s while the step was read.
-VG_AT_DEFAULTS = 21.569882082393843
+# to a finite-difference vg_m_s while the step was read.  The exact value
+# rounds to ...840, one float above.
+VG_AT_DEFAULTS = 21.569882082393836
 
 
 class TestVg:
@@ -223,7 +235,7 @@ class TestVg:
                                  "backend"}
         assert headline["anomalous_dispersion"] is False
         mat = resolve({}).material
-        lam = lambda_from_material(mat, 1.5e6)
+        lam = lambda_from_material(mat, resolve({}).drives)
         group_index = (1.0 + 0.5 * chi_analytic(lam, 0.0).real
                        - probe_angular_frequency(mat) * 0.5
                        * dchi_prime_ddelta(lam, 0.0))
@@ -282,13 +294,14 @@ class TestVg:
 
 
     def test_non_finite_group_index_is_a_solver_error(self, tmp_path):
-        # the closed form overflows at 1e80 rad/s and would report NaN
+        # a bare resonance of width 6e-10 rad/s and A = 1e275 rad/s: the
+        # slope A / gamma52^2 = 2.5e293 times omega0 / 2 leaves the floats
         out = str(tmp_path)
-        proc = run_cli("vg", "--out", out,
-                       "--set", "drives.probe_detuning_rad_s=1e80")
+        proc = run_cli("vg", "--out", out, *BARE_NARROW_RESONANCE,
+                       "--set", "material.number_density_per_m3=1e296")
         assert proc.returncode == 3
-        assert "solver error: group index nan is not finite at " \
-            "delta = 1e+80 rad/s" in proc.stderr
+        assert "solver error: group index -inf is not finite at " \
+            "delta = 0.0 rad/s" in proc.stderr
         assert proc.stdout == ""
         assert not os.path.exists(os.path.join(out, "vg_summary.json"))
 
@@ -301,37 +314,55 @@ class TestVg:
         assert headline["vg_m_s"] == pytest.approx(C_LIGHT, rel=1e-12)
         assert "nan" not in proc.stdout
 
+    def test_analytic_far_off_resonance_is_vacuum_speed(self, tmp_path):
+        # as on the full backend: the closed form's slope stays finite
+        out = str(tmp_path)
+        assert main(["vg", "--out", out,
+                     "--set", "drives.probe_detuning_rad_s=1e80"]) == 0
+        headline = read_summary(out, "vg")["headline"]
+        assert headline["vg_m_s"] == pytest.approx(C_LIGHT, rel=1e-12)
+
 
 class TestFarOffResonance:
     @pytest.mark.parametrize("command", ["spectrum", "window", "validate"])
     def test_overflowing_closed_form_is_a_solver_error(self, tmp_path,
                                                        command):
-        # at 1e120 rad/s the closed form's numerator and Z both overflow
-        # and chi_re would be inf / inf
+        # chi stays finite at every detuning while A / gamma52 does; here
+        # A = 1e290 rad/s over gamma52 = 6e-20 rad/s overflows on resonance,
+        # the first point of the grid that does
         out = str(tmp_path)
-        proc = run_cli(command, "--out", out,
+        proc = run_cli(command, "--out", out, *BARE_NARROW_RESONANCE,
+                       "--set", "material.lifetime_2_s=1e20",
+                       "--set", "material.lifetime_5_s=1e20",
+                       "--set", "material.probe_dipole_c_m=1e-30",
+                       "--set", "material.number_density_per_m3=1e305",
                        "--set", "grid.delta_min_rad_s=-1e120",
                        "--set", "grid.delta_max_rad_s=1e120",
                        "--set", "grid.points_count=3")
         assert proc.returncode == 3
         assert proc.stderr == (
-            "solver error: susceptibility is not finite at delta = -1e+120 "
-            "rad/s: the closed form overflows this far off resonance\n")
+            "solver error: susceptibility is not finite at delta = 0.0 "
+            "rad/s: the closed form overflows the float range\n")
         assert proc.stdout == ""
         assert os.listdir(out) == []
 
     def test_far_off_resonance_spectrum_is_quiet(self, tmp_path):
-        # at 1e80 rad/s Z overflows alone, and chi is a finite 0
+        # chi stays exact out to the float maximum
         out = str(tmp_path)
         proc = run_cli("spectrum", "--out", out,
-                       "--set", "grid.delta_min_rad_s=-1e80",
-                       "--set", "grid.delta_max_rad_s=1e80",
-                       "--set", "grid.points_count=3")
+                       "--set", "grid.delta_min_rad_s=-8e307",
+                       "--set", "grid.delta_max_rad_s=8e307",
+                       "--set", "grid.points_count=5")
         assert proc.returncode == 0
         assert proc.stderr == ""
-        lines = read_csv_lines(os.path.join(out, "spectrum.csv"))
-        assert [line.split(",")[:3] for line in lines[1::2]] == \
-            [["-1e+80", "-0.0", "0.0"], ["1e+80", "0.0", "0.0"]]
+        run = resolve({})
+        lam = lambda_from_material(run.material, run.drives)
+        lines = read_csv_lines(os.path.join(out, "spectrum.csv"))[1:]
+        for line in lines:
+            delta, chi_re, chi_im = map(float, line.split(",")[:3])
+            chi, _, scale, _ = exact_response(lam, delta)
+            assert abs(complex(chi_re, chi_im) - chi) <= 4 * EPS * scale
+        assert lines[-1].startswith("8e+307,6.29191693145")
 
 
 class TestValidate:
@@ -627,28 +658,39 @@ class TestErrorStatuses:
                        "turbo")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("command, coupling", [
-        ("spectrum", "1e200"), ("window", "1e200"), ("validate", "1e200"),
-        ("vg", "1e100"),
+    @pytest.mark.parametrize("command, key", [
+        ("spectrum", "coupling_rabi"), ("window", "coupling_rabi"),
+        ("validate", "coupling_rabi"), ("vg", "coupling_rabi"),
+        ("spectrum", "coupling_detuning"), ("vg", "coupling_detuning"),
     ])
-    def test_closed_form_overflow_is_a_config_error(self, tmp_path, command,
-                                                    coupling):
+    def test_closed_form_bound_is_a_config_error(self, tmp_path, command,
+                                                 key):
         proc = run_cli(command, "--out", str(tmp_path),
-                       "--set", f"drives.coupling_rabi_rad_s={coupling}")
+                       "--set", f"drives.{key}_rad_s=1e300")
+        name = "omega_c" if key == "coupling_rabi" else key
         assert proc.returncode == 2
-        assert f"config error: omega_c = {float(coupling)!r} rad/s exceeds " \
-            "1e+38 rad/s" in proc.stderr
+        assert f"config error: {name} = 1e+300 rad/s exceeds 1e+291 rad/s" \
+            in proc.stderr
         assert "Traceback" not in proc.stderr
         assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("command", ["spectrum", "window", "vg"])
+    def test_closed_form_at_a_coupling_of_1e200(self, tmp_path, command):
+        # within the bound: chi stays finite however far the coupling
+        # pushes the Autler-Townes peaks
+        proc = run_cli(command, "--out", str(tmp_path),
+                       "--set", "drives.coupling_rabi_rad_s=1e200")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
     def test_full_backend_window_ignores_the_closed_form_bound(self,
                                                               tmp_path):
         # the full window reads only the coupling-free closed form; its own
         # solve refuses this drive at a pole, as before the bound existed
         proc = run_cli("window", "--backend", "full", "--out", str(tmp_path),
-                       "--set", "drives.coupling_rabi_rad_s=1e200")
+                       "--set", "drives.coupling_rabi_rad_s=1e300")
         assert proc.returncode == 3
-        assert "solver error: at delta = -5e+199 rad/s: singular " \
+        assert "solver error: at delta = -5e+299 rad/s: singular " \
             "steady-state system" in proc.stderr
 
     @pytest.mark.parametrize("command", ["spectrum", "window", "vg",
@@ -671,11 +713,52 @@ class TestErrorStatuses:
     ], ids=["rad_s", "hz"])
     def test_coupling_detuning_the_closed_form_would_ignore(
             self, tmp_path, command, setting, value):
-        # the three-level closed form holds the coupling field on resonance
-        proc = run_cli(command, "--out", str(tmp_path), "--set", setting)
-        assert proc.returncode == 2
-        assert "config error: config key 'drives.coupling_detuning_rad_s' = " \
-            f"{value!r} would be ignored" in proc.stderr
+        # the closed form reads the coupling detuning: every headline moves
+        # with it (validate at a weak probe, where the detuned runs pass as
+        # the resonant one does)
+        weak = ["--set", "drives.probe_rabi_rad_s=150"]
+        out = str(tmp_path)
+        assert main([command, "--out", out, *weak]) == 0
+        resonant = read_summary(out, command)["headline"]
+        assert main([command, "--out", out, *weak, "--set", setting]) == 0
+        summary = read_summary(out, command)
+        assert summary["resolved_config"]["drives"][
+            "coupling_detuning_rad_s"] == value
+        assert summary["headline"] != resonant
+
+    @pytest.mark.parametrize("command", ["params", "spectrum"])
+    @pytest.mark.parametrize("dipole", ["2.8e136", "2e154"])
+    def test_overflowing_coupling_strength_is_a_config_error(
+            self, tmp_path, capsys, command, dipole):
+        # N mu^2 / (eps0 hbar) is inf from mu ~ 1.3e136 C m, and Python's
+        # mu**2 raises OverflowError from 1.34e154
+        out = str(tmp_path)
+        assert main([command, "--out", out,
+                     "--set", f"material.probe_dipole_c_m={dipole}"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: coupling strength overflows: lower config key "
+            "'material.probe_dipole_c_m' or "
+            "'material.number_density_per_m3'\n")
+        assert os.listdir(out) == []
+
+    def test_full_backend_far_detuning_keeps_its_gate(self, tmp_path):
+        # ||L(delta)|| is past the float range here, and the residual gate
+        # must still hold without a warning (in-process, an error)
+        out = str(tmp_path)
+        assert main(["vg", "--backend", "full", "--out", out,
+                     "--set", "drives.probe_detuning_rad_s=1e308",
+                     "--set", "drives.coupling_detuning_rad_s=-1e308"]) == 0
+        assert read_summary(out, "vg")["headline"]["group_index"] == 1.0
+
+    def test_full_backend_pole_beyond_the_float_range(self, tmp_path,
+                                                      capsys):
+        # 1 / mu is past the float range: no pole to keep delta off
+        assert main(["vg", "--backend", "full", "--out", str(tmp_path),
+                     "--set", "drives.probe_rabi_rad_s=6.45e298",
+                     "--set", "material.lifetime_1_s=1.6e-247"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "solver error: at delta = 0.0 rad/s: steady-state system has a "
+            "pole beyond the float range")
         assert os.listdir(str(tmp_path)) == []
 
     def test_full_backend_reads_the_coupling_detuning(self, tmp_path,
@@ -687,9 +770,6 @@ class TestErrorStatuses:
         assert main(full + ["--set", "drives.coupling_detuning_rad_s=1e5"]) \
             == 0
         assert read_summary(out, "vg")["headline"]["vg_m_s"] != resonant
-        # a zero coupling detuning is what the closed form assumes
-        assert main(["vg", "--out", out,
-                     "--set", "drives.coupling_detuning_rad_s=0"]) == 0
 
     def test_full_backend_reads_the_aux_detuning(self, tmp_path, capsys):
         out = str(tmp_path)

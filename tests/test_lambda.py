@@ -1,45 +1,68 @@
+import operator
 import re
-import warnings
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from eitsim.config import pryso_defaults
+from eitsim.config import DriveSet, pryso_defaults
 from eitsim.errors import InvalidArgumentError, SingularParametersError
 from eitsim.lambda_system import (RATE_MAX, LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
 
-from lambda_oracle import lambda_steady_state
+from lambda_oracle import (chi_parts, chi_prime_slope, exact_response,
+                           lambda_steady_state)
 
 MAT = pryso_defaults()
-EIT = lambda_from_material(MAT, 1.5e6)
+EIT = lambda_from_material(MAT, DriveSet(1.5e3, 1.5e6, 1.5e6))
 NO_COUPLING = LambdaParams(EIT.gamma52, EIT.gamma32, 0.0, EIT.coupling_a)
+EPS = 2.0 ** -52
+FLOAT_MAX = sys.float_info.max
+# chi and its slope stay within EXACT_ULPS * EPS of the scales
+# exact_response gives.  Over 80,000 random normal-range inputs (coupling
+# detuning and two-photon resonance included) the largest ratio seen was 1.3
+# for chi and 1.3 for the slope.
+EXACT_ULPS = 4.0
 
 
-def random_params(rng):
+def random_params(rng, detuned=False):
     return LambdaParams(
         gamma52=float(10 ** rng.uniform(2, 6)),
         gamma32=float(10 ** rng.uniform(1, 5)),
         omega_c=float(10 ** rng.uniform(2, 7)),
         coupling_a=float(10 ** rng.uniform(1, 5)),
+        coupling_detuning=(float(rng.standard_normal()
+                                 * 10 ** rng.uniform(2, 6))
+                           if detuned else 0.0),
     )
+
+
+def assert_matches_exact(p, delta):
+    """chi_analytic and dchi_prime_ddelta at delta within EXACT_ULPS of the
+    exact values, as exact_response scales them."""
+    chi, slope, chi_scale, slope_scale = exact_response(p, delta)
+    assert abs(chi_analytic(p, delta) - chi) <= EXACT_ULPS * EPS * chi_scale
+    assert abs(dchi_prime_ddelta(p, delta) - slope) \
+        <= EXACT_ULPS * EPS * slope_scale
 
 
 class TestLambdaSteadyState:
     def test_coherence_equations_satisfied(self):
         # the stationary pair must satisfy the two coupled equations
         #   (gamma52 + i d) rho52 = i omega_p/2 + (i omega_c/2) rho32
-        #   (gamma32 + i d) rho32 = (i omega_c/2) rho52
+        #   (gamma32 + i (d - d_c)) rho32 = (i omega_c/2) rho52
         # written here independently of the closed form
         rng = np.random.default_rng(17)
         for _ in range(100):
-            p = random_params(rng)
+            p = random_params(rng, detuned=True)
             omega_p = float(10 ** rng.uniform(0, 4))
             delta = float(rng.standard_normal() * 10 ** rng.uniform(2, 6))
             rho52, rho32 = lambda_steady_state(p, omega_p, delta)
             lhs1 = (p.gamma52 + 1j * delta) * rho52
             rhs1 = 0.5j * omega_p + 0.5j * p.omega_c * rho32
-            lhs2 = (p.gamma32 + 1j * delta) * rho32
+            lhs2 = (p.gamma32 + 1j * (delta - p.coupling_detuning)) * rho32
             rhs2 = 0.5j * p.omega_c * rho52
             scale = abs(lhs1) + abs(rhs1) + p.coupling_a
             assert abs(lhs1 - rhs1) <= 1e-12 * scale
@@ -64,19 +87,26 @@ class TestLambdaSteadyState:
         assert b32 == 128.0 * a32
 
     def test_all_singular_point_rejected(self):
-        p = LambdaParams(1e4, 0.0, 0.0, 1e3)
-        with pytest.raises(SingularParametersError):
-            lambda_steady_state(p, 1.0, 0.0)
-        with pytest.raises(SingularParametersError):
-            chi_analytic(p, 0.0)
-        with pytest.raises(SingularParametersError):
-            dchi_prime_ddelta(p, 0.0)
+        # gamma32, omega_c and the two-photon detuning delta - d_c all zero
+        for d_c in (0.0, 2e3):
+            p = LambdaParams(1e4, 0.0, 0.0, 1e3, d_c)
+            with pytest.raises(SingularParametersError):
+                lambda_steady_state(p, 1.0, d_c)
+            with pytest.raises(SingularParametersError):
+                chi_analytic(p, d_c)
+            with pytest.raises(SingularParametersError):
+                dchi_prime_ddelta(p, d_c)
 
     def test_gamma32_zero_fine_with_coupling_on(self):
-        p = LambdaParams(1e4, 0.0, 1e5, 1e3)
-        rho52, _ = lambda_steady_state(p, 1.0, 0.0)
-        assert rho52 == 0.0  # perfect interference
-        assert chi_analytic(p, 0.0).imag == 0.0
+        # the dark resonance delta = d_c: chi vanishes and the slope is
+        # -A / (omega_c / 2)^2, the limit of the exact form
+        for d_c in (0.0, -3e4):
+            p = LambdaParams(1e4, 0.0, 1e5, 1e3, d_c)
+            rho52, _ = lambda_steady_state(p, 1.0, d_c)
+            assert rho52 == 0.0  # perfect interference
+            assert chi_analytic(p, d_c) == 0.0
+            assert dchi_prime_ddelta(p, d_c) == pytest.approx(
+                -1e3 / 0.25e10, rel=1e-15)
 
 
 class TestChiAnalytic:
@@ -84,7 +114,7 @@ class TestChiAnalytic:
         # chi must equal 2 * A * rho52 / omega_p for any probe strength
         rng = np.random.default_rng(23)
         for _ in range(100):
-            p = random_params(rng)
+            p = random_params(rng, detuned=True)
             delta = float(rng.standard_normal() * 10 ** rng.uniform(2, 6))
             omega_p = float(10 ** rng.uniform(0, 3))
             rho52, _ = lambda_steady_state(p, omega_p, delta)
@@ -118,7 +148,7 @@ class TestChiAnalytic:
     def test_absorption_positive_everywhere(self):
         rng = np.random.default_rng(29)
         for _ in range(200):
-            p = random_params(rng)
+            p = random_params(rng, detuned=True)
             delta = float(rng.standard_normal() * 10 ** rng.uniform(2, 7))
             assert chi_analytic(p, delta).imag >= 0.0
 
@@ -136,10 +166,9 @@ class TestChiAnalytic:
         # chi bitwise unchanged
         rng = np.random.default_rng(31)
         for _ in range(50):
-            p = random_params(rng)
+            p = random_params(rng, detuned=True)
             delta = float(rng.standard_normal() * 10 ** rng.uniform(2, 6))
-            scaled = LambdaParams(2 * p.gamma52, 2 * p.gamma32, 2 * p.omega_c,
-                                  2 * p.coupling_a)
+            scaled = LambdaParams(*(2 * v for v in p))
             a = chi_analytic(p, delta)
             b = chi_analytic(scaled, 2 * delta)
             assert (a.real, a.imag) == (b.real, b.imag)
@@ -147,7 +176,7 @@ class TestChiAnalytic:
     def test_array_detunings_match_scalar_calls(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
-            p = random_params(rng)
+            p = random_params(rng, detuned=True)
             deltas = rng.standard_normal(64) * 10 ** rng.uniform(2, 7)
             chi = chi_analytic(p, deltas)
             slope = dchi_prime_ddelta(p, deltas)
@@ -161,39 +190,56 @@ class TestChiAnalytic:
                 assert one_slope == slope[i]
 
     def test_singular_point_in_array_named(self):
+        # a subnormal delta beside the indeterminate point is an answer, the
+        # exact one; the point itself, at delta = d_c, is refused by name
         p = LambdaParams(1e4, 0.0, 0.0, 1e3)
+        assert_matches_exact(p, 5e-324)
+        assert chi_analytic(p, 5e-324).imag == pytest.approx(0.1, rel=1e-15)
         deltas = np.array([-2.0, 5e-324, 0.0, 1.0])
-        with pytest.raises(SingularParametersError, match=r"delta = 5e-324"):
+        with pytest.raises(SingularParametersError,
+                           match=r"^susceptibility is indeterminate at "
+                                 r"delta = 0\.0 rad/s"):
             chi_analytic(p, deltas)
-        with pytest.raises(SingularParametersError, match=r"delta = 0\.0"):
-            dchi_prime_ddelta(p, deltas[2:])
+        with pytest.raises(SingularParametersError,
+                           match=r"^derivative is indeterminate at "
+                                 r"delta = 0\.0 rad/s"):
+            dchi_prime_ddelta(p, deltas[1:])
+        with pytest.raises(SingularParametersError,
+                           match=r"delta = -2\.0 rad/s"):
+            chi_analytic(p._replace(coupling_detuning=-2.0), deltas)
 
     def test_overflow_far_off_resonance_named(self):
-        # at 1e80 Z overflows alone and chi is a quiet 0; at 1e120 the
-        # numerator overflows too and chi_re would be inf / inf
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert chi_analytic(EIT, 1e80) == 0.0
-            assert np.isnan(dchi_prime_ddelta(EIT, 1e80))
-            for deltas in (-1e120, np.array([0.0, 1e80, -1e120, 1e120])):
-                with pytest.raises(SingularParametersError,
-                                   match=r"^susceptibility is not finite at "
-                                         r"delta = -1e\+120 rad/s"):
-                    chi_analytic(EIT, deltas)
+        # out to the float maximum chi and its slope stay finite, quiet and
+        # exact; only a chi beyond the float range is refused, here
+        # A / gamma52 = 1e590 on resonance
+        for delta in (1e77, 1e80, -1e120, 1e200, FLOAT_MAX, -FLOAT_MAX):
+            assert_matches_exact(EIT, delta)
+            assert_matches_exact(EIT._replace(coupling_detuning=-3e5),
+                                 delta)
+        assert chi_analytic(EIT, 1e77).real == pytest.approx(5.0335335e-74,
+                                                             rel=1e-7)
+        huge = LambdaParams(1e-300, 1.0, 0.0, 1e290)
+        with pytest.raises(SingularParametersError,
+                           match=r"^susceptibility is not finite at "
+                                 r"delta = 0\.0 rad/s"):
+            chi_analytic(huge, np.array([1e10, 0.0]))
 
 
 def kramers_kronig_errors(half_width, points):
     """Largest |chi_re - H[chi_im]| and |chi_im + H[chi_re]| inside
-    |delta| < 2e7 rad/s, as shares of max |chi|, with the Hilbert transform
-    H taken by FFT (scipy.signal.hilbert) on a grid of +-half_width."""
+    |delta| < 2e7 rad/s, as shares of max |chi|, on a grid of +-half_width.
+    chi comes from chi_analytic; the Hilbert transform H, taken by FFT
+    (scipy.signal.hilbert), is of the other part from the oracle's real
+    formulas."""
     from scipy.signal import hilbert
 
     deltas = np.linspace(-half_width, half_width, points)
     chi = chi_analytic(EIT, deltas)
+    oracle_re, oracle_im = chi_parts(EIT, deltas)
     inside = np.abs(deltas) < 2e7
     scale = np.max(np.abs(chi))
-    re_err = np.abs(chi.real - np.imag(hilbert(chi.imag)))[inside]
-    im_err = np.abs(chi.imag + np.imag(hilbert(chi.real)))[inside]
+    re_err = np.abs(chi.real - np.imag(hilbert(oracle_im)))[inside]
+    im_err = np.abs(chi.imag + np.imag(hilbert(oracle_re)))[inside]
     return re_err.max() / scale, im_err.max() / scale
 
 
@@ -215,15 +261,46 @@ class TestKramersKronig:
 
 class TestDerivative:
     def test_matches_central_difference(self):
+        # of chi_re from the oracle's real formula
         g32 = EIT.gamma32
         detunings = (0.0, 0.4 * g32, -3.0 * g32, 2e5, -8e5)
         steps = (g32 / 200, g32 / 500, g32 / 1000)
         for delta in detunings:
             exact = dchi_prime_ddelta(EIT, delta)
             for h in steps:
-                fd = (chi_analytic(EIT, delta + h).real
-                      - chi_analytic(EIT, delta - h).real) / (2 * h)
+                fd = (chi_parts(EIT, delta + h)[0]
+                      - chi_parts(EIT, delta - h)[0]) / (2 * h)
                 assert fd == pytest.approx(exact, rel=1e-6)
+
+    def test_matches_richardson_with_coupling_detuning(self):
+        # Richardson's R = (4 D(h/2) - D(h)) / 3 of the central difference
+        # D(h) of chi_re misses the slope by O(h^4); at h = gamma32 / 100
+        # the worst seen over these points is 3e-10 of the slope's maximum
+        p = EIT._replace(coupling_detuning=-3e5)
+        deltas = np.linspace(-2e6, 2e6, 41)
+        h = p.gamma32 / 100
+
+        def central(step):
+            return (chi_analytic(p, deltas + step).real
+                    - chi_analytic(p, deltas - step).real) / (2 * step)
+
+        richardson = (4.0 * central(h / 2) - central(h)) / 3.0
+        slope = dchi_prime_ddelta(p, deltas)
+        assert np.abs(richardson - slope).max() <= 1e-8 * np.abs(slope).max()
+
+    def test_matches_the_quotient_rule(self):
+        # on resonant coupling, the real formulas and their quotient rule
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            p = random_params(rng)
+            deltas = rng.standard_normal(64) * 10 ** rng.uniform(2, 7)
+            chi_re, chi_im = chi_parts(p, deltas)
+            chi = chi_analytic(p, deltas)
+            assert np.all(np.abs(chi - (chi_re + 1j * chi_im))
+                          <= 1e-12 * np.hypot(chi_re, chi_im))
+            want = chi_prime_slope(p, deltas)
+            assert np.abs(dchi_prime_ddelta(p, deltas) - want).max() \
+                <= 1e-11 * np.abs(want).max()
 
     def test_resonant_slope_closed_form(self):
         # at delta = 0 the quotient rule collapses to A*b/c^2
@@ -271,6 +348,11 @@ class TestLambdaParams:
         assert EIT.gamma32 == MAT.gamma[2][1]
         assert EIT.coupling_a == MAT.coupling_strength
         assert EIT.omega_c == 1.5e6
+        assert EIT.coupling_detuning == 0.0
+        lam = lambda_from_material(MAT, DriveSet(
+            1.5e3, 2e6, 1.5e6, probe_detuning=1e5, coupling_detuning=-3e5,
+            aux_detuning=7e5))
+        assert lam == EIT._replace(omega_c=2e6, coupling_detuning=-3e5)
 
     def test_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -283,6 +365,9 @@ class TestLambdaParams:
             LambdaParams(1.0, 1.0, 1.0, 0.0)
         with pytest.raises(InvalidArgumentError):
             LambdaParams(float("inf"), 1.0, 1.0, 1.0)
+        with pytest.raises(InvalidArgumentError, match="must be finite"):
+            LambdaParams(1.0, 1.0, 1.0, 1.0, float("nan"))
+        assert LambdaParams(1.0, 1.0, 1.0, 1.0, -2.0).coupling_detuning == -2.0
 
     def test_replace_runs_the_same_checks(self):
         # validation's gamma52 fault hook builds through _replace
@@ -290,33 +375,44 @@ class TestLambdaParams:
         with pytest.raises(InvalidArgumentError, match="gamma52 must be"):
             EIT._replace(gamma52=0.0)
         with pytest.raises(InvalidArgumentError, match="exceeds"):
-            EIT._replace(gamma52=1e40)
+            EIT._replace(gamma52=1e300)
 
     @pytest.mark.parametrize("field", ["gamma52", "gamma32", "omega_c",
-                                       "coupling_a"])
+                                       "coupling_a", "coupling_detuning"])
     def test_rates_beyond_the_overflow_bound_are_refused(self, field):
-        # 1e200 ** 2 raises OverflowError in Python float arithmetic, and
-        # 1e100 turns the slope's Z * Z into inf and the group index NaN
-        for value in (1e200, 1e100, float(np.nextafter(RATE_MAX, np.inf))):
+        above = float(np.nextafter(RATE_MAX, np.inf))
+        values = (above, 1e300, FLOAT_MAX)
+        if field == "coupling_detuning":
+            values += (-above,)
+        for value in values:
             fields = {"gamma52": 1.0, "gamma32": 1.0, "omega_c": 1.0,
                       "coupling_a": 1.0, field: value}
             with pytest.raises(InvalidArgumentError,
                                match=f"^{field} = {re.escape(repr(value))} "
-                                     "rad/s exceeds"):
+                                     "rad/s exceeds 1e\\+291 rad/s"):
                 LambdaParams(**fields)
 
+    @staticmethod
+    def at_the_bound(scale=1.0):
+        """LambdaParams with every field at 0 or +-RATE_MAX (gamma52 and A
+        at RATE_MAX), times scale."""
+        r = RATE_MAX
+        for gamma32 in (0.0, r):
+            for omega_c in (0.0, r):
+                for d_c in (-r, 0.0, r):
+                    yield LambdaParams(scale * r, scale * gamma32,
+                                       scale * omega_c, scale * r,
+                                       scale * d_c)
+
     def test_closed_forms_are_finite_at_the_bound(self):
-        # the derivation next to RATE_MAX: every rate and |delta| at R
-        for omega_c in (0.0, RATE_MAX):
-            for gamma32 in (0.0, RATE_MAX):
-                p = LambdaParams(RATE_MAX, gamma32, omega_c, RATE_MAX)
-                deltas = np.array([-RATE_MAX, 1.0, RATE_MAX])
-                with np.errstate(all="raise"):
-                    chi = chi_analytic(p, deltas)
-                    slope = dchi_prime_ddelta(p, deltas)
-                assert np.isfinite(chi.real).all()
-                assert np.isfinite(chi.imag).all()
-                assert np.isfinite(slope).all()
+        # the derivation next to RATE_MAX: every field at R and |delta| up
+        # to the float maximum keeps chi and its slope exact
+        for p in self.at_the_bound():
+            for delta in (-FLOAT_MAX, -RATE_MAX, 1.0, RATE_MAX, FLOAT_MAX):
+                if p.gamma32 == p.omega_c == 0.0 \
+                        and delta == p.coupling_detuning:
+                    continue  # the indeterminate point
+                assert_matches_exact(p, delta)
 
     def test_closed_forms_at_the_bound_match_a_rescaled_call(self):
         # chi and its slope are homogeneous of degree 0 and -1 in the rates,
@@ -324,13 +420,37 @@ class TestLambdaParams:
         # overflowed at the bound (and was silenced inside the closed forms)
         # would not reproduce the rescaled values bit for bit
         k = 2.0 ** -100
-        for omega_c in (0.0, RATE_MAX):
-            for gamma32 in (0.0, RATE_MAX):
-                p = LambdaParams(RATE_MAX, gamma32, omega_c, RATE_MAX)
-                small = LambdaParams(k * RATE_MAX, k * gamma32, k * omega_c,
-                                     k * RATE_MAX)
-                deltas = np.array([-RATE_MAX, 1.0, RATE_MAX])
-                assert np.array_equal(chi_analytic(p, deltas),
-                                      chi_analytic(small, k * deltas))
-                assert np.array_equal(dchi_prime_ddelta(p, deltas),
-                                      k * dchi_prime_ddelta(small, k * deltas))
+        deltas = np.array([-RATE_MAX, 1.0, RATE_MAX])
+        for p, small in zip(self.at_the_bound(), self.at_the_bound(k)):
+            if p.gamma32 == p.omega_c == 0.0:
+                continue  # delta = d_c is the indeterminate point
+            assert np.array_equal(chi_analytic(p, deltas),
+                                  chi_analytic(small, k * deltas))
+            assert np.array_equal(dchi_prime_ddelta(p, deltas),
+                                  k * dchi_prime_ddelta(small, k * deltas))
+
+
+POSITIVE = st.floats(-3.0, 12.0).map(lambda u: 10.0 ** u)
+NON_NEGATIVE = st.one_of(st.just(0.0), POSITIVE)
+SIGNED = st.one_of(NON_NEGATIVE, POSITIVE.map(operator.neg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma52=POSITIVE, gamma32=NON_NEGATIVE, omega_c=NON_NEGATIVE,
+       coupling_a=POSITIVE, d_c=SIGNED, delta=SIGNED,
+       two_photon=st.booleans())
+@example(gamma52=4.7e4, gamma32=0.0, omega_c=1.5e6, coupling_a=5e3,
+         d_c=-3e5, delta=0.0, two_photon=True)  # the dark resonance
+@example(gamma52=4.7e4, gamma32=6.3e3, omega_c=4.7e4 - 6.3e3, coupling_a=5e3,
+         d_c=0.0, delta=2e4, two_photon=False)  # the exceptional point
+def test_closed_forms_match_exact_arithmetic(gamma52, gamma32, omega_c,
+                                             coupling_a, d_c, delta,
+                                             two_photon):
+    # over rates, prefactors and detunings from 1e-3 to 1e12 rad/s, where
+    # no intermediate leaves the normal float range; two_photon puts delta
+    # within 1e-9 * |delta| of the two-photon resonance delta = d_c
+    if two_photon:
+        delta = d_c + 1e-9 * delta
+    assume(gamma32 > 0 or omega_c > 0 or delta != d_c)
+    assert_matches_exact(
+        LambdaParams(gamma52, gamma32, omega_c, coupling_a, d_c), delta)

@@ -154,6 +154,17 @@ class TestMaterialParams:
             with pytest.raises(InvalidArgumentError):
                 MaterialParams(lv, g, density, dipole, wavelength)
 
+    def test_rejects_a_coupling_strength_past_the_float_range(self):
+        # inf from the product (1.3e136 C m at the default density), and
+        # OverflowError from Python's mu**2 (1.34e154 C m)
+        mat = pryso_defaults()
+        for density, dipole in [(4.7e24, 2.8e136), (4.7e24, 2e154),
+                                (1e308, 1e-3)]:
+            with pytest.raises(InvalidArgumentError,
+                               match="^coupling strength overflows"):
+                MaterialParams(mat.levels, mat.gamma, density, dipole,
+                               605.7e-9)
+
 
 def test_equal_branching_custom_destinations():
     table = equal_branching(np.array([1.0, 2.0, 4.0]),

@@ -28,7 +28,7 @@ from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, STEADY_STATE_CHUNK,
 
 MAT = pryso_defaults()
 EIT_DRIVES = DriveSet(probe_rabi=1.5e3, coupling_rabi=1.5e6, aux_rabi=1.5e6)
-EIT = lambda_from_material(MAT, 1.5e6)
+EIT = lambda_from_material(MAT, EIT_DRIVES)
 
 
 class TestGridSpec:
@@ -46,6 +46,8 @@ class TestGridSpec:
             GridSpec(0.0, 1.0, 1)
         with pytest.raises(ConfigError):
             GridSpec(float("nan"), 1.0, 10)
+        with pytest.raises(ConfigError, match="span must be finite"):
+            GridSpec(-1e308, 1e308, 3)
 
 
 class TestPointwiseOptics:
@@ -152,7 +154,7 @@ class TestGroupVelocity:
         # delta, with the slope linear in the number density: the density
         # that puts n_g at zero leaves it within rounding of zero
         bare = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=1.5e6)
-        slope = dchi_prime_ddelta(lambda_from_material(MAT, 0.0), 0.0)
+        slope = dchi_prime_ddelta(lambda_from_material(MAT, bare), 0.0)
         density = MAT.number_density * 2.0 \
             / (probe_angular_frequency(MAT) * slope)
         mat = MAT._replace(number_density=density)
@@ -160,15 +162,22 @@ class TestGroupVelocity:
             group_velocity("analytic", mat, bare, 0.0)
 
     def test_non_finite_group_index_names_its_detuning(self):
-        # far off resonance the closed form's Z * Z overflows and its slope
-        # is inf - inf; the full backend still sees n_g = 1 there
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergentVelocityError,
-                               match=r"^group index nan is not finite at "
-                                     r"delta = 1e\+80 rad/s$"):
-                group_velocity("analytic", MAT, EIT_DRIVES, 1e80)
-        assert group_velocity("full", MAT, EIT_DRIVES, 1e80) \
-            == pytest.approx(C_LIGHT, rel=1e-12)
+        # far off resonance both backends see n_g = 1; a bare resonance of
+        # width 1e-3 rad/s with A = 1e290 rad/s has the slope A / gamma52^2
+        # = 1e296, and omega0 / 2 times that leaves the floats
+        for backend in ("analytic", "full"):
+            assert group_velocity(backend, MAT, EIT_DRIVES, 1e80) \
+                == pytest.approx(C_LIGHT, rel=1e-12)
+        gamma = [list(row) for row in MAT.gamma]
+        gamma[4][1] = gamma[1][4] = 1e-3
+        mat = MAT._replace(gamma=tuple(map(tuple, gamma)),
+                           probe_dipole=MAT.probe_dipole
+                           * math.sqrt(1e290 / MAT.coupling_strength))
+        bare = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=0.0)
+        with pytest.raises(DivergentVelocityError,
+                           match=r"^group index -inf is not finite at "
+                                 r"delta = 0\.0 rad/s$"):
+            group_velocity("analytic", mat, bare, 0.0)
 
     def test_full_backend_reduces_once(self, monkeypatch):
         # the state and its slope share one reference factorization
@@ -345,10 +354,10 @@ class TestTransparencyWindow:
         return absorption(chi_analytic(bare, 0.0), MAT.probe_wavelength)
 
     def _measure(self, omega_c, points=4001):
-        lam = lambda_from_material(MAT, omega_c)
-        width_est = window_width_closed_form(lam.gamma52, omega_c)
         drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=omega_c,
                           aux_rabi=omega_c)
+        lam = lambda_from_material(MAT, drives)
+        width_est = window_width_closed_form(lam.gamma52, omega_c)
         grid = GridSpec(-2 * width_est, 2 * width_est, points)
         deltas, _, alpha = sweep("analytic", MAT, drives, grid)
         return (transparency_window(deltas, alpha, self._reference(lam)),
@@ -382,7 +391,7 @@ class TestTransparencyWindow:
                                    self._reference(EIT)) is None
 
     def test_truncated_when_grid_too_narrow(self):
-        lam = lambda_from_material(MAT, 1.5e6)
+        lam = lambda_from_material(MAT, EIT_DRIVES)
         width_est = window_width_closed_form(lam.gamma52, 1.5e6)
         grid = GridSpec(-0.3 * width_est, 0.3 * width_est, 501)
         deltas, _, alpha = sweep("analytic", MAT, EIT_DRIVES, grid)
@@ -424,6 +433,28 @@ def test_full_model_chi_resonant_point():
     assert chi.imag == pytest.approx(want.imag, rel=0.02)
 
 
+@pytest.mark.parametrize("d_c", [-3e5, 1e6])
+def test_full_model_converges_to_the_detuned_closed_form(d_c):
+    # max |chi_full - chi_closed| over the grid, as a share of max chi_im,
+    # falls with the probe squared (its own pumping) down to ~4e-6, as
+    # with the coupling on resonance; the closed form that holds the
+    # coupling on resonance misses the detuned full model by ~1
+    deltas = np.linspace(-2e7, 2e7, 2001)
+
+    def error(probe, full_d_c=d_c, closed_d_c=d_c):
+        drives = DriveSet(probe, 1.5e6, 1.5e6, coupling_detuning=full_d_c)
+        full = full_model_chi(MAT, drives, deltas)
+        closed = chi_analytic(lambda_from_material(
+            MAT, drives._replace(coupling_detuning=closed_d_c)), deltas)
+        return np.abs(full - closed).max() / np.abs(full.imag).max()
+
+    strong, weak = error(1.5e3), error(100.0)
+    assert 150.0 < strong / weak < 300.0  # (1.5e3 / 100)^2 = 225
+    assert error(10.0) < 1e-5
+    assert error(10.0) < 1.1 * error(10.0, full_d_c=0.0, closed_d_c=0.0)
+    assert error(10.0, closed_d_c=0.0) > 0.5
+
+
 @settings(max_examples=50, deadline=None)
 @given(coupling=st.floats(1.5e5, 5e6),
        probe_share=st.floats(1e-300, 1.0),
@@ -440,7 +471,7 @@ def test_chi_im_nonnegative_on_both_backends(coupling, probe_share, aux,
                       coupling_detuning=coupling_det, aux_detuning=aux_det)
     deltas = np.array(deltas)
     full = full_model_chi(MAT, drives, deltas)
-    analytic = chi_analytic(lambda_from_material(MAT, coupling), deltas)
+    analytic = chi_analytic(lambda_from_material(MAT, drives), deltas)
     assert np.all(full.imag >= -CHI_IM_SIGN_TOL)
     assert np.all(analytic.imag >= -CHI_IM_SIGN_TOL)
 

@@ -22,21 +22,21 @@ from eitsim.cli import main
 PINNED = {
     ("spectrum",): {
         "spectrum.csv":
-            "dacad18fa80676c1c11c3445862755a506567501ea763d31e6b1027c5bf8c435",
+            "dfcdd0a6869085f4fd2b7b45034036224377159da782088aa5c28311986516f0",
         "spectrum_summary.json":
-            "a58be13987f10511e39f195eee869063a9914a113029e7a594161b5f6d05b0ef",
+            "aa00d2d8d96a2fda9d62a874881a1bb2b9f2db9e447146dbbd4af588d170ab71",
     },
     ("window",): {
         "window_summary.json":
-            "a373986345f7a68039ce4ce730de31cfb332f22c318aa28165fe152effb045d5",
+            "c8a39b7a00b6a99851b2050d923eabb47532009639d2de33fded9a49ffef40a0",
     },
     ("vg",): {
         "vg_summary.json":
-            "be38fd4e80aa8b0902f2a4ebd0a2989b101181cd0a1cf45090f36f773f79fb7b",
+            "a9f7e83cf00e7eee7313b281cadaac353a0a08150ac0597a924a8024bf298dc0",
     },
     ("validate",): {
         "validate_summary.json":
-            "56998775d069d1bdf60a8dc4a6da4bed722c050470049c632026c6e884f76bad",
+            "af3fdfd3448ed6521b74089d5df033b44b106856aa7837e2e5ea44e5d762d52f",
     },
     ("evolve",): {
         "evolve.csv":
@@ -58,7 +58,7 @@ PINNED = {
     },
     ("window", "--backend", "full"): {
         "window_summary.json":
-            "14cb6ab4a867cce43c127f51c0295a58b5023b37c0ee3ab9801bd0ae23be41b9",
+            "700680bcf0433c9408150cd7940f6323ba41e0bc3042e78e462a42d5c2e6297e",
     },
     ("vg", "--backend", "full"): {
         "vg_summary.json":
@@ -92,6 +92,28 @@ PINNED = {
      "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "vg_summary.json":
             "c7fe39f4593adb788fc758d88588249bf9974f7ba955a0eeb8f6375f46417dad",
+    },
+    # The closed form's coupling detuning; validate at a weak probe, where
+    # the detuned comparison passes.
+    ("spectrum", "--set", "drives.coupling_detuning_rad_s=-3e5"): {
+        "spectrum.csv":
+            "741c2b5a093bf4427021719ea67b9f69ba074f42b0729de6fffc9315796347c8",
+        "spectrum_summary.json":
+            "3011c7d463171fa3742633a6f313d555b04c79a9dd8f2c9c2016fd6f3e0549c3",
+    },
+    ("window", "--set", "drives.coupling_detuning_rad_s=-3e5"): {
+        "window_summary.json":
+            "5cca6fdf52b111b454148be3923565b72dce0e24046942e0080dc1bc03645995",
+    },
+    ("vg", "--set", "drives.probe_detuning_rad_s=2e5",
+     "--set", "drives.coupling_detuning_rad_s=-3e5"): {
+        "vg_summary.json":
+            "09f951e01b175c1bbe198b72fb2639a703ba1bc981858a4039c01ef0c96dc61c",
+    },
+    ("validate", "--set", "drives.coupling_detuning_rad_s=-3e5",
+     "--set", "drives.probe_rabi_rad_s=150"): {
+        "validate_summary.json":
+            "f293611ead67df2b8e159b1bba715c4f30cd18bb5888e3d0d8c8463ba953fd49",
     },
 }
 
