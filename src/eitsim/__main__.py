@@ -1,10 +1,11 @@
 """Process entry point of `python -m eitsim` and the `eitsim` script.
 
-`run` imports the CLI, and later the numeric layer when the command
-computes (cli.load_numeric), each with the cyclic garbage collector off,
-then freezes everything the import made (for the numeric layer numpy and
-the modules that compute, ~22,000 tracked objects) into the permanent
-generation; the command then runs with the collector back on.  The imports
+`run` imports the CLI, and later the numeric layer when the command runs
+the six-level model (cli.load_numeric: `evolve`, `validate` and the full
+backend), each with the cyclic garbage collector off, then freezes
+everything the import made (for the numeric layer numpy and the six-level
+modules, ~22,000 tracked objects) into the permanent generation; the
+command then runs with the collector back on.  The imports
 then trigger no collections, and the collections at interpreter exit scan
 only what the command allocated (~400 objects after `window --backend
 full`).  Streams, atexit handlers, output files and exit statuses are

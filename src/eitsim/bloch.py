@@ -208,14 +208,19 @@ def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
 def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
     """R(delta)^-1 rhs for each delta, (k, |S|); a delta within
     DEGENERACY_TOL * sigma of a pole is refused by name."""
+    width = DEGENERACY_TOL * sigma
     gap = np.abs(deltas[:, None] - poles)
-    near = ~(gap > DEGENERACY_TOL * sigma).all(axis=1)
+    near = ~(gap > width).all(axis=1)
     if near.any():
         i = int(np.argmax(near))
+        # With sigma far beyond the grid the gate covers the whole grid, and
+        # i sigma - 1/mu can cancel to a pole at 0: name the gate, not only
+        # the pole.
         raise SteadyStateError(
-            f"{_at(deltas[i])}: singular {kind} system: within "
-            f"{DEGENERACY_TOL * sigma:.3e} of the pole "
-            f"{poles[gap[i].argmin()]:.6e}")
+            f"{_at(deltas[i])}: singular {kind} system: within {width:.3e} "
+            f"of the pole {poles[gap[i].argmin()]:.6e}; the gate "
+            f"DEGENERACY_TOL * sigma = {width:.3e} rad/s, with sigma = "
+            f"max(||L0||, 1) = {sigma:.3e}, covers this detuning")
     r = np.eye(cz.shape[0]) + (deltas - 1j * sigma)[:, None, None] * cz
     try:
         # Right-hand sides as (k, |S|, 1) stacks: numpy 1.x and 2.x read

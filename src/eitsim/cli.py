@@ -8,11 +8,14 @@ the fully resolved configuration, so any run can be reproduced from its
 summary alone.
 
 Parsing the arguments and resolving the configuration need the standard
-library alone.  numpy and the modules that compute (the numeric layer:
-bloch, optics, validation, lambda_system) load through load_numeric once a
-command that computes has resolved its configuration, so `params`, `--help`
-and every configuration error run without them.  Reading one of their
-names from this module (`eitsim.cli.optics`, say) loads them too (PEP 562).
+library alone, and so do the closed form and the observables (optics,
+lambda_system), which load once a command other than `params` has resolved
+its configuration.  numpy and the six-level model (the numeric layer:
+bloch, validation) load through load_numeric only for `evolve`, `validate`
+and the full backend.  So `params`, `--help`, every configuration error and
+the analytic `spectrum`, `window` and `vg` run without numpy.  Reading one
+of these names from this module (`eitsim.cli.optics`, say) loads it too
+(PEP 562).
 """
 
 import argparse
@@ -37,29 +40,39 @@ from .materials import N_LEVELS
 # Nothing above loads numpy, and everything below loads it after this.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# The names load_numeric binds in this module.
-_NUMERIC_NAMES = ("np", "bloch", "optics", "validation", "chi_analytic",
-                  "lambda_from_material")
-# Commands that read nothing but the resolved configuration.
-_NUMPY_FREE_COMMANDS = ("params",)
+# The names _load_closed_form and load_numeric bind in this module.
+_CLOSED_FORM_NAMES = ("optics", "chi_analytic", "lambda_from_material")
+_NUMERIC_NAMES = ("np", "bloch", "validation")
 
 
-def load_numeric() -> None:
-    """Import numpy and the numeric layer into this module's namespace.
-    Only the first call imports, so a name rebound since (by a tracer, say)
-    stays rebound."""
-    global np, bloch, optics, validation, chi_analytic, lambda_from_material
-    if "np" in globals():
+def _load_closed_form() -> None:
+    """Import the closed form and the observables, standard library only,
+    into this module's namespace.  Only the first call imports, so a name
+    rebound since (by a tracer, say) stays rebound."""
+    global optics, chi_analytic, lambda_from_material
+    if "optics" in globals():
         return
-    import numpy as np
-    from . import bloch, optics, validation
+    from . import optics
     from .lambda_system import chi_analytic, lambda_from_material
 
 
+def load_numeric() -> None:
+    """Import numpy and the numeric layer into this module's namespace,
+    with the same rule as _load_closed_form."""
+    global np, bloch, validation
+    if "np" in globals():
+        return
+    import numpy as np
+    from . import bloch, validation
+
+
 def __getattr__(name):
-    if name not in _NUMERIC_NAMES:
+    if name in _CLOSED_FORM_NAMES:
+        _load_closed_form()
+    elif name in _NUMERIC_NAMES:
+        load_numeric()
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    load_numeric()
     return globals()[name]
 
 
@@ -170,13 +183,19 @@ def _write_summary(out_dir: str, command: str, canonical: dict,
     return path
 
 
+def _closed_form_only(command: str, run: ResolvedRun) -> bool:
+    """Whether the command runs on the three-level closed form alone: the
+    analytic spectrum, window and vg."""
+    return command in ("spectrum", "window", "vg") \
+        and run.backend == "analytic"
+
+
 def _refuse_aux_detuning(command: str, run: ResolvedRun) -> None:
     """Refuse an auxiliary detuning where the three-level closed form would
     silently drop it: in validate and the analytic spectrum, window and vg."""
     value = run.drives.aux_detuning
-    if value != 0.0 and (command == "validate" or (
-            command in ("spectrum", "window", "vg")
-            and run.backend == "analytic")):
+    if value != 0.0 and (command == "validate"
+                         or _closed_form_only(command, run)):
         raise ConfigError(
             f"config key 'drives.aux_detuning_rad_s' = {value!r} would be "
             "ignored: the three-level closed form has no auxiliary field "
@@ -190,20 +209,20 @@ def cmd_spectrum(args, run: ResolvedRun) -> int:
     csv_path = os.path.join(args.out, "spectrum.csv")
     _write_atomic(csv_path, optics.spectrum_to_csv(deltas, chi, alpha))
 
-    peak = int(np.argmax(alpha))
+    peak = optics.peak_index(alpha)
     covers_zero = deltas[0] <= 0.0 <= deltas[-1]
-    alpha_zero = (float(np.interp(0.0, deltas, alpha))
+    alpha_zero = (optics.interp_at(0.0, deltas, alpha)
                   if covers_zero else None)
     headline = {
-        "points": int(deltas.size),
-        "peak_alpha_per_m": float(alpha[peak]),
-        "peak_delta_rad_s": float(deltas[peak]),
+        "points": len(deltas),
+        "peak_alpha_per_m": alpha[peak],
+        "peak_delta_rad_s": deltas[peak],
         "alpha_at_zero_per_m": alpha_zero,
         "backend": run.backend,
     }
     summary_path = _write_summary(args.out, "spectrum", run.canonical,
                                   headline, ["spectrum.csv"], started)
-    print(f"spectrum: {run.backend} backend, {deltas.size} points in "
+    print(f"spectrum: {run.backend} backend, {len(deltas)} points in "
           f"[{deltas[0]:g}, {deltas[-1]:g}] rad/s")
     print(f"  peak alpha = {alpha[peak]:.6g} 1/m at "
           f"delta = {deltas[peak]:.6g} rad/s")
@@ -263,8 +282,9 @@ def cmd_window(args, run: ResolvedRun) -> int:
         print(f"  edges = [{left:.6g}, {right:.6g}] "
               f"rad/s, threshold alpha = {threshold:.6g} 1/m")
         if truncated:
-            print("  warning: window truncated by the grid; widen the grid "
-                  "for a converged width")
+            print("  warning: the half-absorption interval reaches the end "
+                  "of the grid and may be open-ended; the width is measured "
+                  "to the grid's end")
     else:
         print("window: no transparency window (resonant absorption is above "
               "half the reference)")
@@ -335,7 +355,8 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
     pops = np.diagonal(rho, axis1=1, axis2=2).real
     csv_path = os.path.join(args.out, "evolve.csv")
     _write_atomic(csv_path, optics.csv_text(
-        header, (times, *pops.T, np.abs(rho[:, 4, 1]))))
+        header, (times.tolist(), *pops.T.tolist(),
+                 np.abs(rho[:, 4, 1]).tolist())))
 
     samples = len(times)
     headline = {
@@ -432,16 +453,22 @@ _HANDLERS = {
 def main(argv=None, load_numeric=load_numeric) -> int:
     """Run one command in this process and return its exit status.
 
-    A command that computes calls load_numeric once its configuration has
-    resolved; eitsim.__main__.run passes one that also freezes the import.
+    Every command but params loads the closed form once the configuration
+    has resolved, and evolve, validate and the full backend call
+    load_numeric as well; eitsim.__main__.run passes one that also freezes
+    the import.
     """
     args = build_parser().parse_args(argv)
     try:
         os.makedirs(args.out, exist_ok=True)
         run = _resolved_run(args)
         _refuse_aux_detuning(args.command, run)
-        if args.command not in _NUMPY_FREE_COMMANDS:
-            load_numeric()
+        if args.command != "params":
+            # numpy first, as the numeric layer imports the closed form too:
+            # all of it then loads inside the frozen import of __main__.run.
+            if not _closed_form_only(args.command, run):
+                load_numeric()
+            _load_closed_form()
         return _HANDLERS[args.command](args, run)
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,15 +9,17 @@ Imamoglu & Marangos, Rev. Mod. Phys. 77, 633 (2005)):
     k = omega_c / 2,  g = gamma32 + i (delta - delta_c),
 
 with delta_c the coupling detuning.  All rates and frequencies are rad/s;
-delta is the probe detuning (omega_atom - omega_field), a float or an array
-of them.  F meets 0 * inf at g = 0 (gamma32 = 0 on two-photon resonance,
-where chi vanishes), so chi is evaluated as i A (g / s) / (F g / s), with
-s = gamma32 + |delta - delta_c| + k keeping g / s and k / s within 1.
+delta is the probe detuning (omega_atom - omega_field), a float or a
+sequence of them, evaluated point by point in Python complex arithmetic, so
+the closed form needs no numpy.  F meets 0 * inf at g = 0 (gamma32 = 0 on
+two-photon resonance, where chi vanishes), so chi is evaluated as
+i A (g / s) / (F g / s), with s = gamma32 + |delta - delta_c| + k keeping
+g / s and k / s within 1.
 """
 
+import cmath
+import math
 from collections import namedtuple
-
-import numpy as np
 
 from .errors import InvalidArgumentError, SingularParametersError
 from .materials import MaterialParams
@@ -49,7 +51,7 @@ class LambdaParams(namedtuple("LambdaParams",
     def __new__(cls, gamma52, gamma32, omega_c, coupling_a,
                 coupling_detuning=0.0):
         vals = (gamma52, gamma32, omega_c, coupling_a, coupling_detuning)
-        if not all(np.isfinite(v) for v in vals):
+        if not all(math.isfinite(v) for v in vals):
             raise InvalidArgumentError("lambda parameters must be finite")
         for name, value in zip(cls._fields, vals):
             if abs(value) > RATE_MAX:
@@ -79,61 +81,73 @@ def lambda_from_material(mat: MaterialParams, drives) -> LambdaParams:
         mat.coupling_strength, float(drives.coupling_detuning))
 
 
-def _refuse(bad, delta, what: str, why: str) -> None:
-    """Raise SingularParametersError naming the first detuning where bad
-    holds."""
-    bad = np.reshape(bad, -1)
-    if np.any(bad):
-        first = float(np.reshape(delta, -1)[int(np.argmax(bad))])
-        raise SingularParametersError(
-            f"{what} at delta = {first!r} rad/s: {why}")
+def elementwise(f, values):
+    """f of a sequence of values (a list, a tuple or a numpy array), or
+    f([value])[0] of one value: f maps a sequence to the list of its
+    elementwise results."""
+    try:
+        iter(values)
+    except TypeError:
+        return f([values])[0]
+    return f(values)
 
 
-def _scaled(p: LambdaParams, delta, what: str):
-    """(delta, n, e, G), flat, with n = g / s, e = k / s and G = g F / s =
-    (gamma52 + i delta) n + k e, so that chi = i A n / G.  s vanishes only
-    where gamma32, delta - delta_c and omega_c all do, and chi is
-    indeterminate there: that point is refused by name."""
-    # Flat: numpy multiplies complex scalars unlike complex arrays, and one
-    # detuning must give one value either way.
-    delta = np.asarray(delta, dtype=float).reshape(-1)
-    k = 0.5 * p.omega_c
-    x = delta - p.coupling_detuning
-    s = p.gamma32 + np.abs(x) + k
-    _refuse(s == 0.0, delta, f"{what} is indeterminate",
-            "gamma32, delta - coupling_detuning and omega_c all vanish")
-    # Real divisions: numpy divides a complex by 1 / s, which overflows
-    # for a subnormal s.
-    n = p.gamma32 / s + 1j * (x / s)
-    e = k / s
-    return delta, n, e, (p.gamma52 + 1j * delta) * n + k * e
+def _scaled(p: LambdaParams, deltas, what: str):
+    """(delta, n, e, G) for each detuning of deltas, as Python numbers, with
+    n = g / s, e = k / s and G = g F / s = (gamma52 + i delta) n + k e, so
+    that chi = i A n / G.  s vanishes only where gamma32, delta - delta_c
+    and omega_c all do, and chi is indeterminate there: that point is
+    refused by name."""
+    gamma52, gamma32, k = p.gamma52, p.gamma32, 0.5 * p.omega_c
+    delta_c = p.coupling_detuning
+    for delta in deltas:
+        # A numpy scalar would carry the arithmetic into numpy.
+        delta = float(delta)
+        x = delta - delta_c
+        s = gamma32 + abs(x) + k
+        if s == 0.0:
+            raise SingularParametersError(
+                f"{what} is indeterminate at delta = {delta!r} rad/s: "
+                "gamma32, delta - coupling_detuning and omega_c all vanish")
+        n = complex(gamma32 / s, x / s)
+        e = k / s
+        yield delta, n, e, complex(gamma52, delta) * n + k * e
 
 
 def chi_analytic(p: LambdaParams, delta):
-    """Closed-form probe susceptibility chi = i A / F, elementwise: a
-    complex for one detuning, a complex array for an array.
+    """Closed-form probe susceptibility chi = i A / F, point by point: a
+    complex for one detuning, a list of them for a sequence.
 
     |chi| <= A / gamma52, so only such a bound beyond the float range makes
     chi non-finite; that raises SingularParametersError naming the detuning.
     """
-    shape = np.shape(delta)
-    # G underflows to 0 only past that bound too.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        delta, n, _, g = _scaled(p, delta, "susceptibility")
-        chi = 1j * p.coupling_a * n / g
-    _refuse(~np.isfinite(chi), delta, "susceptibility is not finite",
-            "the closed form overflows the float range")
-    return complex(chi[0]) if shape == () else chi.reshape(shape)
+    def chis(deltas):
+        ia, isfinite = 1j * p.coupling_a, cmath.isfinite
+        out = []
+        for d, n, _, g in _scaled(p, deltas, "susceptibility"):
+            # G underflows to 0 only past that bound too, and dividing by 0
+            # would raise a ZeroDivisionError that names no detuning.
+            chi = ia * n / g if g and isfinite(g) else math.nan
+            if not isfinite(chi):
+                raise SingularParametersError(
+                    f"susceptibility is not finite at delta = {d!r} rad/s: "
+                    "the closed form overflows the float range")
+            out.append(chi)
+        return out
+
+    return elementwise(chis, delta)
 
 
 def dchi_prime_ddelta(p: LambdaParams, delta):
     """Exact detuning derivative of chi_re, Re(-i A F' / F^2) with F' =
     i (1 - k^2 / g^2), which the scaling turns into Re(A (n^2 - e^2) / G^2);
-    a float for one detuning, an array for an array."""
-    # A slope beyond the float range comes out inf or nan; group_velocity
-    # refuses that by name, so numpy need not warn as well.
-    shape = np.shape(delta)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, n, e, g = _scaled(p, delta, "derivative")
-        slope = (p.coupling_a * (n * n - e * e) / g / g).real
-    return float(slope[0]) if shape == () else slope.reshape(shape)
+    a float for one detuning, a list of them for a sequence.  A slope beyond
+    the float range comes out inf or nan, which group_velocity refuses by
+    name."""
+    def slopes(deltas):
+        a, isfinite = p.coupling_a, cmath.isfinite
+        return [(a * (n * n - e * e) / g / g).real
+                if g and isfinite(g) else math.nan
+                for _, n, e, g in _scaled(p, deltas, "derivative")]
+
+    return elementwise(slopes, delta)

@@ -163,6 +163,11 @@ class MaterialParams(namedtuple("MaterialParams",
             raise InvalidArgumentError("gamma table shape mismatch")
         if any(g < 0 for row in gamma for g in row) or not _symmetric(gamma):
             raise InvalidArgumentError("gamma must be symmetric and non-negative")
+        if not all(math.isfinite(g) for row in gamma for g in row):
+            raise InvalidArgumentError(
+                "a coherence decay rate overflows: lower config key "
+                "'material.dephasing_<ij>_hz' or raise "
+                "'material.lifetime_<i>_s'")
         if not number_density > 0:
             raise InvalidArgumentError("number density must be positive")
         if not probe_dipole > 0:

@@ -3,25 +3,57 @@ refractive index, absorption, group velocity, transparency window, and
 detuning sweeps over the analytic lambda backend or the full six-level
 steady-state backend.
 The group velocity needs only chi' and its exact detuning slope.
+
+The observables take and give Python floats and complex numbers, one or a
+list of them, so the analytic backend runs on the standard library.  numpy
+and the six-level model (bloch, states) load on the first call that needs
+them (_load_six_level); the full backend hands its chi over as a list.
 """
 
+import bisect
 import math
+import operator
 
-import numpy as np
-
-# steady_state stays importable here: the benchmark's traced pass
-# (perfbench/launcher.py) wraps it under this module's name.
-from .bloch import (PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian,
-                    build_liouvillian, reduction, steady_state,
-                    steady_state_slope, steady_states)
 from .config import DriveSet, GridSpec
 from .constants import C_LIGHT, TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      InvalidArgumentError)
-from .lambda_system import (chi_analytic, dchi_prime_ddelta,
+from .lambda_system import (chi_analytic, dchi_prime_ddelta, elementwise,
                             lambda_from_material)
 from .materials import N_LEVELS, MaterialParams
-from .states import basis_state, mixed_state
+
+# The names _load_six_level binds in this module.  steady_state is among
+# them only because the benchmark's traced pass (perfbench/launcher.py)
+# wraps it under this module's name.
+_SIX_LEVEL_NAMES = ("np", "PROBE_DRIFT", "PROBE_LEVELS", "build_hamiltonian",
+                    "build_liouvillian", "reduction", "steady_state",
+                    "steady_state_slope", "steady_states", "basis_state",
+                    "mixed_state")
+
+
+def _load_six_level() -> None:
+    """Import numpy and the six-level model's names into this module.
+    Only the first call imports, so a name rebound since (by a tracer or a
+    test, say) stays rebound.  The CLI has loaded them already, through
+    cli.load_numeric, by the time a command reaches a call of this."""
+    global np, PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian, \
+        build_liouvillian, reduction, steady_state, steady_state_slope, \
+        steady_states, basis_state, mixed_state
+    if "np" in globals():
+        return
+    import numpy as np
+    from .bloch import (PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian,
+                        build_liouvillian, reduction, steady_state,
+                        steady_state_slope, steady_states)
+    from .states import basis_state, mixed_state
+
+
+def __getattr__(name):
+    if name not in _SIX_LEVEL_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load_six_level()
+    return globals()[name]
+
 
 BACKEND_ANALYTIC = "analytic"
 BACKEND_FULL = "full"
@@ -48,18 +80,29 @@ GROUP_INDEX_MIN = 1e-12
 STEADY_STATE_CHUNK = 128
 
 
-def grid_values(grid: GridSpec) -> np.ndarray:
-    """The grid's detunings, refused unless they increase strictly: a grid
-    too narrow for its point count repeats a detuning."""
-    deltas = np.linspace(grid.delta_min, grid.delta_max, grid.points)
-    if np.any(np.diff(deltas) <= 0):
+def grid_values(grid: GridSpec) -> list:
+    """The grid's detunings as a list, with np.linspace's arithmetic and
+    bits, refused unless they increase strictly: a grid too narrow for its
+    point count repeats a detuning."""
+    start, stop, points = grid.delta_min, grid.delta_max, grid.points
+    span, div = stop - start, points - 1
+    if div < 1:
+        deltas = [0.0 * span + start] if points == 1 else []
+    elif span / div == 0.0:
+        # np.linspace's order for a step that underflows to zero.
+        deltas = [i / div * span + start for i in range(div)] + [stop]
+    else:
+        step = span / div
+        deltas = [i * step + start for i in range(div)] + [stop]
+    if any(map(operator.le, deltas[1:], deltas)):
         raise InvalidArgumentError("deltas must be strictly increasing")
     return deltas
 
 
-def initial_state(name: str) -> np.ndarray:
-    """The six-level state `evolve.initial_state` names: "mixed" or
-    "level_<k>"."""
+def initial_state(name: str):
+    """The six-level state `evolve.initial_state` names, "mixed" or
+    "level_<k>", as a numpy array."""
+    _load_six_level()
     if name == "mixed":
         return mixed_state(N_LEVELS)
     return basis_state(N_LEVELS, int(name.split("_")[1]))
@@ -72,6 +115,7 @@ def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
 
     Raises ZeroDivisionError for omega_p = 0.
     """
+    _load_six_level()
     omega_p = complex(omega_p)
     if omega_p == 0:
         raise ZeroDivisionError("probe rabi frequency is zero")
@@ -81,27 +125,45 @@ def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
 
 
 def refractive_index(chi):
-    """n = 1 + chi_re/2; a float for one chi, an array for an array."""
-    return 1.0 + 0.5 * chi.real
+    """n = 1 + chi_re/2; a float for one chi, a list for a sequence."""
+    return elementwise(lambda chis: [1.0 + 0.5 * c.real for c in chis], chi)
 
 
 def absorption(chi, wavelength: float):
     """alpha = 0.5 * (2*pi/wavelength) * chi_im, in 1/m; a float for one
-    chi_im, an array for an array.
+    chi, a list for a sequence.
 
     chi_im below -CHI_IM_SIGN_TOL breaks the sign convention; tiny negative
     values inside the tolerance are clamped to zero absorption.
     """
     if not wavelength > 0:
         raise InvalidArgumentError("wavelength must be positive")
-    chi_im = np.asarray(chi.imag, dtype=float)
-    if np.any(chi_im < -CHI_IM_SIGN_TOL):
-        raise ConventionError(
-            f"chi_im = {float(chi_im.min())!r} is negative beyond tolerance; "
-            "absorption must be non-negative"
-        )
-    alpha = np.maximum(0.5 * (TWO_PI / wavelength) * chi_im, 0.0)
-    return float(alpha) if alpha.ndim == 0 else alpha
+    scale = 0.5 * (TWO_PI / wavelength)
+
+    def alphas(chis):
+        chi_im = [c.imag for c in chis]
+        low = min(chi_im, default=0.0)
+        if low < -CHI_IM_SIGN_TOL:
+            raise ConventionError(
+                f"chi_im = {float(low)!r} is negative beyond tolerance; "
+                "absorption must be non-negative")
+        # np.maximum's clamp: a NaN or -0.0 passes through.
+        return [a if not a < 0.0 else 0.0 for a in map(scale.__mul__, chi_im)]
+
+    return elementwise(alphas, chi)
+
+
+def interp_at(x: float, xs, ys):
+    """ys, given on the increasing xs, linearly interpolated at x, with
+    np.interp's arithmetic and bits for finite slopes; the end values
+    outside xs."""
+    j = bisect.bisect_right(xs, x) - 1
+    if j < 0:
+        return ys[0]
+    if j == len(xs) - 1 or xs[j] == x:
+        return ys[j]
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return slope * (x - xs[j]) + ys[j]
 
 
 def probe_angular_frequency(mat: MaterialParams) -> float:
@@ -114,8 +176,13 @@ def window_width_closed_form(gamma52: float, omega_c: float) -> float:
     return math.hypot(gamma52, omega_c) - gamma52
 
 
-def transparency_window(deltas: np.ndarray, alpha: np.ndarray,
-                        reference_alpha: float):
+def peak_index(values) -> int:
+    """Index of the first largest of values, which hold no NaN: np.argmax's
+    answer."""
+    return max(range(len(values)), key=values.__getitem__)
+
+
+def transparency_window(deltas, alpha, reference_alpha: float):
     """Maximal contiguous interval containing delta = 0 with
     alpha <= reference_alpha / 2 on the increasing grid deltas, as
     (left, right, truncated), edges in rad/s by linear interpolation;
@@ -127,11 +194,12 @@ def transparency_window(deltas: np.ndarray, alpha: np.ndarray,
         raise ConfigError("spectrum grid must cover delta = 0")
     threshold = 0.5 * reference_alpha
 
-    if float(np.interp(0.0, deltas, alpha)) >= threshold:
+    if interp_at(0.0, deltas, alpha) >= threshold:
         return None
 
-    center = int(np.searchsorted(deltas, 0.0))
-    if center == deltas.size or (center > 0 and alpha[center] > threshold):
+    last = len(deltas) - 1
+    center = bisect.bisect_left(deltas, 0.0)
+    if center > last or (center > 0 and alpha[center] > threshold):
         center -= 1
 
     def crossing(inside: int, outside: int) -> float:
@@ -149,9 +217,9 @@ def transparency_window(deltas: np.ndarray, alpha: np.ndarray,
         left = crossing(lo, lo - 1)
 
     hi = center
-    while hi < deltas.size - 1 and alpha[hi + 1] <= threshold:
+    while hi < last and alpha[hi + 1] <= threshold:
         hi += 1
-    if hi == deltas.size - 1:
+    if hi == last:
         right, truncated = float(deltas[-1]), True
     else:
         right = crossing(hi, hi + 1)
@@ -160,9 +228,10 @@ def transparency_window(deltas: np.ndarray, alpha: np.ndarray,
 
 
 def generator(mat: MaterialParams, drives: DriveSet,
-              probe_detuning: float) -> np.ndarray:
+              probe_detuning: float):
     """The six-level generator of the fields of drives on the material's
-    levels, the probe at probe_detuning."""
+    levels, the probe at probe_detuning, a numpy array."""
+    _load_six_level()
     return build_liouvillian(build_hamiltonian(drives, probe_detuning),
                              mat.levels, mat.gamma)
 
@@ -196,7 +265,8 @@ def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
     names the first.
     """
     gen0, drift = _full_generator(mat, drives)
-    deltas = np.asarray(probe_detuning, dtype=float).reshape(-1)
+    deltas = np.asarray(probe_detuning, dtype=float)
+    shape, deltas = deltas.shape, deltas.reshape(-1)
     reduced = reduction(gen0, drift, deltas[0] if deltas.size else 0.0)
     upper, lower = PROBE_LEVELS
     rho52 = np.empty(deltas.size, dtype=complex)
@@ -204,8 +274,7 @@ def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
         chunk = deltas[start:start + STEADY_STATE_CHUNK]
         rho52[start:start + chunk.size] = steady_states(
             gen0, drift, chunk, reduced)[:, upper - 1, lower - 1]
-    return rho_to_chi(rho52.reshape(np.shape(probe_detuning)), mat,
-                      drives.probe_rabi)
+    return rho_to_chi(rho52.reshape(shape), mat, drives.probe_rabi)
 
 
 def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
@@ -218,7 +287,7 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
     raises DivergentVelocityError.
     """
     omega0 = probe_angular_frequency(mat)
-    if not (np.isfinite(omega0) and omega0 > 0):
+    if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidArgumentError(
             f"probe angular frequency {omega0!r} must be positive and finite")
     if backend == BACKEND_FULL:
@@ -251,44 +320,34 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
 
 def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
           grid: GridSpec):
-    """(deltas, chi, alpha) on the detuning grid, all points in one batched
-    call of the chosen backend; n is 1 + chi.real / 2.  A grid too narrow
-    for its point count to increase strictly is refused before the solve
-    (grid_values).
+    """(deltas, chi, alpha) on the detuning grid as lists, all points in
+    one batched call of the chosen backend; n is refractive_index(chi).  A
+    grid too narrow for its point count to increase strictly is refused
+    before the solve (grid_values).
     """
     if backend not in BACKENDS:
         raise ConfigError(f"backend must be one of {BACKENDS}")
     deltas = grid_values(grid)
     if backend == BACKEND_FULL:
         check_weak_probe(drives)
-        chi = full_model_chi(mat, drives, deltas)
+        chi = full_model_chi(mat, drives, deltas).tolist()
     else:
         chi = chi_analytic(lambda_from_material(mat, drives), deltas)
     return deltas, chi, absorption(chi, mat.probe_wavelength)
 
 
 CSV_HEADER = "delta_rad_s,chi_re,chi_im,n,alpha_per_m"
-# Rows csv_text converts to Python floats and cell strings at a time: the
-# block is live next to the finished rows.  Fresh-process ru_maxrss of a
-# 2,001-point full-backend spectrum, median of 21, rises by 0.3 MB with
-# whole columns and by 0.1 MB with 256-row blocks over row-by-row
-# formatting; 64-row blocks add nothing and format as fast.
-CSV_BLOCK_ROWS = 64
 
 
 def csv_text(header: str, columns) -> str:
-    """Byte-stable CSV of equal-length 1-d float arrays under header: the
-    shortest round-trip decimal (repr) of every value."""
-    lines = [header]
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        cells = [map(repr, column[start:start + CSV_BLOCK_ROWS].tolist())
-                 for column in columns]
-        lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    """Byte-stable CSV of equal-length columns of Python floats under
+    header: the shortest round-trip decimal (repr) of every value."""
+    rows = zip(*(map(repr, column) for column in columns))
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def spectrum_to_csv(deltas: np.ndarray, chi: np.ndarray,
-                    alpha: np.ndarray) -> str:
+def spectrum_to_csv(deltas, chi, alpha) -> str:
     """The spectrum.csv text of sweep's (deltas, chi, alpha)."""
-    return csv_text(CSV_HEADER, (deltas, chi.real, chi.imag,
+    return csv_text(CSV_HEADER, (deltas, (c.real for c in chi),
+                                 (c.imag for c in chi),
                                  refractive_index(chi), alpha))

@@ -55,7 +55,7 @@ def validate_reduction(mat: MaterialParams, drives: DriveSet, grid,
     if analytic_gamma52_factor != 1.0:
         lam = lam._replace(gamma52=lam.gamma52 * analytic_gamma52_factor)
 
-    ana = chi_analytic(lam, deltas)
+    ana = np.asarray(chi_analytic(lam, deltas))
     full = full_model_chi(mat, drives, deltas)
     ana_re, ana_im = ana.real, ana.imag
     full_re, full_im = full.real, full.imag

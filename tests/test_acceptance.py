@@ -265,8 +265,8 @@ def run_c08(weighted=True):
     deltas = grid_values(grid)
     chis, weights = [], []
     for p in (1.5e3, 1.5e4):
-        chis.append(sweep("full", MAT, DriveSet(
-            probe_rabi=p, coupling_rabi=1.5e6, aux_rabi=1.5e6), grid)[1])
+        chis.append(np.asarray(sweep("full", MAT, DriveSet(
+            probe_rabi=p, coupling_rabi=1.5e6, aux_rabi=1.5e6), grid)[1]))
         weights.append(population_weight(p, deltas))
 
     def rel_dev(weak, strong):

@@ -216,6 +216,23 @@ class TestWindow:
         assert read_summary(out, "window")["headline"]["has_window"] is False
         assert "no transparency window" in proc.stdout
 
+    def test_interval_open_at_the_grid_end_is_reported(self, tmp_path,
+                                                       capsys):
+        # a coupling detuning of 2e6 rad/s leaves the half-absorption
+        # interval around delta = 0 without a right edge: widening the grid
+        # only moves that edge to the grid's end
+        out = str(tmp_path)
+        assert main(["window", "--out", out,
+                     "--set", "drives.coupling_detuning_rad_s=2e6"]) == 0
+        headline = read_summary(out, "window")["headline"]
+        assert headline["truncated"] is True
+        assert headline["edges_rad_s"][1] == \
+            read_summary(out, "window")["resolved_config"]["grid"][
+                "delta_max_rad_s"]
+        printed = capsys.readouterr().out
+        assert "reaches the end of the grid and may be open-ended" in printed
+        assert "widen the grid" not in printed
+
 
 # vg_m_s at the defaults: c / (1 + chi'/2 - omega0 * 0.5 * dchi'/ddelta)
 # from the closed form, which summaries carried as vg_closed_form_m_s next
@@ -550,12 +567,16 @@ class TestStartup:
         (("spectrum", "--out", "{out}", "--set", "nope.key_rad_s=1"), 2),
         (("evolve", "--out", "{out}", "--set", "material.lifetime_5_s=0"),
          2),
+        (("spectrum", "--out", "{out}"), 0),
+        (("window", "--out", "{out}"), 0),
+        (("vg", "--out", "{out}", "--backend", "analytic"), 0),
     ], ids=["params", "help", "usage-error", "config-error",
-            "material-error"])
+            "material-error", "spectrum", "window", "vg"])
     def test_commands_that_do_not_compute_load_no_numpy(self, tmp_path,
                                                         argv, status):
-        # numpy and the numeric layer load only once a command that
-        # computes has resolved its configuration
+        # numpy and the six-level model load only for evolve, validate and
+        # the full backend, once the configuration has resolved: the
+        # closed-form spectrum, window and vg run on the standard library
         argv = [arg.format(out=tmp_path) for arg in argv]
         proc = run_python("-c", NUMPY_PROBE, *argv)
         assert proc.stdout.splitlines()[-1].split()[:2] == [str(status),
@@ -565,11 +586,16 @@ class TestStartup:
                         reason="needs /proc/self/status")
     def test_a_command_that_computes_loads_numpy_on_one_blas_thread(
             self, tmp_path):
-        proc = run_python("-c", NUMPY_PROBE, "window", "--backend", "full",
-                          "--out", str(tmp_path), OPENBLAS_NUM_THREADS=None)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1].split() == ["0", "True", "1",
-                                                        "Threads:", "1"]
+        for argv in (("window", "--backend", "full"),
+                     ("spectrum", "--backend", "full"),
+                     ("validate",),
+                     ("evolve", "--set", "evolve.t_end_s=1e-4",
+                      "--set", "evolve.samples_count=11")):
+            proc = run_python("-c", NUMPY_PROBE, *argv, "--out",
+                              str(tmp_path), OPENBLAS_NUM_THREADS=None)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.splitlines()[-1].split() == [
+                "0", "True", "1", "Threads:", "1"], argv
 
 
     def test_a_full_run_loads_no_dataclasses(self, tmp_path):
@@ -740,6 +766,37 @@ class TestErrorStatuses:
             "'material.probe_dipole_c_m' or "
             "'material.number_density_per_m3'\n")
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["params", "spectrum"])
+    def test_overflowing_decay_rate_is_a_config_error(self, tmp_path, capsys,
+                                                      command):
+        # pi * 1e308 Hz of dephasing is past the float range
+        out = str(tmp_path)
+        assert main([command, "--out", out,
+                     "--set", "material.dephasing_32_hz=1e308"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: a coherence decay rate overflows: lower config key "
+            "'material.dephasing_<ij>_hz' or raise "
+            "'material.lifetime_<i>_s'\n")
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("key", ["material.dephasing_32_hz=1e300",
+                                     "material.lifetime_4_s=1e-300"])
+    def test_full_backend_gate_wider_than_the_grid_names_sigma(
+            self, tmp_path, capsys, key):
+        # sigma = max(||L0||, 1) = 3.1e300, so the gate DEGENERACY_TOL *
+        # sigma covers every detuning of the grid, and i sigma - 1/mu
+        # cancels to a pole at 0
+        assert main(["spectrum", "--backend", "full", "--out", str(tmp_path),
+                     "--set", key]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "solver error: at delta = -20000000.0 rad/s: singular "
+            "steady-state system: within 3.142e+292 of the pole ")
+        assert err.endswith(
+            "; the gate DEGENERACY_TOL * sigma = 3.142e+292 rad/s, with "
+            "sigma = max(||L0||, 1) = 3.142e+300, covers this detuning\n")
+        assert os.listdir(str(tmp_path)) == []
 
     def test_full_backend_far_detuning_keeps_its_gate(self, tmp_path):
         # ||L(delta)|| is past the float range here, and the residual gate

@@ -174,19 +174,21 @@ class TestChiAnalytic:
             assert (a.real, a.imag) == (b.real, b.imag)
 
     def test_array_detunings_match_scalar_calls(self):
+        # a numpy array of detunings gives a list of Python numbers
         rng = np.random.default_rng(37)
         for _ in range(20):
             p = random_params(rng, detuned=True)
             deltas = rng.standard_normal(64) * 10 ** rng.uniform(2, 7)
             chi = chi_analytic(p, deltas)
             slope = dchi_prime_ddelta(p, deltas)
-            assert chi.real.shape == chi.imag.shape == slope.shape == (64,)
+            assert type(chi) is type(slope) is list
+            assert len(chi) == len(slope) == 64
             for i, delta in enumerate(deltas):
                 one = chi_analytic(p, float(delta))
-                assert type(one) is complex
-                assert (one.real, one.imag) == (chi.real[i], chi.imag[i])
+                assert type(one) is type(chi[i]) is complex
+                assert (one.real, one.imag) == (chi[i].real, chi[i].imag)
                 one_slope = dchi_prime_ddelta(p, float(delta))
-                assert type(one_slope) is float
+                assert type(one_slope) is type(slope[i]) is float
                 assert one_slope == slope[i]
 
     def test_singular_point_in_array_named(self):
@@ -234,7 +236,7 @@ def kramers_kronig_errors(half_width, points):
     from scipy.signal import hilbert
 
     deltas = np.linspace(-half_width, half_width, points)
-    chi = chi_analytic(EIT, deltas)
+    chi = np.asarray(chi_analytic(EIT, deltas))
     oracle_re, oracle_im = chi_parts(EIT, deltas)
     inside = np.abs(deltas) < 2e7
     scale = np.max(np.abs(chi))
@@ -281,11 +283,12 @@ class TestDerivative:
         h = p.gamma32 / 100
 
         def central(step):
-            return (chi_analytic(p, deltas + step).real
-                    - chi_analytic(p, deltas - step).real) / (2 * step)
+            return (np.asarray(chi_analytic(p, deltas + step)).real
+                    - np.asarray(chi_analytic(p, deltas - step)).real) \
+                / (2 * step)
 
         richardson = (4.0 * central(h / 2) - central(h)) / 3.0
-        slope = dchi_prime_ddelta(p, deltas)
+        slope = np.asarray(dchi_prime_ddelta(p, deltas))
         assert np.abs(richardson - slope).max() <= 1e-8 * np.abs(slope).max()
 
     def test_matches_the_quotient_rule(self):
@@ -426,8 +429,9 @@ class TestLambdaParams:
                 continue  # delta = d_c is the indeterminate point
             assert np.array_equal(chi_analytic(p, deltas),
                                   chi_analytic(small, k * deltas))
-            assert np.array_equal(dchi_prime_ddelta(p, deltas),
-                                  k * dchi_prime_ddelta(small, k * deltas))
+            assert np.array_equal(
+                dchi_prime_ddelta(p, deltas),
+                k * np.asarray(dchi_prime_ddelta(small, k * deltas)))
 
 
 POSITIVE = st.floats(-3.0, 12.0).map(lambda u: 10.0 ** u)
@@ -454,3 +458,20 @@ def test_closed_forms_match_exact_arithmetic(gamma52, gamma32, omega_c,
     assume(gamma32 > 0 or omega_c > 0 or delta != d_c)
     assert_matches_exact(
         LambdaParams(gamma52, gamma32, omega_c, coupling_a, d_c), delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma52=POSITIVE, gamma32=NON_NEGATIVE, omega_c=NON_NEGATIVE,
+       coupling_a=POSITIVE, d_c=SIGNED, delta=SIGNED)
+def test_a_sequence_gives_the_bits_of_single_calls(gamma52, gamma32, omega_c,
+                                                   coupling_a, d_c, delta):
+    # a detuning inside a list or a numpy array takes the same path as alone
+    assume(gamma32 > 0 or omega_c > 0 or delta != d_c)
+    p = LambdaParams(gamma52, gamma32, omega_c, coupling_a, d_c)
+    one = chi_analytic(p, delta)
+    slope = dchi_prime_ddelta(p, delta)
+    for many in ([delta], np.array([delta])):
+        chi = chi_analytic(p, many)[0]
+        assert (chi.real.hex(), chi.imag.hex()) == \
+            (one.real.hex(), one.imag.hex())
+        assert dchi_prime_ddelta(p, many)[0].hex() == slope.hex()

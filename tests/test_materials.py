@@ -165,6 +165,15 @@ class TestMaterialParams:
                 MaterialParams(mat.levels, mat.gamma, density, dipole,
                                605.7e-9)
 
+    def test_rejects_a_decay_rate_past_the_float_range(self):
+        mat = pryso_defaults()
+        gamma = [list(row) for row in mat.gamma]
+        gamma[2][1] = gamma[1][2] = math.inf
+        with pytest.raises(InvalidArgumentError,
+                           match="^a coherence decay rate overflows"):
+            MaterialParams(mat.levels, gamma, mat.number_density,
+                           mat.probe_dipole, mat.probe_wavelength)
+
 
 def test_equal_branching_custom_destinations():
     table = equal_branching(np.array([1.0, 2.0, 4.0]),

@@ -22,7 +22,7 @@ from eitsim.cli import main
 PINNED = {
     ("spectrum",): {
         "spectrum.csv":
-            "dfcdd0a6869085f4fd2b7b45034036224377159da782088aa5c28311986516f0",
+            "5e60e1404eac81b8dcbf87d0e81733ec011ee8669158ec64b69f856a6e45ffa5",
         "spectrum_summary.json":
             "aa00d2d8d96a2fda9d62a874881a1bb2b9f2db9e447146dbbd4af588d170ab71",
     },
@@ -97,9 +97,9 @@ PINNED = {
     # the detuned comparison passes.
     ("spectrum", "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "spectrum.csv":
-            "741c2b5a093bf4427021719ea67b9f69ba074f42b0729de6fffc9315796347c8",
+            "08628e3896452f3a3a84997822e8129dda9395f2e9c89f9c0553fbf1727063cb",
         "spectrum_summary.json":
-            "3011c7d463171fa3742633a6f313d555b04c79a9dd8f2c9c2016fd6f3e0549c3",
+            "6ee3dad6fcfba5219ca7052a0efd86cee9c1975cce593861648684abb44985f9",
     },
     ("window", "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "window_summary.json":
@@ -113,7 +113,7 @@ PINNED = {
     ("validate", "--set", "drives.coupling_detuning_rad_s=-3e5",
      "--set", "drives.probe_rabi_rad_s=150"): {
         "validate_summary.json":
-            "f293611ead67df2b8e159b1bba715c4f30cd18bb5888e3d0d8c8463ba953fd49",
+            "4ef92bd33d4b73e29b7fdd536acff2f8e52369f1933f15e437fc683003608862",
     },
 }
 
