@@ -501,6 +501,75 @@ class TestParams:
         assert dump["notes"]["gamma_32"].startswith("0.5 *")
 
 
+# What each run prints, with "{out}" for its --out directory: the exit
+# status, stdout and stderr, compared as literal text.
+PRINTED = {
+    ("params",): (0, """\
+params: rate_convention = cyclic
+  gamma_32 = 6283.2 rad/s   [pi * (1/T1(3) + 1/T1(2) + dephasing) = pi * \
+(0.0025 + 0.0025 + 2000 Hz), lifetime inverses read as cyclic rates]
+  gamma_52 = 47430.4 rad/s   [pi * (1/T1(5) + 1/T1(2) + dephasing) = pi * \
+(6097.56 + 0.0025 + 9000 Hz), lifetime inverses read as cyclic rates]
+  gamma_53 = 47430.4 rad/s
+  coupling strength = 5033.53 rad/s, wavelength = 6.057e-07 m
+  wrote {out}/params.json and {out}/params_summary.json
+""", ""),
+    ("spectrum",): (0, """\
+spectrum: analytic backend, 201 points in [-2e+07, 2e+07] rad/s
+  peak alpha = 113343 1/m at delta = -800000 rad/s
+  alpha(0) = 291.47 1/m
+  wrote {out}/spectrum.csv and {out}/spectrum_summary.json
+""", ""),
+    ("window",): (0, """\
+window: width = 1.45371e+06 rad/s (231366 Hz)
+  edges = [-726857, 726857] rad/s, threshold alpha = 275219 1/m
+  wrote {out}/window_summary.json
+""", ""),
+    ("vg",): (0, """\
+vg: 21.5699 m/s (group index 1.38987e+07) at delta = 0 rad/s \
+[analytic backend]
+  wrote {out}/vg_summary.json
+""", ""),
+    ("validate",): (0, """\
+validate: max chi_im deviation = 0.7472% over 12/201 points \
+(threshold 2.0000%)
+  worst at delta = -800000 rad/s; chi_re deviation = 0.6563%
+  wrote {out}/validate_summary.json
+""", ""),
+    ("evolve",): (0, """\
+evolve: 201 samples to t = 0.01 s
+  final populations = [3.46972e-05, 0.999817, 4.67569e-05, 2.10592e-05, \
+4.57498e-05, 3.46942e-05]
+  max trace drift = 3.841e-14, max hermiticity drift = 2.058e-16
+  wrote {out}/evolve.csv and {out}/evolve_summary.json
+""", ""),
+    ("validate", "--set", "drives.probe_rabi_rad_s=1.5e4"): (4, """\
+validate: max chi_im deviation = 42.9386% over 12/201 points \
+(threshold 2.0000%)
+  worst at delta = -800000 rad/s; chi_re deviation = 37.7133%
+  wrote {out}/validate_summary.json
+""", "validation failure: full model deviates from the three-level closed "
+        "form beyond the threshold\n"),
+    ("window", "--set", "drives.coupling_rabi_rad_s=0"): (0, """\
+window: no transparency window (resonant absorption is above half the \
+reference)
+  wrote {out}/window_summary.json
+""", ""),
+}
+
+
+class TestPrintedReport:
+    @pytest.mark.parametrize("argv", list(PRINTED),
+                             ids=lambda argv: " ".join(argv))
+    def test_report_text(self, tmp_path, capsys, argv):
+        status, stdout, stderr = PRINTED[argv]
+        out = str(tmp_path / "out")
+        assert main([*argv, "--out", out]) == status
+        printed = capsys.readouterr()
+        assert printed.out.replace(out, "{out}") == stdout
+        assert printed.err == stderr
+
+
 # Runs eitsim.__main__.run on its arguments (argparse's exit counts as the
 # status) and prints, as its last line, the status, whether numpy is
 # loaded, OPENBLAS_NUM_THREADS and the process's thread count.
