@@ -7,25 +7,24 @@ into --out; every command also writes a `<command>_summary.json` that echoes
 the fully resolved configuration, so any run can be reproduced from its
 summary alone.
 
-Parsing the arguments and resolving the configuration need the standard
-library alone, and so do the closed form and the observables (optics,
-lambda_system), which load once a command other than `params` has resolved
-its configuration.  numpy and the six-level model (the numeric layer:
-bloch, validation) load through load_numeric only for `evolve`, `validate`
-and the full backend.  So `params`, `--help`, every configuration error and
-the analytic `spectrum`, `window` and `vg` run without numpy.  Reading one
-of these names from this module (`eitsim.cli.optics`, say) loads it too
-(PEP 562).
+Parsing the arguments, resolving the configuration, the closed form and
+the observables (optics, lambda_system) need the standard library alone,
+and import with this module.  numpy and the six-level model (the numeric
+layer: bloch, validation) load through load_numeric, the one lazy import,
+only for `evolve`, `validate` and the full backend.  So `params`, `--help`,
+every configuration error and the analytic `spectrum`, `window` and `vg`
+run without numpy.  Reading a numeric name from this module
+(`eitsim.cli.bloch`, say) loads the numeric layer too (PEP 562).
 """
 
 import argparse
-import copy
 import json
 import math
 import os
 import sys
 import time
 
+from . import optics
 from .config import (GridSpec, ResolvedRun, apply_overrides, load_document,
                      resolve)
 from .constants import TWO_PI
@@ -33,6 +32,7 @@ from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      IntegrationError, InvalidArgumentError,
                      SingularParametersError, StateCorruptionError,
                      SteadyStateError)
+from .lambda_system import chi_analytic, lambda_from_material
 from .materials import N_LEVELS
 
 # The matrices here are at most 36x36, too small for OpenBLAS threads, whose
@@ -40,25 +40,14 @@ from .materials import N_LEVELS
 # Nothing above loads numpy, and everything below loads it after this.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# The names _load_closed_form and load_numeric bind in this module.
-_CLOSED_FORM_NAMES = ("optics", "chi_analytic", "lambda_from_material")
+# The names load_numeric binds in this module.
 _NUMERIC_NAMES = ("np", "bloch", "validation")
 
 
-def _load_closed_form() -> None:
-    """Import the closed form and the observables, standard library only,
-    into this module's namespace.  Only the first call imports, so a name
-    rebound since (by a tracer, say) stays rebound."""
-    global optics, chi_analytic, lambda_from_material
-    if "optics" in globals():
-        return
-    from . import optics
-    from .lambda_system import chi_analytic, lambda_from_material
-
-
 def load_numeric() -> None:
-    """Import numpy and the numeric layer into this module's namespace,
-    with the same rule as _load_closed_form."""
+    """Import numpy and the numeric layer into this module's namespace.
+    Only the first call imports, so a name rebound since (by a tracer, say)
+    stays rebound."""
     global np, bloch, validation
     if "np" in globals():
         return
@@ -67,12 +56,9 @@ def load_numeric() -> None:
 
 
 def __getattr__(name):
-    if name in _CLOSED_FORM_NAMES:
-        _load_closed_form()
-    elif name in _NUMERIC_NAMES:
-        load_numeric()
-    else:
+    if name not in _NUMERIC_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    load_numeric()
     return globals()[name]
 
 
@@ -163,24 +149,19 @@ def _jsonable(value):
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """Write text to path through a temp file and a rename; on any failure
+    the temp file is removed and the error re-raised."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def _write_summary(out_dir: str, command: str, canonical: dict,
-                   headline: dict, files, started: float) -> str:
-    summary = {
-        "command": command,
-        "resolved_config": _jsonable(canonical),
-        "headline": _jsonable(headline),
-        "output_files": list(files),
-        "duration_s": time.perf_counter() - started,
-    }
-    path = os.path.join(out_dir, f"{command}_summary.json")
-    _write_atomic(path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return path
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _closed_form_only(command: str, run: ResolvedRun) -> bool:
@@ -202,12 +183,11 @@ def _refuse_aux_detuning(command: str, run: ResolvedRun) -> None:
             "(only the full backend and evolve read it)")
 
 
-def cmd_spectrum(args, run: ResolvedRun) -> int:
-    started = time.perf_counter()
+def cmd_spectrum(args, run: ResolvedRun):
     deltas, chi, alpha = optics.sweep(run.backend, run.material, run.drives,
                                       run.grid)
-    csv_path = os.path.join(args.out, "spectrum.csv")
-    _write_atomic(csv_path, optics.spectrum_to_csv(deltas, chi, alpha))
+    _write_atomic(os.path.join(args.out, "spectrum.csv"),
+                  optics.spectrum_to_csv(deltas, chi, alpha))
 
     peak = optics.peak_index(alpha)
     covers_zero = deltas[0] <= 0.0 <= deltas[-1]
@@ -220,20 +200,16 @@ def cmd_spectrum(args, run: ResolvedRun) -> int:
         "alpha_at_zero_per_m": alpha_zero,
         "backend": run.backend,
     }
-    summary_path = _write_summary(args.out, "spectrum", run.canonical,
-                                  headline, ["spectrum.csv"], started)
     print(f"spectrum: {run.backend} backend, {len(deltas)} points in "
           f"[{deltas[0]:g}, {deltas[-1]:g}] rad/s")
     print(f"  peak alpha = {alpha[peak]:.6g} 1/m at "
           f"delta = {deltas[peak]:.6g} rad/s")
     if alpha_zero is not None:
         print(f"  alpha(0) = {alpha_zero:.6g} 1/m")
-    print(f"  wrote {csv_path} and {summary_path}")
-    return EXIT_OK
+    return EXIT_OK, headline, ["spectrum.csv"]
 
 
-def cmd_window(args, run: ResolvedRun) -> int:
-    started = time.perf_counter()
+def cmd_window(args, run: ResolvedRun):
     mat = run.material
     # Reference: resonant absorption with the coupling switched off, so
     # the full backend's window never meets the closed form's rate bound.
@@ -257,8 +233,8 @@ def cmd_window(args, run: ResolvedRun) -> int:
     width_hz = width / TWO_PI
     threshold = 0.5 * reference
 
-    canonical = copy.deepcopy(run.canonical)
-    canonical["grid"] = {
+    # The summary echoes the grid the sweep ran on.
+    run.canonical["grid"] = {
         "delta_min_rad_s": float(grid.delta_min),
         "delta_max_rad_s": float(grid.delta_max),
         "points_count": int(grid.points),
@@ -274,8 +250,6 @@ def cmd_window(args, run: ResolvedRun) -> int:
         "closed_form_width_rad_s": width_estimate,
         "backend": run.backend,
     }
-    summary_path = _write_summary(args.out, "window", canonical, headline,
-                                  [], started)
     if window is not None:
         print(f"window: width = {width:.6g} rad/s "
               f"({width_hz:.6g} Hz)")
@@ -288,12 +262,10 @@ def cmd_window(args, run: ResolvedRun) -> int:
     else:
         print("window: no transparency window (resonant absorption is above "
               "half the reference)")
-    print(f"  wrote {summary_path}")
-    return EXIT_OK
+    return EXIT_OK, headline, []
 
 
-def cmd_vg(args, run: ResolvedRun) -> int:
-    started = time.perf_counter()
+def cmd_vg(args, run: ResolvedRun):
     delta0 = run.drives.probe_detuning
     vg = optics.group_velocity(run.backend, run.material, run.drives, delta0)
     group_index = optics.C_LIGHT / vg
@@ -307,43 +279,31 @@ def cmd_vg(args, run: ResolvedRun) -> int:
         "anomalous_dispersion": anomalous,
         "backend": run.backend,
     }
-    summary_path = _write_summary(args.out, "vg", run.canonical, headline,
-                                  [], started)
     print(f"vg: {vg:.6g} m/s (group index {group_index:.6g}) at "
           f"delta = {delta0:g} rad/s [{run.backend} backend]")
     if anomalous:
         print("  warning: anomalous dispersion (group index < 1); the "
               "envelope velocity is not a propagation speed here")
-    print(f"  wrote {summary_path}")
-    return EXIT_OK
+    return EXIT_OK, headline, []
 
 
-def cmd_validate(args, run: ResolvedRun) -> int:
-    started = time.perf_counter()
+def cmd_validate(args, run: ResolvedRun):
     report = validation.validate_reduction(
         run.material, run.drives, optics.grid_values(run.grid),
         analytic_gamma52_factor=run.validate_fault_factor)
     passed = report["max_rel_dev_chi_im"] < run.validate_max_dev
     headline = {**report, "threshold_rel": run.validate_max_dev,
                 "passed": passed}
-    summary_path = _write_summary(args.out, "validate", run.canonical,
-                                  headline, [], started)
     print(f"validate: max chi_im deviation = "
           f"{report['max_rel_dev_chi_im']:.4%} over "
           f"{report['n_compared']}/{report['n_grid']} points "
           f"(threshold {run.validate_max_dev:.4%})")
     print(f"  worst at delta = {report['worst_delta_rad_s']:.6g} rad/s; "
           f"chi_re deviation = {report['max_rel_dev_chi_re']:.4%}")
-    print(f"  wrote {summary_path}")
-    if not passed:
-        print("validation failure: full model deviates from the three-level "
-              "closed form beyond the threshold", file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return (EXIT_OK if passed else EXIT_VALIDATION), headline, []
 
 
-def cmd_evolve(args, run: ResolvedRun) -> int:
-    started = time.perf_counter()
+def cmd_evolve(args, run: ResolvedRun):
     gen = optics.generator(run.material, run.drives,
                            run.drives.probe_detuning)
     times, rho, max_trace_dev, max_herm_dev = bloch.evolve(
@@ -353,8 +313,7 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
     header = "t_s," + ",".join(f"rho{i}{i}" for i in range(1, N_LEVELS + 1)) \
         + ",abs_rho52"
     pops = np.diagonal(rho, axis1=1, axis2=2).real
-    csv_path = os.path.join(args.out, "evolve.csv")
-    _write_atomic(csv_path, optics.csv_text(
+    _write_atomic(os.path.join(args.out, "evolve.csv"), optics.csv_text(
         header, (times.tolist(), *pops.T.tolist(),
                  np.abs(rho[:, 4, 1]).tolist())))
 
@@ -367,16 +326,13 @@ def cmd_evolve(args, run: ResolvedRun) -> int:
         "max_trace_dev": max_trace_dev,
         "max_herm_dev": max_herm_dev,
     }
-    summary_path = _write_summary(args.out, "evolve", run.canonical, headline,
-                                  ["evolve.csv"], started)
     final = ", ".join(f"{p:.6g}" for p in pops[-1])
     print(f"evolve: {samples} samples to "
           f"t = {run.evolve_t_end:g} s")
     print(f"  final populations = [{final}]")
     print(f"  max trace drift = {max_trace_dev:.3e}, "
           f"max hermiticity drift = {max_herm_dev:.3e}")
-    print(f"  wrote {csv_path} and {summary_path}")
-    return EXIT_OK
+    return EXIT_OK, headline, ["evolve.csv"]
 
 
 def _gamma_note(mat, upper: int, lower: int) -> str:
@@ -392,8 +348,7 @@ def _gamma_note(mat, upper: int, lower: int) -> str:
             "lifetime inverses read as angular rates")
 
 
-def cmd_params(args, run: ResolvedRun) -> int:
-    started = time.perf_counter()
+def cmd_params(args, run: ResolvedRun):
     mat = run.material
     dump = {
         "rate_convention": mat.rate_convention,
@@ -416,8 +371,7 @@ def cmd_params(args, run: ResolvedRun) -> int:
                                  "(epsilon_0 * hbar)",
         },
     }
-    params_path = os.path.join(args.out, "params.json")
-    _write_atomic(params_path,
+    _write_atomic(os.path.join(args.out, "params.json"),
                   json.dumps(_jsonable(dump), indent=2, sort_keys=True) + "\n")
     headline = {
         "gamma_32_rad_s": float(mat.gamma[2][1]),
@@ -426,8 +380,6 @@ def cmd_params(args, run: ResolvedRun) -> int:
         "coupling_strength_rad_s": float(mat.coupling_strength),
         "rate_convention": mat.rate_convention,
     }
-    summary_path = _write_summary(args.out, "params", run.canonical, headline,
-                                  ["params.json"], started)
     print(f"params: rate_convention = {mat.rate_convention}")
     print(f"  gamma_32 = {mat.gamma[2][1]:.6g} rad/s   "
           f"[{dump['notes']['gamma_32']}]")
@@ -436,10 +388,12 @@ def cmd_params(args, run: ResolvedRun) -> int:
     print(f"  gamma_53 = {mat.gamma[4][2]:.6g} rad/s")
     print(f"  coupling strength = {mat.coupling_strength:.6g} rad/s, "
           f"wavelength = {mat.probe_wavelength:g} m")
-    print(f"  wrote {params_path} and {summary_path}")
-    return EXIT_OK
+    return EXIT_OK, headline, ["params.json"]
 
 
+# Each handler computes, writes its data files into args.out, prints its
+# report and returns (exit status, headline, names of the files it wrote);
+# main writes the summary and the "wrote" line.
 _HANDLERS = {
     "spectrum": cmd_spectrum,
     "window": cmd_window,
@@ -453,23 +407,39 @@ _HANDLERS = {
 def main(argv=None, load_numeric=load_numeric) -> int:
     """Run one command in this process and return its exit status.
 
-    Every command but params loads the closed form once the configuration
-    has resolved, and evolve, validate and the full backend call
-    load_numeric as well; eitsim.__main__.run passes one that also freezes
-    the import.
+    evolve, validate and the full backend call load_numeric once the
+    configuration has resolved; eitsim.__main__.run passes one that also
+    freezes the import.  Every command then runs its handler and writes
+    `<command>_summary.json`: the resolved configuration, the handler's
+    headline and files, and the handler's duration.
     """
     args = build_parser().parse_args(argv)
+    command = args.command
     try:
         os.makedirs(args.out, exist_ok=True)
         run = _resolved_run(args)
-        _refuse_aux_detuning(args.command, run)
-        if args.command != "params":
-            # numpy first, as the numeric layer imports the closed form too:
-            # all of it then loads inside the frozen import of __main__.run.
-            if not _closed_form_only(args.command, run):
-                load_numeric()
-            _load_closed_form()
-        return _HANDLERS[args.command](args, run)
+        _refuse_aux_detuning(command, run)
+        if command != "params" and not _closed_form_only(command, run):
+            load_numeric()
+        started = time.perf_counter()
+        status, headline, files = _HANDLERS[command](args, run)
+        summary = {
+            "command": command,
+            "resolved_config": _jsonable(run.canonical),
+            "headline": _jsonable(headline),
+            "output_files": files,
+            "duration_s": time.perf_counter() - started,
+        }
+        paths = [os.path.join(args.out, name)
+                 for name in (*files, f"{command}_summary.json")]
+        _write_atomic(paths[-1],
+                      json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        print(f"  wrote {' and '.join(paths)}")
+        if status == EXIT_VALIDATION:
+            print("validation failure: full model deviates from the "
+                  "three-level closed form beyond the threshold",
+                  file=sys.stderr)
+        return status
     except _CONFIG_ERRORS as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -748,6 +748,19 @@ class TestErrorStatuses:
         assert proc.returncode == 2
         assert "io error" in proc.stderr
 
+    @pytest.mark.parametrize("command, blocked", [
+        ("spectrum", "spectrum.csv"), ("vg", "vg_summary.json")])
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path, capsys,
+                                               command, blocked):
+        # a directory in the way of the rename: exit 2, and the temp file
+        # is gone with the error
+        (tmp_path / blocked).mkdir()
+        assert main([command, "--out", str(tmp_path)]) == 2
+        printed = capsys.readouterr()
+        assert printed.err.startswith("io error: ")
+        assert "wrote" not in printed.out
+        assert os.listdir(str(tmp_path)) == [blocked]
+
     def test_bad_backend_choice(self, tmp_path):
         proc = run_cli("spectrum", "--out", str(tmp_path), "--backend",
                        "turbo")
