@@ -60,7 +60,14 @@ def validate_reduction(mat: MaterialParams, drives: DriveSet, grid,
     ana_re, ana_im = ana.real, ana.imag
     full_re, full_im = full.real, full.imag
 
-    mask = ana_im >= MASK_FRACTION * ana_im.max()
+    # Each compared point divides by the closed form's chi_im, so it must be
+    # a normal float: a subnormal or zero chi_im is never compared.
+    mask = ana_im >= max(MASK_FRACTION * ana_im.max(), np.finfo(float).tiny)
+    if not mask.any():
+        raise InvalidArgumentError(
+            f"the closed-form chi_im peaks at {float(ana_im.max())!r} on this "
+            "grid, below the smallest normal float: no relative deviation "
+            "to measure")
     ana_mag = np.hypot(ana_re[mask], ana_im[mask])
     dev_im = np.abs(full_im[mask] - ana_im[mask]) / ana_im[mask]
     dev_re = np.abs(full_re[mask] - ana_re[mask]) / ana_mag

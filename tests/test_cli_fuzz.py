@@ -1,10 +1,11 @@
-"""Property: the closed-form commands end in a documented status for any
-1-3 overridden keys, with no exception or warning escaping, and a run that
-succeeds writes only finite numbers.
+"""Property: every command, on either backend, ends in a documented status
+for any 1-3 overridden keys, with no exception or warning escaping, and a
+run that writes its summary writes only finite numbers.
 
 Runs cli.main in-process; pytest's configuration turns every warning into
-an error.  grid.points_count is drawn from a bounded range only to keep the
-runtime small; every other key takes any value the strategy draws.
+an error.  grid.points_count and evolve.samples_count are drawn from
+bounded ranges only to keep the runtime small; every other key takes any
+value the strategy draws.
 """
 
 import json
@@ -15,7 +16,8 @@ import tempfile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitsim.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, main
+from eitsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
+                        main)
 
 LEVELS = range(1, 7)
 VALUE_KEYS = (
@@ -48,6 +50,11 @@ OVERRIDE = st.one_of(
     st.tuples(st.sampled_from(VALUE_KEYS), VALUES),
     st.tuples(st.just(POINTS_KEY), st.integers(-2, 2001)),
 )
+EVOLVE_OVERRIDE = st.one_of(
+    OVERRIDE,
+    st.tuples(st.just("evolve.t_end_s"), VALUES),
+    st.tuples(st.just("evolve.samples_count"), st.integers(-2, 201)),
+)
 
 
 def non_finite_numbers(node, path=()):
@@ -78,19 +85,40 @@ def assert_outputs_finite(out_dir):
 
 COMMANDS = st.sampled_from(["params", "spectrum", "window", "vg"])
 OVERRIDES = st.lists(OVERRIDE, min_size=1, max_size=3)
+SIX_LEVEL_COMMANDS = st.sampled_from(["spectrum", "window", "vg"])
 
 
-def check_run(command, overrides):
+def check_run(argv, overrides, statuses=(EXIT_OK, EXIT_CONFIG, EXIT_SOLVER)):
     sets = [arg for key, value in overrides
             for arg in ("--set", f"{key}={value!r}")]
     with tempfile.TemporaryDirectory() as out:
-        status = main([command, "--out", out, *sets])
-        assert status in (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER)
-        if status == EXIT_OK:
+        status = main([*argv, "--out", out, *sets])
+        assert status in statuses
+        if status in (EXIT_OK, EXIT_VALIDATION):
             assert_outputs_finite(out)
 
 
 @settings(max_examples=150, deadline=None)
 @given(command=COMMANDS, overrides=OVERRIDES)
 def test_closed_form_commands_end_in_a_documented_status(command, overrides):
-    check_run(command, overrides)
+    check_run([command], overrides)
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=SIX_LEVEL_COMMANDS, overrides=OVERRIDES)
+def test_full_backend_commands_end_in_a_documented_status(command,
+                                                          overrides):
+    check_run([command, "--backend", "full"], overrides)
+
+
+@settings(max_examples=100, deadline=None)
+@given(overrides=OVERRIDES)
+def test_validate_ends_in_a_documented_status(overrides):
+    check_run(["validate"], overrides,
+              (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_VALIDATION))
+
+
+@settings(max_examples=100, deadline=None)
+@given(overrides=st.lists(EVOLVE_OVERRIDE, min_size=1, max_size=3))
+def test_evolve_ends_in_a_documented_status(overrides):
+    check_run(["evolve"], overrides)

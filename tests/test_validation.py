@@ -79,6 +79,15 @@ class TestInputs:
         with pytest.raises(InvalidArgumentError):
             validate_reduction(MAT, EIT_DRIVES, [])
 
+    @pytest.mark.parametrize("coupling", [1e165, 1e166])
+    def test_chi_im_below_the_normal_range_is_refused(self, coupling):
+        # (Omega_c/2)^2 ~ 1e331 puts the closed form's chi_im at 1.3e-322
+        # (subnormal) or 0 over the whole grid: nothing a relative
+        # deviation could divide by
+        with pytest.raises(InvalidArgumentError,
+                           match="below the smallest normal float"):
+            validate_reduction(MAT, DriveSet(1.5e3, coupling, 1.5e6), GRID)
+
     def test_as_dict_round_trip(self, tmp_path):
         # the default validate run writes the report, field for field, into
         # its summary headline, next to the threshold and the verdict
