@@ -81,7 +81,7 @@ class TestInputs:
 
     @pytest.mark.parametrize("coupling", [1e165, 1e166])
     def test_chi_im_below_the_normal_range_is_refused(self, coupling):
-        # (Omega_c/2)^2 ~ 1e331 puts the closed form's chi_im at 1.3e-322
+        # (Omega_c/2)^2 ~ 1e330 puts the closed form's chi_im at 1.3e-322
         # (subnormal) or 0 over the whole grid: nothing a relative
         # deviation could divide by
         with pytest.raises(InvalidArgumentError,
