@@ -13,8 +13,11 @@ and import with this module.  numpy and the six-level model (the numeric
 layer: bloch, validation) load through load_numeric, the one lazy import,
 only for `evolve`, `validate` and the full backend.  So `params`, `--help`,
 every configuration error and the analytic `spectrum`, `window` and `vg`
-run without numpy.  Reading a numeric name from this module
-(`eitsim.cli.bloch`, say) loads the numeric layer too (PEP 562).
+run without numpy.
+
+`--jobs N` is accepted (N >= 1) and does nothing: every sweep is one
+batched call in one thread.  It names no configuration key and stays only
+while perfbench's sweep-full workload passes it.
 """
 
 import argparse
@@ -40,9 +43,6 @@ from .materials import N_LEVELS
 # Nothing above loads numpy, and everything below loads it after this.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# The names load_numeric binds in this module.
-_NUMERIC_NAMES = ("np", "bloch", "validation")
-
 
 def load_numeric() -> None:
     """Import numpy and the numeric layer into this module's namespace.
@@ -53,13 +53,6 @@ def load_numeric() -> None:
         return
     import numpy as np
     from . import bloch, validation
-
-
-def __getattr__(name):
-    if name not in _NUMERIC_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    load_numeric()
-    return globals()[name]
 
 
 EXIT_OK = 0
@@ -92,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", choices=("analytic", "full"),
                         help="shortcut for --set backend=...")
     common.add_argument("--jobs", type=int, metavar="N",
-                        help="shortcut for --set jobs_count=N, a legacy "
-                             "key: accepted (N >= 1) but has no effect")
+                        help="accepted (N >= 1) but has no effect; kept "
+                             "only while the benchmark passes it")
 
     parser = argparse.ArgumentParser(
         prog="eitsim",
@@ -124,8 +117,8 @@ def _resolved_run(args) -> ResolvedRun:
     sets = list(args.sets)
     if args.backend is not None:
         sets.append(f"backend={args.backend}")
-    if args.jobs is not None:
-        sets.append(f"jobs_count={args.jobs}")
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"option '--jobs' must be >= 1, got {args.jobs}")
     return resolve(apply_overrides(doc, sets))
 
 

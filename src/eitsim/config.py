@@ -44,7 +44,6 @@ CHOICES = {
 # Every numeric key, spelled in the internal units it is stored in.  The
 # symmetric dephasing pairs are spelled upper level first.
 NUMERIC_KEYS = (
-    "jobs_count",
     "material.number_density_per_m3", "material.probe_dipole_c_m",
     "material.probe_wavelength_m",
     *(f"material.lifetime_{i}_s" for i in _LEVELS),
@@ -56,8 +55,6 @@ NUMERIC_KEYS = (
       for field in ("probe", "coupling", "aux")),
     "grid.delta_min_rad_s", "grid.delta_max_rad_s", "grid.points_count",
     "evolve.t_end_s", "evolve.samples_count",
-    "solver.tol_rel", "solver.max_steps_count",
-    "vg.fd_step_rad_s",
     "validate.max_dev_rel", "validate.fault_gamma52_factor",
 )
 # Accepted spelling -> (canonical key, factor to internal units).  Every
@@ -75,21 +72,15 @@ SPELLINGS = {
 SECTIONS = frozenset(key.partition(".")[0] for key in (*CHOICES, *NUMERIC_KEYS)
                      if "." in key)
 
-# Legacy keys: parsed, range-checked (when present) and echoed into
-# `canonical` so that older configurations and summaries replay byte for
-# byte, but read by nothing.  path -> (minimum, maximum).
-LEGACY_KEYS = {
-    "jobs_count": (1, math.inf),
-    "solver.tol_rel": (1e-12, 1e-3),
-    "solver.max_steps_count": (-math.inf, math.inf),
-    "vg.fd_step_rad_s": (math.ulp(0.0), math.inf),  # > 0
-}
+# Keys and sections of older documents that no run reads: a thread count,
+# the integrator's tolerance and step cap, and the group velocity's
+# finite-difference step.  Naming one, in any spelling, is an error.
+RETIRED = ("jobs_count", "solver", "vg")
 
 
 def default_document() -> dict:
     return {
         "backend": "analytic",
-        "jobs_count": 1,
         "conventions": {
             "rate_convention": "cyclic",
             "rabi_convention": "angular",
@@ -126,11 +117,6 @@ def default_document() -> dict:
             "samples_count": 201,
             "initial_state": "mixed",
         },
-        "solver": {
-            "tol_rel": 1e-9,
-            "max_steps_count": 20_000_000,
-        },
-        "vg": {},  # holds the legacy fd_step_rad_s when one is given
         "validate": {
             "max_dev_rel": 0.02,
             "fault_gamma52_factor": 1.0,
@@ -228,6 +214,13 @@ def _check_number(path: str, value):
 def _entries(doc: dict):
     """Yield (path, value) for every key, one section deep."""
     for key, value in doc.items():
+        if key in RETIRED:
+            named = key
+            if isinstance(value, dict) and value:
+                named = f"{key}.{next(iter(value))}"
+            raise ConfigError(
+                f"config key '{named}' had no effect and is no longer "
+                f"accepted; delete '{key}' from the document")
         if key in SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section '{key}' must be an object")
@@ -297,12 +290,6 @@ def resolve(doc: dict) -> ResolvedRun:
     g = canonical["grid"]
     grid = GridSpec(g["delta_min_rad_s"], g["delta_max_rad_s"],
                     g["points_count"])
-    for path, (low, high) in LEGACY_KEYS.items():
-        section, _, key = path.rpartition(".")
-        node = canonical[section] if section else canonical
-        if key in node and not low <= node[key] <= high:
-            raise ConfigError(
-                f"config key '{path}' must lie in [{low:g}, {high:g}]")
     if canonical["evolve"]["samples_count"] < 2:
         raise ConfigError("config key 'evolve.samples_count' must be >= 2")
     if canonical["validate"]["max_dev_rel"] <= 0:

@@ -86,8 +86,7 @@ class TestSpectrum:
     def test_summary_config_round_trips(self, tmp_path):
         out = str(tmp_path)
         run_cli("spectrum", "--out", out,
-                "--set", "drives.probe_detuning_hz=250.0",
-                "--set", "jobs_count=2")
+                "--set", "drives.probe_detuning_hz=250.0")
         echoed = read_summary(out, "spectrum")["resolved_config"]
         again = resolve(echoed).canonical
         assert json.dumps(again, sort_keys=True) == \
@@ -261,20 +260,29 @@ class TestVg:
         assert headline["vg_m_s"] == pytest.approx(VG_AT_DEFAULTS, rel=1e-15)
         assert headline["vg_m_s"] < 50.0
 
-    @pytest.mark.parametrize("fd_step", [62.83201015142855, 100.0])
-    def test_summary_with_legacy_step_replays(self, tmp_path, fd_step):
-        # the resolved_config of a vg summary written while the step was
-        # read: the defaults plus the step, autofilled as gamma32 / 100 or
-        # set by the user
-        written = default_document()
-        written["vg"]["fd_step_rad_s"] = fd_step
+    @pytest.mark.parametrize("fd_step", [None, 62.83201015142855, 100.0])
+    def test_summary_with_legacy_step_replays(self, tmp_path, fd_step,
+                                              capsys):
+        # the resolved_config of a vg summary written while the retired
+        # keys were accepted: the defaults of then, plus the step when it
+        # was read (autofilled as gamma32 / 100 or set by the user)
+        current = default_document()
+        written = {**current, "jobs_count": 1,
+                   "solver": {"tol_rel": 1e-9, "max_steps_count": 20_000_000},
+                   "vg": {} if fd_step is None
+                   else {"fd_step_rad_s": fd_step}}
         config = tmp_path / "written.json"
-        config.write_text(json.dumps(written), encoding="utf-8")
         out = str(tmp_path / "replay")
-        proc = run_cli("vg", "--out", out, "--config", str(config))
-        assert proc.returncode == 0, proc.stderr
+        config.write_text(json.dumps(written), encoding="utf-8")
+        assert main(["vg", "--out", out, "--config", str(config)]) == 2
+        assert "'jobs_count' had no effect" in capsys.readouterr().err
+        # it replays once those three entries are deleted
+        for key in ("jobs_count", "solver", "vg"):
+            del written[key]
+        config.write_text(json.dumps(written), encoding="utf-8")
+        assert main(["vg", "--out", out, "--config", str(config)]) == 0
         summary = read_summary(out, "vg")
-        assert summary["resolved_config"] == written
+        assert summary["resolved_config"] == current
         assert summary["headline"]["vg_m_s"] == VG_AT_DEFAULTS
 
     def test_full_backend_zero_probe_is_a_config_error(self, tmp_path):

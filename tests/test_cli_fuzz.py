@@ -1,6 +1,7 @@
 """Property: every command, on either backend, ends in a documented status
-for any 1-3 overridden keys, with no exception or warning escaping, and a
-run that writes its summary writes only finite numbers.
+for any 1-3 overridden keys, with or without `--jobs N`, with no exception
+or warning escaping, and a run that writes its summary writes only finite
+numbers.  `--jobs` below 1 is a configuration error.
 
 Runs cli.main in-process; pytest's configuration turns every warning into
 an error.  grid.points_count and evolve.samples_count are drawn from
@@ -86,39 +87,47 @@ def assert_outputs_finite(out_dir):
 COMMANDS = st.sampled_from(["params", "spectrum", "window", "vg"])
 OVERRIDES = st.lists(OVERRIDE, min_size=1, max_size=3)
 SIX_LEVEL_COMMANDS = st.sampled_from(["spectrum", "window", "vg"])
+JOBS = st.one_of(st.none(), st.integers(-2, 8))
 
 
-def check_run(argv, overrides, statuses=(EXIT_OK, EXIT_CONFIG, EXIT_SOLVER)):
+def check_run(argv, overrides, jobs,
+              statuses=(EXIT_OK, EXIT_CONFIG, EXIT_SOLVER)):
     sets = [arg for key, value in overrides
             for arg in ("--set", f"{key}={value!r}")]
+    if jobs is not None:
+        sets += ["--jobs", str(jobs)]
     with tempfile.TemporaryDirectory() as out:
         status = main([*argv, "--out", out, *sets])
         assert status in statuses
+        if jobs is not None and jobs < 1:
+            assert status == EXIT_CONFIG
         if status in (EXIT_OK, EXIT_VALIDATION):
             assert_outputs_finite(out)
 
 
 @settings(max_examples=150, deadline=None)
-@given(command=COMMANDS, overrides=OVERRIDES)
-def test_closed_form_commands_end_in_a_documented_status(command, overrides):
-    check_run([command], overrides)
+@given(command=COMMANDS, overrides=OVERRIDES, jobs=JOBS)
+def test_closed_form_commands_end_in_a_documented_status(command, overrides,
+                                                         jobs):
+    check_run([command], overrides, jobs)
 
 
 @settings(max_examples=100, deadline=None)
-@given(command=SIX_LEVEL_COMMANDS, overrides=OVERRIDES)
+@given(command=SIX_LEVEL_COMMANDS, overrides=OVERRIDES, jobs=JOBS)
 def test_full_backend_commands_end_in_a_documented_status(command,
-                                                          overrides):
-    check_run([command, "--backend", "full"], overrides)
+                                                          overrides, jobs):
+    check_run([command, "--backend", "full"], overrides, jobs)
 
 
 @settings(max_examples=100, deadline=None)
-@given(overrides=OVERRIDES)
-def test_validate_ends_in_a_documented_status(overrides):
-    check_run(["validate"], overrides,
+@given(overrides=OVERRIDES, jobs=JOBS)
+def test_validate_ends_in_a_documented_status(overrides, jobs):
+    check_run(["validate"], overrides, jobs,
               (EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_VALIDATION))
 
 
 @settings(max_examples=100, deadline=None)
-@given(overrides=st.lists(EVOLVE_OVERRIDE, min_size=1, max_size=3))
-def test_evolve_ends_in_a_documented_status(overrides):
-    check_run(["evolve"], overrides)
+@given(overrides=st.lists(EVOLVE_OVERRIDE, min_size=1, max_size=3),
+       jobs=JOBS)
+def test_evolve_ends_in_a_documented_status(overrides, jobs):
+    check_run(["evolve"], overrides, jobs)

@@ -7,12 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from eitsim.config import (CHOICES, LEGACY_KEYS, SPELLINGS, ResolvedRun,
-                           apply_overrides, default_document, load_document,
-                           pryso_defaults, resolve)
+from eitsim.cli import EXIT_CONFIG, main
+from eitsim.config import (CHOICES, RETIRED, SPELLINGS, apply_overrides,
+                           default_document, load_document, pryso_defaults,
+                           resolve)
 from eitsim.constants import TWO_PI
 from eitsim.errors import ConfigError
 from eitsim.optics import initial_state
+
+from test_pinned_outputs import output_digests
 
 
 def resolve_with(*assignments):
@@ -24,7 +27,6 @@ class TestDefaults:
     def test_default_resolution(self):
         run = resolve(default_document())
         assert run.backend == "analytic"
-        assert run.canonical["jobs_count"] == 1
         assert run.drives.probe_rabi == 1.5e3
         assert run.drives.coupling_rabi == 1.5e6
         assert run.drives.aux_rabi == 1.5e6
@@ -35,8 +37,6 @@ class TestDefaults:
         assert run.evolve_t_end == 10e-3
         assert run.evolve_samples == 201
         assert run.evolve_initial == "mixed"
-        assert run.canonical["solver"] == {"tol_rel": 1e-9,
-                                           "max_steps_count": 20_000_000}
         assert run.validate_max_dev == 0.02
         assert run.validate_fault_factor == 1.0
 
@@ -141,12 +141,10 @@ class TestDephasingPairOrder:
 # (canonical key, factor under the angular and the cyclic rabi_convention).
 _LEVEL_NUMBERS = range(1, 7)
 _ANGULAR = ("drives.probe_detuning", "drives.coupling_detuning",
-            "drives.aux_detuning", "grid.delta_min", "grid.delta_max",
-            "vg.fd_step")
+            "drives.aux_detuning", "grid.delta_min", "grid.delta_max")
 _RABI = ("drives.probe_rabi", "drives.coupling_rabi", "drives.aux_rabi")
 _AS_IS = (
-    "jobs_count", "grid.points_count", "evolve.samples_count",
-    "solver.max_steps_count", "solver.tol_rel", "evolve.t_end_s",
+    "grid.points_count", "evolve.samples_count", "evolve.t_end_s",
     "validate.max_dev_rel", "validate.fault_gamma52_factor",
     "material.number_density_per_m3", "material.probe_dipole_c_m",
     "material.probe_wavelength_m",
@@ -197,8 +195,6 @@ class TestSpellingCoverage:
         for spelling, (canon, angular, cyclic) in EXPECTED_SPELLINGS.items():
             if spelling.endswith("_count"):
                 value, expected_type = 7, int
-            elif spelling == "solver.tol_rel":
-                value, expected_type = 1e-6, float
             else:
                 value, expected_type = 1000.0, float
             doc, value = _spelling_document(spelling, value, convention)
@@ -233,7 +229,6 @@ class TestSpellingCoverage:
 _T1_4 = 1.0 / 164e-6
 RICH_DOCUMENT = {
     "backend": "full",
-    "jobs_count": 2,
     "conventions": {"rabi_convention": "cyclic", "rate_convention": "angular"},
     "material": {"lifetime_5_s": 82e-6, "dephasing_25_hz": 7e3,
                  "dephasing_41_hz": 50.0,
@@ -245,13 +240,10 @@ RICH_DOCUMENT = {
     "grid": {"delta_min_hz": -1e6, "points_count": 11.0},
     "evolve": {"t_end_s": 1e-3, "samples_count": 5,
                "initial_state": "level_2"},
-    "solver": {"tol_rel": 1e-7},
-    "vg": {"fd_step_hz": 10.0},
     "validate": {"max_dev_rel": 0.05},
 }
 RICH_RESOLVED = {
     "backend": "full",
-    "jobs_count": 2,
     "conventions": {"rate_convention": "angular",
                     "rabi_convention": "cyclic"},
     "material": {
@@ -284,8 +276,6 @@ RICH_RESOLVED = {
              "delta_max_rad_s": 20000000.0, "points_count": 11},
     "evolve": {"t_end_s": 0.001, "samples_count": 5,
                "initial_state": "level_2"},
-    "solver": {"tol_rel": 1e-07, "max_steps_count": 20000000},
-    "vg": {"fd_step_rad_s": 62.83185307179586},
     "validate": {"max_dev_rel": 0.05, "fault_gamma52_factor": 1.0},
 }
 
@@ -382,13 +372,9 @@ class TestRejection:
 
     def test_range_checks(self):
         with pytest.raises(ConfigError):
-            resolve_with("jobs_count=0")
-        with pytest.raises(ConfigError):
             resolve_with("evolve.samples_count=1")
         with pytest.raises(ConfigError):
             resolve_with("validate.max_dev_rel=0.0")
-        with pytest.raises(ConfigError):
-            resolve_with("vg.fd_step_rad_s=-1.0")
         with pytest.raises(ConfigError):
             resolve_with("drives.probe_rabi_rad_s=-1.0")
         with pytest.raises(ConfigError):
@@ -397,55 +383,38 @@ class TestRejection:
             resolve_with("grid.delta_min_rad_s=1.0", "grid.delta_max_rad_s=0.0")
 
 
+# Each retired key, spelling and section, and --jobs below 1: what the
+# error names -> the arguments that set it.
+RETIRED_ARGV = {
+    "jobs_count": ["--set", "jobs_count=2"],
+    "solver.tol_rel": ["--set", "solver.tol_rel=1e-7"],
+    "solver.max_steps_count": ["--set", "solver.max_steps_count=10"],
+    "vg.fd_step_rad_s": ["--set", "vg.fd_step_rad_s=100.0"],
+    "vg.fd_step_hz": ["--set", "vg.fd_step_hz=10.0"],
+    "vg": ["--set", "vg={}"],
+    "--jobs": ["--jobs", "0"],
+}
+
+
 class TestLegacyKeys:
-    def test_tol_rel_range_enforced(self):
-        for bad in ("1e-13", "1e-2"):
-            with pytest.raises(ConfigError, match=r"'solver\.tol_rel' must "
-                                                  r"lie in \[1e-12, 0\.001\]"):
-                resolve_with(f"solver.tol_rel={bad}")
-        for edge in (1e-12, 1e-3):
-            assert resolve_with(f"solver.tol_rel={edge!r}") \
-                .canonical["solver"]["tol_rel"] == edge
-
-    def test_parsed_and_echoed_but_not_resolved(self):
-        run = resolve_with("jobs_count=3", "solver.tol_rel=1e-7",
-                           "solver.max_steps_count=10",
-                           "vg.fd_step_rad_s=100.0")
-        assert run.canonical["jobs_count"] == 3
-        assert run.canonical["solver"] == {"tol_rel": 1e-7,
-                                           "max_steps_count": 10}
-        assert run.canonical["vg"] == {"fd_step_rad_s": 100.0}
-        assert set(LEGACY_KEYS) == {"jobs_count", "solver.tol_rel",
-                                    "solver.max_steps_count",
-                                    "vg.fd_step_rad_s"}
-        assert set(LEGACY_KEYS) <= run.user_set
-        fields = set(ResolvedRun._fields)
-        assert not {f for f in fields if "jobs" in f or "tol" in f
-                    or "max_steps" in f or "fd_step" in f}
-
     def test_fd_step_not_filled_in_by_default(self):
-        run = resolve(default_document())
-        assert run.canonical["vg"] == {}
-        assert "vg.fd_step_rad_s" not in run.user_set
+        # nor any other retired key or section
+        for doc in (default_document(), resolve({}).canonical):
+            assert not set(RETIRED) & set(doc)
 
-    def test_fd_step_unit_and_range_checked(self):
-        run = resolve_with("vg.fd_step_hz=10.0")
-        assert run.canonical["vg"] == {"fd_step_rad_s": TWO_PI * 10.0}
-        assert "vg.fd_step_rad_s" in run.user_set
-        for bad in ("0.0", "-1.0"):
-            with pytest.raises(ConfigError,
-                               match=r"'vg\.fd_step_rad_s' must lie in"):
-                resolve_with(f"vg.fd_step_rad_s={bad}")
-        with pytest.raises(ConfigError, match="different units"):
-            resolve_with("vg.fd_step_hz=10.0", "vg.fd_step_rad_s=1.0")
+    @pytest.mark.parametrize("named", RETIRED_ARGV)
+    def test_retired_key_exits_2_naming_it(self, named, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["params", "--out", str(out), *RETIRED_ARGV[named]]) \
+            == EXIT_CONFIG
+        assert f"'{named}'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
-    def test_types_checked_as_before(self):
-        for bad in ("jobs_count=1.5", "solver.max_steps_count=2.5",
-                    'solver.tol_rel="tight"', "jobs_count=true"):
-            with pytest.raises(ConfigError):
-                resolve_with(bad)
-        with pytest.raises(ConfigError, match="unknown config key"):
-            resolve_with("solver.tol_abs=1e-9")
+    def test_jobs_do_not_change_results(self, tmp_path):
+        plain, jobs = tmp_path / "plain", tmp_path / "jobs"
+        assert main(["spectrum", "--out", str(plain)]) == 0
+        assert main(["spectrum", "--out", str(jobs), "--jobs", "2"]) == 0
+        assert output_digests(str(plain)) == output_digests(str(jobs))
 
 
 class TestMaterialOverrides:
@@ -493,7 +462,7 @@ class TestCanonicalEcho:
                            "drives.probe_rabi_hz=200.0",
                            "material.lifetime_5_s=82e-6",
                            "backend=full",
-                           "jobs_count=4")
+                           "grid.points_count=11")
         first = json.dumps(run.canonical, sort_keys=True)
         again = resolve(run.canonical)
         assert json.dumps(again.canonical, sort_keys=True) == first
@@ -504,10 +473,10 @@ class TestCanonicalEcho:
         assert run.canonical["drives"]["probe_rabi_rad_s"] == 200.0
 
     def test_user_set_records_canonical_paths(self):
-        run = resolve_with("drives.probe_detuning_hz=250.0", "jobs_count=4",
-                           "backend=full")
+        run = resolve_with("drives.probe_detuning_hz=250.0",
+                           "evolve.samples_count=5", "backend=full")
         assert "drives.probe_detuning_rad_s" in run.user_set
-        assert "jobs_count" in run.user_set
+        assert "evolve.samples_count" in run.user_set
         assert "backend" in run.user_set
         assert "grid.points_count" not in run.user_set
 

@@ -11,7 +11,7 @@ from eitsim import bloch, optics, states
 from eitsim.bloch import (DEGENERACY_TOL, PROBE_DRIFT, build_hamiltonian,
                           build_liouvillian, steady_state_slope,
                           steady_states)
-from eitsim.config import apply_overrides, pryso_defaults, resolve
+from eitsim.config import pryso_defaults
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
                            DivergentVelocityError, InvalidArgumentError,
@@ -318,16 +318,6 @@ class TestSweep:
                                  GridSpec(-2e7, 2e7, 101))
         assert deltas[np.argmax(alpha)] == 0.0
 
-    def test_jobs_do_not_change_results(self):
-        # jobs_count is a legacy key: it is echoed, and reaches no sweep
-        one, four = (resolve(apply_overrides({}, [f"jobs_count={jobs}",
-                                                  "backend=full"]))
-                     for jobs in (1, 4))
-        assert four.canonical["jobs_count"] == 4
-        spectra = [sweep(run.backend, run.material, run.drives,
-                         GridSpec(-2e7, 2e7, 41)) for run in (one, four)]
-        assert spectrum_to_csv(*spectra[0]) == spectrum_to_csv(*spectra[1])
-
     def test_repeated_sweep_is_bit_identical(self):
         grid = GridSpec(-2e7, 2e7, 31)
         a = sweep("full", MAT, EIT_DRIVES, grid)
@@ -345,7 +335,6 @@ class TestSweep:
     def test_backend_and_jobs_validation(self):
         with pytest.raises(ConfigError):
             sweep("exact", MAT, EIT_DRIVES, GridSpec(-1.0, 1.0, 3))
-        # jobs_count is a legacy config key (range-checked in config);
         # the sweep takes no jobs
         with pytest.raises(TypeError):
             sweep("analytic", MAT, EIT_DRIVES, GridSpec(-1.0, 1.0, 3), jobs=1)

@@ -24,51 +24,51 @@ PINNED = {
         "spectrum.csv":
             "5e60e1404eac81b8dcbf87d0e81733ec011ee8669158ec64b69f856a6e45ffa5",
         "spectrum_summary.json":
-            "aa00d2d8d96a2fda9d62a874881a1bb2b9f2db9e447146dbbd4af588d170ab71",
+            "8d96c6c87b3bbde352d1da8e99d37670dd7c7df0b1e6fb8ed4412c28841259e6",
     },
     ("window",): {
         "window_summary.json":
-            "c8a39b7a00b6a99851b2050d923eabb47532009639d2de33fded9a49ffef40a0",
+            "5cecbcc03ea4a25dd3eb30663ca7d401ecf4f963bbc8ac8327dd26f57c7bb098",
     },
     ("vg",): {
         "vg_summary.json":
-            "a9f7e83cf00e7eee7313b281cadaac353a0a08150ac0597a924a8024bf298dc0",
+            "93408dc619699644d35808782828374f27f1d8147d1f64477df00821187bf7c0",
     },
     ("validate",): {
         "validate_summary.json":
-            "af3fdfd3448ed6521b74089d5df033b44b106856aa7837e2e5ea44e5d762d52f",
+            "03332055c669ecdc9bd4d49567d4c85da149d90803041e0a07806d4b62afcf22",
     },
     ("evolve",): {
         "evolve.csv":
             "a4ea54c7b73da5c3b938a1cdf779088c583aae72abc3c804d0dd94bbdf734688",
         "evolve_summary.json":
-            "833e58a672f2e7ec8b6c840b555e58378056f27dbae8491dcfa0c2d234e145e0",
+            "ecfb44cb00c1172989581303be7f946f3f5816bfad285518dfcc3cb3fa421069",
     },
     ("params",): {
         "params.json":
             "3ff36adfad5e548740ed50f2698c336f904f713876918c6e66131a4e1d374032",
         "params_summary.json":
-            "6967992f9473261f3147ddd39abd0ce4b2da8ebfea37786dda5b158891668bd8",
+            "99d3eace5e5ea8f93dafea4a55787edc2ca7bfed3ec430c948d6e473cbd1b875",
     },
     ("spectrum", "--backend", "full"): {
         "spectrum.csv":
             "90a232f185fcce2ac11aa8ce6690a5863306d46b234bad79791497faa8765a08",
         "spectrum_summary.json":
-            "4010f832c01a1a5f45608add3dfb0cdb579743b52ae3d70b7385f52e6b642701",
+            "471e1c06eef7985cbcd0d6f77fd1e9c6dfa9061b31200249d6de582e3b03c927",
     },
     ("window", "--backend", "full"): {
         "window_summary.json":
-            "700680bcf0433c9408150cd7940f6323ba41e0bc3042e78e462a42d5c2e6297e",
+            "ae8307df5028e208e50e6e6562271eae055e80c5e6464b5df8eee119c872169c",
     },
     ("vg", "--backend", "full"): {
         "vg_summary.json":
-            "cdf8e5374af5520ea5701a5e4c78ea10c1f0d55416a9aa607660572f973853c5",
+            "215cf4cbbd0f044797f25a93ca83d6ab5c2192b5777aa69d63ddae3be7a60956",
     },
     ("evolve", "--set", "evolve.initial_state=level_5"): {
         "evolve.csv":
             "d3b3f829d34d18264626646c46a4e5e65bce6103d732f18a0c5351c00be51cfa",
         "evolve_summary.json":
-            "7837a95e5ba52f8e8dc3ffd110d29924d3c5507b940e10a84697414d5e9e998b",
+            "26b121bbde1fb7c32db8d51e6b936a61a22621653eb7890c9a2edced1b9ec065",
     },
     # Detuned fields: every level's rotating-frame phase is nonzero.
     ("evolve", "--set", "drives.probe_detuning_rad_s=2e5",
@@ -77,7 +77,7 @@ PINNED = {
         "evolve.csv":
             "6da0c18e965ac341e1d049559a3b3d14dbfdc2290dfdc1c7e63c70ccf459f83c",
         "evolve_summary.json":
-            "272cbc99becc2288652c915ffa426ad0299288de2d72f1eb606a0b257ffa81a6",
+            "5841cc3e51bf12a59db822e643782bb6887410443004aa330fe91b62f76081e4",
     },
     ("spectrum", "--backend", "full",
      "--set", "drives.coupling_detuning_rad_s=-3e5",
@@ -85,13 +85,13 @@ PINNED = {
         "spectrum.csv":
             "e135ea9b42893ffb9e43fa097d13f2a2b34042eea50176b330e48ff7d10d6748",
         "spectrum_summary.json":
-            "814d4b09c9c7b95cd843fa81a51fcc5514f1f074c0d116b5772018146cbc77ad",
+            "6fbee7b8100dc7fbe16af585f2901d1b099383702c79a5c2bd73d5b78b3f2cb2",
     },
     ("vg", "--backend", "full",
      "--set", "drives.probe_detuning_rad_s=2e5",
      "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "vg_summary.json":
-            "c7fe39f4593adb788fc758d88588249bf9974f7ba955a0eeb8f6375f46417dad",
+            "45b54ceb4b26d080b7d90adffff4cd48d9c7fba7e7bac45c30971f572c617c13",
     },
     # The closed form's coupling detuning; validate at a weak probe, where
     # the detuned comparison passes.
@@ -99,21 +99,21 @@ PINNED = {
         "spectrum.csv":
             "08628e3896452f3a3a84997822e8129dda9395f2e9c89f9c0553fbf1727063cb",
         "spectrum_summary.json":
-            "6ee3dad6fcfba5219ca7052a0efd86cee9c1975cce593861648684abb44985f9",
+            "43ea43921569e77dea33002d331fb629c8944db0c43a61f2c3924d6cd717ef7d",
     },
     ("window", "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "window_summary.json":
-            "5cca6fdf52b111b454148be3923565b72dce0e24046942e0080dc1bc03645995",
+            "44d02b964c167386a7507a64d521d7017743ef9b35c7044eac5f34a45f2f7560",
     },
     ("vg", "--set", "drives.probe_detuning_rad_s=2e5",
      "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "vg_summary.json":
-            "09f951e01b175c1bbe198b72fb2639a703ba1bc981858a4039c01ef0c96dc61c",
+            "be068f7e0c226553c73ede20d62fd8d63819135b050a04735cc7f033f0552663",
     },
     ("validate", "--set", "drives.coupling_detuning_rad_s=-3e5",
      "--set", "drives.probe_rabi_rad_s=150"): {
         "validate_summary.json":
-            "4ef92bd33d4b73e29b7fdd536acff2f8e52369f1933f15e437fc683003608862",
+            "c613e3d07c9a443cad73a4272b9f51b0de64b33ac4cafda46952c2b71f0e1333",
     },
 }
 
