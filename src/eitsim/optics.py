@@ -59,13 +59,6 @@ BACKEND_ANALYTIC = "analytic"
 BACKEND_FULL = "full"
 BACKENDS = (BACKEND_ANALYTIC, BACKEND_FULL)
 
-# Largest probe/coupling Rabi ratio the full backend accepts.  Staying under
-# it does not keep the probe from redistributing population: with 400 s
-# ground lifetimes the saturation parameter Omega_p^2 / (Gamma_5 * gamma_52),
-# not this ratio, decides that, and already at 0.01 x coupling the probe
-# pumps rho22 - rho55 down to 0.57 near the Autler-Townes peaks.
-WEAK_PROBE_RATIO = 0.05
-
 # chi_im more negative than this violates the absorption sign convention;
 # anything between it and zero is rounded up to zero absorption.
 CHI_IM_SIGN_TOL = 1e-12
@@ -88,9 +81,6 @@ def grid_values(grid: GridSpec) -> list:
     span, div = stop - start, points - 1
     if div < 1:
         deltas = [0.0 * span + start] if points == 1 else []
-    elif span / div == 0.0:
-        # np.linspace's order for a step that underflows to zero.
-        deltas = [i / div * span + start for i in range(div)] + [stop]
     else:
         step = span / div
         deltas = [i * step + start for i in range(div)] + [stop]
@@ -236,16 +226,6 @@ def generator(mat: MaterialParams, drives: DriveSet,
                              mat.levels, mat.gamma)
 
 
-def check_weak_probe(drives: DriveSet) -> None:
-    """Refuse a probe above WEAK_PROBE_RATIO times a nonzero coupling."""
-    omega_c = abs(drives.coupling_rabi)
-    omega_p = abs(drives.probe_rabi)
-    if omega_c > 0.0 and omega_p > WEAK_PROBE_RATIO * omega_c:
-        raise ConfigError(
-            f"weak-probe regime violated: probe rabi {omega_p!r} exceeds "
-            f"{WEAK_PROBE_RATIO} * coupling rabi {omega_c!r}")
-
-
 def _full_generator(mat: MaterialParams, drives: DriveSet):
     """L0 and D of L(delta) = L0 + delta * diag(D) for the full backend,
     which reads chi as 2 * A * rho52 / omega_p: a zero probe is refused."""
@@ -329,7 +309,6 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
         raise ConfigError(f"backend must be one of {BACKENDS}")
     deltas = grid_values(grid)
     if backend == BACKEND_FULL:
-        check_weak_probe(drives)
         chi = full_model_chi(mat, drives, deltas).tolist()
     else:
         chi = chi_analytic(lambda_from_material(mat, drives), deltas)

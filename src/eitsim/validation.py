@@ -7,7 +7,7 @@ from .config import DriveSet
 from .errors import InvalidArgumentError
 from .lambda_system import chi_analytic, lambda_from_material
 from .materials import MaterialParams
-from .optics import check_weak_probe, full_model_chi
+from .optics import full_model_chi
 
 # Grid points where the analytic chi_im falls below this fraction of its
 # maximum are excluded from relative-deviation statistics (the transparency
@@ -47,9 +47,6 @@ def validate_reduction(mat: MaterialParams, drives: DriveSet, grid,
     deltas = np.atleast_1d(np.asarray(grid, dtype=float))
     if deltas.size < 1:
         raise InvalidArgumentError("grid must contain at least one detuning")
-    if not drives.probe_rabi > 0:
-        raise InvalidArgumentError("probe rabi frequency must be positive")
-    check_weak_probe(drives)
 
     lam = lambda_from_material(mat, drives)
     if analytic_gamma52_factor != 1.0:

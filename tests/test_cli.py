@@ -408,11 +408,38 @@ class TestValidate:
         assert "validation failure" in proc.stderr
         assert read_summary(out, "validate")["headline"]["passed"] is False
 
-    def test_strong_probe_rejected(self, tmp_path):
-        proc = run_cli("validate", "--out", str(tmp_path),
-                       "--set", "drives.probe_rabi_rad_s=1e5")
-        assert proc.returncode == 2
-        assert "config error" in proc.stderr
+
+class TestProbeRule:
+    @pytest.mark.parametrize("probe", ["7.5e5", "0"])
+    @pytest.mark.parametrize("command", ["spectrum", "window", "vg",
+                                         "validate"])
+    def test_full_backend_needs_only_a_nonzero_probe(self, tmp_path, capsys,
+                                                     command, probe):
+        # the six-level steady state holds at any probe: at half the
+        # coupling it saturates, the window fills the whole automatic grid
+        # and the closed form that validate compares with no longer holds
+        out = str(tmp_path)
+        argv = [command, "--out", out,
+                "--set", f"drives.probe_rabi_rad_s={probe}"]
+        if command != "validate":
+            argv += ["--backend", "full"]
+        status = main(argv)
+        err = capsys.readouterr().err
+        if probe == "0":
+            assert status == 2
+            assert err == \
+                "config error: full backend needs a nonzero probe field\n"
+            assert os.listdir(out) == []
+            return
+        headline = read_summary(out, command)["headline"]
+        if command == "validate":
+            assert status == 4
+            assert headline["passed"] is False
+            assert "validation failure" in err
+        else:
+            assert status == 0, err
+        if command == "window":
+            assert headline["truncated"] is True
 
 
 class TestEvolve:

@@ -1,0 +1,47 @@
+"""The README's command examples, each run in process through cli.main."""
+
+import os
+import shlex
+
+import pytest
+
+from eitsim.cli import main
+
+README = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def command_examples():
+    """(argv, status) of each `eitsim` line in the sh blocks under the
+    README's "Commands" heading, continuation lines joined: status 4 where
+    the line's own comment, or the comment line above it, says "exits 4",
+    and 0 otherwise."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n### Commands\n", 1)[1].split("\n## ", 1)[0]
+    examples = []
+    for block in section.split("```sh\n")[1:]:
+        comment = ""
+        for line in block.split("```", 1)[0].replace("\\\n", " ").splitlines():
+            if line.startswith("#"):
+                comment = line
+            elif line.startswith("eitsim "):
+                status = 4 if "exits 4" in comment + line else 0
+                examples.append((shlex.split(line, comments=True)[1:], status))
+                comment = ""
+    return examples
+
+
+EXAMPLES = command_examples()
+
+
+def test_every_command_has_an_example():
+    assert {argv[0] for argv, _ in EXAMPLES} == {
+        "spectrum", "window", "vg", "validate", "evolve", "params"}
+
+
+@pytest.mark.parametrize("argv, status", EXAMPLES,
+                         ids=[" ".join(argv) for argv, _ in EXAMPLES])
+def test_example_runs(tmp_path, argv, status):
+    # the last --out wins, so every run writes into its own directory
+    assert main([*argv, "--out", str(tmp_path)]) == status

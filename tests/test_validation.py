@@ -67,13 +67,14 @@ class TestFaultInjection:
 
 
 class TestInputs:
-    def test_weak_probe_gate(self):
-        with pytest.raises(ConfigError):
-            validate_reduction(MAT, DriveSet(1e5, 1.5e6, 1.5e6), GRID)
-
-    def test_probe_must_be_positive(self):
-        with pytest.raises(InvalidArgumentError):
-            validate_reduction(MAT, DriveSet(0.0, 1.5e6, 1.5e6), GRID)
+    def test_probe_sign_does_not_change_the_report(self):
+        # the full backend's one probe rule is a nonzero probe; a negative
+        # one is the same field with its phase turned by pi
+        negative = validate_reduction(MAT, EIT_DRIVES._replace(
+            probe_rabi=-EIT_DRIVES.probe_rabi), GRID)
+        assert negative == validate_reduction(MAT, EIT_DRIVES, GRID)
+        with pytest.raises(ConfigError, match="nonzero probe field"):
+            validate_reduction(MAT, EIT_DRIVES._replace(probe_rabi=0.0), GRID)
 
     def test_grid_must_not_be_empty(self):
         with pytest.raises(InvalidArgumentError):
