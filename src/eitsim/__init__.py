@@ -14,7 +14,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "bloch": ("build_hamiltonian", "build_liouvillian", "evolve",
-              "steady_state", "steady_states"),
+              "full_model_chi", "rho_to_chi", "steady_state",
+              "steady_states"),
     "config": ("DriveSet", "GridSpec", "pryso_defaults"),
     "constants": ("C_LIGHT", "EPSILON_0", "HBAR", "TWO_PI"),
     "errors": ("ConfigError", "ConventionError", "DivergentVelocityError",
@@ -25,10 +26,9 @@ _EXPORTS = {
                       "lambda_from_material"),
     "materials": ("LevelSystem", "MaterialParams", "derive_gamma",
                   "equal_branching"),
-    "optics": ("absorption", "full_model_chi", "group_velocity",
-               "probe_angular_frequency", "refractive_index", "rho_to_chi",
-               "spectrum_to_csv", "sweep", "transparency_window",
-               "window_width_closed_form"),
+    "optics": ("absorption", "group_velocity", "probe_angular_frequency",
+               "refractive_index", "spectrum_to_csv", "sweep",
+               "transparency_window", "window_width_closed_form"),
     "states": ("assert_density_matrices", "assert_density_matrix",
                "basis_state", "mixed_state"),
     "validation": ("validate_reduction",),

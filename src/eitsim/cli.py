@@ -10,10 +10,10 @@ summary alone.
 Parsing the arguments, resolving the configuration, the closed form and
 the observables (optics, lambda_system) need the standard library alone,
 and import with this module.  numpy and the six-level model (the numeric
-layer: bloch, validation) load through load_numeric, the one lazy import,
-only for `evolve`, `validate` and the full backend.  So `params`, `--help`,
-every configuration error and the analytic `spectrum`, `window` and `vg`
-run without numpy.
+layer: bloch, states, validation) load through load_numeric, the one lazy
+import, only for `evolve`, `validate` and the full backend.  So `params`,
+`--help`, every configuration error and the analytic `spectrum`, `window`
+and `vg` run without numpy.
 
 `--jobs N` is accepted (N >= 1) and does nothing: every sweep is one
 batched call in one thread.  It names no configuration key and stays only
@@ -45,14 +45,10 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def load_numeric() -> None:
-    """Import numpy and the numeric layer into this module's namespace.
-    Only the first call imports, so a name rebound since (by a tracer, say)
-    stays rebound."""
-    global np, bloch, validation
-    if "np" in globals():
-        return
+    """Import numpy and the numeric layer into this module's namespace."""
+    global np, bloch, states, validation
     import numpy as np
-    from . import bloch, validation
+    from . import bloch, states, validation
 
 
 EXIT_OK = 0
@@ -297,10 +293,10 @@ def cmd_validate(args, run: ResolvedRun):
 
 
 def cmd_evolve(args, run: ResolvedRun):
-    gen = optics.generator(run.material, run.drives,
-                           run.drives.probe_detuning)
+    gen = bloch.generator(run.material, run.drives,
+                          run.drives.probe_detuning)
     times, rho, max_trace_dev, max_herm_dev = bloch.evolve(
-        optics.initial_state(run.evolve_initial), gen, run.evolve_t_end,
+        states.initial_state(run.evolve_initial), gen, run.evolve_t_end,
         n_samples=run.evolve_samples)
 
     header = "t_s," + ",".join(f"rho{i}{i}" for i in range(1, N_LEVELS + 1)) \

@@ -5,9 +5,10 @@ steady-state backend.
 The group velocity needs only chi' and its exact detuning slope.
 
 The observables take and give Python floats and complex numbers, one or a
-list of them, so the analytic backend runs on the standard library.  numpy
-and the six-level model (bloch, states) load on the first call that needs
-them (_load_six_level); the full backend hands its chi over as a list.
+list of them, so this module runs on the standard library.  The full
+backend's chi, and its exact slope, come from bloch, which sweep and
+group_velocity import when they call it; sweep hands its chi over as a
+list.
 """
 
 import bisect
@@ -20,39 +21,20 @@ from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      InvalidArgumentError)
 from .lambda_system import (chi_analytic, dchi_prime_ddelta, elementwise,
                             lambda_from_material)
-from .materials import N_LEVELS, MaterialParams
+from .materials import MaterialParams
 
-# The names _load_six_level binds in this module.  steady_state is among
-# them only because the benchmark's traced pass (perfbench/launcher.py)
-# wraps it under this module's name.
-_SIX_LEVEL_NAMES = ("np", "PROBE_DRIFT", "PROBE_LEVELS", "build_hamiltonian",
-                    "build_liouvillian", "reduction", "steady_state",
-                    "steady_state_slope", "steady_states", "basis_state",
-                    "mixed_state")
-
-
-def _load_six_level() -> None:
-    """Import numpy and the six-level model's names into this module.
-    Only the first call imports, so a name rebound since (by a tracer or a
-    test, say) stays rebound.  The CLI has loaded them already, through
-    cli.load_numeric, by the time a command reaches a call of this."""
-    global np, PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian, \
-        build_liouvillian, reduction, steady_state, steady_state_slope, \
-        steady_states, basis_state, mixed_state
-    if "np" in globals():
-        return
-    import numpy as np
-    from .bloch import (PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian,
-                        build_liouvillian, reduction, steady_state,
-                        steady_state_slope, steady_states)
-    from .states import basis_state, mixed_state
+# perfbench/launcher.py reads and rebinds these four names on this module;
+# the forwarder exists only for it and goes with the launcher (ROADMAP item
+# 1, stage C).  Nothing in eitsim reads a name through it.
+_LAUNCHER_NAMES = ("full_model_chi", "build_hamiltonian", "build_liouvillian",
+                   "steady_state")
 
 
 def __getattr__(name):
-    if name not in _SIX_LEVEL_NAMES:
+    if name not in _LAUNCHER_NAMES:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load_six_level()
-    return globals()[name]
+    from . import bloch
+    return getattr(bloch, name)
 
 
 BACKEND_ANALYTIC = "analytic"
@@ -64,13 +46,6 @@ BACKENDS = (BACKEND_ANALYTIC, BACKEND_FULL)
 CHI_IM_SIGN_TOL = 1e-12
 
 GROUP_INDEX_MIN = 1e-12
-
-# Detuning points full_model_chi solves together.  It only bounds memory:
-# no point depends on another, and only rho52 of each slice is kept.  A
-# 4,001-point six-level sweep peaks at 0.22, 0.47 and 9.8 MB of tracemalloc
-# at chunks of 32, 128 and 4,001 (at 40,001 points: 1.3, 1.3 and 97 MB) and
-# takes 45, 26 and 33 ms on one BLAS thread of a shared 2-vCPU VM.
-STEADY_STATE_CHUNK = 128
 
 
 def grid_values(grid: GridSpec) -> list:
@@ -87,31 +62,6 @@ def grid_values(grid: GridSpec) -> list:
     if any(map(operator.le, deltas[1:], deltas)):
         raise InvalidArgumentError("deltas must be strictly increasing")
     return deltas
-
-
-def initial_state(name: str):
-    """The six-level state `evolve.initial_state` names, "mixed" or
-    "level_<k>", as a numpy array."""
-    _load_six_level()
-    if name == "mixed":
-        return mixed_state(N_LEVELS)
-    return basis_state(N_LEVELS, int(name.split("_")[1]))
-
-
-def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
-    """Probe susceptibility from the 5-2 coherence at Rabi frequency
-    omega_p: chi = 2 * A * rho52 / omega_p with A = N*mu^2/(eps0*hbar); a
-    complex for one rho52, a complex array for an array.
-
-    Raises ZeroDivisionError for omega_p = 0.
-    """
-    _load_six_level()
-    omega_p = complex(omega_p)
-    if omega_p == 0:
-        raise ZeroDivisionError("probe rabi frequency is zero")
-    chi = 2.0 * mat.coupling_strength * np.asarray(rho52, dtype=complex) \
-        / omega_p
-    return complex(chi) if chi.ndim == 0 else chi
 
 
 def refractive_index(chi):
@@ -217,68 +167,22 @@ def transparency_window(deltas, alpha, reference_alpha: float):
     return left, right, truncated
 
 
-def generator(mat: MaterialParams, drives: DriveSet,
-              probe_detuning: float):
-    """The six-level generator of the fields of drives on the material's
-    levels, the probe at probe_detuning, a numpy array."""
-    _load_six_level()
-    return build_liouvillian(build_hamiltonian(drives, probe_detuning),
-                             mat.levels, mat.gamma)
-
-
-def _full_generator(mat: MaterialParams, drives: DriveSet):
-    """L0 and D of L(delta) = L0 + delta * diag(D) for the full backend,
-    which reads chi as 2 * A * rho52 / omega_p: a zero probe is refused."""
-    if drives.probe_rabi == 0:
-        raise ConfigError("full backend needs a nonzero probe field")
-    return generator(mat, drives, 0.0), PROBE_DRIFT
-
-
-def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
-    """Steady-state six-level susceptibility at one probe detuning or an
-    array of them.
-
-    The generator is assembled and reduced once, at zero probe detuning;
-    bloch.steady_states then solves the detunings as L0 + delta * D, one
-    STEADY_STATE_CHUNK slice at a time, and only rho52 of each validated
-    slice is kept.  A failure names its detuning; one in the reduction
-    names the first.
-    """
-    gen0, drift = _full_generator(mat, drives)
-    deltas = np.asarray(probe_detuning, dtype=float)
-    shape, deltas = deltas.shape, deltas.reshape(-1)
-    reduced = reduction(gen0, drift, deltas[0] if deltas.size else 0.0)
-    upper, lower = PROBE_LEVELS
-    rho52 = np.empty(deltas.size, dtype=complex)
-    for start in range(0, deltas.size, STEADY_STATE_CHUNK):
-        chunk = deltas[start:start + STEADY_STATE_CHUNK]
-        rho52[start:start + chunk.size] = steady_states(
-            gen0, drift, chunk, reduced)[:, upper - 1, lower - 1]
-    return rho_to_chi(rho52.reshape(shape), mat, drives.probe_rabi)
-
-
 def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
                    delta0: float) -> float:
     """c / n_g at probe detuning delta0, in m/s, with the exact
     n_g = 1 + chi'/2 - omega0 * 0.5 * dchi'/ddelta (n = 1 + chi'/2 and
     d delta / d omega = -1).  The slope comes from dchi_prime_ddelta or
-    bloch.steady_state_slope (chi is linear in rho52), which shares the
-    state's reduction.  A non-finite n_g or |n_g| below GROUP_INDEX_MIN
-    raises DivergentVelocityError.
+    bloch.full_model_chi_slope, which shares the state's reduction.  A
+    non-finite n_g or |n_g| below GROUP_INDEX_MIN raises
+    DivergentVelocityError.
     """
     omega0 = probe_angular_frequency(mat)
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidArgumentError(
             f"probe angular frequency {omega0!r} must be positive and finite")
     if backend == BACKEND_FULL:
-        gen0, drift = _full_generator(mat, drives)
-        reduced = reduction(gen0, drift, delta0)
-        rho = steady_states(gen0, drift, delta0, reduced)[0]
-        slope = steady_state_slope(gen0, drift, delta0, rho, reduced)
-        upper, lower = PROBE_LEVELS
-        chi = rho_to_chi(rho[upper - 1, lower - 1], mat, drives.probe_rabi)
-        dchi_re = rho_to_chi(slope[upper - 1, lower - 1], mat,
-                             drives.probe_rabi).real
+        from .bloch import full_model_chi_slope
+        chi, dchi_re = full_model_chi_slope(mat, drives, delta0)
     elif backend == BACKEND_ANALYTIC:
         lam = lambda_from_material(mat, drives)
         chi = chi_analytic(lam, delta0)
@@ -309,6 +213,7 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
         raise ConfigError(f"backend must be one of {BACKENDS}")
     deltas = grid_values(grid)
     if backend == BACKEND_FULL:
+        from .bloch import full_model_chi
         chi = full_model_chi(mat, drives, deltas).tolist()
     else:
         chi = chi_analytic(lambda_from_material(mat, drives), deltas)

@@ -9,6 +9,7 @@ conventional labelling of the six-level scheme (1..3 ground hyperfine,
 import numpy as np
 
 from .errors import InvalidArgumentError, StateCorruptionError
+from .materials import N_LEVELS
 
 # A candidate state further than this from hermitian/unit-trace is rejected
 # outright; smaller deviations are repaired (symmetrize + renormalize).
@@ -92,3 +93,11 @@ def basis_state(n: int, level: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=complex)
     m[level - 1, level - 1] = 1.0
     return m
+
+
+def initial_state(name: str) -> np.ndarray:
+    """The six-level state `evolve.initial_state` names, "mixed" or
+    "level_<k>"."""
+    if name == "mixed":
+        return mixed_state(N_LEVELS)
+    return basis_state(N_LEVELS, int(name.split("_")[1]))

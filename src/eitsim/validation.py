@@ -3,11 +3,11 @@ closed-form lambda response on a detuning grid."""
 
 import numpy as np
 
+from .bloch import full_model_chi
 from .config import DriveSet
 from .errors import InvalidArgumentError
 from .lambda_system import chi_analytic, lambda_from_material
 from .materials import MaterialParams
-from .optics import full_model_chi
 
 # Grid points where the analytic chi_im falls below this fraction of its
 # maximum are excluded from relative-deviation statistics (the transparency

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from hypothesis import strategies as st
 from eitsim import bloch
 from eitsim.bloch import (AUX_LEVELS, COUPLING_LEVELS, DEGENERACY_TOL,
                           PROBE_DRIFT, PROBE_LEVELS, build_hamiltonian,
-                          build_liouvillian, evolve, solved_indices,
-                          steady_state, steady_state_slope, steady_states)
+                          build_liouvillian, evolve, full_model_chi,
+                          solved_indices, steady_state, steady_state_slope,
+                          steady_states)
 from eitsim.config import DriveSet, pryso_defaults
 from eitsim.errors import (ConfigError, IntegrationError,
                            InvalidArgumentError, SteadyStateError)
 from eitsim.lambda_system import lambda_from_material
 from eitsim.materials import LevelSystem, equal_branching
-from eitsim.optics import full_model_chi
 from eitsim.states import basis_state, mixed_state
 
 from lambda_oracle import lambda_steady_state
@@ -85,6 +87,47 @@ def assert_matches_null_space(rabi, coupling_det, aux_det, delta):
     tol = DEGENERACY_TOL + 36 * np.finfo(float).eps * sigma[0] / sigma[-2]
     assert np.max(np.abs(rho - want)) <= tol
     return lv0, drift, rho
+
+
+def exact_steady_state(gen0, drift, delta):
+    """The steady state of L0 + delta * diag(drift), every float entry and
+    delta taken as exact: Gaussian elimination over (re, im) pairs of
+    Fractions, standard library only, with the trace row in place of
+    rho_11's equation, rounded to complex floats once at the end; (n, n)."""
+    size = gen0.shape[0]
+    n = math.isqrt(size)
+
+    def exact(z):
+        return Fraction(z.real), Fraction(z.imag)
+
+    def sub_mul(a, f, b):  # a - f * b
+        return (a[0] - (f[0] * b[0] - f[1] * b[1]),
+                a[1] - (f[0] * b[1] + f[1] * b[0]))
+
+    def div(a, b):
+        norm = b[0] * b[0] + b[1] * b[1]
+        return ((a[0] * b[0] + a[1] * b[1]) / norm,
+                (a[1] * b[0] - a[0] * b[1]) / norm)
+
+    zero = exact(0j)
+    step = Fraction(float(delta))
+    rows = [[exact(complex(z)) for z in row] + [zero] for row in gen0]
+    for i in range(size):
+        rate = exact(complex(drift[i]))
+        rows[i][i] = (rows[i][i][0] + step * rate[0],
+                      rows[i][i][1] + step * rate[1])
+    rows[0] = [exact(float(j % (n + 1) == 0)) for j in range(size)] \
+        + [exact(1.0)]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if rows[r][col] != zero)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(size):
+            if r != col and rows[r][col] != zero:
+                factor = div(rows[r][col], rows[col][col])
+                rows[r] = [a if b == zero else sub_mul(a, factor, b)
+                           for a, b in zip(rows[r], rows[col])]
+    return np.array([complex(*map(float, div(row[size], row[i])))
+                     for i, row in enumerate(rows)]).reshape(n, n)
 
 
 def block_by_drives(drives):
@@ -368,6 +411,36 @@ class TestSolvedBlock:
     def test_matches_null_space_across_the_exceptional_point(self, coupling,
                                                              delta):
         assert_matches_null_space((1.5e3, coupling, 1.5e6), 0.0, 0.0, delta)
+
+
+class TestExactArithmetic:
+    # Against exact_steady_state at these points the worst entry of
+    # steady_states is 1.004 eps * max|rho| off, and full_model_chi is at
+    # most 3.9e-14 (176 eps) relative off the exact rho52's chi, both at
+    # Omega_c = 5e6, Omega_p = 7.5e4.  The SVD tests above cannot see an
+    # error below ~1e-8.
+    ENTRY_EPS = 4.0
+    CHI_RTOL = 1e-13
+
+    @pytest.mark.parametrize("drives, delta", [
+        (EIT_DRIVES, 0.0),
+        (EIT_DRIVES, -7.5e5),
+        (EIT_DRIVES, 3e5),
+        (EIT_DRIVES._replace(coupling_rabi=4.1998e4), 0.0),
+        (EIT_DRIVES._replace(coupling_rabi=0.0), 0.0),
+        (EIT_DRIVES._replace(probe_rabi=7.5e4, coupling_rabi=5e6), 0.0),
+    ], ids=["defaults-0", "defaults-minus7.5e5", "defaults-3e5",
+            "exceptional-point", "coupling-off", "strong-probe"])
+    def test_matches_exact_elimination(self, drives, delta):
+        gen0 = bloch.generator(MAT, drives, 0.0)
+        want = exact_steady_state(gen0, PROBE_DRIFT, delta)
+        rho = steady_states(gen0, PROBE_DRIFT, [delta])[0]
+        eps = np.finfo(float).eps
+        assert np.abs(rho - want).max() \
+            <= self.ENTRY_EPS * eps * np.abs(want).max()
+        chi = full_model_chi(MAT, drives, delta)
+        exact_chi = bloch.rho_to_chi(want[4, 1], MAT, drives.probe_rabi)
+        assert abs(chi - exact_chi) <= self.CHI_RTOL * abs(exact_chi)
 
 
 class TestBatchedSteadyStates:

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from eitsim import bloch, optics, validation
+from eitsim import bloch, optics, states, validation
 from eitsim.cli import main
 from eitsim.config import apply_overrides, default_document, resolve
 from eitsim.constants import C_LIGHT
@@ -469,7 +469,7 @@ class TestEvolve:
         gen = bloch.build_liouvillian(ham, run.material.levels,
                                       run.material.gamma)
         times, rho, _, _ = bloch.evolve(
-            optics.initial_state(run.evolve_initial), gen, 1e-4, n_samples=11)
+            states.initial_state(run.evolve_initial), gen, 1e-4, n_samples=11)
         cells = [[float(c) for c in line.split(",")] for line in
                  read_csv_lines(os.path.join(out, "evolve.csv"))[1:]]
         want = np.column_stack([times, np.diagonal(rho, axis1=1, axis2=2).real,
@@ -755,8 +755,9 @@ class TestErrorStatuses:
         # solve a point of such a grid, and validate refuses it alike
         def solve(*args):
             raise AssertionError("the backend ran")
-        for module in (optics, validation):
+        for module in (bloch, validation):
             monkeypatch.setattr(module, "full_model_chi", solve)
+        for module in (optics, validation):
             monkeypatch.setattr(module, "chi_analytic", solve)
         status = main([*command, "--out", str(tmp_path),
                        "--set", "grid.delta_min_rad_s=1",

@@ -13,7 +13,7 @@ from eitsim.config import (CHOICES, RETIRED, SPELLINGS, apply_overrides,
                            resolve)
 from eitsim.constants import TWO_PI
 from eitsim.errors import ConfigError
-from eitsim.optics import initial_state
+from eitsim.states import initial_state
 
 from test_pinned_outputs import output_digests
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,8 +11,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch, optics, states
-from eitsim.bloch import (DEGENERACY_TOL, PROBE_DRIFT, build_hamiltonian,
-                          build_liouvillian, steady_state_slope,
+from eitsim.bloch import (DEGENERACY_TOL, PROBE_DRIFT, STEADY_STATE_CHUNK,
+                          build_hamiltonian, build_liouvillian,
+                          full_model_chi, rho_to_chi, steady_state_slope,
                           steady_states)
 from eitsim.config import pryso_defaults
 from eitsim.constants import C_LIGHT, TWO_PI
@@ -19,12 +23,10 @@ from eitsim.errors import (ConfigError, ConventionError,
                            SteadyStateError)
 from eitsim.lambda_system import (LambdaParams, chi_analytic,
                                   dchi_prime_ddelta, lambda_from_material)
-from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, STEADY_STATE_CHUNK,
-                           DriveSet, GridSpec, absorption, full_model_chi,
-                           grid_values, group_velocity, interp_at,
-                           peak_index, probe_angular_frequency,
-                           refractive_index,
-                           rho_to_chi, spectrum_to_csv, sweep,
+from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, DriveSet, GridSpec,
+                           absorption, grid_values, group_velocity,
+                           interp_at, peak_index, probe_angular_frequency,
+                           refractive_index, spectrum_to_csv, sweep,
                            transparency_window, window_width_closed_form)
 
 MAT = pryso_defaults()
@@ -254,7 +256,6 @@ class TestGroupVelocity:
 
         reduction = bloch.reduction
         monkeypatch.setattr(bloch, "reduction", counted)
-        monkeypatch.setattr(optics, "reduction", counted)
         vg = group_velocity("full", MAT, EIT_DRIVES, -1e5)
         assert calls == [(-1e5,)]
         chi, slope = full_chi_and_slope(MAT, EIT_DRIVES, -1e5)
@@ -351,7 +352,7 @@ class TestSweep:
         # refused before either backend solves a point
         def solve(*args):
             raise AssertionError("the backend ran")
-        monkeypatch.setattr(optics, "full_model_chi", solve)
+        monkeypatch.setattr(bloch, "full_model_chi", solve)
         monkeypatch.setattr(optics, "chi_analytic", solve)
         grid = GridSpec(1.0, 1.0000000000000002, 5)
         for backend in ("analytic", "full"):
@@ -391,6 +392,47 @@ class TestCsv:
             assert cells[2] == chi[i].imag
             assert cells[3] == 1.0 + 0.5 * chi[i].real
             assert cells[4] == alpha[i]
+
+
+# Uses optics as a library in a fresh process: the analytic observables,
+# then the full backend.  Prints whether numpy had loaded after each, and
+# whether the full sweep's chi and group velocity are bloch's, bit for bit.
+LIBRARY_PROBE = """
+import sys
+import eitsim.optics as optics
+from eitsim.config import DriveSet, GridSpec, pryso_defaults
+mat = pryso_defaults()
+drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=1.5e6, aux_rabi=1.5e6)
+grid = GridSpec(-2e6, 2e6, 41)
+deltas, chi, alpha = optics.sweep("analytic", mat, drives, grid)
+optics.group_velocity("analytic", mat, drives, -1e5)
+optics.transparency_window(deltas, alpha, max(alpha))
+optics.spectrum_to_csv(deltas, chi, alpha)
+print("numpy" in sys.modules)
+deltas, chi, alpha = optics.sweep("full", mat, drives, grid)
+vg = optics.group_velocity("full", mat, drives, -1e5)
+print("numpy" in sys.modules)
+from eitsim import bloch
+want = bloch.full_model_chi(mat, drives, deltas).tolist()
+bits = lambda zs: [(z.real.hex(), z.imag.hex()) for z in zs]
+print(type(chi) is list and bits(chi) == bits(want))
+chi0, slope = bloch.full_model_chi_slope(mat, drives, -1e5)
+omega0 = optics.probe_angular_frequency(mat)
+n_g = optics.refractive_index(chi0) - omega0 * 0.5 * slope
+print(vg == optics.C_LIGHT / n_g)
+"""
+
+
+def test_optics_is_a_standard_library_module(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", LIBRARY_PROBE],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True", "True", "True"]
 
 
 class TestTransparencyWindow:
@@ -638,7 +680,7 @@ class TestBatchedFullBackend:
         deltas = np.linspace(-2e7, 2e7, 259)
         chi = full_model_chi(MAT, EIT_DRIVES, deltas)
         for chunk in (7, deltas.size):
-            monkeypatch.setattr(optics, "STEADY_STATE_CHUNK", chunk)
+            monkeypatch.setattr(bloch, "STEADY_STATE_CHUNK", chunk)
             assert np.array_equal(full_model_chi(MAT, EIT_DRIVES, deltas),
                                   chi)
 
@@ -647,9 +689,9 @@ class TestBatchedFullBackend:
         # a pole gap of 5e4 rad/s refuses the points within it of the
         # Autler-Townes pole -7.497e5 + 2.729e4i: on this 5e4-spaced grid
         # the first is -7.5e5, index 5, inside the third 2-point slice
-        sigma = bloch.reduction(*optics._full_generator(MAT, EIT_DRIVES))[3]
+        sigma = bloch.reduction(*bloch._full_generator(MAT, EIT_DRIVES))[3]
         monkeypatch.setattr(bloch, "DEGENERACY_TOL", 5e4 / sigma)
-        monkeypatch.setattr(optics, "STEADY_STATE_CHUNK", 2)
+        monkeypatch.setattr(bloch, "STEADY_STATE_CHUNK", 2)
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = -750000\.0 rad/s: singular "
                                  r"steady-state system: within 5\.000e\+04"):
