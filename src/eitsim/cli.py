@@ -119,21 +119,13 @@ def _resolved_run(args) -> ResolvedRun:
 
 
 def _jsonable(value):
-    """value with tuples as lists and non-finite floats as None; numpy
-    arrays and scalars convert through their `tolist()`."""
+    """value with tuples as lists and non-finite floats as None."""
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, str)) or value is None:
-        return value
-    if isinstance(value, int):
-        return int(value)
     if isinstance(value, float):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if hasattr(value, "tolist"):
-        return _jsonable(value.tolist())
+        return value if math.isfinite(value) else None
     return value
 
 
@@ -310,7 +302,7 @@ def cmd_evolve(args, run: ResolvedRun):
     headline = {
         "t_end_s": run.evolve_t_end,
         "samples": samples,
-        "populations_final": pops[-1],
+        "populations_final": pops[-1].tolist(),
         "rho22_final": pops[-1, 1],
         "max_trace_dev": max_trace_dev,
         "max_herm_dev": max_herm_dev,
