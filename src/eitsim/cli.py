@@ -58,7 +58,7 @@ EXIT_VALIDATION = 4
 
 _CONFIG_ERRORS = (ConfigError, InvalidArgumentError)
 _SOLVER_ERRORS = (SteadyStateError, IntegrationError, SingularParametersError,
-                  DivergentVelocityError, ConventionError, ZeroDivisionError)
+                  DivergentVelocityError, ConventionError)
 _VALIDATION_ERRORS = (StateCorruptionError,)
 
 # cmd_window refines the grid automatically (the default spectrum grid is far
