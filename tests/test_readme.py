@@ -1,11 +1,14 @@
-"""The README's command examples, each run in process through cli.main."""
+"""The README's command examples, each run in process through cli.main,
+and its block of configuration defaults against config.default_document."""
 
+import json
 import os
 import shlex
 
 import pytest
 
 from eitsim.cli import main
+from eitsim.config import CHOICES, default_document
 
 README = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
@@ -45,3 +48,24 @@ def test_every_command_has_an_example():
 def test_example_runs(tmp_path, argv, status):
     # the last --out wins, so every run writes into its own directory
     assert main([*argv, "--out", str(tmp_path)]) == status
+
+
+def configuration_block():
+    """The README's `jsonc` block, its `//` comments stripped, as parsed
+    JSON."""
+    with open(README, encoding="utf-8") as fh:
+        block = fh.read().split("```jsonc\n", 1)[1].split("```", 1)[0]
+    return json.loads("\n".join(line.split("//", 1)[0]
+                                for line in block.splitlines()))
+
+
+def test_configuration_block_shows_the_defaults():
+    shown, defaults = configuration_block(), default_document()
+    for name, value in shown.items():
+        if isinstance(value, dict):
+            for key, item in value.items():
+                assert item == defaults[name].get(key), f"{name}.{key}"
+        else:
+            assert value == defaults[name], name
+    assert {f"conventions.{key}" for key in shown["conventions"]} \
+        == {path for path in CHOICES if path.startswith("conventions.")}
