@@ -3,14 +3,12 @@
 Every key has one canonical spelling in internal units (rad/s, Hz for
 dephasing, SI otherwise), listed in CHOICES and NUMERIC_KEYS.  SPELLINGS
 maps each accepted spelling to its canonical key and the factor that
-converts it: every `_rad_s` key may also be spelled `_hz`, and a dephasing
-pair may name its levels in either order.  Two spellings of one quantity in
-one document are an error.  Values are converted exactly once, here, after
-the two convention switches are known:
-
-  conventions.rate_convention  cyclic | angular   (coherence-decay rule)
-  conventions.rabi_convention  angular | cyclic   (how *_rabi_hz is read:
-        angular takes the number as rad/s as-is, cyclic multiplies by 2*pi)
+converts it: every `_rad_s` key but a Rabi frequency may also be spelled
+`_hz` (cycles per second, times 2*pi), and a dephasing pair may name its
+levels in either order.  Two spellings of one quantity in one document are
+an error.  Each value is converted exactly once, here, as it is read.  The
+one convention switch, conventions.rate_convention (cyclic | angular),
+chooses the coherence-decay rule the material is built with.
 
 The resolved state is echoed as a canonical document (canonical keys only)
 that re-parses to the identical run, which is what run summaries embed.
@@ -38,7 +36,6 @@ _LEVELS = range(1, N_LEVELS + 1)
 CHOICES = {
     "backend": ("analytic", "full"),
     "conventions.rate_convention": ("cyclic", "angular"),
-    "conventions.rabi_convention": ("angular", "cyclic"),
     "evolve.initial_state": ("mixed",) + tuple(f"level_{i}" for i in _LEVELS),
 }
 # Every numeric key, spelled in the internal units it is stored in.  The
@@ -58,14 +55,12 @@ NUMERIC_KEYS = (
     "validate.max_dev_rel", "validate.fault_gamma52_factor",
 )
 # Accepted spelling -> (canonical key, factor to internal units).  Every
-# `_rad_s` key may be spelled `_hz` (times 2*pi; a Rabi frequency only under
-# the cyclic rabi_convention, marked RABI), and a dephasing pair either way
-# round.
-RABI = "rabi"
+# `_rad_s` key but a Rabi frequency may be spelled `_hz` (times 2*pi), and a
+# dephasing pair either way round.
 SPELLINGS = {
     **{key: (key, 1.0) for key in NUMERIC_KEYS},
-    **{key[:-len("_rad_s")] + "_hz": (key, RABI if "_rabi_" in key else TWO_PI)
-       for key in NUMERIC_KEYS if key.endswith("_rad_s")},
+    **{key[:-len("_rad_s")] + "_hz": (key, TWO_PI) for key in NUMERIC_KEYS
+       if key.endswith("_rad_s") and "_rabi_" not in key},
     **{f"material.dephasing_{j}{i}_hz": (f"material.dephasing_{i}{j}_hz", 1.0)
        for i in _LEVELS for j in _LEVELS if i > j},
 }
@@ -81,10 +76,7 @@ RETIRED = ("jobs_count", "solver", "vg")
 def default_document() -> dict:
     return {
         "backend": "analytic",
-        "conventions": {
-            "rate_convention": "cyclic",
-            "rabi_convention": "angular",
-        },
+        "conventions": {"rate_convention": "cyclic"},
         "material": {
             "number_density_per_m3": NUMBER_DENSITY_PER_M3,
             "probe_dipole_c_m": PROBE_DIPOLE_C_M,
@@ -234,8 +226,8 @@ def _entries(doc: dict):
 
 def resolve(doc: dict) -> ResolvedRun:
     """Validate a raw document and produce the resolved run inputs."""
-    chosen = {}   # choice path -> value
-    numbers = {}  # canonical path -> (spelling, value, factor)
+    canonical = default_document()
+    spelled = {}  # canonical path -> the spelling that set it
     for path, value in _entries(doc):
         if path in CHOICES:
             if value not in CHOICES[path]:
@@ -243,38 +235,30 @@ def resolve(doc: dict) -> ResolvedRun:
                     f"config key '{path}' must be one of {CHOICES[path]}, "
                     f"got {value!r}"
                 )
-            chosen[path] = value
+            canon = path
         elif path not in SPELLINGS:
             raise ConfigError(f"unknown config key '{path}'")
         else:
             canon, factor = SPELLINGS[path]
-            if canon in numbers:
+            if canon in spelled:
                 raise ConfigError(
-                    f"config keys '{numbers[canon][0]}' and '{path}' set "
+                    f"config keys '{spelled[canon]}' and '{path}' set "
                     "the same quantity in different units"
                 )
             _check_number(path, value)
-            numbers[canon] = (path, value, factor)
-
-    # Conventions must be fixed before any rabi key converts.
-    rate_convention = chosen.get("conventions.rate_convention", "cyclic")
-    rabi_convention = chosen.get("conventions.rabi_convention", "angular")
-    resolved = dict(chosen)
-    for canon, (path, value, factor) in numbers.items():
-        if canon.endswith("_count"):
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"config key '{path}' must be an integer")
-            resolved[canon] = int(value)
-            continue
-        if factor == RABI:
-            factor = TWO_PI if rabi_convention == "cyclic" else 1.0
-        resolved[canon] = factor * float(value)
-    canonical = default_document()
-    for path, value in resolved.items():
-        section, _, key = path.rpartition(".")
+            if canon.endswith("_count"):
+                if isinstance(value, float) and not value.is_integer():
+                    raise ConfigError(
+                        f"config key '{path}' must be an integer")
+                value = int(value)
+            else:
+                value = factor * float(value)
+        spelled[canon] = path
+        section, _, key = canon.rpartition(".")
         (canonical[section] if section else canonical)[key] = value
 
-    mat = pryso_defaults(rate_convention, material=canonical["material"])
+    mat = pryso_defaults(canonical["conventions"]["rate_convention"],
+                         material=canonical["material"])
     d = canonical["drives"]
     for name in ("probe_rabi_rad_s", "coupling_rabi_rad_s", "aux_rabi_rad_s"):
         if d[name] < 0:
@@ -297,7 +281,7 @@ def resolve(doc: dict) -> ResolvedRun:
 
     return ResolvedRun(
         canonical=canonical,
-        user_set=frozenset(resolved),
+        user_set=frozenset(spelled),
         material=mat,
         drives=drives,
         grid=grid,

@@ -97,7 +97,8 @@ class TestSpectrum:
         second = tmp_path / "second"
         run_cli("spectrum", "--out", str(first),
                 "--set", "grid.points_count=41",
-                "--set", "drives.coupling_rabi_hz=2e6")
+                "--set", "drives.coupling_rabi_rad_s=2e6",
+                "--set", "drives.coupling_detuning_hz=5e3")
         config = tmp_path / "replay.json"
         config.write_text(json.dumps(
             read_summary(str(first), "spectrum")["resolved_config"]),
@@ -264,24 +265,35 @@ class TestVg:
     def test_summary_with_legacy_step_replays(self, tmp_path, fd_step,
                                               capsys):
         # the resolved_config of a vg summary written while the retired
-        # keys were accepted: the defaults of then, plus the step when it
-        # was read (autofilled as gamma32 / 100 or set by the user)
+        # keys were accepted: the defaults of then, the Rabi convention
+        # among them, plus the step when it was read (autofilled as
+        # gamma32 / 100 or set by the user)
         current = default_document()
-        written = {**current, "jobs_count": 1,
+        since = {**current, "conventions": {**current["conventions"],
+                                            "rabi_convention": "angular"}}
+        written = {**since, "jobs_count": 1,
                    "solver": {"tol_rel": 1e-9, "max_steps_count": 20_000_000},
                    "vg": {} if fd_step is None
                    else {"fd_step_rad_s": fd_step}}
         config = tmp_path / "written.json"
-        out = str(tmp_path / "replay")
-        config.write_text(json.dumps(written), encoding="utf-8")
-        assert main(["vg", "--out", out, "--config", str(config)]) == 2
-        assert "'jobs_count' had no effect" in capsys.readouterr().err
-        # it replays once those three entries are deleted
-        for key in ("jobs_count", "solver", "vg"):
-            del written[key]
-        config.write_text(json.dumps(written), encoding="utf-8")
-        assert main(["vg", "--out", out, "--config", str(config)]) == 0
-        summary = read_summary(out, "vg")
+        out = tmp_path / "replay"
+        # each fault is named in document order, and nothing is written; a
+        # summary written since the retired keys went holds the Rabi
+        # convention alone
+        for doc, named in (
+                (written, "unknown config key 'conventions.rabi_convention'"),
+                ({**written, "conventions": current["conventions"]},
+                 "'jobs_count' had no effect"),
+                (since, "unknown config key 'conventions.rabi_convention'")):
+            config.write_text(json.dumps(doc), encoding="utf-8")
+            assert main(["vg", "--out", str(out), "--config", str(config)]) \
+                == 2
+            assert named in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+        # it replays once those entries are deleted
+        config.write_text(json.dumps(current), encoding="utf-8")
+        assert main(["vg", "--out", str(out), "--config", str(config)]) == 0
+        summary = read_summary(str(out), "vg")
         assert summary["resolved_config"] == current
         assert summary["headline"]["vg_m_s"] == VG_AT_DEFAULTS
 

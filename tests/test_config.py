@@ -71,28 +71,22 @@ class TestUnitSuffixes:
         run = resolve_with("drives.coupling_detuning_rad_s=-7e5")
         assert run.drives.coupling_detuning == -7e5
 
-    def test_rabi_hz_default_convention_reads_as_rad_s(self):
-        run = resolve_with("drives.coupling_rabi_hz=1.5e6")
-        assert run.drives.coupling_rabi == 1.5e6
-
-    def test_rabi_hz_cyclic_convention_multiplies_by_two_pi(self):
-        run = resolve_with("conventions.rabi_convention=cyclic",
-                           "drives.coupling_rabi_hz=1.5e6")
-        assert run.drives.coupling_rabi == 9424777.960769379
-
-    def test_rabi_convention_independent_of_key_order(self):
-        doc = {
-            "drives": {"probe_rabi_hz": 200.0},
-            "conventions": {"rabi_convention": "cyclic"},
-        }
-        run = resolve(doc)
-        assert run.drives.probe_rabi == TWO_PI * 200.0
-
-    def test_rabi_convention_leaves_plain_angular_keys_alone(self):
-        run = resolve_with("conventions.rabi_convention=cyclic",
-                           "drives.probe_detuning_hz=100.0")
-        assert run.drives.probe_detuning == TWO_PI * 100.0
-        assert run.drives.probe_rabi == 1.5e3  # default untouched
+    @pytest.mark.parametrize("assignment", [
+        "drives.probe_rabi_hz=1e3", "drives.coupling_rabi_hz=1.5e6",
+        "drives.aux_rabi_hz=1.5e6", "conventions.rabi_convention=angular",
+        "conventions.rabi_convention=cyclic",
+    ])
+    def test_rabi_frequency_takes_rad_s_only(self, assignment, tmp_path,
+                                             capsys):
+        # never reinterpreted: a document that used the retired spelling or
+        # switch is refused by name instead of running at another strength
+        key = assignment.split("=")[0]
+        out = tmp_path / "out"
+        assert main(["params", "--out", str(out), "--set", assignment]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"config error: unknown config key '{key}'\n"
+        assert list(out.iterdir()) == []
 
     def test_dephasing_stays_in_hz(self):
         run = resolve_with("material.dephasing_32_hz=4e3")
@@ -138,7 +132,7 @@ class TestDephasingPairOrder:
 
 
 # The accepted spellings, written out family by family: spelling ->
-# (canonical key, factor under the angular and the cyclic rabi_convention).
+# (canonical key, factor).  A Rabi frequency is spelled in rad/s only.
 _LEVEL_NUMBERS = range(1, 7)
 _ANGULAR = ("drives.probe_detuning", "drives.coupling_detuning",
             "drives.aux_detuning", "grid.delta_min", "grid.delta_max")
@@ -155,20 +149,19 @@ _AS_IS = (
       for j in _LEVEL_NUMBERS if i != j),
 )
 EXPECTED_SPELLINGS = {
-    **{key: (key, 1.0, 1.0) for key in _AS_IS},
+    **{key: (key, 1.0) for key in _AS_IS},
     **{f"material.dephasing_{j}{i}_hz": (f"material.dephasing_{i}{j}_hz",
-                                         1.0, 1.0)
+                                         1.0)
        for i in _LEVEL_NUMBERS for j in range(1, i)},
-    **{f"{base}_rad_s": (f"{base}_rad_s", 1.0, 1.0)
-       for base in _ANGULAR + _RABI},
-    **{f"{base}_hz": (f"{base}_rad_s", TWO_PI, TWO_PI) for base in _ANGULAR},
-    **{f"{base}_hz": (f"{base}_rad_s", 1.0, TWO_PI) for base in _RABI},
+    **{f"{base}_rad_s": (f"{base}_rad_s", 1.0) for base in _ANGULAR + _RABI},
+    **{f"{base}_hz": (f"{base}_rad_s", TWO_PI) for base in _ANGULAR},
 }
 
 
 def _spelling_document(spelling, value, convention):
-    """A valid document that sets `spelling` to `value`."""
-    doc = {"conventions": {"rabi_convention": convention}}
+    """A valid document that sets `spelling` to `value` under the rate
+    convention."""
+    doc = {"conventions": {"rate_convention": convention}}
     section, _, key = spelling.rpartition(".")
     if key.startswith("branching_"):
         # the rest of the row keeps its sum at the default 1/T1
@@ -190,16 +183,16 @@ class TestSpellingCoverage:
     def test_spelling_table_is_the_documented_one(self):
         assert set(SPELLINGS) == set(EXPECTED_SPELLINGS)
 
+    # the rate convention moves no spelling's factor
     @pytest.mark.parametrize("convention", ["angular", "cyclic"])
     def test_every_spelling_resolves_to_its_canonical_key(self, convention):
-        for spelling, (canon, angular, cyclic) in EXPECTED_SPELLINGS.items():
+        for spelling, (canon, factor) in EXPECTED_SPELLINGS.items():
             if spelling.endswith("_count"):
                 value, expected_type = 7, int
             else:
                 value, expected_type = 1000.0, float
             doc, value = _spelling_document(spelling, value, convention)
             run = resolve(doc)
-            factor = cyclic if convention == "cyclic" else angular
             section, _, key = canon.rpartition(".")
             node = run.canonical[section] if section else run.canonical
             assert node[key] == factor * value, spelling
@@ -212,12 +205,11 @@ class TestSpellingCoverage:
     @pytest.mark.parametrize("convention", ["angular", "cyclic"])
     def test_every_choice_resolves(self, convention):
         assert set(CHOICES) == {"backend", "conventions.rate_convention",
-                                "conventions.rabi_convention",
                                 "evolve.initial_state"}
         for path, allowed in CHOICES.items():
             for value in allowed:
                 doc = apply_overrides(
-                    {}, [f"conventions.rabi_convention={convention}",
+                    {}, [f"conventions.rate_convention={convention}",
                          f"{path}={value}"])
                 run = resolve(doc)
                 section, _, key = path.rpartition(".")
@@ -229,13 +221,14 @@ class TestSpellingCoverage:
 _T1_4 = 1.0 / 164e-6
 RICH_DOCUMENT = {
     "backend": "full",
-    "conventions": {"rabi_convention": "cyclic", "rate_convention": "angular"},
+    "conventions": {"rate_convention": "angular"},
     "material": {"lifetime_5_s": 82e-6, "dephasing_25_hz": 7e3,
                  "dephasing_41_hz": 50.0,
                  "branching_41_per_s": _T1_4 / 2,
                  "branching_42_per_s": _T1_4 / 4,
                  "branching_43_per_s": _T1_4 / 4},
-    "drives": {"probe_rabi_hz": 200.0, "coupling_rabi_rad_s": 2e6,
+    "drives": {"probe_rabi_rad_s": 1256.6370614359173,
+               "coupling_rabi_rad_s": 2e6,
                "coupling_detuning_hz": 1e3, "aux_detuning_hz": -1e4},
     "grid": {"delta_min_hz": -1e6, "points_count": 11.0},
     "evolve": {"t_end_s": 1e-3, "samples_count": 5,
@@ -244,8 +237,7 @@ RICH_DOCUMENT = {
 }
 RICH_RESOLVED = {
     "backend": "full",
-    "conventions": {"rate_convention": "angular",
-                    "rabi_convention": "cyclic"},
+    "conventions": {"rate_convention": "angular"},
     "material": {
         "number_density_per_m3": 4.7e+24,
         "probe_dipole_c_m": 1e-33,
@@ -458,8 +450,8 @@ class TestMaterialOverrides:
 class TestCanonicalEcho:
     def test_round_trip_is_identical(self):
         run = resolve_with("drives.probe_detuning_hz=250.0",
-                           "conventions.rabi_convention=cyclic",
-                           "drives.probe_rabi_hz=200.0",
+                           "conventions.rate_convention=angular",
+                           "drives.coupling_detuning_hz=200.0",
                            "material.lifetime_5_s=82e-6",
                            "backend=full",
                            "grid.points_count=11")
@@ -468,9 +460,10 @@ class TestCanonicalEcho:
         assert json.dumps(again.canonical, sort_keys=True) == first
 
     def test_canonical_keys_use_internal_units(self):
-        run = resolve_with("drives.probe_rabi_hz=200.0")
-        assert "probe_rabi_hz" not in run.canonical["drives"]
-        assert run.canonical["drives"]["probe_rabi_rad_s"] == 200.0
+        run = resolve_with("drives.coupling_detuning_hz=200.0")
+        assert "coupling_detuning_hz" not in run.canonical["drives"]
+        assert run.canonical["drives"]["coupling_detuning_rad_s"] \
+            == TWO_PI * 200.0
 
     def test_user_set_records_canonical_paths(self):
         run = resolve_with("drives.probe_detuning_hz=250.0",

@@ -24,51 +24,51 @@ PINNED = {
         "spectrum.csv":
             "5e60e1404eac81b8dcbf87d0e81733ec011ee8669158ec64b69f856a6e45ffa5",
         "spectrum_summary.json":
-            "8d96c6c87b3bbde352d1da8e99d37670dd7c7df0b1e6fb8ed4412c28841259e6",
+            "5e71ba438076e22226ade8f928b3e00472bd707d7dd007e71db66a19ee14f1d8",
     },
     ("window",): {
         "window_summary.json":
-            "5cecbcc03ea4a25dd3eb30663ca7d401ecf4f963bbc8ac8327dd26f57c7bb098",
+            "593f476bcf3bacc5777f2316d00dd3ebf4e4ab9468995ed0e566ceba1abce02a",
     },
     ("vg",): {
         "vg_summary.json":
-            "93408dc619699644d35808782828374f27f1d8147d1f64477df00821187bf7c0",
+            "938e5368a889400823767225702cacc480c7d6f79495f651556ba68d066e3782",
     },
     ("validate",): {
         "validate_summary.json":
-            "03332055c669ecdc9bd4d49567d4c85da149d90803041e0a07806d4b62afcf22",
+            "a2c34400762481a3cc938ed2fe3ade06852a42131f696b43ce41878b0291b6ba",
     },
     ("evolve",): {
         "evolve.csv":
             "a4ea54c7b73da5c3b938a1cdf779088c583aae72abc3c804d0dd94bbdf734688",
         "evolve_summary.json":
-            "ecfb44cb00c1172989581303be7f946f3f5816bfad285518dfcc3cb3fa421069",
+            "dcc091fe2a404493a233d4cd591bd1356959705b93000d0af1313f08367a7517",
     },
     ("params",): {
         "params.json":
             "3ff36adfad5e548740ed50f2698c336f904f713876918c6e66131a4e1d374032",
         "params_summary.json":
-            "99d3eace5e5ea8f93dafea4a55787edc2ca7bfed3ec430c948d6e473cbd1b875",
+            "60aa85673c8ede13919d7089b8cb127a31f76d354bef6218c437a65c01d4abe6",
     },
     ("spectrum", "--backend", "full"): {
         "spectrum.csv":
             "90a232f185fcce2ac11aa8ce6690a5863306d46b234bad79791497faa8765a08",
         "spectrum_summary.json":
-            "471e1c06eef7985cbcd0d6f77fd1e9c6dfa9061b31200249d6de582e3b03c927",
+            "ea2e12a8893608383a1e04fa6c25577969e318fc13e263ebb67e7e1d99bc4626",
     },
     ("window", "--backend", "full"): {
         "window_summary.json":
-            "ae8307df5028e208e50e6e6562271eae055e80c5e6464b5df8eee119c872169c",
+            "a92d6dac6f7d891f12302aafa2747d3e1d91c190134b26b7e5f78ac2c0dc4827",
     },
     ("vg", "--backend", "full"): {
         "vg_summary.json":
-            "215cf4cbbd0f044797f25a93ca83d6ab5c2192b5777aa69d63ddae3be7a60956",
+            "8a2d9d646814bf78c619a240cab92b924d8a73796594c7fb16253ba78bff8802",
     },
     ("evolve", "--set", "evolve.initial_state=level_5"): {
         "evolve.csv":
             "d3b3f829d34d18264626646c46a4e5e65bce6103d732f18a0c5351c00be51cfa",
         "evolve_summary.json":
-            "26b121bbde1fb7c32db8d51e6b936a61a22621653eb7890c9a2edced1b9ec065",
+            "5aed00f93e81cb6b63f6f6d3c766b04b03dbaa1d307c9731b6e46f8d40be0aa4",
     },
     # Detuned fields: every level's rotating-frame phase is nonzero.
     ("evolve", "--set", "drives.probe_detuning_rad_s=2e5",
@@ -77,7 +77,7 @@ PINNED = {
         "evolve.csv":
             "6da0c18e965ac341e1d049559a3b3d14dbfdc2290dfdc1c7e63c70ccf459f83c",
         "evolve_summary.json":
-            "5841cc3e51bf12a59db822e643782bb6887410443004aa330fe91b62f76081e4",
+            "adfe85171e29554e8950b84765f6aa1d052f1ce17a784456aad0f6bc3f59c9eb",
     },
     ("spectrum", "--backend", "full",
      "--set", "drives.coupling_detuning_rad_s=-3e5",
@@ -85,13 +85,13 @@ PINNED = {
         "spectrum.csv":
             "e135ea9b42893ffb9e43fa097d13f2a2b34042eea50176b330e48ff7d10d6748",
         "spectrum_summary.json":
-            "6fbee7b8100dc7fbe16af585f2901d1b099383702c79a5c2bd73d5b78b3f2cb2",
+            "3d863d5e152604a8b4f179dae9e6c0beb52c7e4f39905414e04e3c634d15e1f2",
     },
     ("vg", "--backend", "full",
      "--set", "drives.probe_detuning_rad_s=2e5",
      "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "vg_summary.json":
-            "45b54ceb4b26d080b7d90adffff4cd48d9c7fba7e7bac45c30971f572c617c13",
+            "000bc8295e30e639cdb80e67268325f806fe537efe7a5b7996492ac249546af0",
     },
     # The closed form's coupling detuning; validate at a weak probe, where
     # the detuned comparison passes.
@@ -99,21 +99,21 @@ PINNED = {
         "spectrum.csv":
             "08628e3896452f3a3a84997822e8129dda9395f2e9c89f9c0553fbf1727063cb",
         "spectrum_summary.json":
-            "43ea43921569e77dea33002d331fb629c8944db0c43a61f2c3924d6cd717ef7d",
+            "e5b79cb80806ef3a20d57f39a07016c9c1b0f89936e5199a3d8bbec9c5086d91",
     },
     ("window", "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "window_summary.json":
-            "44d02b964c167386a7507a64d521d7017743ef9b35c7044eac5f34a45f2f7560",
+            "9e52921b59c3400db64afefcea2ce3818580ba59925a2e6818cf961045d062c3",
     },
     ("vg", "--set", "drives.probe_detuning_rad_s=2e5",
      "--set", "drives.coupling_detuning_rad_s=-3e5"): {
         "vg_summary.json":
-            "be068f7e0c226553c73ede20d62fd8d63819135b050a04735cc7f033f0552663",
+            "59a04f42a46f57ed8846c4ee2d2d78ed1e6f6ee04353a952a57f2fa19e18867b",
     },
     ("validate", "--set", "drives.coupling_detuning_rad_s=-3e5",
      "--set", "drives.probe_rabi_rad_s=150"): {
         "validate_summary.json":
-            "c613e3d07c9a443cad73a4272b9f51b0de64b33ac4cafda46952c2b71f0e1333",
+            "c0e29e8cad086ffd9493079e84463512fc0c1a879b90838569379bc6757a9cb2",
     },
 }
 
