@@ -52,6 +52,22 @@ class TestAgreement:
             assert report["max_rel_dev_chi_re"] < 5e-4
             assert report["peak_shift_rad_s"] == 0.0
 
+    def test_deviation_falls_as_the_probe_squared(self):
+        # The closed form is the full model's first order in the probe, so
+        # the deviation is O(Omega_p^2).  On this grid deviation / Omega_p^2
+        # reads 1.2310e-8, 1.2633e-8 and 1.2818e-8 at 1.5e3, 500 and 150
+        # rad/s (4.1% apart; a linear rate would spread them tenfold).
+        # Below 150 rad/s a floor that does not depend on the probe shows
+        # (50 rad/s is 8.17 times below 150, not 9): the 400 s ground
+        # lifetimes leave 1 - (P2 - P5) = 3.67e-6 of the population outside
+        # level 2 against the coupling and aux repumping, where the closed
+        # form puts all of it.
+        grid = np.linspace(-2e7, 2e7, 2001)
+        scaled = [validate_reduction(MAT, DriveSet(probe, 1.5e6, 1.5e6),
+                                     grid)["max_rel_dev_chi_im"] / probe ** 2
+                  for probe in (1.5e3, 500.0, 150.0)]
+        assert max(scaled) <= 1.06 * min(scaled)
+
 
 class TestFaultInjection:
     def test_fault_factor_detected(self):
