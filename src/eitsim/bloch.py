@@ -215,6 +215,21 @@ def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
             poles)
 
 
+def _shifted(deltas, sigma, factor, name, kind):
+    """(delta - i sigma) * factor for each delta, a (k, *factor.shape)
+    stack; a delta whose product leaves the float range (a rate near
+    1e298 rad/s, say) is refused by name before numpy warns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (deltas - 1j * sigma).reshape(-1, *(1,) * factor.ndim) * factor
+    if not np.isfinite(out).all():
+        i = np.isfinite(out).reshape(deltas.size, -1).all(axis=1).argmin()
+        raise SteadyStateError(
+            f"{_at(deltas[i])}: {kind} system overflows: (delta - i sigma) "
+            f"* {name} is beyond the float range, with sigma = "
+            f"max(||L0||, 1) = {sigma:.3e}")
+    return out
+
+
 def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
     """R(delta)^-1 rhs for each delta, (k, |S|); a delta within
     DEGENERACY_TOL * sigma of a pole is refused by name."""
@@ -231,7 +246,7 @@ def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
             f"of the pole {poles[gap[i].argmin()]:.6e}; the gate "
             f"DEGENERACY_TOL * sigma = {width:.3e} rad/s, with sigma = "
             f"max(||L0||, 1) = {sigma:.3e}, covers this detuning")
-    r = np.eye(cz.shape[0]) + (deltas - 1j * sigma)[:, None, None] * cz
+    r = np.eye(cz.shape[0]) + _shifted(deltas, sigma, cz, "C Z_S", kind)
     try:
         # Right-hand sides as (k, |S|, 1) stacks: numpy 1.x and 2.x read
         # a 1-d b against stacked systems differently.
@@ -287,8 +302,8 @@ def steady_states(gen0: np.ndarray, drift, deltas,
     if reduced is None:
         reduced = reduction(gen0, drift, deltas[0] if deltas.size else 0.0)
     solved, moving, rate, sigma, y, z, cz, poles = reduced
-    s = _woodbury(deltas, sigma, cz, poles, (deltas - 1j * sigma)[:, None]
-                  * (rate * y[moving]))
+    s = _woodbury(deltas, sigma, cz, poles, _shifted(
+        deltas, sigma, rate * y[moving], "C y_S", "steady-state"))
     vec = np.zeros((deltas.size, n * n), dtype=complex)
     vec[:, solved] = y - (z @ s[..., None])[..., 0]
     _check_residual(gen0, drift, deltas, vec, 0.0, "steady-state")

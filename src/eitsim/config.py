@@ -294,34 +294,24 @@ def resolve(doc: dict) -> ResolvedRun:
     )
 
 
-def pryso_defaults(rate_convention: str = "cyclic", lifetimes=None,
-                   dephasing_hz=None, branching=None,
+def pryso_defaults(rate_convention: str = "cyclic",
                    material: dict = None) -> MaterialParams:
     """The six-level Pr3+:Y2SiO5 material of a canonical `material`
     section, default_document()'s when material is None; resolve builds
-    every run's material here.
-
-    lifetimes (n values in s, inf allowed), dephasing_hz ({(i, j): Hz} on
-    1-based levels) and branching (n x n, 1/s) replace the section's
-    tables wholesale.  Without a branching table each level's 1/T1 splits
-    equally over all lower levels, then the section's per-pair
-    `branching_ij_per_s` entries apply.
+    every run's material here.  Each level's 1/T1 splits equally over all
+    lower levels, then the section's `branching_ij_per_s` entries apply.
     """
     m = default_document()["material"] if material is None else material
-    if lifetimes is None:
-        lifetimes = [m[f"lifetime_{i}_s"] for i in _LEVELS]
-    if dephasing_hz is None:
-        dephasing_hz = {(i, j): m.get(f"dephasing_{i}{j}_hz", 0.0)
-                        for i in _LEVELS for j in _LEVELS if i > j}
-    if branching is None:
-        branching = [list(row) for row in equal_branching(lifetimes)]
-        for i in _LEVELS:
-            for j in _LEVELS:
-                if f"branching_{i}{j}_per_s" in m:
-                    branching[i - 1][j - 1] = m[f"branching_{i}{j}_per_s"]
+    lifetimes = [m[f"lifetime_{i}_s"] for i in _LEVELS]
+    branching = [list(row) for row in equal_branching(lifetimes)]
     dephasing = [[0.0] * N_LEVELS for _ in _LEVELS]
-    for (i, j), value in dephasing_hz.items():
-        dephasing[i - 1][j - 1] = dephasing[j - 1][i - 1] = value
+    for i in _LEVELS:
+        for j in _LEVELS:
+            if f"branching_{i}{j}_per_s" in m:
+                branching[i - 1][j - 1] = m[f"branching_{i}{j}_per_s"]
+            if i > j:
+                dephasing[i - 1][j - 1] = dephasing[j - 1][i - 1] = m.get(
+                    f"dephasing_{i}{j}_hz", 0.0)
     levels = LevelSystem(N_LEVELS, lifetimes, branching, dephasing)
     return MaterialParams(
         levels=levels,

@@ -192,18 +192,16 @@ class MaterialParams(namedtuple("MaterialParams",
         return self.number_density * self.probe_dipole**2 / (EPSILON_0 * HBAR)
 
 
-def equal_branching(lifetimes, destinations=None) -> tuple:
-    """Branching table, an n x n tuple of floats, with 1/T1 split equally
-    over each level's destinations.  The lifetimes are checked first, so a
-    zero one is refused rather than divided by."""
-    if destinations is None:
-        destinations = DEFAULT_DESTINATIONS
+def equal_branching(lifetimes) -> tuple:
+    """The six-level branching table, a 6 x 6 tuple of floats, with 1/T1
+    split equally over each level's DEFAULT_DESTINATIONS.  The lifetimes
+    are checked first, so a zero one is refused rather than divided by."""
     lifetimes = _lifetimes(lifetimes)
-    n = len(lifetimes)
-    table = [[0.0] * n for _ in range(n)]
-    for m, dests in destinations.items():
-        if not dests:
-            continue
+    if len(lifetimes) != N_LEVELS:
+        raise InvalidArgumentError(
+            f"need {N_LEVELS} lifetimes, got {len(lifetimes)}")
+    table = [[0.0] * N_LEVELS for _ in range(N_LEVELS)]
+    for m, dests in DEFAULT_DESTINATIONS.items():
         rate = 1.0 / (len(dests) * lifetimes[m - 1])
         for d in dests:
             table[m - 1][d - 1] = rate

@@ -14,16 +14,21 @@ from eitsim.bloch import (AUX_LEVELS, COUPLING_LEVELS, DEGENERACY_TOL,
                           build_liouvillian, evolve, full_model_chi,
                           solved_indices, steady_state, steady_state_slope,
                           steady_states)
-from eitsim.config import DriveSet, pryso_defaults
+from eitsim.config import DriveSet, default_document, pryso_defaults
 from eitsim.errors import (ConfigError, IntegrationError,
                            InvalidArgumentError, SteadyStateError)
 from eitsim.lambda_system import lambda_from_material
-from eitsim.materials import LevelSystem, equal_branching
+from eitsim.materials import LevelSystem
 from eitsim.states import basis_state, mixed_state
 
 from lambda_oracle import lambda_steady_state
 
 MAT = pryso_defaults()
+
+
+def _material(**keys):
+    return pryso_defaults(material={**default_document()["material"], **keys})
+
 
 OFF = DriveSet(0.0, 0.0, 0.0)
 EIT_DRIVES = DriveSet(1.5e3, 1.5e6, 1.5e6)
@@ -376,7 +381,7 @@ class TestSteadyState:
         # two terminal ground levels, no fields: any population split
         # between them is stationary
         lifetimes = np.array([np.inf, np.inf, 1e-3])
-        branching = equal_branching(lifetimes, destinations={3: (1, 2)})
+        branching = [[0.0] * 3, [0.0] * 3, [500.0, 500.0, 0.0]]
         levels = LevelSystem(3, lifetimes, branching, np.zeros((3, 3)))
         gamma = np.full((3, 3), 100.0)
         np.fill_diagonal(gamma, 0.0)
@@ -406,9 +411,7 @@ class TestSolvedBlock:
 
     def test_undamped_uncoupled_coherence_solves_everything(self):
         # rho_12 has no decay and no drive: the rest is not certified
-        lifetimes = np.array([np.inf, 1e-3])
-        levels = LevelSystem(2, lifetimes,
-                             equal_branching(lifetimes, destinations={2: (1,)}),
+        levels = LevelSystem(2, [np.inf, 1e-3], [[0.0, 0.0], [1e3, 0.0]],
                              np.zeros((2, 2)))
         lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
         drift = TWO_LEVEL_DRIFT
@@ -578,11 +581,8 @@ class TestBatchedSteadyStates:
         # level 4 decays nowhere and every route leads into it, so each
         # point is exactly |4><4|, though the delta-independent part of the
         # pinned block is singular (cond 1.2e18)
-        lifetimes = MAT.levels.lifetimes
-        branching = np.array(equal_branching(lifetimes))
-        branching[3, :3] = 0.0
-        branching[1, 0] = 0.0
-        mat = pryso_defaults(lifetimes=lifetimes, branching=branching)
+        mat = _material(branching_41_per_s=0.0, branching_42_per_s=0.0,
+                        branching_43_per_s=0.0, branching_21_per_s=0.0)
         lv0 = assembled(EIT_DRIVES, mat=mat)
         rho = steady_states(lv0, PROBE_DRIFT,
                             np.linspace(-2e7, 2e7, 201))
@@ -610,9 +610,7 @@ class TestBatchedSteadyStates:
     def test_singular_point_names_its_detuning(self):
         # two levels, undamped coherence: the nullspace is two-dimensional
         # only at delta = 0, which sits mid-grid
-        lifetimes = np.array([np.inf, 1e-3])
-        levels = LevelSystem(2, lifetimes,
-                             equal_branching(lifetimes, destinations={2: (1,)}),
+        levels = LevelSystem(2, [np.inf, 1e-3], [[0.0, 0.0], [1e3, 0.0]],
                              np.zeros((2, 2)))
         lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
         drift = TWO_LEVEL_DRIFT
@@ -630,10 +628,9 @@ class TestBatchedSteadyStates:
         # resonance everything ends in the trap; at delta = 0 the dark
         # state of levels 1 and 2 is stationary too.  The coherences with
         # level 4 decay, so the solve runs on the 10-entry block.
-        lifetimes = np.array([np.inf, np.inf, 1e-3, np.inf])
-        levels = LevelSystem(4, lifetimes,
-                             equal_branching(lifetimes, destinations={3: (4,)}),
-                             np.zeros((4, 4)))
+        levels = LevelSystem(4, [np.inf, np.inf, 1e-3, np.inf],
+                             [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1e3],
+                              [0.0] * 4], np.zeros((4, 4)))
         gamma = np.full((4, 4), 100.0)
         np.fill_diagonal(gamma, 0.0)
         gamma[0, 1] = gamma[1, 0] = 0.0
@@ -669,13 +666,33 @@ class TestBatchedSteadyStates:
     def test_pole_beyond_the_float_range_is_refused(self):
         # a 6e246 rad/s ground decay next to a 6e298 rad/s probe leaves an
         # eigenvalue of C Z_S of 1.7e-315 whose pole -1/mu is not a float
-        mat = pryso_defaults(lifetimes=np.array(
-            [1.6e-247, 400.0, 400.0, 164e-6, 164e-6, 164e-6]))
+        mat = _material(lifetime_1_s=1.6e-247)
         lv0 = assembled(eit_drives((6.45e298, 1.5e6, 1.5e6)), mat=mat)
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 0\.0 rad/s: steady-state "
                                  r"system has a pole beyond the float range"):
             bloch.reduction(lv0, PROBE_DRIFT)
+
+    def test_woodbury_overflow_is_refused_by_name(self):
+        # a 1e-298 s lifetime puts sigma at 3.1e298 rad/s, and (delta - i
+        # sigma) * C Z_S (|C Z_S| ~ 5.6e286) leaves the float range
+        mat = _material(lifetime_3_s=1e-298)
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = -20000000\.0 rad/s: "
+                                 r"steady-state system overflows: \(delta "
+                                 r"- i sigma\) \* C Z_S is beyond the float "
+                                 r"range, with sigma = max\(\|\|L0\|\|, 1\) "
+                                 r"= 3\.142e\+298$"):
+            full_model_chi(mat, EIT_DRIVES, np.linspace(-2e7, 2e7, 201))
+
+    def test_shifted_names_the_first_overflowing_detuning(self):
+        # the right-hand side (delta - i sigma) * C y_S takes the same gate
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = 1e\+300 rad/s: steady-state "
+                                 r"system overflows: \(delta - i sigma\) \* "
+                                 r"C y_S is beyond"):
+            bloch._shifted(np.array([1.0, 1e300, 2e300]), 1.0,
+                           np.array([1.0, 1e10]), "C y_S", "steady-state")
 
 
 class TestSteadyStateSlope:
@@ -730,10 +747,9 @@ class TestSteadyStateSlope:
     def test_singular_system_names_its_detuning(self):
         # the trap system of test_singular_population_block_names_its_
         # detuning: its pinned system is singular at delta = 0
-        lifetimes = np.array([np.inf, np.inf, 1e-3, np.inf])
-        levels = LevelSystem(4, lifetimes,
-                             equal_branching(lifetimes, destinations={3: (4,)}),
-                             np.zeros((4, 4)))
+        levels = LevelSystem(4, [np.inf, np.inf, 1e-3, np.inf],
+                             [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1e3],
+                              [0.0] * 4], np.zeros((4, 4)))
         gamma = np.full((4, 4), 100.0)
         np.fill_diagonal(gamma, 0.0)
         gamma[0, 1] = gamma[1, 0] = 0.0
@@ -790,6 +806,12 @@ class TestEvolve:
             evolve(mixed_state(6), lv, -1.0)
         with pytest.raises(InvalidArgumentError):
             evolve(mixed_state(6), lv, float("nan"))
+        with pytest.raises(InvalidArgumentError,
+                           match="need at least two samples"):
+            evolve(mixed_state(6), lv, 1e-3, n_samples=1)
+        with pytest.raises(ConfigError, match="initial state dimension "
+                                              "does not match generator"):
+            evolve(mixed_state(2), lv, 1e-3)
 
     def test_propagator_breakdown_raises(self):
         # exp(L dt) at dt = 5e27 s needs 110 squarings and loses the trace;
@@ -834,7 +856,8 @@ class TestEvolve:
     def test_rescaled_ground_lifetimes_reach_terminal_state(self):
         # with ground T1 shortened to 1 ms the all-off cascade is integrable:
         # the transient must land on the same state the linear solve finds
-        mat = pryso_defaults(lifetimes=np.array([1e-3] * 3 + [164e-6] * 3))
+        mat = _material(lifetime_1_s=1e-3, lifetime_2_s=1e-3,
+                        lifetime_3_s=1e-3)
         lv = build_liouvillian(np.zeros((6, 6)), mat.levels, mat.gamma)
         ss = steady_state(lv)
         rho = evolve(mixed_state(6), lv, 20e-3, n_samples=5)[1]

@@ -14,7 +14,7 @@ import math
 import os
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
@@ -114,6 +114,8 @@ def test_closed_form_commands_end_in_a_documented_status(command, overrides,
 
 @settings(max_examples=100, deadline=None)
 @given(command=SIX_LEVEL_COMMANDS, overrides=OVERRIDES, jobs=JOBS)
+@example(command="spectrum", overrides=[("material.lifetime_3_s", 1e-298)],
+         jobs=None)
 def test_full_backend_commands_end_in_a_documented_status(command,
                                                           overrides, jobs):
     check_run([command, "--backend", "full"], overrides, jobs)

@@ -4,7 +4,6 @@ import pytest
 from eitsim import kernels
 from eitsim.bloch import build_hamiltonian, build_liouvillian, steady_state
 from eitsim.config import DriveSet, pryso_defaults
-from eitsim.errors import InvalidArgumentError
 from eitsim.states import mixed_state
 
 
@@ -121,17 +120,3 @@ def test_duplicate_sample_times():
     assert applied == 3
     assert np.array_equal(out[:, 0], np.ones(4))
 
-
-def test_input_validation():
-    gen = np.eye(2, dtype=complex)
-    y0 = np.zeros(2, dtype=complex)
-    with pytest.raises(InvalidArgumentError):
-        kernels.integrate(np.ones((2, 3)), y0, 1.0, 2)
-    with pytest.raises(InvalidArgumentError):
-        kernels.integrate(gen, np.zeros(3, dtype=complex), 1.0, 2)
-    with pytest.raises(InvalidArgumentError):
-        kernels.integrate(gen, y0, 1.0, 0)
-    with pytest.raises(InvalidArgumentError):
-        kernels.integrate(gen, y0, -1.0, 2)
-    with pytest.raises(InvalidArgumentError):
-        kernels.integrate(gen, y0, float("nan"), 2)

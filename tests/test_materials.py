@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from eitsim.config import pryso_defaults
+from eitsim.config import default_document, pryso_defaults
 from eitsim.errors import ConfigError, InvalidArgumentError
 from eitsim.materials import (DEFAULT_DESTINATIONS, EXCITED_LIFETIME_S,
                               GROUND_LIFETIME_S, LevelSystem, MaterialParams,
                               derive_gamma, equal_branching)
+
+
+def _material(**keys):
+    return pryso_defaults(material={**default_document()["material"], **keys})
 
 
 def _levels(lifetimes=None, branching=None, dephasing=None, n=6):
@@ -110,18 +114,17 @@ class TestDeriveGamma:
         assert np.all(g[np.triu_indices(6, 1)] > 0)
 
     def test_lifetime_override_increases_gamma52(self):
-        mat = pryso_defaults(
-            lifetimes=np.array([400.0] * 3 + [164e-6, 82e-6, 164e-6]))
+        mat = _material(lifetime_5_s=82e-6)
         want = math.pi * (1 / 82e-6 + 1 / 400.0 + 9e3)
         assert mat.gamma[4][1] == pytest.approx(want, rel=1e-15)
         assert mat.gamma[4][1] > 47430.39450208119
 
     def test_doubled_rates_double_gamma(self):
         base = pryso_defaults()
-        half = np.array([400.0] * 3 + [164e-6] * 3) / 2.0
-        deph = {k: 2 * v for k, v in
-                {(3, 2): 2e3, (5, 2): 9e3, (5, 3): 9e3}.items()}
-        doubled = pryso_defaults(lifetimes=half, dephasing_hz=deph)
+        half = {f"lifetime_{i}_s": t / 2.0
+                for i, t in enumerate(base.levels.lifetimes, 1)}
+        doubled = _material(**half, dephasing_32_hz=4e3,
+                            dephasing_52_hz=18e3, dephasing_53_hz=18e3)
         assert np.array_equal(doubled.gamma, 2.0 * np.array(base.gamma))
 
     def test_rejects_unknown_convention(self):
@@ -175,17 +178,18 @@ class TestMaterialParams:
                            mat.probe_dipole, mat.probe_wavelength)
 
 
-def test_equal_branching_custom_destinations():
-    table = equal_branching(np.array([1.0, 2.0, 4.0]),
-                            destinations={3: (1, 2), 2: (1,)})
-    assert table[2][0] == table[2][1] == 1 / 8.0
-    assert table[1][0] == 0.5
-    assert all(rate == 0 for rate in table[0])
-
-
 def test_default_destinations_cover_all_lower_levels():
     for m, dests in DEFAULT_DESTINATIONS.items():
         assert dests == tuple(range(1, m))
+
+
+@pytest.mark.parametrize("count", [2, 5, 7])
+def test_equal_branching_needs_six_lifetimes(count):
+    # the destinations are the six-level model's: with two lifetimes they
+    # index past the list, and with seven level 7 would never decay
+    with pytest.raises(InvalidArgumentError,
+                       match=f"^need 6 lifetimes, got {count}$"):
+        equal_branching([1.0] * count)
 
 
 def test_default_lifetime_constants():
@@ -219,4 +223,4 @@ def test_zero_lifetime_refused_before_any_division():
     with pytest.raises(InvalidArgumentError, match="lifetimes must be"):
         equal_branching(lifetimes)
     with pytest.raises(InvalidArgumentError, match="lifetimes must be"):
-        pryso_defaults(lifetimes=lifetimes)
+        _material(lifetime_5_s=0.0)

@@ -15,7 +15,7 @@ from eitsim.bloch import (DEGENERACY_TOL, PROBE_DRIFT, STEADY_STATE_CHUNK,
                           build_hamiltonian, build_liouvillian,
                           full_model_chi, rho_to_chi, steady_state_slope,
                           steady_states)
-from eitsim.config import pryso_defaults
+from eitsim.config import default_document, pryso_defaults
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
                            DivergentVelocityError, InvalidArgumentError,
@@ -30,6 +30,12 @@ from eitsim.optics import (CHI_IM_SIGN_TOL, CSV_HEADER, DriveSet, GridSpec,
                            transparency_window, window_width_closed_form)
 
 MAT = pryso_defaults()
+
+
+def _material(**keys):
+    return pryso_defaults(material={**default_document()["material"], **keys})
+
+
 EIT_DRIVES = DriveSet(probe_rabi=1.5e3, coupling_rabi=1.5e6, aux_rabi=1.5e6)
 EIT = lambda_from_material(MAT, EIT_DRIVES)
 
@@ -340,9 +346,8 @@ class TestSweep:
     def test_point_failures_name_the_detuning(self):
         # undamped ground coherence + no coupling: the closed form is
         # singular exactly at delta = 0 and the sweep must say where
-        mat = pryso_defaults(
-            lifetimes=np.array([np.inf] * 3 + [164e-6] * 3),
-            dephasing_hz={(5, 2): 9e3, (5, 3): 9e3})
+        mat = _material(lifetime_1_s=np.inf, lifetime_2_s=np.inf,
+                        lifetime_3_s=np.inf, dephasing_32_hz=0.0)
         drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=0.0)
         with pytest.raises(SingularParametersError, match="delta"):
             sweep("analytic", mat, drives, GridSpec(-1e3, 1e3, 3))
@@ -615,8 +620,9 @@ class TestBatchedFullBackend:
     def test_matches_null_space_oracle_over_drives(
             self, coupling, probe_share, aux, coupling_det, aux_det, deltas,
             dephasing):
-        mat = pryso_defaults(dephasing_hz={
-            (3, 2): dephasing[0], (5, 2): dephasing[1], (5, 3): dephasing[2]})
+        mat = _material(dephasing_32_hz=dephasing[0],
+                        dephasing_52_hz=dephasing[1],
+                        dephasing_53_hz=dephasing[2])
         drives = DriveSet(
             probe_rabi=probe_share * coupling,
             coupling_rabi=coupling, aux_rabi=aux,
@@ -701,7 +707,8 @@ class TestBatchedFullBackend:
         # infinite ground lifetimes and no coupling or auxiliary field:
         # population parked in levels 1 and 3 never moves, so every point
         # is degenerate and the first one is reported
-        mat = pryso_defaults(lifetimes=np.array([np.inf] * 3 + [164e-6] * 3))
+        mat = _material(lifetime_1_s=np.inf, lifetime_2_s=np.inf,
+                        lifetime_3_s=np.inf)
         drives = DriveSet(probe_rabi=1.5e3, coupling_rabi=0.0, aux_rabi=0.0)
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = -1000000\.0 rad/s: "):
