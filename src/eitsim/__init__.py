@@ -24,8 +24,7 @@ _EXPORTS = {
                "SteadyStateError"),
     "lambda_system": ("LambdaParams", "chi_analytic", "dchi_prime_ddelta",
                       "lambda_from_material"),
-    "materials": ("LevelSystem", "MaterialParams", "derive_gamma",
-                  "equal_branching"),
+    "materials": ("MaterialParams", "derive_gamma", "equal_branching"),
     "optics": ("absorption", "group_velocity", "probe_angular_frequency",
                "refractive_index", "spectrum_to_csv", "sweep",
                "transparency_window", "window_width_closed_form"),

@@ -34,7 +34,7 @@ from . import kernels
 from .config import DriveSet
 from .errors import (ConfigError, IntegrationError, InvalidArgumentError,
                      SteadyStateError)
-from .materials import LevelSystem, MaterialParams
+from .materials import MaterialParams
 from .states import (VALIDATION_TOL, assert_density_matrices,
                      assert_density_matrix)
 
@@ -96,15 +96,19 @@ def build_hamiltonian(drives, probe_detuning: float) -> np.ndarray:
     return ham
 
 
-def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
-                      gamma) -> np.ndarray:
+def build_liouvillian(ham: np.ndarray, branching, gamma) -> np.ndarray:
     """Assemble the full (n^2, n^2) generator acting on the row-major
     vec(rho): coherent commutator, population branching, and coherence
-    decay.  The branching and gamma tables (tuples of floats in a
-    MaterialParams) are read as arrays here."""
-    n = levels.n_levels
+    decay.  n is the branching table's; the branching and gamma tables
+    (tuples of floats in a MaterialParams) are read as arrays here."""
+    branching = np.asarray(branching, dtype=float)
+    n = len(branching) if branching.ndim == 2 else 0
     ham = np.asarray(ham, dtype=complex)
     gamma = np.asarray(gamma, dtype=float)
+    if n == 0 or branching.shape != (n, n):
+        raise ConfigError(
+            f"branching table shape {branching.shape} is not (n, n) for a "
+            "level count n")
     if ham.shape != (n, n):
         raise ConfigError("Hamiltonian dimension does not match level count")
     if gamma.shape != (n, n):
@@ -113,7 +117,6 @@ def build_liouvillian(ham: np.ndarray, levels: LevelSystem,
     eye = np.eye(n)
     gen = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
 
-    branching = np.asarray(levels.branching)
     for m in range(n):
         row = m * n + m
         gen[row, row] -= branching[m].sum()
@@ -348,7 +351,7 @@ def generator(mat: MaterialParams, drives: DriveSet,
     """The six-level generator of the fields of drives on the material's
     levels, the probe at probe_detuning."""
     return build_liouvillian(build_hamiltonian(drives, probe_detuning),
-                             mat.levels, mat.gamma)
+                             mat.branching, mat.gamma)
 
 
 def _full_generator(mat: MaterialParams, drives: DriveSet):

@@ -28,8 +28,8 @@ import sys
 import time
 
 from . import optics
-from .config import (GridSpec, ResolvedRun, apply_overrides, load_document,
-                     resolve)
+from .config import (CHOICES, GridSpec, ResolvedRun, apply_overrides,
+                     load_document, resolve)
 from .constants import TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
                      IntegrationError, InvalidArgumentError,
@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "last writer wins)")
     common.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
-    common.add_argument("--backend", choices=("analytic", "full"),
+    common.add_argument("--backend", choices=CHOICES["backend"],
                         help="shortcut for --set backend=...")
     common.add_argument("--jobs", type=int, metavar="N",
                         help="accepted (N >= 1) but has no effect; kept "
@@ -317,9 +317,9 @@ def cmd_evolve(args, run: ResolvedRun):
 
 
 def _gamma_note(mat, upper: int, lower: int) -> str:
-    inv_u = 1.0 / mat.levels.lifetimes[upper - 1]
-    inv_l = 1.0 / mat.levels.lifetimes[lower - 1]
-    deph = mat.levels.dephasing[upper - 1][lower - 1]
+    inv_u = 1.0 / mat.lifetimes[upper - 1]
+    inv_l = 1.0 / mat.lifetimes[lower - 1]
+    deph = mat.dephasing[upper - 1][lower - 1]
     if mat.rate_convention == "cyclic":
         return (f"pi * (1/T1({upper}) + 1/T1({lower}) + dephasing) "
                 f"= pi * ({inv_u:g} + {inv_l:g} + {deph:g} Hz), "
@@ -334,9 +334,9 @@ def cmd_params(args, run: ResolvedRun):
     dump = {
         "rate_convention": mat.rate_convention,
         "n_levels": N_LEVELS,
-        "lifetimes_s": mat.levels.lifetimes,
-        "branching_per_s": mat.levels.branching,
-        "dephasing_hz": mat.levels.dephasing,
+        "lifetimes_s": mat.lifetimes,
+        "branching_per_s": mat.branching,
+        "dephasing_hz": mat.dephasing,
         "gamma_rad_s": mat.gamma,
         "number_density_per_m3": mat.number_density,
         "probe_dipole_c_m": mat.probe_dipole,

@@ -25,17 +25,15 @@ from collections import namedtuple
 
 from .constants import TWO_PI
 from .errors import ConfigError
-from .materials import (DEFAULT_DEPHASING_HZ, EXCITED_LIFETIME_S,
-                        GROUND_LIFETIME_S, N_LEVELS, NUMBER_DENSITY_PER_M3,
-                        PROBE_DIPOLE_C_M, PROBE_WAVELENGTH_M, LevelSystem,
-                        MaterialParams, derive_gamma, equal_branching)
+from .materials import (N_LEVELS, RATE_CONVENTIONS, MaterialParams,
+                        derive_gamma, equal_branching)
 
 _LEVELS = range(1, N_LEVELS + 1)
 
 # Keys whose value is one of a fixed set of words.
 CHOICES = {
     "backend": ("analytic", "full"),
-    "conventions.rate_convention": ("cyclic", "angular"),
+    "conventions.rate_convention": RATE_CONVENTIONS,
     "evolve.initial_state": ("mixed",) + tuple(f"level_{i}" for i in _LEVELS),
 }
 # Every numeric key, spelled in the internal units it is stored in.  The
@@ -78,18 +76,20 @@ def default_document() -> dict:
         "backend": "analytic",
         "conventions": {"rate_convention": "cyclic"},
         "material": {
-            "number_density_per_m3": NUMBER_DENSITY_PER_M3,
-            "probe_dipole_c_m": PROBE_DIPOLE_C_M,
-            "probe_wavelength_m": PROBE_WAVELENGTH_M,
-            "lifetime_1_s": GROUND_LIFETIME_S,
-            "lifetime_2_s": GROUND_LIFETIME_S,
-            "lifetime_3_s": GROUND_LIFETIME_S,
-            "lifetime_4_s": EXCITED_LIFETIME_S,
-            "lifetime_5_s": EXCITED_LIFETIME_S,
-            "lifetime_6_s": EXCITED_LIFETIME_S,
-            "dephasing_32_hz": DEFAULT_DEPHASING_HZ[(3, 2)],
-            "dephasing_52_hz": DEFAULT_DEPHASING_HZ[(5, 2)],
-            "dephasing_53_hz": DEFAULT_DEPHASING_HZ[(5, 3)],
+            "number_density_per_m3": 4.7e24,
+            "probe_dipole_c_m": 1e-33,
+            # Not part of the rate data set: sourced from standard tables
+            # for this crystal.
+            "probe_wavelength_m": 605.7e-9,
+            "lifetime_1_s": 400.0,
+            "lifetime_2_s": 400.0,
+            "lifetime_3_s": 400.0,
+            "lifetime_4_s": 164e-6,
+            "lifetime_5_s": 164e-6,
+            "lifetime_6_s": 164e-6,
+            "dephasing_32_hz": 2e3,
+            "dephasing_52_hz": 9e3,
+            "dephasing_53_hz": 9e3,
         },
         "drives": {
             "probe_rabi_rad_s": 1.5e3,
@@ -312,10 +312,11 @@ def pryso_defaults(rate_convention: str = "cyclic",
             if i > j:
                 dephasing[i - 1][j - 1] = dephasing[j - 1][i - 1] = m.get(
                     f"dephasing_{i}{j}_hz", 0.0)
-    levels = LevelSystem(N_LEVELS, lifetimes, branching, dephasing)
     return MaterialParams(
-        levels=levels,
-        gamma=derive_gamma(levels, rate_convention),
+        lifetimes=lifetimes,
+        branching=branching,
+        dephasing=dephasing,
+        gamma=derive_gamma(lifetimes, dephasing, rate_convention),
         number_density=m["number_density_per_m3"],
         probe_dipole=m["probe_dipole_c_m"],
         probe_wavelength=m["probe_wavelength_m"],

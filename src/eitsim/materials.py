@@ -34,16 +34,6 @@ DEFAULT_DESTINATIONS = {
     6: (1, 2, 3, 4, 5),
 }
 
-GROUND_LIFETIME_S = 400.0
-EXCITED_LIFETIME_S = 164e-6
-DEFAULT_DEPHASING_HZ = {(3, 2): 2e3, (5, 2): 9e3, (5, 3): 9e3}
-
-NUMBER_DENSITY_PER_M3 = 4.7e24
-PROBE_DIPOLE_C_M = 1e-33
-# Probe transition wavelength; not part of the rate data set, sourced from
-# standard tables for this crystal.
-PROBE_WAVELENGTH_M = 605.7e-9
-
 RATE_CONVENTIONS = ("cyclic", "angular")
 
 BRANCHING_SUM_RTOL = 1e-12
@@ -74,29 +64,55 @@ def _symmetric(table) -> bool:
                for j in range(i))
 
 
-class LevelSystem(namedtuple("LevelSystem",
-                             "n_levels lifetimes branching dephasing")):
-    """Level count, lifetimes and relaxation tables, held as tuples of
-    floats.
+def derive_gamma(lifetimes, dephasing, rate_convention: str = "cyclic") -> tuple:
+    """Coherence decay rates gamma[i][j] in rad/s for every level pair, as
+    an n x n tuple of floats, from n lifetimes in s and the n x n
+    dephasing table in Hz.
 
-    lifetimes : n seconds, inf allowed (non-decaying level)
-    branching : n x n population decay rates, branching[m][n] = rate of
-                m -> n in 1/s.  Row sums must equal 1/T1 for every level
-                that decays at all; empty rows mark terminal levels whose
-                lifetime enters only the coherence-decay derivation.
-    dephasing : n x n symmetric pure-dephasing table in Hz (input unit).
+    Pairs without a dephasing entry get the pure lifetime half-sum.
+    The diagonal is zero.
+    """
+    if rate_convention not in RATE_CONVENTIONS:
+        raise ConfigError(f"rate_convention must be one of {RATE_CONVENTIONS}")
+    inv_t1 = [0.0 if math.isinf(t) else 1.0 / t for t in lifetimes]
+    scale, per_hz = ((math.pi, 1.0) if rate_convention == "cyclic"
+                     else (0.5, 2.0 * math.pi))
+    return tuple(
+        tuple(0.0 if i == j
+              else scale * (inv_t1[i] + inv_t1[j] + per_hz * deph)
+              for j, deph in enumerate(row))
+        for i, row in enumerate(dephasing))
+
+
+class MaterialParams(namedtuple("MaterialParams",
+                                "lifetimes branching dephasing gamma "
+                                "number_density probe_dipole probe_wavelength "
+                                "rate_convention")):
+    """Everything the optical response depends on besides the drives; the
+    level count n is len(lifetimes).  Tables are tuples of floats.
+
+    lifetimes        n seconds, inf allowed (non-decaying level)
+    branching        n x n population decay rates, branching[m][n] = rate
+                     of m -> n in 1/s.  Row sums must equal 1/T1 for every
+                     level that decays at all; empty rows mark terminal
+                     levels whose lifetime enters only derive_gamma.
+    dephasing        n x n symmetric pure-dephasing table in Hz (input unit)
+    gamma            n x n coherence decay rates, rad/s
+    number_density   dopant number density, 1/m^3
+    probe_dipole     probe transition dipole moment, C m
+    probe_wavelength probe vacuum wavelength, m
     """
 
     __slots__ = ()
 
-    def __new__(cls, n_levels, lifetimes, branching, dephasing):
-        n = n_levels
+    def __new__(cls, lifetimes, branching, dephasing, gamma, number_density,
+                probe_dipole, probe_wavelength, rate_convention="cyclic"):
+        n = len(lifetimes)
         if n < 2:
             raise InvalidArgumentError("need at least two levels")
         branching = _table(branching)
         dephasing = _table(dephasing)
-        if len(lifetimes) != n or not _is_square(branching, n) \
-                or not _is_square(dephasing, n):
+        if not _is_square(branching, n) or not _is_square(dephasing, n):
             raise InvalidArgumentError(
                 "lifetimes/branching/dephasing shape mismatch")
         lifetimes = _lifetimes(lifetimes)
@@ -110,7 +126,6 @@ class LevelSystem(namedtuple("LevelSystem",
                 "dephasing must be finite and non-negative")
         if not _symmetric(dephasing):
             raise InvalidArgumentError("dephasing table must be symmetric")
-
         for m in range(n):
             total = sum(branching[m])
             if total == 0.0:
@@ -121,45 +136,9 @@ class LevelSystem(namedtuple("LevelSystem",
                     f"branching out of level {m + 1} sums to {total!r}, "
                     f"expected 1/T1 = {expected!r}"
                 )
-        return super().__new__(cls, n, lifetimes, branching, dephasing)
 
-
-def derive_gamma(levels: LevelSystem, rate_convention: str = "cyclic") -> tuple:
-    """Coherence decay rates gamma[i][j] in rad/s for every level pair, as
-    an n x n tuple of floats.
-
-    Pairs without a dephasing entry get the pure lifetime half-sum.
-    The diagonal is zero.
-    """
-    if rate_convention not in RATE_CONVENTIONS:
-        raise ConfigError(f"rate_convention must be one of {RATE_CONVENTIONS}")
-    inv_t1 = [0.0 if math.isinf(t) else 1.0 / t for t in levels.lifetimes]
-    scale, per_hz = ((math.pi, 1.0) if rate_convention == "cyclic"
-                     else (0.5, 2.0 * math.pi))
-    return tuple(
-        tuple(0.0 if i == j
-              else scale * (inv_t1[i] + inv_t1[j] + per_hz * deph)
-              for j, deph in enumerate(row))
-        for i, row in enumerate(levels.dephasing))
-
-
-class MaterialParams(namedtuple("MaterialParams",
-                                "levels gamma number_density probe_dipole "
-                                "probe_wavelength rate_convention")):
-    """Everything the optical response depends on besides the drives.
-
-    gamma            n x n coherence decay rates, rad/s (tuples of floats)
-    number_density   dopant number density, 1/m^3
-    probe_dipole     probe transition dipole moment, C m
-    probe_wavelength probe vacuum wavelength, m
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, levels, gamma, number_density, probe_dipole,
-                probe_wavelength, rate_convention="cyclic"):
         gamma = _table(gamma)
-        if not _is_square(gamma, levels.n_levels):
+        if not _is_square(gamma, n):
             raise InvalidArgumentError("gamma table shape mismatch")
         if any(g < 0 for row in gamma for g in row) or not _symmetric(gamma):
             raise InvalidArgumentError("gamma must be symmetric and non-negative")
@@ -174,8 +153,9 @@ class MaterialParams(namedtuple("MaterialParams",
             raise InvalidArgumentError("probe dipole moment must be positive")
         if not probe_wavelength > 0:
             raise InvalidArgumentError("probe wavelength must be positive")
-        mat = super().__new__(cls, levels, gamma, number_density,
-                              probe_dipole, probe_wavelength, rate_convention)
+        mat = super().__new__(cls, lifetimes, branching, dephasing, gamma,
+                              number_density, probe_dipole, probe_wavelength,
+                              rate_convention)
         try:
             finite = math.isfinite(mat.coupling_strength)
         except OverflowError:  # probe_dipole**2 past the float range

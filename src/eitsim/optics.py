@@ -15,10 +15,10 @@ import bisect
 import math
 import operator
 
-from .config import DriveSet, GridSpec
+from .config import CHOICES, DriveSet, GridSpec
 from .constants import C_LIGHT, TWO_PI
 from .errors import (ConfigError, ConventionError, DivergentVelocityError,
-                     InvalidArgumentError)
+                     InvalidArgumentError, SingularParametersError)
 from .lambda_system import (chi_analytic, dchi_prime_ddelta, elementwise,
                             lambda_from_material)
 from .materials import MaterialParams
@@ -36,10 +36,6 @@ def __getattr__(name):
     from . import bloch
     return getattr(bloch, name)
 
-
-BACKEND_ANALYTIC = "analytic"
-BACKEND_FULL = "full"
-BACKENDS = (BACKEND_ANALYTIC, BACKEND_FULL)
 
 # chi_im more negative than this violates the absorption sign convention;
 # anything between it and zero is rounded up to zero absorption.
@@ -74,7 +70,8 @@ def absorption(chi, wavelength: float):
     chi, a list for a sequence.
 
     chi_im below -CHI_IM_SIGN_TOL breaks the sign convention; tiny negative
-    values inside the tolerance are clamped to zero absorption.
+    values inside the tolerance are clamped to zero absorption.  An alpha
+    that is not finite raises SingularParametersError.
     """
     if not wavelength > 0:
         raise InvalidArgumentError("wavelength must be positive")
@@ -88,7 +85,14 @@ def absorption(chi, wavelength: float):
                 f"chi_im = {float(low)!r} is negative beyond tolerance; "
                 "absorption must be non-negative")
         # np.maximum's clamp: a NaN or -0.0 passes through.
-        return [a if not a < 0.0 else 0.0 for a in map(scale.__mul__, chi_im)]
+        out = [a if not a < 0.0 else 0.0 for a in map(scale.__mul__, chi_im)]
+        if not all(map(math.isfinite, out)):
+            bad = next(c for c, a in zip(chi_im, out) if not math.isfinite(a))
+            raise SingularParametersError(
+                f"absorption is not finite at chi_im = {bad!r}: "
+                "0.5 * (2*pi / wavelength) * chi_im overflows the float "
+                f"range, with wavelength = {wavelength!r} m")
+        return out
 
     return elementwise(alphas, chi)
 
@@ -180,15 +184,15 @@ def group_velocity(backend: str, mat: MaterialParams, drives: DriveSet,
     if not (math.isfinite(omega0) and omega0 > 0):
         raise InvalidArgumentError(
             f"probe angular frequency {omega0!r} must be positive and finite")
-    if backend == BACKEND_FULL:
+    if backend == "full":
         from .bloch import full_model_chi_slope
         chi, dchi_re = full_model_chi_slope(mat, drives, delta0)
-    elif backend == BACKEND_ANALYTIC:
+    elif backend == "analytic":
         lam = lambda_from_material(mat, drives)
         chi = chi_analytic(lam, delta0)
         dchi_re = dchi_prime_ddelta(lam, delta0)
     else:
-        raise ConfigError(f"backend must be one of {BACKENDS}")
+        raise ConfigError(f"backend must be one of {CHOICES['backend']}")
     group_index = refractive_index(chi) - omega0 * 0.5 * dchi_re
     if not math.isfinite(group_index):
         raise DivergentVelocityError(
@@ -209,10 +213,10 @@ def sweep(backend: str, mat: MaterialParams, drives: DriveSet,
     grid too narrow for its point count to increase strictly is refused
     before the solve (grid_values).
     """
-    if backend not in BACKENDS:
-        raise ConfigError(f"backend must be one of {BACKENDS}")
+    if backend not in CHOICES["backend"]:
+        raise ConfigError(f"backend must be one of {CHOICES['backend']}")
     deltas = grid_values(grid)
-    if backend == BACKEND_FULL:
+    if backend == "full":
         from .bloch import full_model_chi
         chi = full_model_chi(mat, drives, deltas).tolist()
     else:

@@ -61,18 +61,18 @@ def rate_populations(mat, probe, coupling, aux, deltas):
     sees the coupling-dressed response, rate
     (Omega_p^2 / 2) Re[(gamma32 + i delta) / D] with
     D = (gamma52 + i delta)(gamma32 + i delta) + Omega_c^2 / 4.  Spontaneous
-    decay follows mat.levels.branching.  Built from mat.levels and mat.gamma
+    decay follows mat.branching.  Built from mat.branching and mat.gamma
     alone, so it shares no code with the Bloch generator, the steady-state
     solve or the closed form it is used to check.
     """
     g = np.array(mat.gamma)
     deltas = np.asarray(deltas, dtype=float)
-    n = mat.levels.n_levels
+    n = len(mat.lifetimes)
     d = (g[4, 1] + 1j * deltas) * (g[2, 1] + 1j * deltas) \
         + 0.25 * coupling ** 2
     probe_rate = 0.5 * probe ** 2 * ((g[2, 1] + 1j * deltas) / d).real
     # rates[k, to, from] at detuning k
-    rates = np.repeat(np.array(mat.levels.branching).T[None], deltas.size,
+    rates = np.repeat(np.array(mat.branching).T[None], deltas.size,
                       axis=0)
     for (upper, lower), rate in (((5, 2), probe_rate),
                                  ((5, 3), 0.5 * coupling ** 2 / g[4, 2]),

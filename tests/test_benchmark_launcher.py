@@ -38,7 +38,8 @@ def test_launcher_traces_the_benchmark_commands(argv, tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     names = {span[0] for span in json.loads(spans.read_text())}
-    assert {"import.eitsim", "config.resolve", f"cli.{argv[0]}"} <= names
+    assert {"import.eitsim", "config.resolve", "materials.derive_gamma",
+            f"cli.{argv[0]}"} <= names
 
 
 def test_optics_forwards_only_the_patched_names():

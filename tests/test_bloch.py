@@ -18,7 +18,6 @@ from eitsim.config import DriveSet, default_document, pryso_defaults
 from eitsim.errors import (ConfigError, IntegrationError,
                            InvalidArgumentError, SteadyStateError)
 from eitsim.lambda_system import lambda_from_material
-from eitsim.materials import LevelSystem
 from eitsim.states import basis_state, mixed_state
 
 from lambda_oracle import lambda_steady_state
@@ -36,8 +35,10 @@ PUMP_DRIVES = DriveSet(0.0, 1e6, 1e6)
 FIELD_LEVELS = (PROBE_LEVELS, COUPLING_LEVELS, AUX_LEVELS)
 
 # Two levels whose 1-2 coherence neither decays nor is driven: frame phases
-# (-1, 0) per unit delta, so D[m*2 + k] = -i (p_m - p_k).
+# (-1, 0) per unit delta, so D[m*2 + k] = -i (p_m - p_k).  Level 2 decays
+# into level 1.
 TWO_LEVEL_DRIFT = np.array([0.0, 1j, -1j, 0.0])
+TWO_LEVEL_BRANCHING = [[0.0, 0.0], [1e3, 0.0]]
 # The Lambda system 1-3-2 of four levels, both fields at rabi 2, and its
 # drift for delta on the 3-2 field: frame phases (1, 0, 1, 0) per unit delta.
 LAMBDA_HAM = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, -1.0, 0.0],
@@ -45,6 +46,8 @@ LAMBDA_HAM = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, -1.0, 0.0],
 LAMBDA_DRIFT = -1j * np.array([[0.0, 1.0, 0.0, 1.0], [-1.0, 0.0, -1.0, 0.0],
                                [0.0, 1.0, 0.0, 1.0],
                                [-1.0, 0.0, -1.0, 0.0]]).reshape(-1)
+# Its excited level 3 decays only into a trap, level 4.
+TRAP_BRANCHING = [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1e3], [0.0] * 4]
 
 
 def eit_drives(rabi=(1.5e3, 1.5e6, 1.5e6), coupling_det=0.0, aux_det=0.0):
@@ -53,7 +56,7 @@ def eit_drives(rabi=(1.5e3, 1.5e6, 1.5e6), coupling_det=0.0, aux_det=0.0):
 
 
 def assembled(drives, delta=0.0, mat=MAT):
-    return build_liouvillian(build_hamiltonian(drives, delta), mat.levels,
+    return build_liouvillian(build_hamiltonian(drives, delta), mat.branching,
                              mat.gamma)
 
 
@@ -270,26 +273,26 @@ class TestLiouvillian:
     def test_dual_route_against_elementwise_equations(self):
         # superoperator route vs independently written component equations
         ham = build_hamiltonian(EIT_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
         rng = np.random.default_rng(11)
         scale = np.max(np.abs(lv))
         for _ in range(25):
             rho = random_hermitian_state(rng)
             via_gen = (lv @ rho.reshape(-1)).reshape(6, 6)
-            via_ref = reference_rhs(rho, ham, np.array(MAT.levels.branching),
+            via_ref = reference_rhs(rho, ham, np.array(MAT.branching),
                                     np.array(MAT.gamma))
             assert np.max(np.abs(via_gen - via_ref)) < 1e-13 * scale
 
     def test_probe_coupling_coefficients_in_population_equation(self):
         # d rho_22/dt picks up -i*Omega_P/2 * rho_25 + i*Omega_P/2 * rho_52
         ham = build_hamiltonian(DriveSet(2.0, 0.0, 0.0), 0.0)
-        lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
         idx22, idx25, idx52 = 1 * 6 + 1, 1 * 6 + 4, 4 * 6 + 1
         assert lv[idx22, idx25] == -1.0j
         assert lv[idx22, idx52] == 1.0j
 
     def test_population_decay_rates_from_level5(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         rho = basis_state(6, 5)
         rhs = (lv @ rho.reshape(-1)).reshape(6, 6)
         # equal split into 1..4 at 1/(4*T1), total drain 1/T1
@@ -298,7 +301,7 @@ class TestLiouvillian:
         assert rhs[5, 5].real == 0.0
 
     def test_coherence_decay_entry(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         idx52 = 4 * 6 + 1
         assert lv[idx52, idx52] == -MAT.gamma[4][1]
 
@@ -306,7 +309,7 @@ class TestLiouvillian:
         # the population rows of the generator sum to the zero row: exact
         for drives in (OFF, PUMP_DRIVES, EIT_DRIVES):
             ham = build_hamiltonian(drives, 0.0)
-            lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+            lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
             rows = [m * 6 + m for m in range(6)]
             colsum = lv[rows, :].sum(axis=0)
             assert np.max(np.abs(colsum)) == 0.0
@@ -316,7 +319,7 @@ class TestLiouvillian:
         rng = np.random.default_rng(13)
         for drives in (OFF, PUMP_DRIVES, EIT_DRIVES):
             ham = build_hamiltonian(drives, 0.0)
-            lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+            lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
             norm = np.abs(lv).sum(axis=1).max()
             bound = max(1e-12, 1e-15 * norm)
             states = [mixed_state(6)] + \
@@ -328,10 +331,15 @@ class TestLiouvillian:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ConfigError):
-            build_liouvillian(np.zeros((5, 5)), MAT.levels, MAT.gamma)
+            build_liouvillian(np.zeros((5, 5)), MAT.branching, MAT.gamma)
         with pytest.raises(ConfigError):
-            build_liouvillian(np.zeros((6, 6)), MAT.levels,
+            build_liouvillian(np.zeros((6, 6)), MAT.branching,
                               np.array(MAT.gamma)[:5, :5])
+        # n is the branching table's, which must itself be n x n
+        for branching in (np.array(MAT.branching)[:, :5], MAT.branching[0],
+                          np.zeros((0, 0))):
+            with pytest.raises(ConfigError, match="^branching table shape"):
+                build_liouvillian(np.zeros((6, 6)), branching, MAT.gamma)
         # a generator that is not (n^2, n^2) is refused wherever one is
         # accepted
         zero = np.zeros(36)
@@ -349,7 +357,7 @@ class TestLiouvillian:
 
 class TestSteadyState:
     def test_all_fields_off_collects_in_terminal_level(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         rho = steady_state(lv)
         want = np.zeros(6)
         want[0] = 1.0
@@ -358,7 +366,7 @@ class TestSteadyState:
 
     def test_pumping_concentrates_in_level2(self):
         ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
         rho = steady_state(lv)
         assert rho[1, 1].real > 0.999
 
@@ -372,7 +380,7 @@ class TestSteadyState:
     def test_transient_agrees_with_steady_state(self):
         # 24 ms is ~20 times the slowest decay mode of the pumped generator
         ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
         ss = steady_state(lv)
         rho = evolve(mixed_state(6), lv, 24e-3, n_samples=9)[1]
         assert np.max(np.abs(rho[-1] - ss)) < 1e-6
@@ -380,12 +388,10 @@ class TestSteadyState:
     def test_degenerate_nullspace_rejected(self):
         # two terminal ground levels, no fields: any population split
         # between them is stationary
-        lifetimes = np.array([np.inf, np.inf, 1e-3])
         branching = [[0.0] * 3, [0.0] * 3, [500.0, 500.0, 0.0]]
-        levels = LevelSystem(3, lifetimes, branching, np.zeros((3, 3)))
         gamma = np.full((3, 3), 100.0)
         np.fill_diagonal(gamma, 0.0)
-        lv = build_liouvillian(np.zeros((3, 3)), levels, gamma)
+        lv = build_liouvillian(np.zeros((3, 3)), branching, gamma)
         with pytest.raises(SteadyStateError):
             steady_state(lv)
 
@@ -411,12 +417,11 @@ class TestSolvedBlock:
 
     def test_undamped_uncoupled_coherence_solves_everything(self):
         # rho_12 has no decay and no drive: the rest is not certified
-        levels = LevelSystem(2, [np.inf, 1e-3], [[0.0, 0.0], [1e3, 0.0]],
-                             np.zeros((2, 2)))
-        lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
+        lv0 = build_liouvillian(np.zeros((2, 2)), TWO_LEVEL_BRANCHING,
+                                np.zeros((2, 2)))
         drift = TWO_LEVEL_DRIFT
         assert np.array_equal(solved_indices(lv0, drift), np.arange(4))
-        damped = build_liouvillian(np.zeros((2, 2)), levels,
+        damped = build_liouvillian(np.zeros((2, 2)), TWO_LEVEL_BRANCHING,
                                    np.full((2, 2), 10.0))
         assert np.array_equal(solved_indices(damped, drift), [0, 3])
 
@@ -439,6 +444,12 @@ class TestSolvedBlock:
             eit_drives(rabi, coupling_det, aux_det)))
         outside = np.setdiff1d(np.arange(36), solved)
         assert np.all(rho[outside] == 0.0)
+        # positive semidefinite: over 3,000 draws of these drives the
+        # smallest eigenvalue never went below 0.0 (exactly 0 where the
+        # repump is off and level 6 stays empty), so the slack of
+        # n = 6 eps * max|rho| covers only eigvalsh's own rounding
+        lowest = np.linalg.eigvalsh(rho.reshape(6, 6))[0]
+        assert lowest >= -6 * np.finfo(float).eps * np.abs(rho).max()
 
     # Omega_c = 4.1998e4 rad/s is the exceptional point of the default
     # material, where EIT turns into an Autler-Townes doublet and two poles
@@ -610,9 +621,8 @@ class TestBatchedSteadyStates:
     def test_singular_point_names_its_detuning(self):
         # two levels, undamped coherence: the nullspace is two-dimensional
         # only at delta = 0, which sits mid-grid
-        levels = LevelSystem(2, [np.inf, 1e-3], [[0.0, 0.0], [1e3, 0.0]],
-                             np.zeros((2, 2)))
-        lv0 = build_liouvillian(np.zeros((2, 2)), levels, np.zeros((2, 2)))
+        lv0 = build_liouvillian(np.zeros((2, 2)), TWO_LEVEL_BRANCHING,
+                                np.zeros((2, 2)))
         drift = TWO_LEVEL_DRIFT
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 0, 0], np.ones(3))
@@ -628,13 +638,10 @@ class TestBatchedSteadyStates:
         # resonance everything ends in the trap; at delta = 0 the dark
         # state of levels 1 and 2 is stationary too.  The coherences with
         # level 4 decay, so the solve runs on the 10-entry block.
-        levels = LevelSystem(4, [np.inf, np.inf, 1e-3, np.inf],
-                             [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1e3],
-                              [0.0] * 4], np.zeros((4, 4)))
         gamma = np.full((4, 4), 100.0)
         np.fill_diagonal(gamma, 0.0)
         gamma[0, 1] = gamma[1, 0] = 0.0
-        lv0 = build_liouvillian(LAMBDA_HAM, levels, gamma)
+        lv0 = build_liouvillian(LAMBDA_HAM, TRAP_BRANCHING, gamma)
         drift = LAMBDA_DRIFT
         assert np.array_equal(solved_indices(lv0, drift),
                               [0, 1, 2, 4, 5, 6, 8, 9, 10, 15])
@@ -747,13 +754,10 @@ class TestSteadyStateSlope:
     def test_singular_system_names_its_detuning(self):
         # the trap system of test_singular_population_block_names_its_
         # detuning: its pinned system is singular at delta = 0
-        levels = LevelSystem(4, [np.inf, np.inf, 1e-3, np.inf],
-                             [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1e3],
-                              [0.0] * 4], np.zeros((4, 4)))
         gamma = np.full((4, 4), 100.0)
         np.fill_diagonal(gamma, 0.0)
         gamma[0, 1] = gamma[1, 0] = 0.0
-        lv0 = build_liouvillian(LAMBDA_HAM, levels, gamma)
+        lv0 = build_liouvillian(LAMBDA_HAM, TRAP_BRANCHING, gamma)
         drift = LAMBDA_DRIFT
         rho = steady_states(lv0, drift, [1.0])[0]
         with pytest.raises(SteadyStateError,
@@ -763,7 +767,7 @@ class TestSteadyStateSlope:
 
 class TestEvolve:
     def test_exponential_decay_of_level5(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         t_end = 4 * 164e-6
         times, rho, _, _ = evolve(basis_state(6, 5), lv, t_end, n_samples=5)
         pops = np.diagonal(rho, axis1=1, axis2=2).real
@@ -772,7 +776,7 @@ class TestEvolve:
 
     def test_drift_diagnostics_within_budget(self):
         ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
         times, rho, trace_dev, herm_dev = evolve(mixed_state(6), lv, 10e-3)
         assert trace_dev <= 1e-9
         assert herm_dev <= 1e-9
@@ -780,7 +784,7 @@ class TestEvolve:
         assert times.size == 201
 
     def test_zero_horizon_returns_initial(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         times, rho, trace_dev, herm_dev = evolve(basis_state(6, 3), lv, 0.0)
         assert len(rho) == 1
         assert times[0] == 0.0
@@ -788,7 +792,7 @@ class TestEvolve:
         assert trace_dev == herm_dev == 0.0
 
     def test_accepts_raw_matrix_input(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         rho = evolve(np.eye(6, dtype=complex) / 6, lv, 1e-5, n_samples=3)[1]
         assert len(rho) == 3
 
@@ -801,7 +805,7 @@ class TestEvolve:
             assert np.array_equal(state, state.conj().T)
 
     def test_bad_horizon_rejected(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         with pytest.raises(InvalidArgumentError):
             evolve(mixed_state(6), lv, -1.0)
         with pytest.raises(InvalidArgumentError):
@@ -817,7 +821,7 @@ class TestEvolve:
         # exp(L dt) at dt = 5e27 s needs 110 squarings and loses the trace;
         # at 1e305 s L dt overflows outright
         ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.levels, MAT.gamma)
+        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
         with pytest.raises(IntegrationError,
                            match=r"sample at t = 5\.000000e\+27 s"):
             evolve(mixed_state(6), lv, 1e30)
@@ -849,7 +853,7 @@ class TestEvolve:
             assert np.linalg.eigvalsh(m).min() >= -1e-9
 
     def test_dimension_mismatch_rejected(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.levels, MAT.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
         with pytest.raises(ConfigError):
             evolve(np.eye(4) / 4, lv, 1e-3)
 
@@ -858,7 +862,7 @@ class TestEvolve:
         # the transient must land on the same state the linear solve finds
         mat = _material(lifetime_1_s=1e-3, lifetime_2_s=1e-3,
                         lifetime_3_s=1e-3)
-        lv = build_liouvillian(np.zeros((6, 6)), mat.levels, mat.gamma)
+        lv = build_liouvillian(np.zeros((6, 6)), mat.branching, mat.gamma)
         ss = steady_state(lv)
         rho = evolve(mixed_state(6), lv, 20e-3, n_samples=5)[1]
         assert ss[0, 0].real == pytest.approx(1.0, abs=1e-9)

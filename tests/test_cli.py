@@ -478,7 +478,7 @@ class TestEvolve:
         assert main(["evolve", "--out", out, *argv]) == 0
         run = resolve(apply_overrides({}, argv[1::2]))
         ham = bloch.build_hamiltonian(run.drives, run.drives.probe_detuning)
-        gen = bloch.build_liouvillian(ham, run.material.levels,
+        gen = bloch.build_liouvillian(ham, run.material.branching,
                                       run.material.gamma)
         times, rho, _, _ = bloch.evolve(
             states.initial_state(run.evolve_initial), gen, 1e-4, n_samples=11)

@@ -107,6 +107,10 @@ def check_run(argv, overrides, jobs,
 
 @settings(max_examples=150, deadline=None)
 @given(command=COMMANDS, overrides=OVERRIDES, jobs=JOBS)
+@example(command="spectrum",
+         overrides=[("material.probe_wavelength_m", 1e-320)], jobs=None)
+@example(command="window",
+         overrides=[("material.probe_wavelength_m", 1e-320)], jobs=None)
 def test_closed_form_commands_end_in_a_documented_status(command, overrides,
                                                          jobs):
     check_run([command], overrides, jobs)
@@ -116,6 +120,8 @@ def test_closed_form_commands_end_in_a_documented_status(command, overrides,
 @given(command=SIX_LEVEL_COMMANDS, overrides=OVERRIDES, jobs=JOBS)
 @example(command="spectrum", overrides=[("material.lifetime_3_s", 1e-298)],
          jobs=None)
+@example(command="spectrum",
+         overrides=[("material.probe_wavelength_m", 1e-320)], jobs=None)
 def test_full_backend_commands_end_in_a_documented_status(command,
                                                           overrides, jobs):
     check_run([command, "--backend", "full"], overrides, jobs)

@@ -47,9 +47,6 @@ class TestDefaults:
         assert built._fields == resolved._fields
         for field in built._fields:
             assert getattr(built, field) == getattr(resolved, field), field
-        for field in built.levels._fields:
-            assert getattr(built.levels, field) \
-                == getattr(resolved.levels, field), field
         assert built.coupling_strength == resolved.coupling_strength
 
     def test_empty_document_equals_defaults(self):
@@ -91,7 +88,7 @@ class TestUnitSuffixes:
     def test_dephasing_stays_in_hz(self):
         run = resolve_with("material.dephasing_32_hz=4e3")
         assert run.canonical["material"]["dephasing_32_hz"] == 4e3
-        assert run.material.levels.dephasing[2][1] == 4e3
+        assert run.material.dephasing[2][1] == 4e3
 
     def test_alias_conflict_names_both_keys(self):
         doc = default_document()
@@ -120,8 +117,8 @@ class TestDephasingPairOrder:
         assert "dephasing_23_hz" not in material
         assert "material.dephasing_32_hz" in run.user_set
         assert "material.dephasing_23_hz" not in run.user_set
-        assert run.material.levels.dephasing[2][1] == 5.0
-        assert run.material.levels.dephasing[1][2] == 5.0
+        assert run.material.dephasing[2][1] == 5.0
+        assert run.material.dephasing[1][2] == 5.0
 
     def test_both_orders_set_the_same_quantity(self):
         with pytest.raises(ConfigError, match="same quantity") as err:
@@ -280,8 +277,8 @@ class TestPinnedEcho:
     def test_pinned_literal_replays_to_itself(self):
         run = resolve(RICH_RESOLVED)
         assert json.dumps(run.canonical) == json.dumps(RICH_RESOLVED)
-        assert run.material.levels.dephasing[1][4] == 7000.0
-        assert run.material.levels.dephasing[3][0] == 50.0
+        assert run.material.dephasing[1][4] == 7000.0
+        assert run.material.dephasing[3][0] == 50.0
 
 
 class TestRejection:
@@ -413,7 +410,7 @@ class TestMaterialOverrides:
     def test_lifetime_override_regenerates_branching(self):
         run = resolve_with("material.lifetime_5_s=82e-6")
         per = (1.0 / 82e-6) / 4.0
-        np.testing.assert_allclose(run.material.levels.branching[4][:4], per,
+        np.testing.assert_allclose(run.material.branching[4][:4], per,
                                    rtol=1e-15)
         # coherence rate follows the faster decay
         expected = math.pi * (1.0 / 82e-6 + 1.0 / 400.0 + 9e3)
@@ -431,7 +428,7 @@ class TestMaterialOverrides:
             f"material.branching_53_per_s={per / 2!r}",
             f"material.branching_54_per_s={per / 2!r}",
         )
-        b = run.material.levels.branching
+        b = run.material.branching
         assert b[4][0] == 2 * per
         assert b[4][1] == per
         assert b[4][2] == per / 2

@@ -90,7 +90,7 @@ def test_long_time_limit_is_the_steady_state():
     # the oracle is the linear nullspace solve, not a propagation
     mat = pryso_defaults()
     drives = DriveSet(probe_rabi=0.0, coupling_rabi=1e6, aux_rabi=1e6)
-    lv = build_liouvillian(build_hamiltonian(drives, 0.0), mat.levels,
+    lv = build_liouvillian(build_hamiltonian(drives, 0.0), mat.branching,
                            mat.gamma)
     out, _, _ = kernels.integrate(lv,
                                   mixed_state(6).reshape(-1),

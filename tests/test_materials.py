@@ -5,8 +5,7 @@ import pytest
 
 from eitsim.config import default_document, pryso_defaults
 from eitsim.errors import ConfigError, InvalidArgumentError
-from eitsim.materials import (DEFAULT_DESTINATIONS, EXCITED_LIFETIME_S,
-                              GROUND_LIFETIME_S, LevelSystem, MaterialParams,
+from eitsim.materials import (DEFAULT_DESTINATIONS, MaterialParams,
                               derive_gamma, equal_branching)
 
 
@@ -14,19 +13,25 @@ def _material(**keys):
     return pryso_defaults(material={**default_document()["material"], **keys})
 
 
-def _levels(lifetimes=None, branching=None, dephasing=None, n=6):
+def _params(lifetimes=None, branching=None, dephasing=None):
+    """A MaterialParams of these level tables, with zero coherence decay
+    and the default optical fields."""
     if lifetimes is None:
         lifetimes = np.array([400.0] * 3 + [164e-6] * 3)
+    n = len(lifetimes)
     if branching is None:
         branching = equal_branching(lifetimes)
     if dephasing is None:
         dephasing = np.zeros((n, n))
-    return LevelSystem(n, lifetimes, branching, dephasing)
+    return MaterialParams(lifetimes, branching, dephasing, np.zeros((n, n)),
+                          4.7e24, 1e-33, 605.7e-9)
 
 
 class TestLevelSystem:
+    """MaterialParams' checks of its lifetimes, branching and dephasing."""
+
     def test_default_branching_row_sums(self):
-        lv = pryso_defaults().levels
+        lv = pryso_defaults()
         branching = np.array(lv.branching)
         for m in range(2, 7):
             assert branching[m - 1].sum() == pytest.approx(
@@ -34,7 +39,7 @@ class TestLevelSystem:
         assert branching[0].sum() == 0.0  # terminal
 
     def test_equal_split_values(self):
-        branching = np.array(pryso_defaults().levels.branching)
+        branching = np.array(pryso_defaults().branching)
         # level 5 decays to 1..4 at 1/(4*T1) each
         assert branching[4, 0] == pytest.approx(1.0 / (4 * 164e-6), rel=1e-15)
         assert branching[4, 0] == pytest.approx(1524.3902439024391, rel=1e-12)
@@ -49,39 +54,64 @@ class TestLevelSystem:
         branching = np.array(equal_branching(lifetimes))
         branching[4, 0] *= 1.5
         with pytest.raises(ConfigError):
-            _levels(branching=branching)
+            _params(branching=branching)
 
     def test_rejects_self_decay(self):
         lifetimes = np.array([400.0] * 3 + [164e-6] * 3)
         branching = np.array(equal_branching(lifetimes))
         branching[2, 2] = 1.0
         with pytest.raises(InvalidArgumentError):
-            _levels(branching=branching)
+            _params(branching=branching)
 
     def test_rejects_decay_with_infinite_lifetime(self):
         lifetimes = np.array([np.inf, 400.0])
         branching = np.array([[0.0, 0.1], [1 / 400.0, 0.0]])
         with pytest.raises(ConfigError):
-            LevelSystem(2, lifetimes, branching, np.zeros((2, 2)))
+            _params(lifetimes, branching)
 
     def test_infinite_lifetime_without_decay_is_fine(self):
         lifetimes = np.array([np.inf, 400.0])
         branching = np.array([[0.0, 0.0], [1 / 400.0, 0.0]])
-        lv = LevelSystem(2, lifetimes, branching, np.zeros((2, 2)))
-        assert sum(lv.branching[0]) == 0.0
+        assert sum(_params(lifetimes, branching).branching[0]) == 0.0
+
+    def test_refusals_keep_their_order_and_messages(self):
+        # each check runs before the next one can see the same input
+        two = [np.inf, 1e-3]
+        decay = [[0.0, 0.0], [1e3, 0.0]]
+        zeros = np.zeros((2, 2))
+        for tables, match in [
+                (([1.0], [[0.0]], [[0.0]]), "need at least two levels"),
+                ((two, decay, np.zeros((3, 3))),
+                 "lifetimes/branching/dephasing shape mismatch"),
+                (([0.0, 1e-3], decay, zeros),
+                 r"lifetimes must be positive \(inf allowed\)"),
+                ((two, [[0.0, 0.0], [-1.0, 0.0]], zeros),
+                 "branching rates must be finite and non-negative"),
+                ((two, [[0.0, 0.0], [1e3, 1.0]], zeros),
+                 "self-decay entries must be zero"),
+                ((two, decay, [[0.0, -1.0], [-1.0, 0.0]]),
+                 "dephasing must be finite and non-negative"),
+                ((two, decay, [[0.0, 1.0], [0.0, 0.0]]),
+                 "dephasing table must be symmetric")]:
+            with pytest.raises(InvalidArgumentError, match=f"^{match}$"):
+                MaterialParams(*tables, zeros, 4.7e24, 1e-33, 605.7e-9)
+        with pytest.raises(InvalidArgumentError,
+                           match="^gamma table shape mismatch$"):
+            MaterialParams(two, decay, zeros, np.zeros((3, 3)), 4.7e24,
+                           1e-33, 605.7e-9)
 
     def test_rejects_asymmetric_dephasing(self):
         deph = np.zeros((6, 6))
         deph[2, 1] = 2e3  # missing mirror entry
         with pytest.raises(InvalidArgumentError):
-            _levels(dephasing=deph)
+            _params(dephasing=deph)
 
     def test_rejects_negative_inputs(self):
         with pytest.raises(InvalidArgumentError):
-            _levels(lifetimes=np.array([400.0] * 5 + [-1.0]))
+            _params(lifetimes=np.array([400.0] * 5 + [-1.0]))
         deph = np.full((6, 6), -1.0)
         with pytest.raises(InvalidArgumentError):
-            _levels(dephasing=deph)
+            _params(dephasing=deph)
 
 
 class TestDeriveGamma:
@@ -122,14 +152,15 @@ class TestDeriveGamma:
     def test_doubled_rates_double_gamma(self):
         base = pryso_defaults()
         half = {f"lifetime_{i}_s": t / 2.0
-                for i, t in enumerate(base.levels.lifetimes, 1)}
+                for i, t in enumerate(base.lifetimes, 1)}
         doubled = _material(**half, dephasing_32_hz=4e3,
                             dephasing_52_hz=18e3, dephasing_53_hz=18e3)
         assert np.array_equal(doubled.gamma, 2.0 * np.array(base.gamma))
 
     def test_rejects_unknown_convention(self):
+        mat = pryso_defaults()
         with pytest.raises(ConfigError):
-            derive_gamma(pryso_defaults().levels, "radians")
+            derive_gamma(mat.lifetimes, mat.dephasing, "radians")
 
 
 class TestMaterialParams:
@@ -142,20 +173,19 @@ class TestMaterialParams:
                                                       rel=1e-13)
 
     def test_rejects_asymmetric_gamma(self):
-        lv = pryso_defaults().levels
-        g = np.array(derive_gamma(lv))
+        mat = pryso_defaults()
+        g = np.array(mat.gamma)
         g[0, 1] *= 2
         with pytest.raises(InvalidArgumentError):
-            MaterialParams(lv, g, 4.7e24, 1e-33, 605.7e-9)
+            MaterialParams(*mat[:3], g, 4.7e24, 1e-33, 605.7e-9)
 
     def test_rejects_non_positive_scalars(self):
-        lv = pryso_defaults().levels
-        g = derive_gamma(lv)
+        mat = pryso_defaults()
         for density, dipole, wavelength in [(0, 1e-33, 6e-7),
                                             (4.7e24, -1e-33, 6e-7),
                                             (4.7e24, 1e-33, 0)]:
             with pytest.raises(InvalidArgumentError):
-                MaterialParams(lv, g, density, dipole, wavelength)
+                MaterialParams(*mat[:4], density, dipole, wavelength)
 
     def test_rejects_a_coupling_strength_past_the_float_range(self):
         # inf from the product (1.3e136 C m at the default density), and
@@ -165,8 +195,7 @@ class TestMaterialParams:
                                 (1e308, 1e-3)]:
             with pytest.raises(InvalidArgumentError,
                                match="^coupling strength overflows"):
-                MaterialParams(mat.levels, mat.gamma, density, dipole,
-                               605.7e-9)
+                MaterialParams(*mat[:4], density, dipole, 605.7e-9)
 
     def test_rejects_a_decay_rate_past_the_float_range(self):
         mat = pryso_defaults()
@@ -174,8 +203,7 @@ class TestMaterialParams:
         gamma[2][1] = gamma[1][2] = math.inf
         with pytest.raises(InvalidArgumentError,
                            match="^a coherence decay rate overflows"):
-            MaterialParams(mat.levels, gamma, mat.number_density,
-                           mat.probe_dipole, mat.probe_wavelength)
+            MaterialParams(*mat[:3], gamma, *mat[4:])
 
 
 def test_default_destinations_cover_all_lower_levels():
@@ -193,8 +221,9 @@ def test_equal_branching_needs_six_lifetimes(count):
 
 
 def test_default_lifetime_constants():
-    assert GROUND_LIFETIME_S == 400.0
-    assert EXCITED_LIFETIME_S == 164e-6
+    section = default_document()["material"]
+    assert [section[f"lifetime_{i}_s"] for i in range(1, 7)] \
+        == [400.0] * 3 + [164e-6] * 3
 
 
 @pytest.mark.parametrize("convention", ["cyclic", "angular"])
@@ -207,7 +236,6 @@ def test_derive_gamma_matches_the_array_formula_bit_for_bit(convention):
         lifetimes[0] = np.inf  # level 1 decays nowhere
         deph = np.triu(10.0 ** rng.uniform(0, 5, (6, 6)), 1)
         deph += deph.T
-        levels = LevelSystem(6, lifetimes, equal_branching(lifetimes), deph)
         inv_t1 = np.where(np.isinf(lifetimes), 0.0, 1.0 / lifetimes)
         pair_sum = inv_t1[:, None] + inv_t1[None, :]
         if convention == "cyclic":
@@ -215,7 +243,7 @@ def test_derive_gamma_matches_the_array_formula_bit_for_bit(convention):
         else:
             want = 0.5 * (pair_sum + 2.0 * math.pi * deph)
         np.fill_diagonal(want, 0.0)
-        assert np.array_equal(derive_gamma(levels, convention), want)
+        assert np.array_equal(derive_gamma(lifetimes, deph, convention), want)
 
 
 def test_zero_lifetime_refused_before_any_division():

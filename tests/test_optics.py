@@ -154,6 +154,19 @@ class TestPointwiseOptics:
         with pytest.raises(InvalidArgumentError):
             absorption(complex(0.0, 1.0), 0.0)
 
+    def test_absorption_past_the_float_range_is_refused(self):
+        # 2*pi / wavelength overflows at 1e-320 m, where a zero chi_im
+        # gives inf * 0 = nan; at the default wavelength a finite chi_im
+        # of 1.7e306 overflows alpha.  The first such chi_im is named.
+        for chi, wavelength, named in [(1e-3j, 1e-320, "0.001"),
+                                       (0j, 1e-320, "0.0"),
+                                       ([0.1j, 1.7e306j, 1e307j], 605.7e-9,
+                                        r"1\.7e\+306")]:
+            with pytest.raises(SingularParametersError,
+                               match=rf"^absorption is not finite at "
+                                     rf"chi_im = {named}: .* overflows"):
+                absorption(chi, wavelength)
+
     def test_absorption_on_arrays(self):
         chi = 1j * np.array([2e-3, -1e-13, 0.0])
         alpha = absorption(chi, 605.7e-9)
@@ -174,7 +187,7 @@ class TestPointwiseOptics:
 def full_chi_and_slope(mat, drives, delta):
     """Full-backend chi and dchi/ddelta at one detuning, complex, from
     bloch's steady state and its exact slope."""
-    lv0 = build_liouvillian(build_hamiltonian(drives, 0.0), mat.levels,
+    lv0 = build_liouvillian(build_hamiltonian(drives, 0.0), mat.branching,
                             mat.gamma)
     drift = PROBE_DRIFT
     rho = steady_states(lv0, drift, [delta])[0]
@@ -575,7 +588,7 @@ def null_space_chi(mat, drives, deltas):
     out = []
     for delta in deltas:
         ham = build_hamiltonian(drives, float(delta))
-        gen = build_liouvillian(ham, mat.levels, mat.gamma)
+        gen = build_liouvillian(ham, mat.branching, mat.gamma)
         basis = scipy.linalg.null_space(gen)
         assert basis.shape[1] == 1
         rho = basis[:, 0].reshape(6, 6)
