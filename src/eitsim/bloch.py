@@ -179,7 +179,7 @@ def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
     pass it to both to share it.  A(delta) = L(delta)[P, P] with the
     trace row in place of rho_11's equation moves only on the diagonal of S,
     the rows with nonzero drift: A(delta) = A(i sigma) + (delta - i sigma)
-    E_S C E_S^T, C = diag(drift_S), sigma = max(||L0||, 1).  A(i sigma) is
+    E_S C E_S^T, C = diag(drift_S), sigma = ||L0||.  A(i sigma) is
     solved under both pivot orderings for y = A^-1 e_1 and Z = A^-1 E_S; by
     Woodbury A(delta)^-1 e_1 = y - Z R^-1 (delta - i sigma) C y_S with R =
     I + (delta - i sigma) C Z_S, singular only at the poles i sigma - 1/mu,
@@ -189,7 +189,7 @@ def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
     if drift.shape != (gen0.shape[0],):
         raise ConfigError("drift dimension does not match generator")
     solved = solved_indices(gen0, drift)
-    sigma = max(np.abs(gen0).sum(axis=1).max(), 1.0)
+    sigma = np.abs(gen0).sum(axis=1).max()
     rate = drift[solved]
     rate[0] = 0.0  # the trace row carries no delta
     moving = np.flatnonzero(rate)
@@ -229,7 +229,7 @@ def _shifted(deltas, sigma, factor, name, kind):
         raise SteadyStateError(
             f"{_at(deltas[i])}: {kind} system overflows: (delta - i sigma) "
             f"* {name} is beyond the float range, with sigma = "
-            f"max(||L0||, 1) = {sigma:.3e}")
+            f"||L0|| = {sigma:.3e}")
     return out
 
 
@@ -248,7 +248,7 @@ def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
             f"{_at(deltas[i])}: singular {kind} system: within {width:.3e} "
             f"of the pole {poles[gap[i].argmin()]:.6e}; the gate "
             f"DEGENERACY_TOL * sigma = {width:.3e} rad/s, with sigma = "
-            f"max(||L0||, 1) = {sigma:.3e}, covers this detuning")
+            f"||L0|| = {sigma:.3e}, covers this detuning")
     r = np.eye(cz.shape[0]) + _shifted(deltas, sigma, cz, "C Z_S", kind)
     try:
         # Right-hand sides as (k, |S|, 1) stacks: numpy 1.x and 2.x read
@@ -263,7 +263,7 @@ def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
 def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
                     norm="||L||"):
     """Refuse, by its delta, the first row of vec with ||L(delta) v +
-    source|| > STEADY_STATE_RTOL * max(||L(delta)||, 1) * scale."""
+    source|| > STEADY_STATE_RTOL * ||L(delta)|| * scale."""
     # L(delta) v = L0 v + delta * (D o v): no second stack.  A residual
     # past the float range fails the gate below as inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -275,7 +275,7 @@ def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
     quarter = (0.25 * np.abs(gen0 - np.diag(diag0)).sum(axis=1)
                + np.abs(0.25 * diag0 + (0.25 * deltas)[:, None] * drift)
                ).max(axis=1)
-    bound = 4.0 * STEADY_STATE_RTOL * np.maximum(quarter, 0.25) * scale
+    bound = 4.0 * STEADY_STATE_RTOL * quarter * scale
     bad = ~(residual <= bound)
     if bad.any():
         i = int(np.argmax(bad))
@@ -293,7 +293,7 @@ def steady_states(gen0: np.ndarray, drift, deltas,
     rest of vec(rho) is exactly zero.  Past the reduction (reduced, or one
     made here) each delta costs one |S| x |S| solve (4 x 4 at the default
     drives).  Every point must keep DEGENERACY_TOL * sigma off the poles
-    and pass the residual gate ||L v|| <= STEADY_STATE_RTOL * max(||L||, 1)
+    and pass the residual gate ||L v|| <= STEADY_STATE_RTOL * ||L||
     (infinity norms over the full generator), then the state validation; a
     failure names its delta.  The k deltas are solved in one pass that
     holds several (k, n^2) temporaries, so a caller with a long grid passes
@@ -322,7 +322,7 @@ def steady_state_slope(gen0: np.ndarray, drift, delta, rho,
     L(delta) rho = 0 and tr rho = 1 give A(delta) rho'_P = -E_S C rho_S,
     which by the reduction's Woodbury identity is rho'_P = -Z R^-1 C rho_S.
     The residual ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL *
-    max(||L||, 1) * max(||rho'||, 1); a failure or a pole names delta.
+    ||L|| * max(||rho'||, 1); a failure or a pole names delta.
     """
     _n_levels(gen0)
     delta = np.array([float(delta)])

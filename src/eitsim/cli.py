@@ -3,9 +3,10 @@
 Commands: spectrum, window, vg, validate, evolve, params.
 Exit statuses: 0 success, 2 configuration error, 3 solver error,
 4 validation failure.  Output files are written atomically (temp + rename)
-into --out; every command also writes a `<command>_summary.json` that echoes
-the fully resolved configuration, so any run can be reproduced from its
-summary alone.
+into --out; every command also writes a `<command>_summary.json` whose
+`resolved_config` object is the fully resolved configuration: passed alone
+to --config, that object reproduces the run (the summary file itself is no
+configuration document).
 
 Parsing the arguments, resolving the configuration, the closed form and
 the observables (optics, lambda_system) need the standard library alone,

@@ -1,17 +1,14 @@
 """Run configuration: a JSON document plus `--set path=value` overrides.
 
-Every key has one canonical spelling in internal units (rad/s, Hz for
-dephasing, SI otherwise), listed in CHOICES and NUMERIC_KEYS.  SPELLINGS
-maps each accepted spelling to its canonical key and the factor that
-converts it: every `_rad_s` key but a Rabi frequency may also be spelled
-`_hz` (cycles per second, times 2*pi), and a dephasing pair may name its
-levels in either order.  Two spellings of one quantity in one document are
-an error.  Each value is converted exactly once, here, as it is read.  The
-one convention switch, conventions.rate_convention (cyclic | angular),
-chooses the coherence-decay rule the material is built with.
+Every key has one spelling, in the internal unit its suffix names (rad/s,
+Hz for dephasing, SI otherwise), listed in CHOICES and NUMERIC_KEYS; any
+other key is refused by name.  A symmetric dephasing pair is spelled upper
+level first.  The one convention switch, conventions.rate_convention
+(cyclic | angular), chooses the coherence-decay rule the material is built
+with.
 
-The resolved state is echoed as a canonical document (canonical keys only)
-that re-parses to the identical run, which is what run summaries embed.
+The resolved state is echoed as a canonical document that re-parses to the
+identical run, which is what run summaries embed.
 
 This module, like `materials` below it, runs on the standard library alone:
 `eitsim params` and every configuration error need no numpy.
@@ -23,7 +20,6 @@ import math
 import sys
 from collections import namedtuple
 
-from .constants import TWO_PI
 from .errors import ConfigError
 from .materials import (N_LEVELS, RATE_CONVENTIONS, MaterialParams,
                         derive_gamma, equal_branching)
@@ -52,23 +48,8 @@ NUMERIC_KEYS = (
     "evolve.t_end_s", "evolve.samples_count",
     "validate.max_dev_rel", "validate.fault_gamma52_factor",
 )
-# Accepted spelling -> (canonical key, factor to internal units).  Every
-# `_rad_s` key but a Rabi frequency may be spelled `_hz` (times 2*pi), and a
-# dephasing pair either way round.
-SPELLINGS = {
-    **{key: (key, 1.0) for key in NUMERIC_KEYS},
-    **{key[:-len("_rad_s")] + "_hz": (key, TWO_PI) for key in NUMERIC_KEYS
-       if key.endswith("_rad_s") and "_rabi_" not in key},
-    **{f"material.dephasing_{j}{i}_hz": (f"material.dephasing_{i}{j}_hz", 1.0)
-       for i in _LEVELS for j in _LEVELS if i > j},
-}
 SECTIONS = frozenset(key.partition(".")[0] for key in (*CHOICES, *NUMERIC_KEYS)
                      if "." in key)
-
-# Keys and sections of older documents that no run reads: a thread count,
-# the integrator's tolerance and step cap, and the group velocity's
-# finite-difference step.  Naming one, in any spelling, is an error.
-RETIRED = ("jobs_count", "solver", "vg")
 
 
 def default_document() -> dict:
@@ -130,6 +111,12 @@ class GridSpec(namedtuple("GridSpec", "delta_min delta_max points")):
         if points < 2:
             raise ConfigError("grid needs at least 2 points")
         return super().__new__(cls, delta_min, delta_max, points)
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the
+        # checks in __new__.
+        return cls(*iterable)
 
 
 class DriveSet(namedtuple("DriveSet",
@@ -206,13 +193,6 @@ def _check_number(path: str, value):
 def _entries(doc: dict):
     """Yield (path, value) for every key, one section deep."""
     for key, value in doc.items():
-        if key in RETIRED:
-            named = key
-            if isinstance(value, dict) and value:
-                named = f"{key}.{next(iter(value))}"
-            raise ConfigError(
-                f"config key '{named}' had no effect and is no longer "
-                f"accepted; delete '{key}' from the document")
         if key in SECTIONS:
             if not isinstance(value, dict):
                 raise ConfigError(f"config section '{key}' must be an object")
@@ -227,7 +207,7 @@ def _entries(doc: dict):
 def resolve(doc: dict) -> ResolvedRun:
     """Validate a raw document and produce the resolved run inputs."""
     canonical = default_document()
-    spelled = {}  # canonical path -> the spelling that set it
+    user_set = set()
     for path, value in _entries(doc):
         if path in CHOICES:
             if value not in CHOICES[path]:
@@ -235,26 +215,19 @@ def resolve(doc: dict) -> ResolvedRun:
                     f"config key '{path}' must be one of {CHOICES[path]}, "
                     f"got {value!r}"
                 )
-            canon = path
-        elif path not in SPELLINGS:
+        elif path not in NUMERIC_KEYS:
             raise ConfigError(f"unknown config key '{path}'")
         else:
-            canon, factor = SPELLINGS[path]
-            if canon in spelled:
-                raise ConfigError(
-                    f"config keys '{spelled[canon]}' and '{path}' set "
-                    "the same quantity in different units"
-                )
             _check_number(path, value)
-            if canon.endswith("_count"):
+            if path.endswith("_count"):
                 if isinstance(value, float) and not value.is_integer():
                     raise ConfigError(
                         f"config key '{path}' must be an integer")
                 value = int(value)
             else:
-                value = factor * float(value)
-        spelled[canon] = path
-        section, _, key = canon.rpartition(".")
+                value = float(value)
+        user_set.add(path)
+        section, _, key = path.rpartition(".")
         (canonical[section] if section else canonical)[key] = value
 
     mat = pryso_defaults(canonical["conventions"]["rate_convention"],
@@ -281,7 +254,7 @@ def resolve(doc: dict) -> ResolvedRun:
 
     return ResolvedRun(
         canonical=canonical,
-        user_set=frozenset(spelled),
+        user_set=frozenset(user_set),
         material=mat,
         drives=drives,
         grid=grid,

@@ -1,9 +1,9 @@
 """Physical constants.
 
-Every frequency-like quantity inside the package is angular (rad/s).  Inputs
-quoted in Hz are converted once: a `_hz` config key by 2*pi where the run
-configuration resolves (config.SPELLINGS), and the dephasing table, which
-stays in Hz, in materials.derive_gamma.
+Every frequency-like quantity inside the package is angular (rad/s), and
+every configuration key but a dephasing rate is given in rad/s.  The
+dephasing table alone is given and stored in Hz; materials.derive_gamma
+converts it once.
 """
 
 import math

@@ -166,6 +166,12 @@ class MaterialParams(namedtuple("MaterialParams",
                 "probe_dipole_c_m' or 'material.number_density_per_m3'")
         return mat
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would otherwise skip the
+        # checks in __new__.
+        return cls(*iterable)
+
     @property
     def coupling_strength(self) -> float:
         """N |mu|^2 / (eps0 hbar): scale factor between rho_52 and chi, rad/s."""

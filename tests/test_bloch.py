@@ -395,6 +395,16 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError):
             steady_state(lv)
 
+    @pytest.mark.parametrize("drift", [np.zeros(36), PROBE_DRIFT],
+                             ids=["still", "probe"])
+    def test_all_zero_generator_is_singular(self, drift):
+        # sigma = ||L0|| = 0, so no shift i sigma * C rescues the pinned
+        # system
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = 0\.0 rad/s: singular "
+                                 r"steady-state system"):
+            steady_states(np.zeros((36, 36)), drift, [0.0])
+
     def test_pivot_orderings_agree_on_regular_problems(self):
         # the weakest probe the acceptance criteria use: conditioning is
         # worst here, and the two pivot paths must still agree
@@ -521,6 +531,34 @@ class TestExactArithmetic:
         assert np.abs(rho - want).max() <= self.RHO_EPS * scale
         assert np.abs(slope - want_slope).max() \
             <= self.SLOPE_EPS * scale / MAT.gamma[2][1]
+
+
+def _scaled_rho52(c):
+    """rho52 on 41 detunings over +-2e6 * c rad/s at the default drives,
+    with every rate, Rabi frequency and detuning times c."""
+    material = dict(default_document()["material"])
+    for key, value in material.items():
+        if key.startswith("lifetime_"):
+            material[key] = value / c
+        elif key.startswith("dephasing_"):
+            material[key] = value * c
+    mat = pryso_defaults(material=material)
+    lv0 = assembled(eit_drives((1.5e3 * c, 1.5e6 * c, 1.5e6 * c)), mat=mat)
+    deltas = np.linspace(-2e6, 2e6, 41) * c
+    return steady_states(lv0, PROBE_DRIFT, deltas)[:, 4, 1]
+
+
+class TestRateScaleInvariance:
+    # rho is dimensionless: scaling every rate by c moves no entry beyond
+    # rounding.  Over 300 log-uniform draws of c in [1e-12, 1e280] the
+    # largest move was 7.0e-15 of max|rho52|.  An absolute floor such as
+    # sigma = max(||L0||, 1) moved it by 1.9e-12 at c = 1e-9 and by 5.1e-10
+    # at c = 1e-12.
+    @pytest.mark.parametrize("c", [1e-12, 1e-9, 1e-6, 1e3, 1e100, 1e280])
+    def test_rho52_is_invariant_under_a_common_rate_scale(self, c):
+        reference = _scaled_rho52(1.0)
+        moved = np.abs(_scaled_rho52(c) - reference).max()
+        assert moved <= 1e-14 * np.abs(reference).max()
 
 
 class TestBatchedSteadyStates:
@@ -688,7 +726,7 @@ class TestBatchedSteadyStates:
                            match=r"^at delta = -20000000\.0 rad/s: "
                                  r"steady-state system overflows: \(delta "
                                  r"- i sigma\) \* C Z_S is beyond the float "
-                                 r"range, with sigma = max\(\|\|L0\|\|, 1\) "
+                                 r"range, with sigma = \|\|L0\|\| "
                                  r"= 3\.142e\+298$"):
             full_model_chi(mat, EIT_DRIVES, np.linspace(-2e7, 2e7, 201))
 

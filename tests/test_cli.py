@@ -86,7 +86,7 @@ class TestSpectrum:
     def test_summary_config_round_trips(self, tmp_path):
         out = str(tmp_path)
         run_cli("spectrum", "--out", out,
-                "--set", "drives.probe_detuning_hz=250.0")
+                "--set", "drives.probe_detuning_rad_s=1570.7963267948965")
         echoed = read_summary(out, "spectrum")["resolved_config"]
         again = resolve(echoed).canonical
         assert json.dumps(again, sort_keys=True) == \
@@ -98,7 +98,7 @@ class TestSpectrum:
         run_cli("spectrum", "--out", str(first),
                 "--set", "grid.points_count=41",
                 "--set", "drives.coupling_rabi_rad_s=2e6",
-                "--set", "drives.coupling_detuning_hz=5e3")
+                "--set", "drives.coupling_detuning_rad_s=31415.926535897932")
         config = tmp_path / "replay.json"
         config.write_text(json.dumps(
             read_summary(str(first), "spectrum")["resolved_config"]),
@@ -283,7 +283,7 @@ class TestVg:
         for doc, named in (
                 (written, "unknown config key 'conventions.rabi_convention'"),
                 ({**written, "conventions": current["conventions"]},
-                 "'jobs_count' had no effect"),
+                 "unknown config key 'jobs_count'"),
                 (since, "unknown config key 'conventions.rabi_convention'")):
             config.write_text(json.dumps(doc), encoding="utf-8")
             assert main(["vg", "--out", str(out), "--config", str(config)]) \
@@ -744,13 +744,6 @@ class TestErrorStatuses:
                        str(tmp_path / "absent.json"))
         assert proc.returncode == 2
 
-    def test_both_dephasing_pair_orders_rejected(self, tmp_path):
-        proc = run_cli("params", "--out", str(tmp_path),
-                       "--set", "material.dephasing_32_hz=4.0",
-                       "--set", "material.dephasing_23_hz=5.0")
-        assert proc.returncode == 2
-        assert "same quantity" in proc.stderr
-
     def test_single_point_grid_rejected(self, tmp_path):
         proc = run_cli("spectrum", "--out", str(tmp_path),
                        "--set", "grid.points_count=1")
@@ -855,7 +848,7 @@ class TestErrorStatuses:
                                                        command):
         # the three-level closed form has no auxiliary field
         proc = run_cli(command, "--out", str(tmp_path),
-                       "--set", "drives.aux_detuning_hz=1e3")
+                       "--set", "drives.aux_detuning_rad_s=6283.185307179586")
         assert proc.returncode == 2
         assert "config error: config key 'drives.aux_detuning_rad_s' = " \
             f"{2e3 * math.pi!r} would be ignored" in proc.stderr
@@ -865,8 +858,7 @@ class TestErrorStatuses:
                                          "validate"])
     @pytest.mark.parametrize("setting, value", [
         ("drives.coupling_detuning_rad_s=1e6", 1e6),
-        ("drives.coupling_detuning_hz=1e3", 2e3 * math.pi),
-    ], ids=["rad_s", "hz"])
+    ], ids=["rad_s"])
     def test_coupling_detuning_the_closed_form_would_ignore(
             self, tmp_path, command, setting, value):
         # the closed form reads the coupling detuning: every headline moves
@@ -914,7 +906,7 @@ class TestErrorStatuses:
                                      "material.lifetime_4_s=1e-300"])
     def test_full_backend_gate_wider_than_the_grid_names_sigma(
             self, tmp_path, capsys, key):
-        # sigma = max(||L0||, 1) = 3.1e300, so the gate DEGENERACY_TOL *
+        # sigma = ||L0|| = 3.1e300, so the gate DEGENERACY_TOL *
         # sigma covers every detuning of the grid, and i sigma - 1/mu
         # cancels to a pole at 0
         assert main(["spectrum", "--backend", "full", "--out", str(tmp_path),
@@ -925,7 +917,7 @@ class TestErrorStatuses:
             "steady-state system: within 3.142e+292 of the pole ")
         assert err.endswith(
             "; the gate DEGENERACY_TOL * sigma = 3.142e+292 rad/s, with "
-            "sigma = max(||L0||, 1) = 3.142e+300, covers this detuning\n")
+            "sigma = ||L0|| = 3.142e+300, covers this detuning\n")
         assert os.listdir(str(tmp_path)) == []
 
     def test_full_backend_far_detuning_keeps_its_gate(self, tmp_path):

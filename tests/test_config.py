@@ -1,4 +1,4 @@
-"""Configuration document resolution: unit suffixes, conventions,
+"""Configuration document resolution: one spelling per key, conventions,
 overrides, and the canonical echo."""
 
 import json
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eitsim.cli import EXIT_CONFIG, main
-from eitsim.config import (CHOICES, RETIRED, SPELLINGS, apply_overrides,
+from eitsim.config import (CHOICES, NUMERIC_KEYS, apply_overrides,
                            default_document, load_document, pryso_defaults,
                            resolve)
 from eitsim.constants import TWO_PI
@@ -58,12 +58,6 @@ class TestDefaults:
 
 
 class TestUnitSuffixes:
-    def test_hz_converts_by_two_pi(self):
-        run = resolve_with("drives.probe_detuning_hz=1000.0")
-        assert run.drives.probe_detuning == TWO_PI * 1000.0
-        assert run.canonical["drives"]["probe_detuning_rad_s"] == \
-            6283.185307179586
-
     def test_rad_s_passes_through(self):
         run = resolve_with("drives.coupling_detuning_rad_s=-7e5")
         assert run.drives.coupling_detuning == -7e5
@@ -90,14 +84,6 @@ class TestUnitSuffixes:
         assert run.canonical["material"]["dephasing_32_hz"] == 4e3
         assert run.material.dephasing[2][1] == 4e3
 
-    def test_alias_conflict_names_both_keys(self):
-        doc = default_document()
-        doc["drives"]["probe_detuning_hz"] = 1.0
-        with pytest.raises(ConfigError) as err:
-            resolve(doc)
-        assert "drives.probe_detuning_rad_s" in str(err.value)
-        assert "drives.probe_detuning_hz" in str(err.value)
-
     def test_missing_suffix_is_unknown_key(self):
         with pytest.raises(ConfigError) as err:
             resolve_with("drives.probe_rabi=1.0")
@@ -109,27 +95,8 @@ class TestUnitSuffixes:
         assert "evolve.t_end_rad_s" in str(err.value)
 
 
-class TestDephasingPairOrder:
-    def test_lower_first_is_an_alias_of_the_canonical_pair(self):
-        run = resolve_with("material.dephasing_23_hz=5.0")
-        material = run.canonical["material"]
-        assert material["dephasing_32_hz"] == 5.0
-        assert "dephasing_23_hz" not in material
-        assert "material.dephasing_32_hz" in run.user_set
-        assert "material.dephasing_23_hz" not in run.user_set
-        assert run.material.dephasing[2][1] == 5.0
-        assert run.material.dephasing[1][2] == 5.0
-
-    def test_both_orders_set_the_same_quantity(self):
-        with pytest.raises(ConfigError, match="same quantity") as err:
-            resolve_with("material.dephasing_32_hz=4.0",
-                         "material.dephasing_23_hz=5.0")
-        assert "material.dephasing_23_hz" in str(err.value)
-        assert "material.dephasing_32_hz" in str(err.value)
-
-
-# The accepted spellings, written out family by family: spelling ->
-# (canonical key, factor).  A Rabi frequency is spelled in rad/s only.
+# The accepted numeric keys, written out family by family.  Each quantity
+# has one spelling, in the unit its suffix names.
 _LEVEL_NUMBERS = range(1, 7)
 _ANGULAR = ("drives.probe_detuning", "drives.coupling_detuning",
             "drives.aux_detuning", "grid.delta_min", "grid.delta_max")
@@ -145,14 +112,18 @@ _AS_IS = (
     *(f"material.branching_{i}{j}_per_s" for i in _LEVEL_NUMBERS
       for j in _LEVEL_NUMBERS if i != j),
 )
-EXPECTED_SPELLINGS = {
-    **{key: (key, 1.0) for key in _AS_IS},
-    **{f"material.dephasing_{j}{i}_hz": (f"material.dephasing_{i}{j}_hz",
-                                         1.0)
-       for i in _LEVEL_NUMBERS for j in range(1, i)},
-    **{f"{base}_rad_s": (f"{base}_rad_s", 1.0) for base in _ANGULAR + _RABI},
-    **{f"{base}_hz": (f"{base}_rad_s", TWO_PI) for base in _ANGULAR},
-}
+EXPECTED_KEYS = (*_AS_IS,
+                 *(f"{base}_rad_s" for base in _ANGULAR + _RABI))
+# Spellings older documents may hold: the `_hz` forms of the detunings and
+# grid bounds, the dephasing pairs written lower level first, and a key of
+# each retired entry (a thread count, the integrator's settings and the
+# group velocity's finite-difference step).
+FORMER_ALIASES = (
+    *(f"{base}_hz" for base in _ANGULAR),
+    *(f"material.dephasing_{j}{i}_hz" for i in _LEVEL_NUMBERS
+      for j in range(1, i)),
+)
+RETIRED_KEYS = ("jobs_count", "solver.tol_rel", "vg.fd_step_hz")
 
 
 def _spelling_document(spelling, value, convention):
@@ -178,26 +149,24 @@ def _spelling_document(spelling, value, convention):
 
 class TestSpellingCoverage:
     def test_spelling_table_is_the_documented_one(self):
-        assert set(SPELLINGS) == set(EXPECTED_SPELLINGS)
+        assert len(NUMERIC_KEYS) == len(EXPECTED_KEYS) == 67
+        assert set(NUMERIC_KEYS) == set(EXPECTED_KEYS)
 
-    # the rate convention moves no spelling's factor
+    # the rate convention moves no stored value
     @pytest.mark.parametrize("convention", ["angular", "cyclic"])
     def test_every_spelling_resolves_to_its_canonical_key(self, convention):
-        for spelling, (canon, factor) in EXPECTED_SPELLINGS.items():
+        for spelling in EXPECTED_KEYS:
             if spelling.endswith("_count"):
                 value, expected_type = 7, int
             else:
                 value, expected_type = 1000.0, float
             doc, value = _spelling_document(spelling, value, convention)
             run = resolve(doc)
-            section, _, key = canon.rpartition(".")
+            section, _, key = spelling.rpartition(".")
             node = run.canonical[section] if section else run.canonical
-            assert node[key] == factor * value, spelling
+            assert node[key] == value, spelling
             assert type(node[key]) is expected_type, spelling
-            assert canon in run.user_set, spelling
-            if spelling != canon:
-                assert spelling.rpartition(".")[2] not in node, spelling
-                assert spelling not in run.user_set, spelling
+            assert spelling in run.user_set, spelling
 
     @pytest.mark.parametrize("convention", ["angular", "cyclic"])
     def test_every_choice_resolves(self, convention):
@@ -219,15 +188,16 @@ _T1_4 = 1.0 / 164e-6
 RICH_DOCUMENT = {
     "backend": "full",
     "conventions": {"rate_convention": "angular"},
-    "material": {"lifetime_5_s": 82e-6, "dephasing_25_hz": 7e3,
+    "material": {"lifetime_5_s": 82e-6, "dephasing_52_hz": 7e3,
                  "dephasing_41_hz": 50.0,
                  "branching_41_per_s": _T1_4 / 2,
                  "branching_42_per_s": _T1_4 / 4,
                  "branching_43_per_s": _T1_4 / 4},
     "drives": {"probe_rabi_rad_s": 1256.6370614359173,
                "coupling_rabi_rad_s": 2e6,
-               "coupling_detuning_hz": 1e3, "aux_detuning_hz": -1e4},
-    "grid": {"delta_min_hz": -1e6, "points_count": 11.0},
+               "coupling_detuning_rad_s": 6283.185307179586,
+               "aux_detuning_rad_s": -62831.853071795864},
+    "grid": {"delta_min_rad_s": -6283185.307179586, "points_count": 11.0},
     "evolve": {"t_end_s": 1e-3, "samples_count": 5,
                "initial_state": "level_2"},
     "validate": {"max_dev_rel": 0.05},
@@ -267,6 +237,41 @@ RICH_RESOLVED = {
                "initial_state": "level_2"},
     "validate": {"max_dev_rel": 0.05, "fault_gamma52_factor": 1.0},
 }
+
+
+class TestOneSpellingPerKey:
+    @pytest.mark.parametrize("key", EXPECTED_KEYS)
+    def test_key_resolves_to_itself_alone(self, key):
+        section, _, name = key.rpartition(".")
+        if name.startswith("branching_"):
+            # set alone, an entry keeps its row's sum only at its default
+            upper, lower = map(int, name.split("_")[1])
+            value = pryso_defaults().branching[upper - 1][lower - 1]
+        else:
+            value = 7 if key.endswith("_count") else 1000.0
+        run = resolve({section: {name: value}})
+        assert run.canonical[section][name] == value
+        assert run.user_set == {key}
+
+    @pytest.mark.parametrize("way", ["set", "config"])
+    @pytest.mark.parametrize("key", FORMER_ALIASES + RETIRED_KEYS)
+    def test_former_spelling_is_an_unknown_key(self, key, way, tmp_path,
+                                               capsys):
+        # never converted: the document exits 2 naming what it gave, a
+        # key inside a retired section by that section
+        if way == "set":
+            source = ["--set", f"{key}=1.0"]
+        else:
+            config = tmp_path / "doc.json"
+            config.write_text(json.dumps(apply_overrides({}, [f"{key}=1.0"])),
+                              encoding="utf-8")
+            source = ["--config", str(config)]
+        named = key if key in FORMER_ALIASES else key.partition(".")[0]
+        out = tmp_path / "out"
+        assert main(["params", "--out", str(out), *source]) == EXIT_CONFIG
+        assert capsys.readouterr().err \
+            == f"config error: unknown config key '{named}'\n"
+        assert list(out.iterdir()) == []
 
 
 class TestPinnedEcho:
@@ -372,8 +377,8 @@ class TestRejection:
             resolve_with("grid.delta_min_rad_s=1.0", "grid.delta_max_rad_s=0.0")
 
 
-# Each retired key, spelling and section, and --jobs below 1: what the
-# error names -> the arguments that set it.
+# Each retired key and section, and --jobs below 1: what was set -> the
+# arguments that set it.  A key inside a section is named by its section.
 RETIRED_ARGV = {
     "jobs_count": ["--set", "jobs_count=2"],
     "solver.tol_rel": ["--set", "solver.tol_rel=1e-7"],
@@ -389,14 +394,14 @@ class TestLegacyKeys:
     def test_fd_step_not_filled_in_by_default(self):
         # nor any other retired key or section
         for doc in (default_document(), resolve({}).canonical):
-            assert not set(RETIRED) & set(doc)
+            assert not {"jobs_count", "solver", "vg"} & set(doc)
 
     @pytest.mark.parametrize("named", RETIRED_ARGV)
     def test_retired_key_exits_2_naming_it(self, named, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["params", "--out", str(out), *RETIRED_ARGV[named]]) \
             == EXIT_CONFIG
-        assert f"'{named}'" in capsys.readouterr().err
+        assert f"'{named.partition('.')[0]}'" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_jobs_do_not_change_results(self, tmp_path):
@@ -446,9 +451,9 @@ class TestMaterialOverrides:
 
 class TestCanonicalEcho:
     def test_round_trip_is_identical(self):
-        run = resolve_with("drives.probe_detuning_hz=250.0",
+        run = resolve_with("drives.probe_detuning_rad_s=1570.7963267948965",
                            "conventions.rate_convention=angular",
-                           "drives.coupling_detuning_hz=200.0",
+                           "drives.coupling_detuning_rad_s=1256.6370614359173",
                            "material.lifetime_5_s=82e-6",
                            "backend=full",
                            "grid.points_count=11")
@@ -457,18 +462,19 @@ class TestCanonicalEcho:
         assert json.dumps(again.canonical, sort_keys=True) == first
 
     def test_canonical_keys_use_internal_units(self):
-        run = resolve_with("drives.coupling_detuning_hz=200.0")
-        assert "coupling_detuning_hz" not in run.canonical["drives"]
+        run = resolve_with("drives.coupling_detuning_rad_s=1256.6370614359173")
+        for section, node in run.canonical.items():
+            paths = ([f"{section}.{key}" for key in node]
+                     if isinstance(node, dict) else [section])
+            assert set(paths) <= set(CHOICES) | set(NUMERIC_KEYS)
         assert run.canonical["drives"]["coupling_detuning_rad_s"] \
-            == TWO_PI * 200.0
+            == 1256.6370614359173
 
     def test_user_set_records_canonical_paths(self):
-        run = resolve_with("drives.probe_detuning_hz=250.0",
+        run = resolve_with("drives.probe_detuning_rad_s=1570.7963267948965",
                            "evolve.samples_count=5", "backend=full")
-        assert "drives.probe_detuning_rad_s" in run.user_set
-        assert "evolve.samples_count" in run.user_set
-        assert "backend" in run.user_set
-        assert "grid.points_count" not in run.user_set
+        assert run.user_set == {"drives.probe_detuning_rad_s",
+                                "evolve.samples_count", "backend"}
 
 
 class TestOverrides:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,15 @@ def _params(lifetimes=None, branching=None, dephasing=None):
         dephasing = np.zeros((n, n))
     return MaterialParams(lifetimes, branching, dephasing, np.zeros((n, n)),
                           4.7e24, 1e-33, 605.7e-9)
+
+
+def assert_replace_refuses_alike(record, error, **fields):
+    """record._replace(**fields) refuses as the constructor does on the same
+    fields, with the same message: _replace must not skip __new__."""
+    with pytest.raises(error) as built:
+        type(record)(**{**record._asdict(), **fields})
+    with pytest.raises(error, match=f"^{re.escape(str(built.value))}$"):
+        record._replace(**fields)
 
 
 class TestLevelSystem:
@@ -55,6 +65,10 @@ class TestLevelSystem:
         branching[4, 0] *= 1.5
         with pytest.raises(ConfigError):
             _params(branching=branching)
+        # new lifetimes under the old branching: level 2 still decays at
+        # 1/400 s against 1/T1 = 1
+        assert_replace_refuses_alike(pryso_defaults(), ConfigError,
+                                     lifetimes=(1.0,) * 6)
 
     def test_rejects_self_decay(self):
         lifetimes = np.array([400.0] * 3 + [164e-6] * 3)
@@ -186,6 +200,9 @@ class TestMaterialParams:
                                             (4.7e24, 1e-33, 0)]:
             with pytest.raises(InvalidArgumentError):
                 MaterialParams(*mat[:4], density, dipole, wavelength)
+        for field in ("number_density", "probe_dipole", "probe_wavelength"):
+            assert_replace_refuses_alike(mat, InvalidArgumentError,
+                                         **{field: -1.0})
 
     def test_rejects_a_coupling_strength_past_the_float_range(self):
         # inf from the product (1.3e136 C m at the default density), and

@@ -57,6 +57,9 @@ class TestGridSpec:
             GridSpec(float("nan"), 1.0, 10)
         with pytest.raises(ConfigError, match="span must be finite"):
             GridSpec(-1e308, 1e308, 3)
+        # _replace runs the same checks
+        with pytest.raises(ConfigError, match="^grid needs at least 2 points$"):
+            GridSpec(-1.0, 1.0, 3)._replace(points=0)
 
 
 def float_bits(values):
