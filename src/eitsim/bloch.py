@@ -4,26 +4,25 @@ Builds the rotating-frame Hamiltonian of the six-level model's three fields
 in their fixed geometry (probe 5-2, coupling 5-3, auxiliary repump 6-1),
 adds Bloch-form relaxation (population branching plus per-pair coherence
 decay, not a Lindblad dissipator), and solves the resulting linear master
-equation dvec(rho)/dt = L vec(rho) for steady states and transients; the
-generator assembly and the solvers take any level count n.  Only the
-rotating-frame phases depend on a drive's detuning, so a detuning sweep is
-affine: L(delta) = L0 + delta * D with D diagonal.  One factorization at the
-complex detuning i * sigma reaches every real delta, and d rho / d delta, by
-a Woodbury update of the few entries D moves (see reduction).  The full
-backend of the observables reads the probe susceptibility off rho52 here
-(full_model_chi, full_model_chi_slope).
+equation dvec(rho)/dt = L vec(rho) for steady states and transients.  Only
+the rotating-frame phases depend on a drive's detuning, so a detuning sweep
+is affine: L(delta) = L0 + delta * D with D diagonal.  One factorization at
+the complex detuning i * sigma reaches every real delta, and d rho / d
+delta, by a Woodbury update of the few entries D moves (see reduction).  The
+full backend of the observables reads the probe susceptibility off rho52
+here (full_model_chi, full_model_chi_slope).
 
 The generator couples a coherence rho_mk only to rho_jk' with j in m's drive
 component and k' in k's, and relaxation couples populations only to
 populations.  So L splits into an invariant block P (the populations plus
-the coherences inside each drive component: 14 of 36 entries in the
-six-level model) and the rest X, which has no source term.  On X the
+the coherences inside each drive component: 14 of the 36 entries with all
+three fields on) and the rest X, which has no source term.  On X the
 hermitian part of L is minus the coherence decay rates for every detuning;
 when that is negative definite L_X is nonsingular, rho_X = 0 exactly and
 only P is solved (see solved_indices).
 
-The density matrix is vectorized row-major: element (m, k) of the n x n
-matrix sits at index m*n + k of the length-n^2 state vector.
+The density matrix is vectorized row-major: element (m, k) of the 6 x 6
+matrix sits at index 6*m + k of the length-36 state vector.
 """
 
 import math
@@ -34,7 +33,7 @@ from . import kernels
 from .config import DriveSet
 from .errors import (ConfigError, IntegrationError, InvalidArgumentError,
                      SteadyStateError)
-from .materials import MaterialParams
+from .materials import N_LEVELS, MaterialParams
 from .states import (VALIDATION_TOL, assert_density_matrices,
                      assert_density_matrix)
 
@@ -58,15 +57,15 @@ AUX_LEVELS = (6, 1)
 # takes 45, 26 and 33 ms on one BLAS thread of a shared 2-vCPU VM.
 STEADY_STATE_CHUNK = 128
 
+# Length of vec(rho).
+_DIM = N_LEVELS * N_LEVELS
 
-def _n_levels(gen: np.ndarray) -> int:
-    """n of an (n^2, n^2) generator; any other shape is refused."""
-    n = math.isqrt(gen.shape[0]) if gen.ndim == 2 else 0
-    if n == 0 or gen.shape != (n * n, n * n):
+
+def _check_generator(gen) -> None:
+    """Refuse, by name, a generator that is not (36, 36)."""
+    if np.shape(gen) != (_DIM, _DIM):
         raise ConfigError(
-            f"generator shape {gen.shape} is not (n^2, n^2) for a level "
-            "count n")
-    return n
+            f"generator shape {np.shape(gen)} is not ({_DIM}, {_DIM})")
 
 
 def build_hamiltonian(drives, probe_detuning: float) -> np.ndarray:
@@ -96,24 +95,17 @@ def build_hamiltonian(drives, probe_detuning: float) -> np.ndarray:
     return ham
 
 
-def build_liouvillian(ham: np.ndarray, branching, gamma) -> np.ndarray:
-    """Assemble the full (n^2, n^2) generator acting on the row-major
-    vec(rho): coherent commutator, population branching, and coherence
-    decay.  n is the branching table's; the branching and gamma tables
-    (tuples of floats in a MaterialParams) are read as arrays here."""
-    branching = np.asarray(branching, dtype=float)
-    n = len(branching) if branching.ndim == 2 else 0
-    ham = np.asarray(ham, dtype=complex)
-    gamma = np.asarray(gamma, dtype=float)
-    if n == 0 or branching.shape != (n, n):
-        raise ConfigError(
-            f"branching table shape {branching.shape} is not (n, n) for a "
-            "level count n")
-    if ham.shape != (n, n):
-        raise ConfigError("Hamiltonian dimension does not match level count")
-    if gamma.shape != (n, n):
-        raise ConfigError("gamma table dimension does not match level count")
-
+def build_liouvillian(mat: MaterialParams, drives: DriveSet,
+                      probe_detuning: float) -> np.ndarray:
+    """The (36, 36) generator, acting on the row-major vec(rho), of the
+    fields of drives on the material's levels, the probe at probe_detuning:
+    coherent commutator, population branching, and coherence decay."""
+    # Through the module global: the benchmark's traced pass counts
+    # build_hamiltonian by that name.
+    ham = build_hamiltonian(drives, probe_detuning)
+    branching = np.asarray(mat.branching, dtype=float)
+    gamma = np.asarray(mat.gamma, dtype=float)
+    n = N_LEVELS
     eye = np.eye(n)
     gen = -1j * (np.kron(ham, eye) - np.kron(eye, ham.T))
 
@@ -131,8 +123,8 @@ def build_liouvillian(ham: np.ndarray, branching, gamma) -> np.ndarray:
 
 
 # Diagonal of dL/d(delta_p), D: only the phases of levels 3 and 5 move with
-# the probe detuning, so L(delta_p) = L(0) + delta_p * diag(D) with D[m*n + k]
-# = -i (s_m - s_k), s = e_3 + e_5.
+# the probe detuning, so L(delta_p) = L(0) + delta_p * diag(D) with
+# D[6*m + k] = -i (s_m - s_k), s = e_3 + e_5.
 _PROBE_PHASE_SLOPE = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 PROBE_DRIFT = (-1j * (_PROBE_PHASE_SLOPE[:, None]
                       - _PROBE_PHASE_SLOPE[None, :])).reshape(-1)
@@ -144,7 +136,8 @@ def _at(delta: float) -> str:
 
 
 def solved_indices(gen0: np.ndarray, drift) -> np.ndarray:
-    """Sorted indices of vec(rho) that steady_states solves for.
+    """Sorted indices of vec(rho) that steady_states solves for; a generator
+    that is not (36, 36), or a drift that is not (36,), is refused.
 
     Block P is the union of the connected components of the off-diagonal
     sparsity of L0 that hold a population; the diagonal, delta * diag(drift)
@@ -154,12 +147,20 @@ def solved_indices(gen0: np.ndarray, drift) -> np.ndarray:
     Re(v^H L_X(delta) v) < 0 for every v != 0 and real delta, so L_X(delta)
     is nonsingular and rho_X = 0: only P is returned.  Otherwise (X holds a
     coherence with no decay, say) every index is.
+
+    P is walked from L0, not fixed to the 14 entries all three fields link:
+    with a field off, that fixed set keeps coherences with no source, whose
+    pinned rows in reduction can be singular (with every field off at the
+    default material, sigma = gamma_52 and rho_52's row -gamma_52 + sigma is
+    exactly 0).
     """
-    n = _n_levels(gen0)
+    _check_generator(gen0)
     drift = np.asarray(drift, dtype=complex)
+    if drift.shape != (_DIM,):
+        raise ConfigError("drift dimension does not match generator")
     linked = (gen0 != 0) | (gen0.T != 0)
-    block = np.zeros(n * n, dtype=bool)
-    block[:: n + 1] = True
+    block = np.zeros(_DIM, dtype=bool)
+    block[:: N_LEVELS + 1] = True
     while True:
         grown = block | linked[block].any(axis=0)
         if np.array_equal(grown, block):
@@ -184,17 +185,14 @@ def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
     Woodbury A(delta)^-1 e_1 = y - Z R^-1 (delta - i sigma) C y_S with R =
     I + (delta - i sigma) C Z_S, singular only at the poles i sigma - 1/mu,
     mu the eigenvalues of C Z_S.  Errors name first."""
-    n = _n_levels(gen0)
-    drift = np.asarray(drift, dtype=complex)
-    if drift.shape != (gen0.shape[0],):
-        raise ConfigError("drift dimension does not match generator")
     solved = solved_indices(gen0, drift)
+    drift = np.asarray(drift, dtype=complex)
     sigma = np.abs(gen0).sum(axis=1).max()
     rate = drift[solved]
     rate[0] = 0.0  # the trace row carries no delta
     moving = np.flatnonzero(rate)
     pinned = gen0[np.ix_(solved, solved)] + np.diag(1j * sigma * rate)
-    pinned[0] = solved % (n + 1) == 0
+    pinned[0] = solved % (N_LEVELS + 1) == 0
     rhs = np.eye(solved.size, dtype=complex)[:, np.r_[0, moving]]
     try:
         sol = np.linalg.solve(pinned, rhs)
@@ -287,7 +285,7 @@ def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
 def steady_states(gen0: np.ndarray, drift, deltas,
                   reduced=None) -> np.ndarray:
     """Stationary density matrices of L(delta) = L0 + delta * diag(drift)
-    for every delta, as a validated and repaired (k, n, n) stack.
+    for every delta, as a validated and repaired (k, 6, 6) stack.
 
     Only the invariant block P of solved_indices is solved; the certified
     rest of vec(rho) is exactly zero.  Past the reduction (reduced, or one
@@ -296,10 +294,9 @@ def steady_states(gen0: np.ndarray, drift, deltas,
     and pass the residual gate ||L v|| <= STEADY_STATE_RTOL * ||L||
     (infinity norms over the full generator), then the state validation; a
     failure names its delta.  The k deltas are solved in one pass that
-    holds several (k, n^2) temporaries, so a caller with a long grid passes
+    holds several (k, 36) temporaries, so a caller with a long grid passes
     it in slices (full_model_chi does) and keeps what it needs.
     """
-    n = _n_levels(gen0)
     drift = np.asarray(drift, dtype=complex)
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     if reduced is None:
@@ -307,16 +304,16 @@ def steady_states(gen0: np.ndarray, drift, deltas,
     solved, moving, rate, sigma, y, z, cz, poles = reduced
     s = _woodbury(deltas, sigma, cz, poles, _shifted(
         deltas, sigma, rate * y[moving], "C y_S", "steady-state"))
-    vec = np.zeros((deltas.size, n * n), dtype=complex)
+    vec = np.zeros((deltas.size, _DIM), dtype=complex)
     vec[:, solved] = y - (z @ s[..., None])[..., 0]
     _check_residual(gen0, drift, deltas, vec, 0.0, "steady-state")
-    return assert_density_matrices(vec.reshape(-1, n, n),
+    return assert_density_matrices(vec.reshape(-1, N_LEVELS, N_LEVELS),
                                    label=lambda i: _at(deltas[i]))
 
 
 def steady_state_slope(gen0: np.ndarray, drift, delta, rho,
                        reduced=None) -> np.ndarray:
-    """d rho / d delta, (n, n), of the state rho steady_states gave at delta;
+    """d rho / d delta, (6, 6), of the state rho steady_states gave at delta;
     pass that call's reduction as reduced to factor once for both.
 
     L(delta) rho = 0 and tr rho = 1 give A(delta) rho'_P = -E_S C rho_S,
@@ -324,7 +321,6 @@ def steady_state_slope(gen0: np.ndarray, drift, delta, rho,
     The residual ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL *
     ||L|| * max(||rho'||, 1); a failure or a pole names delta.
     """
-    _n_levels(gen0)
     delta = np.array([float(delta)])
     drift = np.asarray(drift, dtype=complex)
     if reduced is None:
@@ -342,16 +338,7 @@ def steady_state_slope(gen0: np.ndarray, drift, delta, rho,
 def steady_state(gen: np.ndarray) -> np.ndarray:
     """Stationary density matrix of the generator: the one-point call of
     steady_states at delta = 0, so its errors name delta = 0.0."""
-    n = _n_levels(gen)
-    return steady_states(gen, np.zeros(n * n), np.zeros(1))[0]
-
-
-def generator(mat: MaterialParams, drives: DriveSet,
-              probe_detuning: float) -> np.ndarray:
-    """The six-level generator of the fields of drives on the material's
-    levels, the probe at probe_detuning."""
-    return build_liouvillian(build_hamiltonian(drives, probe_detuning),
-                             mat.branching, mat.gamma)
+    return steady_states(gen, np.zeros(_DIM), np.zeros(1))[0]
 
 
 def _full_generator(mat: MaterialParams, drives: DriveSet):
@@ -359,7 +346,7 @@ def _full_generator(mat: MaterialParams, drives: DriveSet):
     which reads chi as 2 * A * rho52 / omega_p: a zero probe is refused."""
     if drives.probe_rabi == 0:
         raise ConfigError("full backend needs a nonzero probe field")
-    return generator(mat, drives, 0.0), PROBE_DRIFT
+    return build_liouvillian(mat, drives, 0.0), PROBE_DRIFT
 
 
 def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
@@ -421,7 +408,7 @@ def evolve(rho0, gen: np.ndarray, t_end: float, n_samples: int = 201):
     grid of n_samples points, exactly: rho_{k+1} = exp(L dt) rho_k.
 
     Returns (times, rho, max_trace_dev, max_herm_dev): rho is the
-    (n_samples, n, n) stack of validated density matrices, one per entry of
+    (n_samples, 6, 6) stack of validated density matrices, one per entry of
     times, and the two deviations are measured on the raw propagated
     samples, before the validation pass cleans the states up.  t_end = 0
     returns the validated initial state alone.  A sample that is
@@ -431,8 +418,8 @@ def evolve(rho0, gen: np.ndarray, t_end: float, n_samples: int = 201):
     raises IntegrationError.
     """
     start = assert_density_matrix(rho0)
-    n = start.shape[0]
-    if n != _n_levels(gen):
+    _check_generator(gen)
+    if start.shape != (N_LEVELS, N_LEVELS):
         raise ConfigError("initial state dimension does not match generator")
     t_end = float(t_end)
     if not np.isfinite(t_end) or t_end < 0:
@@ -447,7 +434,7 @@ def evolve(rho0, gen: np.ndarray, t_end: float, n_samples: int = 201):
     # kernels.integrate by that name.
     raw, squarings, _ = kernels.integrate(
         gen, start.reshape(-1), t_end / (n_samples - 1), n_samples)
-    mats = raw.reshape(n_samples, n, n)
+    mats = raw.reshape(n_samples, N_LEVELS, N_LEVELS)
     trace_dev = np.abs(np.einsum("tii->t", mats) - 1.0)
     broken = (~np.isfinite(mats).all(axis=(1, 2))
               | ~(trace_dev <= VALIDATION_TOL))

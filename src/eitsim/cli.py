@@ -286,8 +286,8 @@ def cmd_validate(args, run: ResolvedRun):
 
 
 def cmd_evolve(args, run: ResolvedRun):
-    gen = bloch.generator(run.material, run.drives,
-                          run.drives.probe_detuning)
+    gen = bloch.build_liouvillian(run.material, run.drives,
+                                  run.drives.probe_detuning)
     times, rho, max_trace_dev, max_herm_dev = bloch.evolve(
         states.initial_state(run.evolve_initial), gen, run.evolve_t_end,
         n_samples=run.evolve_samples)

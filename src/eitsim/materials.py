@@ -40,8 +40,11 @@ BRANCHING_SUM_RTOL = 1e-12
 
 
 def _lifetimes(values) -> tuple:
-    """values as a tuple of floats, each positive (inf allowed)."""
+    """values as a tuple of N_LEVELS floats, each positive (inf allowed)."""
     lifetimes = tuple(map(float, values))
+    if len(lifetimes) != N_LEVELS:
+        raise InvalidArgumentError(
+            f"need {N_LEVELS} lifetimes, got {len(lifetimes)}")
     if not all(t > 0 for t in lifetimes):
         raise InvalidArgumentError("lifetimes must be positive (inf allowed)")
     return lifetimes
@@ -51,8 +54,9 @@ def _table(rows) -> tuple:
     return tuple(tuple(map(float, row)) for row in rows)
 
 
-def _is_square(table, n: int) -> bool:
-    return len(table) == n and all(len(row) == n for row in table)
+def _is_square(table) -> bool:
+    return len(table) == N_LEVELS and all(len(row) == N_LEVELS
+                                          for row in table)
 
 
 def _finite_non_negative(table) -> bool:
@@ -66,8 +70,8 @@ def _symmetric(table) -> bool:
 
 def derive_gamma(lifetimes, dephasing, rate_convention: str = "cyclic") -> tuple:
     """Coherence decay rates gamma[i][j] in rad/s for every level pair, as
-    an n x n tuple of floats, from n lifetimes in s and the n x n
-    dephasing table in Hz.
+    a tuple of tuples of floats shaped like the dephasing table in Hz, from
+    the lifetimes in s.
 
     Pairs without a dephasing entry get the pure lifetime half-sum.
     The diagonal is zero.
@@ -88,16 +92,17 @@ class MaterialParams(namedtuple("MaterialParams",
                                 "lifetimes branching dephasing gamma "
                                 "number_density probe_dipole probe_wavelength "
                                 "rate_convention")):
-    """Everything the optical response depends on besides the drives; the
-    level count n is len(lifetimes).  Tables are tuples of floats.
+    """Everything the optical response depends on besides the drives, for
+    the six levels (N_LEVELS) of the model: any other count of lifetimes is
+    refused.  Tables are tuples of floats.
 
-    lifetimes        n seconds, inf allowed (non-decaying level)
-    branching        n x n population decay rates, branching[m][n] = rate
+    lifetimes        one per level, seconds, inf allowed (non-decaying level)
+    branching        6 x 6 population decay rates, branching[m][n] = rate
                      of m -> n in 1/s.  Row sums must equal 1/T1 for every
                      level that decays at all; empty rows mark terminal
                      levels whose lifetime enters only derive_gamma.
-    dephasing        n x n symmetric pure-dephasing table in Hz (input unit)
-    gamma            n x n coherence decay rates, rad/s
+    dephasing        6 x 6 symmetric pure-dephasing table in Hz (input unit)
+    gamma            6 x 6 coherence decay rates, rad/s
     number_density   dopant number density, 1/m^3
     probe_dipole     probe transition dipole moment, C m
     probe_wavelength probe vacuum wavelength, m
@@ -107,26 +112,23 @@ class MaterialParams(namedtuple("MaterialParams",
 
     def __new__(cls, lifetimes, branching, dephasing, gamma, number_density,
                 probe_dipole, probe_wavelength, rate_convention="cyclic"):
-        n = len(lifetimes)
-        if n < 2:
-            raise InvalidArgumentError("need at least two levels")
+        lifetimes = _lifetimes(lifetimes)
         branching = _table(branching)
         dephasing = _table(dephasing)
-        if not _is_square(branching, n) or not _is_square(dephasing, n):
+        if not _is_square(branching) or not _is_square(dephasing):
             raise InvalidArgumentError(
                 "lifetimes/branching/dephasing shape mismatch")
-        lifetimes = _lifetimes(lifetimes)
         if not _finite_non_negative(branching):
             raise InvalidArgumentError(
                 "branching rates must be finite and non-negative")
-        if any(branching[m][m] != 0 for m in range(n)):
+        if any(branching[m][m] != 0 for m in range(N_LEVELS)):
             raise InvalidArgumentError("self-decay entries must be zero")
         if not _finite_non_negative(dephasing):
             raise InvalidArgumentError(
                 "dephasing must be finite and non-negative")
         if not _symmetric(dephasing):
             raise InvalidArgumentError("dephasing table must be symmetric")
-        for m in range(n):
+        for m in range(N_LEVELS):
             total = sum(branching[m])
             if total == 0.0:
                 continue  # terminal level; lifetime only feeds derive_gamma
@@ -138,7 +140,7 @@ class MaterialParams(namedtuple("MaterialParams",
                 )
 
         gamma = _table(gamma)
-        if not _is_square(gamma, n):
+        if not _is_square(gamma):
             raise InvalidArgumentError("gamma table shape mismatch")
         if any(g < 0 for row in gamma for g in row) or not _symmetric(gamma):
             raise InvalidArgumentError("gamma must be symmetric and non-negative")
@@ -183,9 +185,6 @@ def equal_branching(lifetimes) -> tuple:
     split equally over each level's DEFAULT_DESTINATIONS.  The lifetimes
     are checked first, so a zero one is refused rather than divided by."""
     lifetimes = _lifetimes(lifetimes)
-    if len(lifetimes) != N_LEVELS:
-        raise InvalidArgumentError(
-            f"need {N_LEVELS} lifetimes, got {len(lifetimes)}")
     table = [[0.0] * N_LEVELS for _ in range(N_LEVELS)]
     for m, dests in DEFAULT_DESTINATIONS.items():
         rate = 1.0 / (len(dests) * lifetimes[m - 1])

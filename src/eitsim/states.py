@@ -1,5 +1,6 @@
 """Validation and repair of density matrices held as numpy arrays: one
-(n, n) complex matrix, or a (k, n, n) stack of them.
+(n, n) complex matrix, or a (k, n, n) stack of them; and the six-level
+initial states.
 
 Levels are addressed 1-based everywhere in the public API, matching the
 conventional labelling of the six-level scheme (1..3 ground hyperfine,
@@ -16,9 +17,12 @@ from .materials import N_LEVELS
 VALIDATION_TOL = 1e-6
 
 
-def _check_index(level: int, n: int) -> None:
-    if not isinstance(level, (int, np.integer)) or not 1 <= level <= n:
-        raise InvalidArgumentError(f"level index {level!r} outside 1..{n}")
+def _check_index(level: int) -> None:
+    # bool is an int subclass: True would address level 1.
+    if (isinstance(level, bool) or not isinstance(level, (int, np.integer))
+            or not 1 <= level <= N_LEVELS):
+        raise InvalidArgumentError(
+            f"level index {level!r} outside 1..{N_LEVELS}")
 
 
 def assert_density_matrix(matrix) -> np.ndarray:
@@ -78,19 +82,16 @@ def assert_density_matrices(stack, label=None) -> np.ndarray:
     return sym
 
 
-def mixed_state(n: int) -> np.ndarray:
-    """Maximally mixed state: every population 1/n, no coherences."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidArgumentError(f"level count must be a positive int, got {n!r}")
-    return np.eye(n, dtype=complex) / n
+def mixed_state() -> np.ndarray:
+    """Maximally mixed six-level state: every population 1/6, no
+    coherences."""
+    return np.eye(N_LEVELS, dtype=complex) / N_LEVELS
 
 
-def basis_state(n: int, level: int) -> np.ndarray:
-    """Pure state with all population in one level (1-based)."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidArgumentError(f"level count must be a positive int, got {n!r}")
-    _check_index(level, n)
-    m = np.zeros((n, n), dtype=complex)
+def basis_state(level: int) -> np.ndarray:
+    """Pure six-level state with all population in one level (1-based)."""
+    _check_index(level)
+    m = np.zeros((N_LEVELS, N_LEVELS), dtype=complex)
     m[level - 1, level - 1] = 1.0
     return m
 
@@ -99,5 +100,5 @@ def initial_state(name: str) -> np.ndarray:
     """The six-level state `evolve.initial_state` names, "mixed" or
     "level_<k>"."""
     if name == "mixed":
-        return mixed_state(N_LEVELS)
-    return basis_state(N_LEVELS, int(name.split("_")[1]))
+        return mixed_state()
+    return basis_state(int(name.split("_")[1]))

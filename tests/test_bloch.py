@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -34,20 +36,23 @@ EIT_DRIVES = DriveSet(1.5e3, 1.5e6, 1.5e6)
 PUMP_DRIVES = DriveSet(0.0, 1e6, 1e6)
 FIELD_LEVELS = (PROBE_LEVELS, COUPLING_LEVELS, AUX_LEVELS)
 
-# Two levels whose 1-2 coherence neither decays nor is driven: frame phases
-# (-1, 0) per unit delta, so D[m*2 + k] = -i (p_m - p_k).  Level 2 decays
-# into level 1.
-TWO_LEVEL_DRIFT = np.array([0.0, 1j, -1j, 0.0])
-TWO_LEVEL_BRANCHING = [[0.0, 0.0], [1e3, 0.0]]
-# The Lambda system 1-3-2 of four levels, both fields at rabi 2, and its
-# drift for delta on the 3-2 field: frame phases (1, 0, 1, 0) per unit delta.
-LAMBDA_HAM = np.array([[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, -1.0, 0.0],
-                       [-1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-LAMBDA_DRIFT = -1j * np.array([[0.0, 1.0, 0.0, 1.0], [-1.0, 0.0, -1.0, 0.0],
-                               [0.0, 1.0, 0.0, 1.0],
-                               [-1.0, 0.0, -1.0, 0.0]]).reshape(-1)
-# Its excited level 3 decays only into a trap, level 4.
-TRAP_BRANCHING = [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, 1e3], [0.0] * 4]
+# The default material with an undamped 4-3 coherence, under the probe
+# alone: levels 3 and 4 carry no field, so rho_43 neither decays nor is
+# driven.  Level 3 moves with the probe detuning and level 4 does not, so
+# its drift is -i (s_4 - s_3) = i.  Every population ends in level 1.
+UNDAMPED_43 = MAT._replace(gamma=[
+    [0.0 if {m, k} == {2, 3} else g for k, g in enumerate(row)]
+    for m, row in enumerate(MAT.gamma)])
+PROBE_ONLY = DriveSet(1.5e3, 0.0, 0.0)
+# The Lambda system 2-5-3, every field at rabi 2.  Level 5 decays only into
+# a trap, level 4, made terminal; levels 2 and 3 never decay (T1 = inf), and
+# with no dephasing their coherence is undamped, gamma_32 = 0.
+TRAP = _material(lifetime_2_s=math.inf, lifetime_3_s=math.inf,
+                 dephasing_32_hz=0.0, branching_41_per_s=0.0,
+                 branching_42_per_s=0.0, branching_43_per_s=0.0,
+                 branching_51_per_s=0.0, branching_52_per_s=0.0,
+                 branching_53_per_s=0.0, branching_54_per_s=1 / 164e-6)
+TRAP_DRIVES = DriveSet(2.0, 2.0, 2.0)
 
 
 def eit_drives(rabi=(1.5e3, 1.5e6, 1.5e6), coupling_det=0.0, aux_det=0.0):
@@ -56,8 +61,7 @@ def eit_drives(rabi=(1.5e3, 1.5e6, 1.5e6), coupling_det=0.0, aux_det=0.0):
 
 
 def assembled(drives, delta=0.0, mat=MAT):
-    return build_liouvillian(build_hamiltonian(drives, delta), mat.branching,
-                             mat.gamma)
+    return build_liouvillian(mat, drives, delta)
 
 
 def reference_rhs(rho, ham, branching, gamma):
@@ -117,8 +121,7 @@ def _exact_solve(gen0, drift, delta, rhs):
     by tr x = rhs[0], every float entry and delta taken as exact: Gaussian
     elimination over (re, im) pairs of Fractions, standard library only;
     rhs and x are lists of such pairs."""
-    size = gen0.shape[0]
-    n = math.isqrt(size)
+    size = 36
     zero = _exact(0j)
     step = Fraction(float(delta))
     rows = [[_exact(complex(z)) for z in row] + [b]
@@ -127,8 +130,7 @@ def _exact_solve(gen0, drift, delta, rhs):
         rate = _exact(complex(drift[i]))
         rows[i][i] = (rows[i][i][0] + step * rate[0],
                       rows[i][i][1] + step * rate[1])
-    rows[0] = [_exact(float(j % (n + 1) == 0)) for j in range(size)] \
-        + [rhs[0]]
+    rows[0] = [_exact(float(j % 7 == 0)) for j in range(size)] + [rhs[0]]
     for col in range(size):
         pivot = next(r for r in range(col, size) if rows[r][col] != zero)
         rows[col], rows[pivot] = rows[pivot], rows[col]
@@ -141,10 +143,9 @@ def _exact_solve(gen0, drift, delta, rhs):
 
 
 def _rounded(x):
-    """Exact (re, im) pairs as an (n, n) complex array, each rounded once."""
-    n = math.isqrt(len(x))
+    """Exact (re, im) pairs as a (6, 6) complex array, each rounded once."""
     return np.array([complex(float(re), float(im)) for re, im in x]) \
-        .reshape(n, n)
+        .reshape(6, 6)
 
 
 def _exact_state(gen0, drift, delta):
@@ -155,12 +156,12 @@ def _exact_state(gen0, drift, delta):
 def exact_steady_state(gen0, drift, delta):
     """The steady state of L0 + delta * diag(drift) by exact elimination
     with the trace row in place of rho_11's equation, rounded to complex
-    floats once at the end; (n, n)."""
+    floats once at the end; (6, 6)."""
     return _rounded(_exact_state(gen0, drift, delta))
 
 
 def exact_steady_state_and_slope(gen0, drift, delta):
-    """(rho, d rho / d delta), each (n, n) and rounded once: the slope
+    """(rho, d rho / d delta), each (6, 6) and rounded once: the slope
     solves L(delta) rho' = -D o rho with tr rho' = 0 exactly, on the exact
     rho."""
     rho = _exact_state(gen0, drift, delta)
@@ -273,7 +274,7 @@ class TestLiouvillian:
     def test_dual_route_against_elementwise_equations(self):
         # superoperator route vs independently written component equations
         ham = build_hamiltonian(EIT_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
+        lv = assembled(EIT_DRIVES)
         rng = np.random.default_rng(11)
         scale = np.max(np.abs(lv))
         for _ in range(25):
@@ -285,15 +286,14 @@ class TestLiouvillian:
 
     def test_probe_coupling_coefficients_in_population_equation(self):
         # d rho_22/dt picks up -i*Omega_P/2 * rho_25 + i*Omega_P/2 * rho_52
-        ham = build_hamiltonian(DriveSet(2.0, 0.0, 0.0), 0.0)
-        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
+        lv = assembled(DriveSet(2.0, 0.0, 0.0))
         idx22, idx25, idx52 = 1 * 6 + 1, 1 * 6 + 4, 4 * 6 + 1
         assert lv[idx22, idx25] == -1.0j
         assert lv[idx22, idx52] == 1.0j
 
     def test_population_decay_rates_from_level5(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
-        rho = basis_state(6, 5)
+        lv = assembled(OFF)
+        rho = basis_state(5)
         rhs = (lv @ rho.reshape(-1)).reshape(6, 6)
         # equal split into 1..4 at 1/(4*T1), total drain 1/T1
         assert rhs[0, 0].real == pytest.approx(1524.3902439024391, rel=1e-12)
@@ -301,15 +301,14 @@ class TestLiouvillian:
         assert rhs[5, 5].real == 0.0
 
     def test_coherence_decay_entry(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
+        lv = assembled(OFF)
         idx52 = 4 * 6 + 1
         assert lv[idx52, idx52] == -MAT.gamma[4][1]
 
     def test_trace_preserved_structurally(self):
         # the population rows of the generator sum to the zero row: exact
         for drives in (OFF, PUMP_DRIVES, EIT_DRIVES):
-            ham = build_hamiltonian(drives, 0.0)
-            lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
+            lv = assembled(drives)
             rows = [m * 6 + m for m in range(6)]
             colsum = lv[rows, :].sum(axis=0)
             assert np.max(np.abs(colsum)) == 0.0
@@ -318,11 +317,10 @@ class TestLiouvillian:
         # applied to states, the residues scale with ||L||*eps
         rng = np.random.default_rng(13)
         for drives in (OFF, PUMP_DRIVES, EIT_DRIVES):
-            ham = build_hamiltonian(drives, 0.0)
-            lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
+            lv = assembled(drives)
             norm = np.abs(lv).sum(axis=1).max()
             bound = max(1e-12, 1e-15 * norm)
-            states = [mixed_state(6)] + \
+            states = [mixed_state()] + \
                 [random_hermitian_state(rng) for _ in range(20)]
             for rho in states:
                 rhs = (lv @ rho.reshape(-1)).reshape(6, 6)
@@ -330,34 +328,28 @@ class TestLiouvillian:
                 assert np.max(np.abs(rhs - rhs.conj().T)) <= bound
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
-            build_liouvillian(np.zeros((5, 5)), MAT.branching, MAT.gamma)
-        with pytest.raises(ConfigError):
-            build_liouvillian(np.zeros((6, 6)), MAT.branching,
-                              np.array(MAT.gamma)[:5, :5])
-        # n is the branching table's, which must itself be n x n
-        for branching in (np.array(MAT.branching)[:, :5], MAT.branching[0],
-                          np.zeros((0, 0))):
-            with pytest.raises(ConfigError, match="^branching table shape"):
-                build_liouvillian(np.zeros((6, 6)), branching, MAT.gamma)
-        # a generator that is not (n^2, n^2) is refused wherever one is
-        # accepted
+        # a generator that is not (36, 36), a two- or seven-level one
+        # included, is refused by name wherever one is accepted
         zero = np.zeros(36)
-        for gen in (np.zeros((6, 6)), np.zeros((36, 35)), np.zeros(36)):
+        for gen in (np.zeros((6, 6)), np.zeros((4, 4)), np.zeros((49, 49)),
+                    np.zeros((36, 35)), np.zeros(36)):
             for call in (lambda: steady_state(gen),
                          lambda: steady_states(gen, zero, [0.0]),
                          lambda: steady_state_slope(gen, zero, 0.0,
-                                                    mixed_state(6)),
+                                                    mixed_state()),
                          lambda: solved_indices(gen, zero),
                          lambda: bloch.reduction(gen, zero),
-                         lambda: evolve(mixed_state(6), gen, 1e-3)):
-                with pytest.raises(ConfigError, match=r"not \(n\^2, n\^2\)"):
+                         lambda: evolve(mixed_state(), gen, 1e-3)):
+                with pytest.raises(ConfigError,
+                                   match=rf"^generator shape "
+                                         rf"{re.escape(str(gen.shape))} is "
+                                         rf"not \(36, 36\)$"):
                     call()
 
 
 class TestSteadyState:
     def test_all_fields_off_collects_in_terminal_level(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
+        lv = assembled(OFF)
         rho = steady_state(lv)
         want = np.zeros(6)
         want[0] = 1.0
@@ -365,9 +357,7 @@ class TestSteadyState:
         assert np.max(np.abs(rho - np.diag(want))) < 1e-9
 
     def test_pumping_concentrates_in_level2(self):
-        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
-        rho = steady_state(lv)
+        rho = steady_state(assembled(PUMP_DRIVES))
         assert rho[1, 1].real > 0.999
 
     def test_weak_probe_coherence_matches_lambda_form(self):
@@ -379,19 +369,15 @@ class TestSteadyState:
 
     def test_transient_agrees_with_steady_state(self):
         # 24 ms is ~20 times the slowest decay mode of the pumped generator
-        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
+        lv = assembled(PUMP_DRIVES)
         ss = steady_state(lv)
-        rho = evolve(mixed_state(6), lv, 24e-3, n_samples=9)[1]
+        rho = evolve(mixed_state(), lv, 24e-3, n_samples=9)[1]
         assert np.max(np.abs(rho[-1] - ss)) < 1e-6
 
     def test_degenerate_nullspace_rejected(self):
-        # two terminal ground levels, no fields: any population split
-        # between them is stationary
-        branching = [[0.0] * 3, [0.0] * 3, [500.0, 500.0, 0.0]]
-        gamma = np.full((3, 3), 100.0)
-        np.fill_diagonal(gamma, 0.0)
-        lv = build_liouvillian(np.zeros((3, 3)), branching, gamma)
+        # two terminal ground levels, 1 and 2, no fields: any population
+        # split between them is stationary
+        lv = assembled(OFF, mat=_material(branching_21_per_s=0.0))
         with pytest.raises(SteadyStateError):
             steady_state(lv)
 
@@ -426,14 +412,15 @@ class TestSolvedBlock:
         assert np.array_equal(solved, block_by_drives(EIT_DRIVES))
 
     def test_undamped_uncoupled_coherence_solves_everything(self):
-        # rho_12 has no decay and no drive: the rest is not certified
-        lv0 = build_liouvillian(np.zeros((2, 2)), TWO_LEVEL_BRANCHING,
-                                np.zeros((2, 2)))
-        drift = TWO_LEVEL_DRIFT
-        assert np.array_equal(solved_indices(lv0, drift), np.arange(4))
-        damped = build_liouvillian(np.zeros((2, 2)), TWO_LEVEL_BRANCHING,
-                                   np.full((2, 2), 10.0))
-        assert np.array_equal(solved_indices(damped, drift), [0, 3])
+        # rho_43 has no decay and no drive: the rest is not certified
+        lv0 = assembled(PROBE_ONLY, mat=UNDAMPED_43)
+        assert np.array_equal(solved_indices(lv0, PROBE_DRIFT), np.arange(36))
+        # with its decay back, the block is the populations plus 25 and 52
+        damped = assembled(PROBE_ONLY)
+        assert np.array_equal(solved_indices(damped, PROBE_DRIFT),
+                              [0, 7, 10, 14, 21, 25, 28, 35])
+        assert np.array_equal(solved_indices(damped, PROBE_DRIFT),
+                              block_by_drives(PROBE_ONLY))
 
     def test_real_drift_on_the_rest_solves_everything(self):
         lv0 = assembled(EIT_DRIVES)
@@ -473,6 +460,43 @@ class TestSolvedBlock:
         assert_matches_null_space((1.5e3, coupling, 1.5e6), 0.0, 0.0, delta)
 
 
+class TestWalkedBlock:
+    """Block P is walked from L0 for each drive set, not fixed to the 14
+    entries all three fields link: with a field off, that fixed set holds
+    coherences with no source, and with every field off its reference
+    solve is exactly singular (the pinned row -gamma_52 + sigma is 0)."""
+
+    @pytest.mark.parametrize("on", list(itertools.product((0, 1), repeat=3)),
+                             ids=lambda on: "probe{}-coupling{}-aux{}".format(
+                                 *on))
+    def test_every_field_combination(self, on):
+        drives = DriveSet(*(rabi * o for rabi, o in
+                            zip((1.5e3, 1.5e6, 1.5e6), on)))
+        lv0 = assembled(drives)
+        solved = solved_indices(lv0, PROBE_DRIFT)
+        assert np.array_equal(solved, block_by_drives(drives))
+        rho = steady_states(lv0, PROBE_DRIFT, np.linspace(-2e7, 2e7, 41))
+        outside = np.setdiff1d(np.arange(36), solved)
+        assert np.all(rho.reshape(41, 36)[:, outside] == 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rabi=st.tuples(*[st.one_of(
+               st.just(0.0), st.builds(complex, st.floats(-5e6, 5e6),
+                                       st.floats(-5e6, 5e6)))] * 3),
+           detunings=st.tuples(*[st.floats(-2e7, 2e7)] * 3))
+    def test_hermitian_part_on_the_rest_is_minus_the_decay(self, rabi,
+                                                           detunings):
+        # what solved_indices' certificate relies on: the commutator is
+        # anti-hermitian on any principal block, exactly
+        probe_det, coupling_det, aux_det = detunings
+        drives = eit_drives(rabi, coupling_det, aux_det)
+        lv0 = assembled(drives, probe_det)
+        rest = np.setdiff1d(np.arange(36), block_by_drives(drives))
+        sub = lv0[np.ix_(rest, rest)]
+        gamma = np.array(MAT.gamma).reshape(-1)[rest]
+        assert np.array_equal(0.5 * (sub + sub.conj().T), -np.diag(gamma))
+
+
 class TestExactArithmetic:
     # Against exact_steady_state at these points the worst entry of
     # steady_states is 1.004 eps * max|rho| off, and full_model_chi is at
@@ -492,7 +516,7 @@ class TestExactArithmetic:
     ], ids=["defaults-0", "defaults-minus7.5e5", "defaults-3e5",
             "exceptional-point", "coupling-off", "strong-probe"])
     def test_matches_exact_elimination(self, drives, delta):
-        gen0 = bloch.generator(MAT, drives, 0.0)
+        gen0 = assembled(drives)
         want = exact_steady_state(gen0, PROBE_DRIFT, delta)
         rho = steady_states(gen0, PROBE_DRIFT, [delta])[0]
         eps = np.finfo(float).eps
@@ -522,7 +546,7 @@ class TestExactArithmetic:
                                                    coupling_det, aux_det,
                                                    delta):
         drives = eit_drives((probe, coupling, aux), coupling_det, aux_det)
-        gen0 = bloch.generator(MAT, drives, 0.0)
+        gen0 = assembled(drives)
         want, want_slope = exact_steady_state_and_slope(gen0, PROBE_DRIFT,
                                                         delta)
         rho = steady_states(gen0, PROBE_DRIFT, [delta])[0]
@@ -657,11 +681,10 @@ class TestBatchedSteadyStates:
             assert peak <= 0.45e6 + 32 * k
 
     def test_singular_point_names_its_detuning(self):
-        # two levels, undamped coherence: the nullspace is two-dimensional
-        # only at delta = 0, which sits mid-grid
-        lv0 = build_liouvillian(np.zeros((2, 2)), TWO_LEVEL_BRANCHING,
-                                np.zeros((2, 2)))
-        drift = TWO_LEVEL_DRIFT
+        # the undamped, undriven coherence rho_43: the nullspace is
+        # two-dimensional only at delta = 0, which sits mid-grid
+        lv0 = assembled(PROBE_ONLY, mat=UNDAMPED_43)
+        drift = PROBE_DRIFT
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 0, 0], np.ones(3))
         grid = np.linspace(-264.0, 264.0, 529)
@@ -671,18 +694,14 @@ class TestBatchedSteadyStates:
             steady_states(lv0, drift, grid)
 
     def test_singular_population_block_names_its_detuning(self):
-        # Lambda system 1-3-2 whose excited level decays only into a trap,
-        # level 4, with an undamped 1-2 coherence.  Off two-photon
-        # resonance everything ends in the trap; at delta = 0 the dark
-        # state of levels 1 and 2 is stationary too.  The coherences with
-        # level 4 decay, so the solve runs on the 10-entry block.
-        gamma = np.full((4, 4), 100.0)
-        np.fill_diagonal(gamma, 0.0)
-        gamma[0, 1] = gamma[1, 0] = 0.0
-        lv0 = build_liouvillian(LAMBDA_HAM, TRAP_BRANCHING, gamma)
-        drift = LAMBDA_DRIFT
+        # TRAP: off two-photon resonance everything ends in level 4; at
+        # delta = 0 the dark state of levels 2 and 3 is stationary too.
+        # The coherences with level 4 decay, so the solve runs on the
+        # 14-entry block.
+        lv0 = assembled(TRAP_DRIVES, mat=TRAP)
+        drift = PROBE_DRIFT
         assert np.array_equal(solved_indices(lv0, drift),
-                              [0, 1, 2, 4, 5, 6, 8, 9, 10, 15])
+                              block_by_drives(TRAP_DRIVES))
         rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 3, 3], np.ones(3))
         grid = np.linspace(-264.0, 264.0, 529)
@@ -792,11 +811,8 @@ class TestSteadyStateSlope:
     def test_singular_system_names_its_detuning(self):
         # the trap system of test_singular_population_block_names_its_
         # detuning: its pinned system is singular at delta = 0
-        gamma = np.full((4, 4), 100.0)
-        np.fill_diagonal(gamma, 0.0)
-        gamma[0, 1] = gamma[1, 0] = 0.0
-        lv0 = build_liouvillian(LAMBDA_HAM, TRAP_BRANCHING, gamma)
-        drift = LAMBDA_DRIFT
+        lv0 = assembled(TRAP_DRIVES, mat=TRAP)
+        drift = PROBE_DRIFT
         rho = steady_states(lv0, drift, [1.0])[0]
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 0\.0 rad/s: singular slope"):
@@ -805,37 +821,36 @@ class TestSteadyStateSlope:
 
 class TestEvolve:
     def test_exponential_decay_of_level5(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
+        lv = assembled(OFF)
         t_end = 4 * 164e-6
-        times, rho, _, _ = evolve(basis_state(6, 5), lv, t_end, n_samples=5)
+        times, rho, _, _ = evolve(basis_state(5), lv, t_end, n_samples=5)
         pops = np.diagonal(rho, axis1=1, axis2=2).real
         want = np.exp(-times / 164e-6)
         assert np.allclose(pops[:, 4], want, rtol=1e-7, atol=1e-10)
 
     def test_drift_diagnostics_within_budget(self):
-        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
-        times, rho, trace_dev, herm_dev = evolve(mixed_state(6), lv, 10e-3)
+        lv = assembled(PUMP_DRIVES)
+        times, rho, trace_dev, herm_dev = evolve(mixed_state(), lv, 10e-3)
         assert trace_dev <= 1e-9
         assert herm_dev <= 1e-9
         assert rho[-1, 1, 1].real > 0.99
         assert times.size == 201
 
     def test_zero_horizon_returns_initial(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
-        times, rho, trace_dev, herm_dev = evolve(basis_state(6, 3), lv, 0.0)
+        lv = assembled(OFF)
+        times, rho, trace_dev, herm_dev = evolve(basis_state(3), lv, 0.0)
         assert len(rho) == 1
         assert times[0] == 0.0
         assert rho[-1, 2, 2].real == 1.0
         assert trace_dev == herm_dev == 0.0
 
     def test_accepts_raw_matrix_input(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
+        lv = assembled(OFF)
         rho = evolve(np.eye(6, dtype=complex) / 6, lv, 1e-5, n_samples=3)[1]
         assert len(rho) == 3
 
     def test_states_are_validated_density_matrices(self):
-        rho = evolve(mixed_state(6), assembled(PUMP_DRIVES), 1e-3,
+        rho = evolve(mixed_state(), assembled(PUMP_DRIVES), 1e-3,
                      n_samples=5)[1]
         assert rho.shape == (5, 6, 6) and rho.dtype == complex
         for state in rho:
@@ -843,28 +858,27 @@ class TestEvolve:
             assert np.array_equal(state, state.conj().T)
 
     def test_bad_horizon_rejected(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
+        lv = assembled(OFF)
         with pytest.raises(InvalidArgumentError):
-            evolve(mixed_state(6), lv, -1.0)
+            evolve(mixed_state(), lv, -1.0)
         with pytest.raises(InvalidArgumentError):
-            evolve(mixed_state(6), lv, float("nan"))
+            evolve(mixed_state(), lv, float("nan"))
         with pytest.raises(InvalidArgumentError,
                            match="need at least two samples"):
-            evolve(mixed_state(6), lv, 1e-3, n_samples=1)
+            evolve(mixed_state(), lv, 1e-3, n_samples=1)
         with pytest.raises(ConfigError, match="initial state dimension "
                                               "does not match generator"):
-            evolve(mixed_state(2), lv, 1e-3)
+            evolve(np.eye(2, dtype=complex) / 2, lv, 1e-3)
 
     def test_propagator_breakdown_raises(self):
         # exp(L dt) at dt = 5e27 s needs 110 squarings and loses the trace;
         # at 1e305 s L dt overflows outright
-        ham = build_hamiltonian(PUMP_DRIVES, 0.0)
-        lv = build_liouvillian(ham, MAT.branching, MAT.gamma)
+        lv = assembled(PUMP_DRIVES)
         with pytest.raises(IntegrationError,
                            match=r"sample at t = 5\.000000e\+27 s"):
-            evolve(mixed_state(6), lv, 1e30)
+            evolve(mixed_state(), lv, 1e30)
         with pytest.raises(IntegrationError, match="non-finite"):
-            evolve(mixed_state(6), lv, 1e305)
+            evolve(mixed_state(), lv, 1e305)
 
     @settings(max_examples=25, deadline=None)
     @given(rabi=st.tuples(st.floats(0.0, 1e5), st.floats(0.0, 5e6),
@@ -880,7 +894,7 @@ class TestEvolve:
         # "mixed").  From a state with ground-level coherences the
         # Bloch-form dephasing table does not keep rho positive, so those
         # are left out.
-        rho0 = mixed_state(6) if initial == 0 else basis_state(6, initial)
+        rho0 = mixed_state() if initial == 0 else basis_state(initial)
         lv = assembled(eit_drives(rabi, *detunings[1:]), detunings[0])
         _, rho, trace_dev, herm_dev = evolve(rho0, lv, t_end,
                                              n_samples=n_samples)
@@ -891,7 +905,7 @@ class TestEvolve:
             assert np.linalg.eigvalsh(m).min() >= -1e-9
 
     def test_dimension_mismatch_rejected(self):
-        lv = build_liouvillian(np.zeros((6, 6)), MAT.branching, MAT.gamma)
+        lv = assembled(OFF)
         with pytest.raises(ConfigError):
             evolve(np.eye(4) / 4, lv, 1e-3)
 
@@ -900,8 +914,8 @@ class TestEvolve:
         # the transient must land on the same state the linear solve finds
         mat = _material(lifetime_1_s=1e-3, lifetime_2_s=1e-3,
                         lifetime_3_s=1e-3)
-        lv = build_liouvillian(np.zeros((6, 6)), mat.branching, mat.gamma)
+        lv = assembled(OFF, mat=mat)
         ss = steady_state(lv)
-        rho = evolve(mixed_state(6), lv, 20e-3, n_samples=5)[1]
+        rho = evolve(mixed_state(), lv, 20e-3, n_samples=5)[1]
         assert ss[0, 0].real == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(rho[-1] - ss)) < 1e-6

@@ -477,9 +477,8 @@ class TestEvolve:
                 "evolve.samples_count=11"]
         assert main(["evolve", "--out", out, *argv]) == 0
         run = resolve(apply_overrides({}, argv[1::2]))
-        ham = bloch.build_hamiltonian(run.drives, run.drives.probe_detuning)
-        gen = bloch.build_liouvillian(ham, run.material.branching,
-                                      run.material.gamma)
+        gen = bloch.build_liouvillian(run.material, run.drives,
+                                      run.drives.probe_detuning)
         times, rho, _, _ = bloch.evolve(
             states.initial_state(run.evolve_initial), gen, 1e-4, n_samples=11)
         cells = [[float(c) for c in line.split(",")] for line in

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eitsim import kernels
-from eitsim.bloch import build_hamiltonian, build_liouvillian, steady_state
+from eitsim.bloch import build_liouvillian, steady_state
 from eitsim.config import DriveSet, pryso_defaults
 from eitsim.states import mixed_state
 
@@ -90,10 +90,9 @@ def test_long_time_limit_is_the_steady_state():
     # the oracle is the linear nullspace solve, not a propagation
     mat = pryso_defaults()
     drives = DriveSet(probe_rabi=0.0, coupling_rabi=1e6, aux_rabi=1e6)
-    lv = build_liouvillian(build_hamiltonian(drives, 0.0), mat.branching,
-                           mat.gamma)
+    lv = build_liouvillian(mat, drives, 0.0)
     out, _, _ = kernels.integrate(lv,
-                                  mixed_state(6).reshape(-1),
+                                  mixed_state().reshape(-1),
                                   1.0 / 200, 201)
     ss = steady_state(lv).reshape(-1)
     assert np.max(np.abs(out[-1] - ss)) <= 1e-9

@@ -19,12 +19,11 @@ def _params(lifetimes=None, branching=None, dephasing=None):
     and the default optical fields."""
     if lifetimes is None:
         lifetimes = np.array([400.0] * 3 + [164e-6] * 3)
-    n = len(lifetimes)
     if branching is None:
         branching = equal_branching(lifetimes)
     if dephasing is None:
-        dephasing = np.zeros((n, n))
-    return MaterialParams(lifetimes, branching, dephasing, np.zeros((n, n)),
+        dephasing = np.zeros((6, 6))
+    return MaterialParams(lifetimes, branching, dephasing, np.zeros((6, 6)),
                           4.7e24, 1e-33, 605.7e-9)
 
 
@@ -78,40 +77,53 @@ class TestLevelSystem:
             _params(branching=branching)
 
     def test_rejects_decay_with_infinite_lifetime(self):
-        lifetimes = np.array([np.inf, 400.0])
-        branching = np.array([[0.0, 0.1], [1 / 400.0, 0.0]])
+        lifetimes = np.array([np.inf] + [400.0] * 2 + [164e-6] * 3)
+        branching = np.array(equal_branching(lifetimes))
+        branching[0, 1] = 0.1
         with pytest.raises(ConfigError):
             _params(lifetimes, branching)
 
     def test_infinite_lifetime_without_decay_is_fine(self):
-        lifetimes = np.array([np.inf, 400.0])
-        branching = np.array([[0.0, 0.0], [1 / 400.0, 0.0]])
-        assert sum(_params(lifetimes, branching).branching[0]) == 0.0
+        lifetimes = np.array([np.inf] + [400.0] * 2 + [164e-6] * 3)
+        assert sum(_params(lifetimes).branching[0]) == 0.0
 
     def test_refusals_keep_their_order_and_messages(self):
-        # each check runs before the next one can see the same input
-        two = [np.inf, 1e-3]
-        decay = [[0.0, 0.0], [1e3, 0.0]]
-        zeros = np.zeros((2, 2))
+        # each input fails every check from its own on, so the message
+        # names the first check that sees it
+        times = [400.0] * 3 + [164e-6] * 3
+        decay = np.array(equal_branching(times))
+        zeros = np.zeros((6, 6))
+        negative = decay.copy()
+        negative[1, 0] = -1.0
+        negative[2, 2] = 1.0
+        self_decay = decay.copy()
+        self_decay[2, 2] = 1.0
+        asymmetric = zeros.copy()
+        asymmetric[2, 1] = 1.0
         for tables, match in [
-                (([1.0], [[0.0]], [[0.0]]), "need at least two levels"),
-                ((two, decay, np.zeros((3, 3))),
-                 "lifetimes/branching/dephasing shape mismatch"),
-                (([0.0, 1e-3], decay, zeros),
+                (([1.0], [[0.0]], [[-1.0]]), "need 6 lifetimes, got 1"),
+                ((times[:5], zeros[:5, :5], zeros), "need 6 lifetimes, got 5"),
+                ((times + [1.0], np.zeros((7, 7)), zeros),
+                 "need 6 lifetimes, got 7"),
+                (([0.0] + times[1:], zeros[:, :5], zeros),
                  r"lifetimes must be positive \(inf allowed\)"),
-                ((two, [[0.0, 0.0], [-1.0, 0.0]], zeros),
+                ((times, negative[:, :5], -asymmetric),
+                 "lifetimes/branching/dephasing shape mismatch"),
+                ((times, decay, zeros[:5, :5]),
+                 "lifetimes/branching/dephasing shape mismatch"),
+                ((times, negative, -asymmetric),
                  "branching rates must be finite and non-negative"),
-                ((two, [[0.0, 0.0], [1e3, 1.0]], zeros),
+                ((times, self_decay, -asymmetric),
                  "self-decay entries must be zero"),
-                ((two, decay, [[0.0, -1.0], [-1.0, 0.0]]),
+                ((times, decay, -asymmetric),
                  "dephasing must be finite and non-negative"),
-                ((two, decay, [[0.0, 1.0], [0.0, 0.0]]),
+                ((times, decay, asymmetric),
                  "dephasing table must be symmetric")]:
             with pytest.raises(InvalidArgumentError, match=f"^{match}$"):
                 MaterialParams(*tables, zeros, 4.7e24, 1e-33, 605.7e-9)
         with pytest.raises(InvalidArgumentError,
                            match="^gamma table shape mismatch$"):
-            MaterialParams(two, decay, zeros, np.zeros((3, 3)), 4.7e24,
+            MaterialParams(times, decay, zeros, np.zeros((3, 3)), 4.7e24,
                            1e-33, 605.7e-9)
 
     def test_rejects_asymmetric_dephasing(self):

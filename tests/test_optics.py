@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 from eitsim import bloch, optics, states
 from eitsim.bloch import (DEGENERACY_TOL, PROBE_DRIFT, STEADY_STATE_CHUNK,
-                          build_hamiltonian, build_liouvillian,
-                          full_model_chi, rho_to_chi, steady_state_slope,
-                          steady_states)
+                          build_liouvillian, full_model_chi, rho_to_chi,
+                          steady_state_slope, steady_states)
 from eitsim.config import default_document, pryso_defaults
 from eitsim.constants import C_LIGHT, TWO_PI
 from eitsim.errors import (ConfigError, ConventionError,
@@ -190,8 +189,7 @@ class TestPointwiseOptics:
 def full_chi_and_slope(mat, drives, delta):
     """Full-backend chi and dchi/ddelta at one detuning, complex, from
     bloch's steady state and its exact slope."""
-    lv0 = build_liouvillian(build_hamiltonian(drives, 0.0), mat.branching,
-                            mat.gamma)
+    lv0 = build_liouvillian(mat, drives, 0.0)
     drift = PROBE_DRIFT
     rho = steady_states(lv0, drift, [delta])[0]
     slope = steady_state_slope(lv0, drift, delta, rho)
@@ -590,8 +588,7 @@ def null_space_chi(mat, drives, deltas):
     its nullspace from an SVD (scipy), normalised to unit trace."""
     out = []
     for delta in deltas:
-        ham = build_hamiltonian(drives, float(delta))
-        gen = build_liouvillian(ham, mat.branching, mat.gamma)
+        gen = build_liouvillian(mat, drives, float(delta))
         basis = scipy.linalg.null_space(gen)
         assert basis.shape[1] == 1
         rho = basis[:, 0].reshape(6, 6)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -50,15 +52,19 @@ def test_rejects_non_square_and_non_finite():
 
 
 def test_mixed_and_basis_states():
-    rho = mixed_state(6)
+    rho = mixed_state()
+    assert rho.shape == (6, 6)
     assert np.allclose(np.diag(rho).real, np.full(6, 1 / 6))
-    lvl5 = basis_state(6, 5)
+    lvl5 = basis_state(5)
+    assert lvl5.shape == (6, 6)
     assert lvl5[4, 4].real == 1.0
     assert np.diag(lvl5).real.sum() == 1.0
-    with pytest.raises(InvalidArgumentError):
-        basis_state(6, 7)
-    with pytest.raises(InvalidArgumentError):
-        mixed_state(0)
+    # a bool is an int, but True would address level 1
+    for level in (0, 7, True, False, 2.0, "1"):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"^level index {re.escape(repr(level))} "
+                                 r"outside 1\.\.6$"):
+            basis_state(level)
 
 
 def _noisy_states(rng, k, n=6, noise=1e-8):
