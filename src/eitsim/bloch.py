@@ -4,13 +4,13 @@ Builds the rotating-frame Hamiltonian of the six-level model's three fields
 in their fixed geometry (probe 5-2, coupling 5-3, auxiliary repump 6-1),
 adds Bloch-form relaxation (population branching plus per-pair coherence
 decay, not a Lindblad dissipator), and solves the resulting linear master
-equation dvec(rho)/dt = L vec(rho) for steady states and transients.  Only
-the rotating-frame phases depend on a drive's detuning, so a detuning sweep
-is affine: L(delta) = L0 + delta * D with D diagonal.  One factorization at
-the complex detuning i * sigma reaches every real delta, and d rho / d
-delta, by a Woodbury update of the few entries D moves (see reduction).  The
-full backend of the observables reads the probe susceptibility off rho52
-here (full_model_chi, full_model_chi_slope).
+equation dvec(rho)/dt = L vec(rho) for steady states and transients.  The
+steady states are swept in the probe detuning alone, and only frame phases
+move with it: L(delta) = L0 + delta * diag(PROBE_DRIFT).  One factorization
+at the complex detuning i * sigma reaches every real delta, and d rho / d
+delta, by a Woodbury update of the few entries PROBE_DRIFT moves (see
+reduction).  The full backend of the observables reads the probe
+susceptibility off rho52 here (full_model_chi, full_model_chi_slope).
 
 The generator couples a coherence rho_mk only to rho_jk' with j in m's drive
 component and k' in k's, and relaxation couples populations only to
@@ -122,9 +122,11 @@ def build_liouvillian(mat: MaterialParams, drives: DriveSet,
     return gen
 
 
-# Diagonal of dL/d(delta_p), D: only the phases of levels 3 and 5 move with
-# the probe detuning, so L(delta_p) = L(0) + delta_p * diag(D) with
-# D[6*m + k] = -i (s_m - s_k), s = e_3 + e_5.
+# Diagonal of dL/d(delta_p): only the phases of levels 3 and 5 move with
+# the probe detuning, so L(delta_p) = L(0) + delta_p * diag(PROBE_DRIFT)
+# with PROBE_DRIFT[6*m + k] = -i (s_m - s_k), s = e_3 + e_5.  It is purely
+# imaginary and zero on every population, which solved_indices and
+# reduction rely on.
 _PROBE_PHASE_SLOPE = np.array([0.0, 0.0, 1.0, 0.0, 1.0, 0.0])
 PROBE_DRIFT = (-1j * (_PROBE_PHASE_SLOPE[:, None]
                       - _PROBE_PHASE_SLOPE[None, :])).reshape(-1)
@@ -135,18 +137,18 @@ def _at(delta: float) -> str:
     return f"at delta = {float(delta)!r} rad/s"
 
 
-def solved_indices(gen0: np.ndarray, drift) -> np.ndarray:
+def solved_indices(gen0: np.ndarray) -> np.ndarray:
     """Sorted indices of vec(rho) that steady_states solves for; a generator
-    that is not (36, 36), or a drift that is not (36,), is refused.
+    that is not (36, 36) is refused.
 
     Block P is the union of the connected components of the off-diagonal
-    sparsity of L0 that hold a population; the diagonal, delta * diag(drift)
-    included, adds no edges.  L(delta) therefore maps P into P and the rest,
-    X, into X for every delta.  If drift is purely imaginary on X and the
-    hermitian part of L0 restricted to X is negative definite, then
-    Re(v^H L_X(delta) v) < 0 for every v != 0 and real delta, so L_X(delta)
-    is nonsingular and rho_X = 0: only P is returned.  Otherwise (X holds a
-    coherence with no decay, say) every index is.
+    sparsity of L0 that hold a population; the diagonal, delta *
+    diag(PROBE_DRIFT) included, adds no edges.  L(delta) therefore maps P
+    into P and the rest, X, into X for every delta.  PROBE_DRIFT is purely
+    imaginary, so if the hermitian part of L0 restricted to X is negative
+    definite, then Re(v^H L_X(delta) v) < 0 for every v != 0 and real delta,
+    L_X(delta) is nonsingular and rho_X = 0: only P is returned.  Otherwise
+    (X holds a coherence with no decay, say) every index is.
 
     P is walked from L0, not fixed to the 14 entries all three fields link:
     with a field off, that fixed set keeps coherences with no source, whose
@@ -155,9 +157,6 @@ def solved_indices(gen0: np.ndarray, drift) -> np.ndarray:
     exactly 0).
     """
     _check_generator(gen0)
-    drift = np.asarray(drift, dtype=complex)
-    if drift.shape != (_DIM,):
-        raise ConfigError("drift dimension does not match generator")
     linked = (gen0 != 0) | (gen0.T != 0)
     block = np.zeros(_DIM, dtype=bool)
     block[:: N_LEVELS + 1] = True
@@ -169,27 +168,25 @@ def solved_indices(gen0: np.ndarray, drift) -> np.ndarray:
     rest = ~block
     if rest.any():
         sub = gen0[np.ix_(rest, rest)]
-        if (np.any(drift[rest].real != 0.0)
-                or np.linalg.eigvalsh(0.5 * (sub + sub.conj().T)).max() >= 0):
+        if np.linalg.eigvalsh(0.5 * (sub + sub.conj().T)).max() >= 0:
             block[:] = True
     return np.flatnonzero(block)
 
 
-def reduction(gen0: np.ndarray, drift, first=0.0, kind="steady-state"):
+def reduction(gen0: np.ndarray, first=0.0, kind="steady-state"):
     """The one factorization behind steady_states and steady_state_slope;
     pass it to both to share it.  A(delta) = L(delta)[P, P] with the
     trace row in place of rho_11's equation moves only on the diagonal of S,
-    the rows with nonzero drift: A(delta) = A(i sigma) + (delta - i sigma)
-    E_S C E_S^T, C = diag(drift_S), sigma = ||L0||.  A(i sigma) is
+    the rows where PROBE_DRIFT is nonzero (never the trace row: PROBE_DRIFT
+    is zero on rho_11): A(delta) = A(i sigma) + (delta - i sigma) E_S C
+    E_S^T, C = diag(PROBE_DRIFT_S), sigma = ||L0||.  A(i sigma) is
     solved under both pivot orderings for y = A^-1 e_1 and Z = A^-1 E_S; by
     Woodbury A(delta)^-1 e_1 = y - Z R^-1 (delta - i sigma) C y_S with R =
     I + (delta - i sigma) C Z_S, singular only at the poles i sigma - 1/mu,
     mu the eigenvalues of C Z_S.  Errors name first."""
-    solved = solved_indices(gen0, drift)
-    drift = np.asarray(drift, dtype=complex)
+    solved = solved_indices(gen0)
     sigma = np.abs(gen0).sum(axis=1).max()
-    rate = drift[solved]
-    rate[0] = 0.0  # the trace row carries no delta
+    rate = PROBE_DRIFT[solved]
     moving = np.flatnonzero(rate)
     pinned = gen0[np.ix_(solved, solved)] + np.diag(1j * sigma * rate)
     pinned[0] = solved % (N_LEVELS + 1) == 0
@@ -258,20 +255,21 @@ def _woodbury(deltas, sigma, cz, poles, rhs, kind="steady-state"):
             f"{_at(deltas[bad])}: singular {kind} system: {exc}") from exc
 
 
-def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
+def _check_residual(gen0, deltas, vec, source, kind, scale=1.0,
                     norm="||L||"):
     """Refuse, by its delta, the first row of vec with ||L(delta) v +
     source|| > STEADY_STATE_RTOL * ||L(delta)|| * scale."""
-    # L(delta) v = L0 v + delta * (D o v): no second stack.  A residual
-    # past the float range fails the gate below as inf or nan.
+    # L(delta) v = L0 v + delta * (PROBE_DRIFT o v): no second stack.  A
+    # residual past the float range fails the gate below as inf or nan.
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(vec @ gen0.T + deltas[:, None] * (drift * vec)
+        residual = np.abs(vec @ gen0.T + deltas[:, None] * (PROBE_DRIFT * vec)
                           + source).max(axis=1)
     # ||L(delta)|| summed at a quarter of its size: near |delta| = 1e308
     # its diagonal itself overflows.
     diag0 = np.diagonal(gen0)
     quarter = (0.25 * np.abs(gen0 - np.diag(diag0)).sum(axis=1)
-               + np.abs(0.25 * diag0 + (0.25 * deltas)[:, None] * drift)
+               + np.abs(0.25 * diag0
+                        + (0.25 * deltas)[:, None] * PROBE_DRIFT)
                ).max(axis=1)
     bound = 4.0 * STEADY_STATE_RTOL * quarter * scale
     bad = ~(residual <= bound)
@@ -282,10 +280,10 @@ def _check_residual(gen0, drift, deltas, vec, source, kind, scale=1.0,
             f"{STEADY_STATE_RTOL:.1e} * {norm} = {bound[i]:.3e}")
 
 
-def steady_states(gen0: np.ndarray, drift, deltas,
-                  reduced=None) -> np.ndarray:
-    """Stationary density matrices of L(delta) = L0 + delta * diag(drift)
-    for every delta, as a validated and repaired (k, 6, 6) stack.
+def steady_states(gen0: np.ndarray, deltas, reduced=None) -> np.ndarray:
+    """Stationary density matrices of L(delta) = L0 + delta *
+    diag(PROBE_DRIFT) for every delta, as a validated and repaired (k, 6, 6)
+    stack.
 
     Only the invariant block P of solved_indices is solved; the certified
     rest of vec(rho) is exactly zero.  Past the reduction (reduced, or one
@@ -297,40 +295,39 @@ def steady_states(gen0: np.ndarray, drift, deltas,
     holds several (k, 36) temporaries, so a caller with a long grid passes
     it in slices (full_model_chi does) and keeps what it needs.
     """
-    drift = np.asarray(drift, dtype=complex)
     deltas = np.asarray(deltas, dtype=float).reshape(-1)
     if reduced is None:
-        reduced = reduction(gen0, drift, deltas[0] if deltas.size else 0.0)
+        reduced = reduction(gen0, deltas[0] if deltas.size else 0.0)
     solved, moving, rate, sigma, y, z, cz, poles = reduced
     s = _woodbury(deltas, sigma, cz, poles, _shifted(
         deltas, sigma, rate * y[moving], "C y_S", "steady-state"))
     vec = np.zeros((deltas.size, _DIM), dtype=complex)
     vec[:, solved] = y - (z @ s[..., None])[..., 0]
-    _check_residual(gen0, drift, deltas, vec, 0.0, "steady-state")
+    _check_residual(gen0, deltas, vec, 0.0, "steady-state")
     return assert_density_matrices(vec.reshape(-1, N_LEVELS, N_LEVELS),
                                    label=lambda i: _at(deltas[i]))
 
 
-def steady_state_slope(gen0: np.ndarray, drift, delta, rho,
+def steady_state_slope(gen0: np.ndarray, delta, rho,
                        reduced=None) -> np.ndarray:
     """d rho / d delta, (6, 6), of the state rho steady_states gave at delta;
     pass that call's reduction as reduced to factor once for both.
 
     L(delta) rho = 0 and tr rho = 1 give A(delta) rho'_P = -E_S C rho_S,
     which by the reduction's Woodbury identity is rho'_P = -Z R^-1 C rho_S.
-    The residual ||L rho' + D o rho|| must stay within STEADY_STATE_RTOL *
-    ||L|| * max(||rho'||, 1); a failure or a pole names delta.
+    The residual ||L rho' + PROBE_DRIFT o rho|| must stay within
+    STEADY_STATE_RTOL * ||L|| * max(||rho'||, 1); a failure or a pole names
+    delta.
     """
     delta = np.array([float(delta)])
-    drift = np.asarray(drift, dtype=complex)
     if reduced is None:
-        reduced = reduction(gen0, drift, delta[0], "slope")
+        reduced = reduction(gen0, delta[0], "slope")
     solved, moving, _, sigma, _, z, cz, poles = reduced
-    source = drift * rho.reshape(-1)
+    source = PROBE_DRIFT * rho.reshape(-1)
     slope = np.zeros_like(source)
     slope[solved] = -z @ _woodbury(delta, sigma, cz, poles,
                                    source[solved[moving]], "slope")[0]
-    _check_residual(gen0, drift, delta, slope[None], source,
+    _check_residual(gen0, delta, slope[None], source,
                     "slope", max(np.abs(slope).max(), 1.0), "||L|| * ||rho'||")
     return slope.reshape(rho.shape)
 
@@ -338,15 +335,16 @@ def steady_state_slope(gen0: np.ndarray, drift, delta, rho,
 def steady_state(gen: np.ndarray) -> np.ndarray:
     """Stationary density matrix of the generator: the one-point call of
     steady_states at delta = 0, so its errors name delta = 0.0."""
-    return steady_states(gen, np.zeros(_DIM), np.zeros(1))[0]
+    return steady_states(gen, [0.0])[0]
 
 
 def _full_generator(mat: MaterialParams, drives: DriveSet):
-    """L0 and D of L(delta) = L0 + delta * diag(D) for the full backend,
-    which reads chi as 2 * A * rho52 / omega_p: a zero probe is refused."""
+    """L0 of L(delta) = L0 + delta * diag(PROBE_DRIFT) for the full
+    backend, which reads chi as 2 * A * rho52 / omega_p: a zero probe is
+    refused."""
     if drives.probe_rabi == 0:
         raise ConfigError("full backend needs a nonzero probe field")
-    return build_liouvillian(mat, drives, 0.0), PROBE_DRIFT
+    return build_liouvillian(mat, drives, 0.0)
 
 
 def rho_to_chi(rho52, mat: MaterialParams, omega_p: complex):
@@ -369,21 +367,21 @@ def full_model_chi(mat: MaterialParams, drives: DriveSet, probe_detuning):
     array of them.
 
     The generator is assembled and reduced once, at zero probe detuning;
-    steady_states then solves the detunings as L0 + delta * D, one
-    STEADY_STATE_CHUNK slice at a time, and only rho52 of each validated
-    slice is kept.  A failure names its detuning; one in the reduction
-    names the first.
+    steady_states then solves the detunings as L0 + delta *
+    diag(PROBE_DRIFT), one STEADY_STATE_CHUNK slice at a time, and only
+    rho52 of each validated slice is kept.  A failure names its detuning;
+    one in the reduction names the first.
     """
-    gen0, drift = _full_generator(mat, drives)
+    gen0 = _full_generator(mat, drives)
     deltas = np.asarray(probe_detuning, dtype=float)
     shape, deltas = deltas.shape, deltas.reshape(-1)
-    reduced = reduction(gen0, drift, deltas[0] if deltas.size else 0.0)
+    reduced = reduction(gen0, deltas[0] if deltas.size else 0.0)
     upper, lower = PROBE_LEVELS
     rho52 = np.empty(deltas.size, dtype=complex)
     for start in range(0, deltas.size, STEADY_STATE_CHUNK):
         chunk = deltas[start:start + STEADY_STATE_CHUNK]
         rho52[start:start + chunk.size] = steady_states(
-            gen0, drift, chunk, reduced)[:, upper - 1, lower - 1]
+            gen0, chunk, reduced)[:, upper - 1, lower - 1]
     return rho_to_chi(rho52.reshape(shape), mat, drives.probe_rabi)
 
 
@@ -392,10 +390,10 @@ def full_model_chi_slope(mat: MaterialParams, drives: DriveSet,
     """(chi, dchi'/ddelta) of the full backend at the probe detuning
     delta0: the steady state and its exact slope (chi is linear in rho52)
     from one shared reduction."""
-    gen0, drift = _full_generator(mat, drives)
-    reduced = reduction(gen0, drift, delta0)
-    rho = steady_states(gen0, drift, delta0, reduced)[0]
-    slope = steady_state_slope(gen0, drift, delta0, rho, reduced)
+    gen0 = _full_generator(mat, drives)
+    reduced = reduction(gen0, delta0)
+    rho = steady_states(gen0, delta0, reduced)[0]
+    slope = steady_state_slope(gen0, delta0, rho, reduced)
     upper, lower = PROBE_LEVELS
     chi = rho_to_chi(rho[upper - 1, lower - 1], mat, drives.probe_rabi)
     dchi_re = rho_to_chi(slope[upper - 1, lower - 1], mat,

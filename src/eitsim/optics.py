@@ -135,7 +135,7 @@ def transparency_window(deltas, alpha, reference_alpha: float):
     if not reference_alpha > 0:
         raise InvalidArgumentError("reference absorption must be positive")
     if deltas[0] > 0.0 or deltas[-1] < 0.0:
-        raise ConfigError("spectrum grid must cover delta = 0")
+        raise ConfigError("grid must cover delta = 0")
     threshold = 0.5 * reference_alpha
 
     if interp_at(0.0, deltas, alpha) >= threshold:

@@ -89,8 +89,7 @@ def assert_matches_null_space(rabi, coupling_det, aux_det, delta):
     40-digit elimination to the last bit."""
     drives = eit_drives(rabi, coupling_det, aux_det)
     lv0 = assembled(drives)
-    drift = PROBE_DRIFT
-    rho = steady_states(lv0, drift, [delta])[0].reshape(-1)
+    rho = steady_states(lv0, [delta])[0].reshape(-1)
     gen = assembled(drives, delta)
     basis = scipy.linalg.null_space(gen)
     assert basis.shape[1] == 1
@@ -98,7 +97,7 @@ def assert_matches_null_space(rabi, coupling_det, aux_det, delta):
     sigma = scipy.linalg.svdvals(gen)
     tol = DEGENERACY_TOL + 36 * np.finfo(float).eps * sigma[0] / sigma[-2]
     assert np.max(np.abs(rho - want)) <= tol
-    return lv0, drift, rho
+    return lv0, rho
 
 
 def _exact(z):
@@ -330,15 +329,13 @@ class TestLiouvillian:
     def test_dimension_mismatch_rejected(self):
         # a generator that is not (36, 36), a two- or seven-level one
         # included, is refused by name wherever one is accepted
-        zero = np.zeros(36)
         for gen in (np.zeros((6, 6)), np.zeros((4, 4)), np.zeros((49, 49)),
                     np.zeros((36, 35)), np.zeros(36)):
             for call in (lambda: steady_state(gen),
-                         lambda: steady_states(gen, zero, [0.0]),
-                         lambda: steady_state_slope(gen, zero, 0.0,
-                                                    mixed_state()),
-                         lambda: solved_indices(gen, zero),
-                         lambda: bloch.reduction(gen, zero),
+                         lambda: steady_states(gen, [0.0]),
+                         lambda: steady_state_slope(gen, 0.0, mixed_state()),
+                         lambda: solved_indices(gen),
+                         lambda: bloch.reduction(gen),
                          lambda: evolve(mixed_state(), gen, 1e-3)):
                 with pytest.raises(ConfigError,
                                    match=rf"^generator shape "
@@ -381,15 +378,13 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError):
             steady_state(lv)
 
-    @pytest.mark.parametrize("drift", [np.zeros(36), PROBE_DRIFT],
-                             ids=["still", "probe"])
-    def test_all_zero_generator_is_singular(self, drift):
+    def test_all_zero_generator_is_singular(self):
         # sigma = ||L0|| = 0, so no shift i sigma * C rescues the pinned
         # system
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 0\.0 rad/s: singular "
                                  r"steady-state system"):
-            steady_states(np.zeros((36, 36)), drift, [0.0])
+            steady_states(np.zeros((36, 36)), [0.0])
 
     def test_pivot_orderings_agree_on_regular_problems(self):
         # the weakest probe the acceptance criteria use: conditioning is
@@ -403,7 +398,7 @@ class TestSteadyState:
 class TestSolvedBlock:
     def test_defaults_solve_fourteen_entries(self):
         # the populations plus the coherences within {2, 3, 5} and {1, 6}
-        solved = solved_indices(assembled(EIT_DRIVES), PROBE_DRIFT)
+        solved = solved_indices(assembled(EIT_DRIVES))
         want = sorted([m * 7 for m in range(6)]
                       + [(m - 1) * 6 + k - 1 for group in ((2, 3, 5), (1, 6))
                          for m in group for k in group if m != k])
@@ -414,29 +409,22 @@ class TestSolvedBlock:
     def test_undamped_uncoupled_coherence_solves_everything(self):
         # rho_43 has no decay and no drive: the rest is not certified
         lv0 = assembled(PROBE_ONLY, mat=UNDAMPED_43)
-        assert np.array_equal(solved_indices(lv0, PROBE_DRIFT), np.arange(36))
+        assert np.array_equal(solved_indices(lv0), np.arange(36))
         # with its decay back, the block is the populations plus 25 and 52
         damped = assembled(PROBE_ONLY)
-        assert np.array_equal(solved_indices(damped, PROBE_DRIFT),
+        assert np.array_equal(solved_indices(damped),
                               [0, 7, 10, 14, 21, 25, 28, 35])
-        assert np.array_equal(solved_indices(damped, PROBE_DRIFT),
+        assert np.array_equal(solved_indices(damped),
                               block_by_drives(PROBE_ONLY))
-
-    def test_real_drift_on_the_rest_solves_everything(self):
-        lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT.copy()
-        assert solved_indices(lv0, drift).size == 14
-        drift[1] = 1.0  # rho_12: outside the block
-        assert np.array_equal(solved_indices(lv0, drift), np.arange(36))
 
     @settings(max_examples=40, deadline=None)
     @given(**DRIVE_SPACE)
     def test_matches_full_space_null_space(self, probe, coupling, aux,
                                            coupling_det, aux_det, delta):
         rabi = (probe, coupling, aux)
-        lv0, drift, rho = assert_matches_null_space(rabi, coupling_det,
-                                                    aux_det, delta)
-        solved = solved_indices(lv0, drift)
+        lv0, rho = assert_matches_null_space(rabi, coupling_det, aux_det,
+                                            delta)
+        solved = solved_indices(lv0)
         assert np.array_equal(solved, block_by_drives(
             eit_drives(rabi, coupling_det, aux_det)))
         outside = np.setdiff1d(np.arange(36), solved)
@@ -473,9 +461,9 @@ class TestWalkedBlock:
         drives = DriveSet(*(rabi * o for rabi, o in
                             zip((1.5e3, 1.5e6, 1.5e6), on)))
         lv0 = assembled(drives)
-        solved = solved_indices(lv0, PROBE_DRIFT)
+        solved = solved_indices(lv0)
         assert np.array_equal(solved, block_by_drives(drives))
-        rho = steady_states(lv0, PROBE_DRIFT, np.linspace(-2e7, 2e7, 41))
+        rho = steady_states(lv0, np.linspace(-2e7, 2e7, 41))
         outside = np.setdiff1d(np.arange(36), solved)
         assert np.all(rho.reshape(41, 36)[:, outside] == 0.0)
 
@@ -499,7 +487,8 @@ class TestWalkedBlock:
 
 class TestExactArithmetic:
     # Against exact_steady_state at these points the worst entry of
-    # steady_states is 1.004 eps * max|rho| off, and full_model_chi is at
+    # steady_states is 1.004 eps * max|rho| off (steady_state on the
+    # generator assembled at delta: 1.024 eps), and full_model_chi is at
     # most 3.9e-14 (176 eps) relative off the exact rho52's chi, both at
     # Omega_c = 5e6, Omega_p = 7.5e4.  The SVD tests above cannot see an
     # error below ~1e-8.
@@ -518,10 +507,16 @@ class TestExactArithmetic:
     def test_matches_exact_elimination(self, drives, delta):
         gen0 = assembled(drives)
         want = exact_steady_state(gen0, PROBE_DRIFT, delta)
-        rho = steady_states(gen0, PROBE_DRIFT, [delta])[0]
+        rho = steady_states(gen0, [delta])[0]
         eps = np.finfo(float).eps
         assert np.abs(rho - want).max() \
             <= self.ENTRY_EPS * eps * np.abs(want).max()
+        # steady_state runs steady_states' algorithm, so it is held to the
+        # exact oracle of the generator assembled at delta, not to the batch
+        gen = assembled(drives, delta)
+        want_one = exact_steady_state(gen, PROBE_DRIFT, 0.0)
+        assert np.abs(steady_state(gen) - want_one).max() \
+            <= self.ENTRY_EPS * eps * np.abs(want_one).max()
         chi = full_model_chi(MAT, drives, delta)
         exact_chi = bloch.rho_to_chi(want[4, 1], MAT, drives.probe_rabi)
         assert abs(chi - exact_chi) <= self.CHI_RTOL * abs(exact_chi)
@@ -549,8 +544,8 @@ class TestExactArithmetic:
         gen0 = assembled(drives)
         want, want_slope = exact_steady_state_and_slope(gen0, PROBE_DRIFT,
                                                         delta)
-        rho = steady_states(gen0, PROBE_DRIFT, [delta])[0]
-        slope = steady_state_slope(gen0, PROBE_DRIFT, delta, rho)
+        rho = steady_states(gen0, [delta])[0]
+        slope = steady_state_slope(gen0, delta, rho)
         scale = np.finfo(float).eps * np.abs(want).max()
         assert np.abs(rho - want).max() <= self.RHO_EPS * scale
         assert np.abs(slope - want_slope).max() \
@@ -569,7 +564,7 @@ def _scaled_rho52(c):
     mat = pryso_defaults(material=material)
     lv0 = assembled(eit_drives((1.5e3 * c, 1.5e6 * c, 1.5e6 * c)), mat=mat)
     deltas = np.linspace(-2e6, 2e6, 41) * c
-    return steady_states(lv0, PROBE_DRIFT, deltas)[:, 4, 1]
+    return steady_states(lv0, deltas)[:, 4, 1]
 
 
 class TestRateScaleInvariance:
@@ -591,7 +586,6 @@ class TestBatchedSteadyStates:
         # complex drives with coupling and auxiliary detunings switched on
         rng = np.random.default_rng(23)
         eps = np.finfo(float).eps
-        drift = PROBE_DRIFT
         for _ in range(25):
             rabi = ((rng.standard_normal(3) + 1j * rng.standard_normal(3))
                     * 10 ** rng.uniform(2, 7, 3))
@@ -600,7 +594,7 @@ class TestBatchedSteadyStates:
             lv0 = assembled(drives)
             for delta in rng.uniform(-2e7, 2e7, 4):
                 want = assembled(drives, delta)
-                got = lv0 + np.diag(delta * drift)
+                got = lv0 + np.diag(delta * PROBE_DRIFT)
                 assert np.max(np.abs(got - want)) \
                     <= 8 * eps * np.max(np.abs(want))
 
@@ -609,13 +603,19 @@ class TestBatchedSteadyStates:
         # levels 5 and 3 move with the probe detuning, the rest stay put
         assert drift[4, 1] == -1j and drift[1, 4] == 1j
         assert drift[2, 1] == -1j and drift[4, 2] == 0.0
+        # what the solvers rely on in place of run-time checks: it is zero
+        # on all six populations, so the trace row of reduction carries no
+        # delta; it is purely imaginary (the eigvalsh certificate of
+        # solved_indices); and no caller can change it
         assert drift[0, 5] == 0.0 and np.all(np.diag(drift) == 0.0)
+        assert np.all(PROBE_DRIFT.real == 0.0)
+        with pytest.raises(ValueError, match="read-only"):
+            PROBE_DRIFT[0] = 1.0
 
     def test_batch_agrees_with_per_point_solves(self):
         lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT
         deltas = np.linspace(-3e6, 3e6, 7)
-        batch = steady_states(lv0, drift, deltas)
+        batch = steady_states(lv0, deltas)
         for delta, rho in zip(deltas, batch):
             one = steady_state(assembled(EIT_DRIVES, delta))
             assert np.max(np.abs(rho - one)) < DEGENERACY_TOL
@@ -625,26 +625,24 @@ class TestBatchedSteadyStates:
         # the other points of the call may not move a single bit (how
         # full_model_chi slices a grid is tested in test_optics)
         lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT
         deltas = np.linspace(-2e7, 2e7, 259)
-        batch = steady_states(lv0, drift, deltas)
+        batch = steady_states(lv0, deltas)
         assert batch.shape == (259, 6, 6)
         for i in (0, 127, 128, 258):
-            alone = steady_states(lv0, drift, deltas[i:i + 1])[0]
+            alone = steady_states(lv0, deltas[i:i + 1])[0]
             assert np.array_equal(alone, batch[i])
 
     def test_poles_are_where_the_pinned_block_is_singular(self):
         # the four dressed-state resonances at the defaults, against a
         # fresh pinned block at each pole: singular to rounding
         lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT
-        poles = bloch.reduction(lv0, drift)[-1]
+        poles = bloch.reduction(lv0)[-1]
         assert np.allclose(np.abs(poles.real), 7.497e5, rtol=1e-4)
         assert np.allclose(np.abs(poles.imag), 2.729e4, rtol=1e-3)
         assert np.sign(poles.real).sum() == np.sign(poles.imag).sum() == 0
-        solved = solved_indices(lv0, drift)
+        solved = solved_indices(lv0)
         for pole in poles:
-            block = (lv0 + np.diag(pole * drift))[
+            block = (lv0 + np.diag(pole * PROBE_DRIFT))[
                 np.ix_(solved, solved)]
             block[0] = solved % 7 == 0
             sv = np.linalg.svd(block, compute_uv=False)
@@ -657,8 +655,7 @@ class TestBatchedSteadyStates:
         mat = _material(branching_41_per_s=0.0, branching_42_per_s=0.0,
                         branching_43_per_s=0.0, branching_21_per_s=0.0)
         lv0 = assembled(EIT_DRIVES, mat=mat)
-        rho = steady_states(lv0, PROBE_DRIFT,
-                            np.linspace(-2e7, 2e7, 201))
+        rho = steady_states(lv0, np.linspace(-2e7, 2e7, 201))
         assert np.array_equal(rho, np.broadcast_to(
             np.diag([0.0, 0.0, 0.0, 1.0, 0.0, 0.0]), rho.shape))
 
@@ -684,14 +681,13 @@ class TestBatchedSteadyStates:
         # the undamped, undriven coherence rho_43: the nullspace is
         # two-dimensional only at delta = 0, which sits mid-grid
         lv0 = assembled(PROBE_ONLY, mat=UNDAMPED_43)
-        drift = PROBE_DRIFT
-        rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
+        rho = steady_states(lv0, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 0, 0], np.ones(3))
         grid = np.linspace(-264.0, 264.0, 529)
         assert grid[264] == 0.0
         with pytest.raises(SteadyStateError,
                            match=r"at delta = 0\.0 rad/s: singular"):
-            steady_states(lv0, drift, grid)
+            steady_states(lv0, grid)
 
     def test_singular_population_block_names_its_detuning(self):
         # TRAP: off two-photon resonance everything ends in level 4; at
@@ -699,20 +695,15 @@ class TestBatchedSteadyStates:
         # The coherences with level 4 decay, so the solve runs on the
         # 14-entry block.
         lv0 = assembled(TRAP_DRIVES, mat=TRAP)
-        drift = PROBE_DRIFT
-        assert np.array_equal(solved_indices(lv0, drift),
+        assert np.array_equal(solved_indices(lv0),
                               block_by_drives(TRAP_DRIVES))
-        rho = steady_states(lv0, drift, [-2.0, 1.0, 3.0])
+        rho = steady_states(lv0, [-2.0, 1.0, 3.0])
         assert np.array_equal(rho[:, 3, 3], np.ones(3))
         grid = np.linspace(-264.0, 264.0, 529)
         assert grid[264] == 0.0
         with pytest.raises(SteadyStateError,
                            match=r"at delta = 0\.0 rad/s: singular"):
-            steady_states(lv0, drift, grid)
-
-    def test_drift_dimension_checked(self):
-        with pytest.raises(ConfigError):
-            steady_states(assembled(EIT_DRIVES), np.zeros(35), [0.0])
+            steady_states(lv0, grid)
 
     def test_residual_gate_holds_where_the_norm_would_overflow(self):
         # at delta = 1e308 with d_c = -1e308 the level-3 phase of L(delta)
@@ -724,8 +715,8 @@ class TestBatchedSteadyStates:
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 1e\+308 rad/s: steady-state "
                                  r"residual inf exceeds"):
-            bloch._check_residual(lv0, PROBE_DRIFT, np.array([1e308]), unit,
-                                  0.0, "steady-state")
+            bloch._check_residual(lv0, np.array([1e308]), unit, 0.0,
+                                  "steady-state")
 
     def test_pole_beyond_the_float_range_is_refused(self):
         # a 6e246 rad/s ground decay next to a 6e298 rad/s probe leaves an
@@ -735,7 +726,7 @@ class TestBatchedSteadyStates:
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 0\.0 rad/s: steady-state "
                                  r"system has a pole beyond the float range"):
-            bloch.reduction(lv0, PROBE_DRIFT)
+            bloch.reduction(lv0)
 
     def test_woodbury_overflow_is_refused_by_name(self):
         # a 1e-298 s lifetime puts sigma at 3.1e298 rad/s, and (delta - i
@@ -765,10 +756,9 @@ class TestSteadyStateSlope:
         # its derivative is hermitian with zero trace, to rounding: eps
         # times the condition number of the pinned system, ~1.5e6 here
         lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT
         for delta in (-8e5, 0.0, 2.5e5):
-            rho = steady_states(lv0, drift, [delta])[0]
-            slope = steady_state_slope(lv0, drift, delta, rho)
+            rho = steady_states(lv0, [delta])[0]
+            slope = steady_state_slope(lv0, delta, rho)
             scale = np.abs(slope).max()
             assert scale > 0
             assert abs(np.trace(slope)) <= 1e-9 * scale
@@ -778,45 +768,41 @@ class TestSteadyStateSlope:
         # away from narrow features a plain central difference of the
         # stationary states agrees to its O(h^2) truncation
         lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT
         delta, h = 3e6, 10.0
-        rho = steady_states(lv0, drift, [delta - h, delta, delta + h])
-        slope = steady_state_slope(lv0, drift, delta, rho[1])
+        rho = steady_states(lv0, [delta - h, delta, delta + h])
+        slope = steady_state_slope(lv0, delta, rho[1])
         diff = (rho[2] - rho[0]) / (2.0 * h)
         assert np.abs(slope - diff).max() <= 1e-6 * np.abs(slope).max()
 
     def test_shared_reduction_changes_no_bit(self):
         lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT
         for delta in (-8e5, 0.0, 2.5e5):
-            reduced = bloch.reduction(lv0, drift, delta)
-            rho = steady_states(lv0, drift, [delta])[0]
+            reduced = bloch.reduction(lv0, delta)
+            rho = steady_states(lv0, [delta])[0]
             assert np.array_equal(
-                steady_states(lv0, drift, [delta], reduced)[0], rho)
+                steady_states(lv0, [delta], reduced)[0], rho)
             assert np.array_equal(
-                steady_state_slope(lv0, drift, delta, rho, reduced),
-                steady_state_slope(lv0, drift, delta, rho))
+                steady_state_slope(lv0, delta, rho, reduced),
+                steady_state_slope(lv0, delta, rho))
 
     def test_residual_gate_names_its_detuning(self, monkeypatch):
         lv0 = assembled(EIT_DRIVES)
-        drift = PROBE_DRIFT
-        rho = steady_states(lv0, drift, [2.5e5])[0]
+        rho = steady_states(lv0, [2.5e5])[0]
         # a gate below zero fails any slope, however exact
         monkeypatch.setattr(bloch, "STEADY_STATE_RTOL", -1.0)
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 250000\.0 rad/s: slope "
                                  r"residual"):
-            steady_state_slope(lv0, drift, 2.5e5, rho)
+            steady_state_slope(lv0, 2.5e5, rho)
 
     def test_singular_system_names_its_detuning(self):
         # the trap system of test_singular_population_block_names_its_
         # detuning: its pinned system is singular at delta = 0
         lv0 = assembled(TRAP_DRIVES, mat=TRAP)
-        drift = PROBE_DRIFT
-        rho = steady_states(lv0, drift, [1.0])[0]
+        rho = steady_states(lv0, [1.0])[0]
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 0\.0 rad/s: singular slope"):
-            steady_state_slope(lv0, drift, 0.0, rho)
+            steady_state_slope(lv0, 0.0, rho)
 
 
 class TestEvolve:

@@ -801,6 +801,18 @@ class TestErrorStatuses:
         assert "wrote" not in printed.out
         assert os.listdir(str(tmp_path)) == [blocked]
 
+    @pytest.mark.parametrize("backend", ["analytic", "full"])
+    def test_window_grid_off_resonance_names_the_grid(self, tmp_path, capsys,
+                                                      backend):
+        # only window needs delta = 0 on the grid; spectrum runs there
+        argv = ["--out", str(tmp_path), "--backend", backend,
+                "--set", "grid.delta_min_rad_s=1",
+                "--set", "grid.delta_max_rad_s=2"]
+        assert main(["window", *argv]) == 2
+        assert capsys.readouterr().err \
+            == "config error: grid must cover delta = 0\n"
+        assert main(["spectrum", *argv]) == 0
+
     def test_bad_backend_choice(self, tmp_path):
         proc = run_cli("spectrum", "--out", str(tmp_path), "--backend",
                        "turbo")

@@ -5,8 +5,11 @@ numbers.  `--jobs` below 1 is a configuration error.
 
 Runs cli.main in-process; pytest's configuration turns every warning into
 an error.  grid.points_count and evolve.samples_count are drawn from
-bounded ranges only to keep the runtime small; every other key takes any
-value the strategy draws.
+bounded ranges because the program puts no upper bound on either count:
+`evolve --set evolve.samples_count=1e15` ends in numpy's MemoryError and
+`=1e300` in np.linspace's ValueError, each a traceback with exit 1 (a
+FOUND line of CHANGES.md).  Every other key takes any value the strategy
+draws.
 """
 
 import json

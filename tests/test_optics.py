@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eitsim import bloch, optics, states
-from eitsim.bloch import (DEGENERACY_TOL, PROBE_DRIFT, STEADY_STATE_CHUNK,
+from eitsim.bloch import (DEGENERACY_TOL, STEADY_STATE_CHUNK,
                           build_liouvillian, full_model_chi, rho_to_chi,
                           steady_state_slope, steady_states)
 from eitsim.config import default_document, pryso_defaults
@@ -190,9 +190,8 @@ def full_chi_and_slope(mat, drives, delta):
     """Full-backend chi and dchi/ddelta at one detuning, complex, from
     bloch's steady state and its exact slope."""
     lv0 = build_liouvillian(mat, drives, 0.0)
-    drift = PROBE_DRIFT
-    rho = steady_states(lv0, drift, [delta])[0]
-    slope = steady_state_slope(lv0, drift, delta, rho)
+    rho = steady_states(lv0, [delta])[0]
+    slope = steady_state_slope(lv0, delta, rho)
     scale = 2.0 * mat.coupling_strength / complex(drives.probe_rabi)
     return scale * rho[4, 1], scale * slope[4, 1]
 
@@ -271,7 +270,7 @@ class TestGroupVelocity:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[2:])
+            calls.append(args[1:])
             return reduction(*args, **kwargs)
 
         reduction = bloch.reduction
@@ -708,7 +707,7 @@ class TestBatchedFullBackend:
         # a pole gap of 5e4 rad/s refuses the points within it of the
         # Autler-Townes pole -7.497e5 + 2.729e4i: on this 5e4-spaced grid
         # the first is -7.5e5, index 5, inside the third 2-point slice
-        sigma = bloch.reduction(*bloch._full_generator(MAT, EIT_DRIVES))[3]
+        sigma = bloch.reduction(bloch._full_generator(MAT, EIT_DRIVES))[3]
         monkeypatch.setattr(bloch, "DEGENERACY_TOL", 5e4 / sigma)
         monkeypatch.setattr(bloch, "STEADY_STATE_CHUNK", 2)
         with pytest.raises(SteadyStateError,
