@@ -378,13 +378,29 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError):
             steady_state(lv)
 
-    def test_all_zero_generator_is_singular(self):
+    @pytest.mark.parametrize("solve", [
+        steady_state, lambda gen: steady_states(gen, [0.0])],
+        ids=["still", "probe"])
+    def test_all_zero_generator_is_singular(self, solve):
         # sigma = ||L0|| = 0, so no shift i sigma * C rescues the pinned
-        # system
+        # system, whether the generator is solved alone or swept
         with pytest.raises(SteadyStateError,
                            match=r"^at delta = 0\.0 rad/s: singular "
                                  r"steady-state system"):
-            steady_states(np.zeros((36, 36)), [0.0])
+            solve(np.zeros((36, 36)))
+
+    def test_refusals_are_the_sweeps_at_delta_zero(self):
+        # the undamped, undriven rho_43 of UNDAMPED_43: assembled at
+        # delta != 0 its row carries the drift and the state is unique;
+        # at delta = 0 the row is zero and steady_state refuses it the way
+        # steady_states refuses that grid point
+        for delta in (-2.0, 1.0, 3.0):
+            rho = steady_state(assembled(PROBE_ONLY, delta, mat=UNDAMPED_43))
+            assert np.array_equal(rho, basis_state(1))
+        with pytest.raises(SteadyStateError,
+                           match=r"^at delta = 0\.0 rad/s: singular "
+                                 r"steady-state system"):
+            steady_state(assembled(PROBE_ONLY, mat=UNDAMPED_43))
 
     def test_pivot_orderings_agree_on_regular_problems(self):
         # the weakest probe the acceptance criteria use: conditioning is
