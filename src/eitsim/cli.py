@@ -31,11 +31,9 @@ import time
 from . import optics
 from .config import (CHOICES, GridSpec, ResolvedRun, apply_overrides,
                      load_document, resolve)
-from .constants import TWO_PI
-from .errors import (ConfigError, ConventionError, DivergentVelocityError,
-                     IntegrationError, InvalidArgumentError,
-                     SingularParametersError, StateCorruptionError,
-                     SteadyStateError)
+from .constants import C_LIGHT, TWO_PI
+from .errors import (ConfigError, EitsimError, InvalidArgumentError,
+                     StateCorruptionError)
 from .lambda_system import chi_analytic, lambda_from_material
 from .materials import N_LEVELS
 
@@ -56,11 +54,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_VALIDATION = 4
-
-_CONFIG_ERRORS = (ConfigError, InvalidArgumentError)
-_SOLVER_ERRORS = (SteadyStateError, IntegrationError, SingularParametersError,
-                  DivergentVelocityError, ConventionError)
-_VALIDATION_ERRORS = (StateCorruptionError,)
 
 # cmd_window refines the grid automatically (the default spectrum grid is far
 # too coarse to interpolate a ~1e6 rad/s window); the span covers twice the
@@ -250,7 +243,7 @@ def cmd_window(args, run: ResolvedRun):
 def cmd_vg(args, run: ResolvedRun):
     delta0 = run.drives.probe_detuning
     vg = optics.group_velocity(run.backend, run.material, run.drives, delta0)
-    group_index = optics.C_LIGHT / vg
+    group_index = C_LIGHT / vg
     anomalous = group_index < 1.0
 
     headline = {
@@ -422,18 +415,18 @@ def main(argv=None, load_numeric=load_numeric) -> int:
                   "three-level closed form beyond the threshold",
                   file=sys.stderr)
         return status
-    except _CONFIG_ERRORS as exc:
+    except (ConfigError, InvalidArgumentError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _SOLVER_ERRORS as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _VALIDATION_ERRORS as exc:
+    except StateCorruptionError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except EitsimError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

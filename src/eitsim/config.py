@@ -50,6 +50,10 @@ NUMERIC_KEYS = (
 )
 SECTIONS = frozenset(key.partition(".")[0] for key in (*CHOICES, *NUMERIC_KEYS)
                      if "." in key)
+# Upper bounds on the two counts: a larger count is refused before anything
+# is allocated for it.
+MAX_GRID_POINTS = 1_000_000
+MAX_EVOLVE_SAMPLES = 100_000
 
 
 def default_document() -> dict:
@@ -110,6 +114,9 @@ class GridSpec(namedtuple("GridSpec", "delta_min delta_max points")):
             raise ConfigError("grid needs delta_max > delta_min")
         if points < 2:
             raise ConfigError("grid needs at least 2 points")
+        if points > MAX_GRID_POINTS:
+            raise ConfigError(
+                f"grid allows at most {MAX_GRID_POINTS} points")
         return super().__new__(cls, delta_min, delta_max, points)
 
     @classmethod
@@ -249,6 +256,9 @@ def resolve(doc: dict) -> ResolvedRun:
                     g["points_count"])
     if canonical["evolve"]["samples_count"] < 2:
         raise ConfigError("config key 'evolve.samples_count' must be >= 2")
+    if canonical["evolve"]["samples_count"] > MAX_EVOLVE_SAMPLES:
+        raise ConfigError("config key 'evolve.samples_count' must be <= "
+                          f"{MAX_EVOLVE_SAMPLES}")
     if canonical["validate"]["max_dev_rel"] <= 0:
         raise ConfigError("config key 'validate.max_dev_rel' must be > 0")
 

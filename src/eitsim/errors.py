@@ -1,9 +1,10 @@
 """Exception types shared across the package.
 
 Every class derives from EitsimError so callers can catch package failures
-in one clause.  The CLI maps them to exit statuses: configuration problems
-(ConfigError and friends, bad arguments) exit 2, solver failures exit 3,
-validation failures exit 4.
+in one clause.  The CLI maps them to exit statuses by class: ConfigError
+and InvalidArgumentError exit 2 ("config error"), StateCorruptionError
+exits 4 ("validation error"), and every other EitsimError, a subclass
+added later included, exits 3 ("solver error").
 """
 
 

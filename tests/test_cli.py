@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from eitsim import bloch, optics, states, validation
+from eitsim import bloch, cli, optics, states, validation
 from eitsim.cli import main
 from eitsim.config import apply_overrides, default_document, resolve
 from eitsim.constants import C_LIGHT
+from eitsim.errors import EitsimError
 from eitsim.lambda_system import (chi_analytic, dchi_prime_ddelta,
                                   lambda_from_material)
 from eitsim.optics import probe_angular_frequency
@@ -647,14 +648,17 @@ class TestStartup:
     def test_package_import_is_lazy(self):
         # `import eitsim` must load no numpy, so that eitsim.cli can still
         # choose numpy's BLAS threads, and must change no environment
+        # and must define no public name: each lives in its own module
         proc = run_python("-c", "import os, sys, eitsim; "
                                 "print(sorted(m for m in sys.modules "
                                 "if m == 'numpy' or m.startswith('eitsim.'))"
                                 "); print(os.environ.get("
-                                "'OPENBLAS_NUM_THREADS'))",
+                                "'OPENBLAS_NUM_THREADS')); "
+                                "print(sorted(n for n in vars(eitsim) "
+                                "if not n.startswith('_')))",
                           OPENBLAS_NUM_THREADS=None)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["[]", "None"]
+        assert proc.stdout.split() == ["[]", "None", "[]"]
 
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
     def test_cli_import_defaults_to_one_blas_thread(self, preset, expected):
@@ -771,6 +775,36 @@ class TestErrorStatuses:
         assert capsys.readouterr().err == \
             "config error: deltas must be strictly increasing\n"
         assert os.listdir(str(tmp_path)) == []
+
+    @pytest.mark.parametrize("command, key, message", [
+        ("spectrum", "grid.points_count",
+         "grid allows at most 1000000 points"),
+        ("validate", "grid.points_count",
+         "grid allows at most 1000000 points"),
+        ("evolve", "evolve.samples_count",
+         "config key 'evolve.samples_count' must be <= 100000"),
+    ], ids=["spectrum", "validate", "evolve"])
+    @pytest.mark.parametrize("count", ["1e15", "1e300"])
+    def test_count_past_its_bound_is_a_config_error(
+            self, tmp_path, capsys, command, key, message, count):
+        # refused before anything is allocated for it
+        assert main([command, "--out", str(tmp_path),
+                     "--set", f"{key}={count}"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert os.listdir(str(tmp_path)) == []
+
+    def test_any_other_package_error_is_a_solver_error(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # the status follows the base class, so a subclass no list names
+        # still exits 3
+        class FreshError(EitsimError):
+            pass
+
+        def handler(args, run):
+            raise FreshError("fresh failure")
+        monkeypatch.setitem(cli._HANDLERS, "params", handler)
+        assert main(["params", "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == "solver error: fresh failure\n"
 
     @pytest.mark.parametrize("level", [1, 2, 5])
     def test_zero_lifetime_is_one_config_error(self, tmp_path, level):

@@ -4,12 +4,10 @@ or warning escaping, and a run that writes its summary writes only finite
 numbers.  `--jobs` below 1 is a configuration error.
 
 Runs cli.main in-process; pytest's configuration turns every warning into
-an error.  grid.points_count and evolve.samples_count are drawn from
-bounded ranges because the program puts no upper bound on either count:
-`evolve --set evolve.samples_count=1e15` ends in numpy's MemoryError and
-`=1e300` in np.linspace's ValueError, each a traceback with exit 1 (a
-FOUND line of CHANGES.md).  Every other key takes any value the strategy
-draws.
+an error.  grid.points_count and evolve.samples_count are drawn either
+from small ranges, to keep the runtime small, or past their upper bounds
+(config.MAX_GRID_POINTS and config.MAX_EVOLVE_SAMPLES), where the run is
+refused with exit 2.  Every other key takes any value the strategy draws.
 """
 
 import json
@@ -22,6 +20,7 @@ from hypothesis import strategies as st
 
 from eitsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                         main)
+from eitsim.config import MAX_EVOLVE_SAMPLES, MAX_GRID_POINTS
 
 LEVELS = range(1, 7)
 VALUE_KEYS = (
@@ -52,12 +51,16 @@ VALUES = st.one_of(
 )
 OVERRIDE = st.one_of(
     st.tuples(st.sampled_from(VALUE_KEYS), VALUES),
-    st.tuples(st.just(POINTS_KEY), st.integers(-2, 2001)),
+    st.tuples(st.just(POINTS_KEY),
+              st.integers(-2, 2001)
+              | st.integers(MAX_GRID_POINTS + 1, 10 ** 300)),
 )
 EVOLVE_OVERRIDE = st.one_of(
     OVERRIDE,
     st.tuples(st.just("evolve.t_end_s"), VALUES),
-    st.tuples(st.just("evolve.samples_count"), st.integers(-2, 201)),
+    st.tuples(st.just("evolve.samples_count"),
+              st.integers(-2, 201)
+              | st.integers(MAX_EVOLVE_SAMPLES + 1, 10 ** 300)),
 )
 
 

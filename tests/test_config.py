@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from eitsim.cli import EXIT_CONFIG, main
-from eitsim.config import (CHOICES, NUMERIC_KEYS, apply_overrides,
-                           default_document, load_document, pryso_defaults,
-                           resolve)
+from eitsim.config import (CHOICES, MAX_EVOLVE_SAMPLES, MAX_GRID_POINTS,
+                           NUMERIC_KEYS, apply_overrides, default_document,
+                           load_document, pryso_defaults, resolve)
 from eitsim.constants import TWO_PI
 from eitsim.errors import ConfigError
 from eitsim.states import initial_state
@@ -342,6 +342,16 @@ class TestRejection:
         run = resolve_with("grid.points_count=200.0")
         assert run.grid.points == 200
         assert isinstance(run.grid.points, int)
+
+    @pytest.mark.parametrize("key, bound, message", [
+        ("grid.points_count", MAX_GRID_POINTS, "grid allows at most"),
+        ("evolve.samples_count", MAX_EVOLVE_SAMPLES,
+         "'evolve.samples_count' must be <="),
+    ])
+    def test_count_bounded_above(self, key, bound, message):
+        resolve_with(f"{key}={bound}")
+        with pytest.raises(ConfigError, match=message):
+            resolve_with(f"{key}={bound + 1}")
 
     def test_bad_choice_lists_options(self):
         with pytest.raises(ConfigError) as err:

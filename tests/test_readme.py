@@ -1,5 +1,6 @@
 """The README's command examples, each run in process through cli.main,
-and its block of configuration defaults against config.default_document."""
+its block of configuration defaults against config.default_document, and
+its module table against the package's modules."""
 
 import json
 import os
@@ -10,8 +11,8 @@ import pytest
 from eitsim.cli import main
 from eitsim.config import CHOICES, default_document
 
-README = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def command_examples():
@@ -69,3 +70,16 @@ def test_configuration_block_shows_the_defaults():
             assert value == defaults[name], name
     assert {f"conventions.{key}" for key in shown["conventions"]} \
         == {path for path in CHOICES if path.startswith("conventions.")}
+
+
+def test_module_table_names_every_module():
+    # the table under "What's inside" is the one index of the modules
+    with open(README, encoding="utf-8") as fh:
+        section = fh.read().split("\n## What's inside\n", 1)[1] \
+            .split("\n## ", 1)[0]
+    listed = [line.split("`")[1] for line in section.splitlines()
+              if line.startswith("| `eitsim.")]
+    modules = {f"eitsim.{name[:-3]}"
+               for name in os.listdir(os.path.join(ROOT, "src", "eitsim"))
+               if name.endswith(".py") and name != "__init__.py"}
+    assert sorted(listed) == sorted(modules)
